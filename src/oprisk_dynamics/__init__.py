@@ -53,7 +53,7 @@ from .model import (
     NoiseSpec,
     validate_parameters,
 )
-from .simulate import Trajectory, cumulative, ramp, simulate, step, trigger_count
+from .simulate import Trajectory, cumulative, simulate
 from .validation import ValidationReport, relative_error, run_validation
 
 __version__ = "1.0.0"
@@ -89,16 +89,13 @@ __all__ = [
     "lambda_from_quantile",
     "load_config",
     "parameters_from_estimates",
-    "ramp",
     "read_loss_records",
     "reference_config_path",
     "relative_error",
     "run_ensemble",
     "run_validation",
     "simulate",
-    "step",
     "summarize",
-    "trigger_count",
     "validate_parameters",
     "var",
     "write_histogram",

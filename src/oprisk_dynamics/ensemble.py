@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import errors
-from .estimate import CouplingSampler, EstimateSet, collapse_mean
+from .estimate import CouplingSampler, EstimateSet, collapse_estimates, collapse_mean
 from .model import HistoryWindow, ModelParameters, validate_parameters
-from .simulate import _evolve
+from .simulate import _evolve, _start_history
 
 logger = logging.getLogger(__name__)
 
@@ -151,28 +151,18 @@ def run_ensemble(
 
     sampler = None
     if isinstance(source, EstimateSet):
-        if collapse == "mean":
-            p = parameters_from_estimates(source)
-        elif collapse == "sample-per-run":
-            sampler = CouplingSampler(source, derive_seed(master_seed, 0))
-            p = parameters_from_estimates(source, couplings=sampler())
-        else:
-            raise ValueError(f"unknown collapse strategy {collapse!r}")
+        couplings = collapse_estimates(source, collapse, seed=derive_seed(master_seed, 0))
+        if isinstance(couplings, CouplingSampler):
+            sampler = couplings
+            couplings = sampler()
+        p = parameters_from_estimates(source, couplings=couplings)
     else:
         if collapse != "mean":
             raise ValueError("sample-per-run collapse requires an EstimateSet")
         p = validate_parameters(source)
 
     n = p.n
-    w = p.max_horizon
-    if initial is None:
-        initial_arr = np.zeros((w, n))
-    else:
-        if initial.n_processes != n:
-            raise errors.DimensionMismatch(
-                "initial", (w, n), (initial.depth, initial.n_processes)
-            )
-        initial_arr = initial.recent(w)
+    initial_arr = _start_history(p, initial)
 
     capture = sorted(set(int(s) for s in capture_steps))
     for s in capture:

@@ -256,6 +256,25 @@ def classify_events(db, horizons: np.ndarray) -> EventClassCounts:
     )
 
 
+def _degeneracy(total: int, zero: int) -> str | None:
+    """Why a class of ``total`` events, ``zero`` of them lossless, has no
+    finite inverse; None when its zero-loss ratio is usable."""
+    if total == 0:
+        return "no-base-events"
+    if zero == 0:
+        return "zero-ratio-0"
+    if zero == total:
+        return "zero-ratio-1"
+    return None
+
+
+_THETA_WARNINGS = {
+    "no-base-events": "no base-class events, theta unavailable",
+    "zero-ratio-0": "base zero-loss ratio is 0, theta degenerate at 0",
+    "zero-ratio-1": "base zero-loss ratio is 1, theta unavailable",
+}
+
+
 def estimate_theta(counts: EventClassCounts, lam: np.ndarray):
     """Invert base-class zero-ratios into threshold estimates.
 
@@ -276,23 +295,10 @@ def estimate_theta(counts: EventClassCounts, lam: np.ndarray):
     for i in range(n):
         total = int(counts.base_total[i])
         zero = int(counts.base_zero[i])
-        if total == 0:
+        reason = _degeneracy(total, zero)
+        if reason:
             warnings.warn(
-                f"process {i + 1}: no base-class events, theta unavailable",
-                DegeneracyWarning,
-                stacklevel=2,
-            )
-        elif zero == 0:
-            warnings.warn(
-                f"process {i + 1}: base zero-loss ratio is 0, theta degenerate at 0",
-                DegeneracyWarning,
-                stacklevel=2,
-            )
-        elif zero == total:
-            warnings.warn(
-                f"process {i + 1}: base zero-loss ratio is 1, theta unavailable",
-                DegeneracyWarning,
-                stacklevel=2,
+                f"process {i + 1}: {_THETA_WARNINGS[reason]}", DegeneracyWarning, stacklevel=2
             )
         else:
             theta_hat[i] = np.log1p(-zero / total) / lam[i]
@@ -321,29 +327,25 @@ def estimate_couplings(
     if theta_available is None:
         theta_available = np.ones(theta_hat.shape[0], dtype=bool)
 
-    n = counts.n_processes
     j_hat: dict = {}
-    for i in range(n):
-        for j in range(n):
-            for c in range(1, int(counts.horizons[i, j]) + 1):
-                total = int(counts.class_total[i, j, c - 1])
-                if total == 0:
-                    continue
-                zero = int(counts.class_zero[i, j, c - 1])
-                if zero == 0 or zero == total:
-                    warnings.warn(
-                        f"class (i, j, c) = ({i + 1}, {j + 1}, {c}): zero-loss "
-                        f"ratio is {zero // total}, candidate skipped",
-                        DegeneracyWarning,
-                        stacklevel=2,
-                    )
-                    continue
-                if not theta_available[i]:
-                    raise errors.MissingTheta(i)
-                estimate = (-theta_hat[i] + np.log1p(-zero / total) / lam[i]) / c
-                j_hat.setdefault((i, j), []).append(
-                    CouplingCandidate(count_class=c, estimate=float(estimate), support=total)
-                )
+    for i, j, k in np.argwhere(counts.class_total > 0).tolist():
+        c = k + 1
+        total = int(counts.class_total[i, j, k])
+        zero = int(counts.class_zero[i, j, k])
+        if _degeneracy(total, zero):
+            warnings.warn(
+                f"class (i, j, c) = ({i + 1}, {j + 1}, {c}): zero-loss "
+                f"ratio is {zero // total}, candidate skipped",
+                DegeneracyWarning,
+                stacklevel=2,
+            )
+            continue
+        if not theta_available[i]:
+            raise errors.MissingTheta(i)
+        estimate = (-theta_hat[i] + np.log1p(-zero / total) / lam[i]) / c
+        j_hat.setdefault((i, j), []).append(
+            CouplingCandidate(count_class=c, estimate=float(estimate), support=total)
+        )
     return j_hat
 
 
@@ -353,25 +355,16 @@ def estimate_from_database(db, horizons: np.ndarray, lam: np.ndarray) -> Estimat
     theta_hat, available = estimate_theta(counts, lam)
     j_hat = estimate_couplings(counts, theta_hat, lam, theta_available=available)
 
-    degenerate_theta = []
-    for i in range(counts.n_processes):
-        total, zero = int(counts.base_total[i]), int(counts.base_zero[i])
-        if total == 0:
-            degenerate_theta.append((i, "no-base-events"))
-        elif zero == 0:
-            degenerate_theta.append((i, "zero-ratio-0"))
-        elif zero == total:
-            degenerate_theta.append((i, "zero-ratio-1"))
-    skipped = []
-    nonzero = np.argwhere(counts.class_total > 0)
-    for i, j, k in nonzero:
-        total = int(counts.class_total[i, j, k])
-        zero = int(counts.class_zero[i, j, k])
-        if zero == 0:
-            skipped.append((int(i), int(j), int(k) + 1, "zero-ratio-0"))
-        elif zero == total:
-            skipped.append((int(i), int(j), int(k) + 1, "zero-ratio-1"))
-
+    degenerate_theta = [
+        (i, reason)
+        for i in range(counts.n_processes)
+        if (reason := _degeneracy(counts.base_total[i], counts.base_zero[i]))
+    ]
+    skipped = [
+        (i, j, k + 1, reason)
+        for i, j, k in np.argwhere(counts.class_total > 0).tolist()
+        if (reason := _degeneracy(counts.class_total[i, j, k], counts.class_zero[i, j, k]))
+    ]
     diagnostics = EstimationDiagnostics(
         discarded=counts.discarded,
         degenerate_theta=degenerate_theta,

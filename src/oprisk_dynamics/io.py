@@ -59,16 +59,18 @@ class RawLossRecord(NamedTuple):
 
 def _parse_timestamp(text: str, line_no: int) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        pass
-    try:
-        # datetime.fromisoformat in 3.10 rejects a trailing Z
-        return datetime.fromisoformat(text.replace("Z", "+00:00")).timestamp()
-    except ValueError:
-        raise errors.MalformedRecord(
-            line_no, f"timestamp {text!r} is neither a number nor ISO-8601"
-        ) from None
+        try:
+            # datetime.fromisoformat in 3.10 rejects a trailing Z
+            return datetime.fromisoformat(text.replace("Z", "+00:00")).timestamp()
+        except ValueError:
+            raise errors.MalformedRecord(
+                line_no, f"timestamp {text!r} is neither a number nor ISO-8601"
+            ) from None
+    if not math.isfinite(value):
+        raise errors.MalformedRecord(line_no, f"timestamp {text!r} is not finite")
+    return value
 
 
 def read_loss_records(source) -> list[RawLossRecord]:

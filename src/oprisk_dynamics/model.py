@@ -136,7 +136,8 @@ class LossMatrix:
     """A T x N history of per-step, per-process losses.
 
     Rows are time steps t = 0..T-1, columns are processes. Entries are
-    nonnegative; violating entries are rejected with their coordinates.
+    finite and nonnegative; violating entries are rejected with their
+    coordinates.
     """
 
     losses: np.ndarray
@@ -145,11 +146,12 @@ class LossMatrix:
         arr = np.asarray(self.losses, dtype=np.float64)
         if arr.ndim != 2:
             raise errors.DimensionMismatch("losses", "(T, N)", arr.shape)
-        negative = np.argwhere(arr < 0)
-        if negative.size:
-            t, i = (int(k) for k in negative[0])
+        bad = np.argwhere(~(np.isfinite(arr) & (arr >= 0)))
+        if bad.size:
+            t, i = (int(k) for k in bad[0])
             raise ValueError(
-                f"losses contain a negative entry {arr[t, i]} at (t, process) = ({t}, {i})"
+                f"losses contain a negative or non-finite entry {arr[t, i]} "
+                f"at (t, process) = ({t}, {i})"
             )
         arr = arr.copy() if arr is self.losses or arr.flags.writeable else arr
         arr.setflags(write=False)
@@ -165,11 +167,10 @@ class LossMatrix:
 
 
 class HistoryWindow:
-    """Ring buffer of the most recent W loss vectors.
+    """The W loss vectors a simulation starts from, oldest first.
 
     The window is what the equation of motion can see: counts of recent
     nonzero losses are always taken over the last ``horizon <= W`` steps.
-    Mutable, and meant to be confined to a single simulation.
     """
 
     def __init__(self, depth: int, n_processes: int) -> None:
@@ -178,7 +179,6 @@ class HistoryWindow:
         if n_processes < 1:
             raise ValueError(f"n_processes must be >= 1, got {n_processes}")
         self._buf = np.zeros((depth, n_processes), dtype=np.float64)
-        self._next = 0
 
     @classmethod
     def zeros(cls, depth: int, n_processes: int) -> "HistoryWindow":
@@ -191,8 +191,8 @@ class HistoryWindow:
         initial = np.asarray(initial, dtype=np.float64)
         if initial.ndim != 2:
             raise errors.DimensionMismatch("initial", "(W, N)", initial.shape)
-        if (initial < 0).any():
-            raise ValueError("history entries must be nonnegative")
+        if not (np.isfinite(initial) & (initial >= 0)).all():
+            raise ValueError("history entries must be finite and nonnegative")
         window = cls(initial.shape[0], initial.shape[1])
         window._buf[:] = initial
         return window
@@ -205,26 +205,11 @@ class HistoryWindow:
     def n_processes(self) -> int:
         return self._buf.shape[1]
 
-    def push(self, losses: np.ndarray) -> None:
-        """Append one step of losses, evicting the oldest stored step."""
-        if self.depth == 0:
-            return
-        losses = np.asarray(losses, dtype=np.float64)
-        if losses.shape != (self.n_processes,):
-            raise errors.DimensionMismatch("losses", (self.n_processes,), losses.shape)
-        if (losses < 0).any():
-            raise ValueError("history entries must be nonnegative")
-        self._buf[self._next] = losses
-        self._next = (self._next + 1) % self.depth
-
     def recent(self, n_back: int) -> np.ndarray:
         """Return the last ``n_back`` loss vectors, oldest first."""
         if n_back > self.depth:
             raise errors.HorizonExceedsHistory(n_back, self.depth)
-        if n_back == 0:
-            return np.zeros((0, self.n_processes))
-        idx = (self._next - np.arange(n_back, 0, -1)) % self.depth
-        return self._buf[idx]
+        return self._buf[self.depth - n_back :].copy()
 
     def as_array(self) -> np.ndarray:
         """Full window content as a (W, N) array, oldest first."""

@@ -32,12 +32,13 @@ try:
 except ImportError:  # pragma: no cover - exercised only without the extra
     _HAVE_NUMBA = False
 
-__all__ = ["Trajectory", "ramp", "trigger_count", "step", "simulate", "cumulative"]
+__all__ = ["Trajectory", "simulate", "cumulative"]
 
 _CHUNK_STEPS = 16384
 
-# Compiled and pure-numpy step loops are arithmetically identical; this switch
-# exists so tests can pin their equality and users can opt out.
+# The scalar and pure-numpy chunk loops are arithmetically identical. The
+# scalar loop is fast only when Numba compiles it; this switch lets tests pin
+# the equality on every machine and users opt out.
 use_compiled_kernel: bool = _HAVE_NUMBA
 
 
@@ -48,56 +49,6 @@ class Trajectory:
     losses: LossMatrix
     cumulative: np.ndarray
     seed: int
-
-
-def ramp(x: float) -> float:
-    """x for x > 0, else 0."""
-    return float(x) if x > 0.0 else 0.0
-
-
-def trigger_count(history: HistoryWindow, i: int, j: int, horizon: int) -> int:
-    """Number of strictly positive losses of process j in the last ``horizon`` steps.
-
-    The influenced process ``i`` does not enter the count; it is part of the
-    signature because the horizon is a property of the ordered pair (i, j).
-
-    Raises:
-        HorizonExceedsHistory: the window stores fewer than ``horizon`` steps.
-    """
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    recent = history.recent(horizon)
-    return int(np.count_nonzero(recent[:, j] > 0.0))
-
-
-def step(p: ModelParameters, history: HistoryWindow, noise_draws: np.ndarray) -> np.ndarray:
-    """Advance the system one step and push the result into ``history``.
-
-    Args:
-        p: validated model parameters.
-        history: window of at least ``p.max_horizon`` past steps; mutated.
-        noise_draws: length-N vector of nonnegative noise realizations.
-
-    Returns:
-        The length-N loss vector of the new step.
-    """
-    n = p.n
-    noise_draws = np.asarray(noise_draws, dtype=np.float64)
-    if noise_draws.shape != (n,):
-        raise errors.DimensionMismatch("noise_draws", (n,), noise_draws.shape)
-    if (noise_draws < 0).any():
-        raise ValueError("noise draws must be nonnegative")
-
-    inter = np.zeros(n)
-    counts = np.zeros(n)
-    for j in range(n):
-        for i in range(n):
-            h = int(p.horizons[i, j])
-            counts[i] = trigger_count(history, i, j, h) if h else 0
-        inter += p.couplings[:, j] * counts
-    losses = np.maximum((inter + p.theta) + noise_draws, 0.0)
-    history.push(losses)
-    return losses
 
 
 def cumulative(losses) -> np.ndarray:
@@ -129,13 +80,6 @@ def simulate(
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if not np.array_equal(noise.rates, p.lam):
         raise ValueError("noise rates must equal the model lambda vector")
-    w = p.max_horizon
-    if initial is None:
-        initial_arr = np.zeros((w, p.n))
-    else:
-        if initial.n_processes != p.n:
-            raise errors.DimensionMismatch("initial", (w, p.n), (initial.depth, initial.n_processes))
-        initial_arr = initial.recent(w)
 
     out = np.empty((n_steps, 1, p.n))
     _evolve(
@@ -143,7 +87,7 @@ def simulate(
         p.lam,
         p.couplings[None, :, :],
         p.horizons,
-        initial_arr,
+        _start_history(p, initial),
         n_steps,
         [noise.generator()],
         out,
@@ -152,6 +96,21 @@ def simulate(
     z = np.cumsum(losses.losses, axis=0)
     z.setflags(write=False)
     return Trajectory(losses=losses, cumulative=z, seed=noise.seed)
+
+
+def _start_history(p: ModelParameters, initial: HistoryWindow | None) -> np.ndarray:
+    """The (W, N) history the engine starts from, oldest first; None means zeros.
+
+    Raises:
+        DimensionMismatch: ``initial`` has another number of processes.
+        HorizonExceedsHistory: ``initial`` is shallower than the maximum horizon.
+    """
+    w = p.max_horizon
+    if initial is None:
+        return np.zeros((w, p.n))
+    if initial.n_processes != p.n:
+        raise errors.DimensionMismatch("initial", (w, p.n), (initial.depth, initial.n_processes))
+    return initial.recent(w)
 
 
 def _evolve(
@@ -176,10 +135,10 @@ def _evolve(
             trajectory's stream is identical to per-step sequential draws.
         out: preallocated float64 output buffer.
 
-    The per-step arithmetic mirrors ``step`` exactly: the interaction term is
-    accumulated column by column in ascending j, then theta, then noise, then
-    the ramp. Batch size must never change results, so no reduction ever
-    crosses the trajectory axis.
+    Both chunk loops order the arithmetic the same way: the interaction term
+    is accumulated column by column in ascending j, then theta, then noise,
+    then the ramp. Batch size must never change results, so no reduction
+    ever crosses the trajectory axis.
     """
     n = theta.shape[0]
     n_batch = couplings.shape[0]
@@ -196,7 +155,7 @@ def _evolve(
             slot_of_pair[i, j] = h_slot[h] if h else 0
 
     if w:
-        ind_init = (initial[initial.shape[0] - w:] > 0.0)
+        ind_init = initial > 0.0
         ring = np.repeat(ind_init[:, None, :], n_batch, axis=1).astype(np.int8)
         for h, slot in h_slot.items():
             counts_ext[slot] = ind_init[w - h:].sum(axis=0, dtype=np.int64)[None, :]
@@ -206,7 +165,7 @@ def _evolve(
 
     couplings = np.ascontiguousarray(couplings)
     hs_arr = np.asarray(hs, dtype=np.int64)
-    compiled = use_compiled_kernel and _HAVE_NUMBA
+    chunk_loop = _compiled_chunk if use_compiled_kernel else _numpy_chunk
     # noise buffer is (B, chunk, N) so each member's slice is contiguous and
     # can be transformed in place without staging copies
     xi = np.empty((n_batch, min(chunk_steps, n_steps), n))
@@ -220,34 +179,21 @@ def _evolve(
             np.log(member, out=member)
             np.negative(member, out=member)
             member /= lam
-        if compiled:
-            write_pos = _compiled_chunk(
-                xi[:, :m],
-                couplings,
-                theta,
-                slot_of_pair,
-                hs_arr,
-                counts_ext,
-                ring,
-                write_pos,
-                out[start : start + m],
-            )
-        else:
-            write_pos = _numpy_chunk(
-                xi[:, :m],
-                couplings,
-                theta,
-                slot_of_pair,
-                h_slot,
-                counts_ext,
-                ring,
-                write_pos,
-                out[start : start + m],
-            )
+        write_pos = chunk_loop(
+            xi[:, :m],
+            couplings,
+            theta,
+            slot_of_pair,
+            hs_arr,
+            counts_ext,
+            ring,
+            write_pos,
+            out[start : start + m],
+        )
 
 
 def _numpy_chunk(
-    xi, couplings, theta, slot_of_pair, h_slot, counts_ext, ring, write_pos, out
+    xi, couplings, theta, slot_of_pair, hs, counts_ext, ring, write_pos, out
 ) -> int:
     """Chunk loop in pure numpy; arithmetic order matches the compiled kernel."""
     n_batch, m, n = xi.shape
@@ -256,6 +202,7 @@ def _numpy_chunk(
     col_couplings = {j: np.ascontiguousarray(couplings[:, :, j]) for j in live_cols}
     col_slots = {j: slot_of_pair[:, j] for j in live_cols}
     theta_row = theta[None, :]
+    hs = hs.tolist()
     inter = np.empty((n_batch, n))
     prod = np.empty((n_batch, n))
     arg = np.empty((n_batch, n))
@@ -272,8 +219,8 @@ def _numpy_chunk(
         out[s] = arg
         if w:
             np.greater(arg, 0.0, out=ind)
-            for h, slot in h_slot.items():
-                counts = counts_ext[slot]
+            for k, h in enumerate(hs):
+                counts = counts_ext[k + 1]
                 counts += ind
                 counts -= ring[(write_pos - h) % w]
             ring[write_pos] = ind
@@ -281,36 +228,38 @@ def _numpy_chunk(
     return write_pos
 
 
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _compiled_chunk(
-        xi, couplings, theta, slot_of_pair, hs, counts_ext, ring, write_pos, out
-    ):  # pragma: no cover - measured through its callers
-        n_batch, m, n = xi.shape
-        w = ring.shape[0]
-        n_h = hs.shape[0]
-        for s in range(m):
-            for b in range(n_batch):
-                for i in range(n):
-                    acc = 0.0
-                    for j in range(n):
-                        acc += couplings[b, i, j] * counts_ext[slot_of_pair[i, j], b, j]
-                    v = (acc + theta[i]) + xi[b, s, i]
-                    out[s, b, i] = v if v > 0.0 else 0.0
-            if w:
-                for k in range(n_h):
-                    old = write_pos - hs[k]
-                    if old < 0:
-                        old += w
-                    for b in range(n_batch):
-                        for i in range(n):
-                            pos = 1 if out[s, b, i] > 0.0 else 0
-                            counts_ext[k + 1, b, i] += pos - ring[old, b, i]
+def _compiled_chunk(
+    xi, couplings, theta, slot_of_pair, hs, counts_ext, ring, write_pos, out
+):
+    """Chunk loop one scalar at a time; compiled by Numba when it imports."""
+    n_batch, m, n = xi.shape
+    w = ring.shape[0]
+    n_h = hs.shape[0]
+    for s in range(m):
+        for b in range(n_batch):
+            for i in range(n):
+                acc = 0.0
+                for j in range(n):
+                    acc += couplings[b, i, j] * counts_ext[slot_of_pair[i, j], b, j]
+                v = (acc + theta[i]) + xi[b, s, i]
+                out[s, b, i] = v if v > 0.0 else 0.0
+        if w:
+            for k in range(n_h):
+                old = write_pos - hs[k]
+                if old < 0:
+                    old += w
                 for b in range(n_batch):
                     for i in range(n):
-                        ring[write_pos, b, i] = 1 if out[s, b, i] > 0.0 else 0
-                write_pos += 1
-                if write_pos == w:
-                    write_pos = 0
-        return write_pos
+                        pos = 1 if out[s, b, i] > 0.0 else 0
+                        counts_ext[k + 1, b, i] += pos - ring[old, b, i]
+            for b in range(n_batch):
+                for i in range(n):
+                    ring[write_pos, b, i] = 1 if out[s, b, i] > 0.0 else 0
+            write_pos += 1
+            if write_pos == w:
+                write_pos = 0
+    return write_pos
+
+
+if _HAVE_NUMBA:
+    _compiled_chunk = numba.njit(cache=True)(_compiled_chunk)

@@ -167,6 +167,16 @@ class TestEstimateCommand:
         assert main(["estimate", "--config", config, "--database", str(bad)]) == 3
         assert last_stderr_json(capsys)["error"] == "MalformedRecord"
 
+    @pytest.mark.parametrize("timestamp", ["nan", "inf"])
+    def test_non_finite_timestamp_is_a_data_error(self, tmp_path, capsys, timestamp):
+        config = small_config(tmp_path)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"t,process,amount\n1,1,0.5\n{timestamp},2,0.3\n")
+        assert main(["estimate", "--config", config, "--database", str(bad)]) == 3
+        doc = last_stderr_json(capsys)
+        assert doc["error"] == "MalformedRecord"
+        assert "line 3" in doc["message"]
+
 
 class TestForecastCommand:
     def test_from_parameters_writes_everything(self, tmp_path, capsys):

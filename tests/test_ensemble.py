@@ -204,6 +204,20 @@ class TestRunEnsemble:
         with pytest.raises(ValueError):
             run_ensemble(small_parameters, None, 10, 2, master_seed=0, collapse="sample-per-run")
 
+    @pytest.mark.parametrize(
+        ("initial", "error"),
+        [
+            (HistoryWindow.zeros(3, 3), errors.DimensionMismatch),
+            (HistoryWindow.zeros(1, 2), errors.HorizonExceedsHistory),
+        ],
+    )
+    def test_bad_initial_history_rejected_like_simulate(self, small_parameters, initial, error):
+        p = small_parameters
+        with pytest.raises(error):
+            simulate(p, initial, 10, NoiseSpec(rates=p.lam, seed=0))
+        with pytest.raises(error):
+            run_ensemble(p, initial, 10, 2, master_seed=0)
+
     def test_noninteracting_mean_grows_linearly(self):
         # isolated process: mean z(t) ~ t * p / lambda
         p_loss = 0.05

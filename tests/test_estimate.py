@@ -260,6 +260,35 @@ class TestEstimateCouplings:
         assert abs(reproduced - zero / total) < 1e-12
 
 
+class TestEstimateFromDatabase:
+    def test_diagnostics_name_each_degenerate_ratio(self):
+        # process 2 loses at even steps and process 1 right after each of
+        # them: process 1's base events all end lossless (ratio 1) and its
+        # class (1, 2, 1) events never do (ratio 0)
+        losses = np.array([[0.0, 1.0], [1.0, 0.0]] * 3)
+        horizons = np.array([[0, 1], [0, 0]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            est = estimate_from_database(losses, horizons, np.array([1.0, 1.0]))
+
+        assert est.diagnostics.degenerate_theta == [(0, "zero-ratio-1")]
+        assert est.diagnostics.skipped_classes == [(0, 1, 1, "zero-ratio-0")]
+        assert list(est.theta_available) == [False, True]
+        assert est.j_hat == {}
+        doc = est.to_json_dict()["diagnostics"]
+        assert doc["degenerate_theta"] == [{"process": 1, "reason": "zero-ratio-1"}]
+        assert doc["skipped_classes"] == [
+            {"i": 1, "j": 2, "count_class": 1, "reason": "zero-ratio-0"}
+        ]
+        messages = [str(w.message) for w in caught if w.category is DegeneracyWarning]
+        assert [m for m in messages if m.startswith("class")] == [
+            "class (i, j, c) = (1, 2, 1): zero-loss ratio is 0, candidate skipped"
+        ]
+        assert [m for m in messages if m.startswith("process")] == [
+            "process 1: base zero-loss ratio is 1, theta unavailable"
+        ]
+
+
 class TestCollapse:
     def _estimates(self, mapping):
         # build the EstimateSet directly; only j_hat matters for collapsing

@@ -126,6 +126,8 @@ class TestDatabaseFiles:
         [
             ("2,1", "3 fields"),
             ("x,1,1.0", "timestamp"),
+            ("nan,2,0.3", "timestamp 'nan' is not finite"),
+            ("inf,2,0.3", "timestamp 'inf' is not finite"),
             ("2,one,1.0", "process id"),
             ("2,1,lots", "amount"),
         ],

@@ -96,10 +96,11 @@ class TestLossMatrix:
         assert m.n_processes == 3
 
     def test_negative_entry_rejected_with_coordinates(self):
-        bad = np.zeros((4, 2))
-        bad[2, 1] = -0.5
-        with pytest.raises(ValueError, match=r"\(2, 1\)"):
-            LossMatrix(bad)
+        for value in (-0.5, np.nan, np.inf):
+            bad = np.zeros((4, 2))
+            bad[2, 1] = value
+            with pytest.raises(ValueError, match=r"\(2, 1\)"):
+                LossMatrix(bad)
 
     def test_one_dimensional_input_rejected(self):
         with pytest.raises(errors.DimensionMismatch):
@@ -118,10 +119,8 @@ class TestHistoryWindow:
         assert w.n_processes == 3
         assert np.array_equal(w.recent(4), np.zeros((4, 3)))
 
-    def test_push_and_recent_ordering(self):
-        w = HistoryWindow.zeros(3, 1)
-        for value in (1.0, 2.0, 3.0, 4.0):
-            w.push(np.array([value]))
+    def test_recent_ordering(self):
+        w = HistoryWindow.from_array(np.array([[2.0], [3.0], [4.0]]))
         # recent(k) returns the last k steps, oldest first
         assert np.array_equal(w.recent(3).ravel(), [2.0, 3.0, 4.0])
         assert np.array_equal(w.recent(2).ravel(), [3.0, 4.0])
@@ -130,18 +129,17 @@ class TestHistoryWindow:
     def test_from_array_keeps_order(self):
         w = HistoryWindow.from_array(np.array([[1.0], [0.0], [2.0]]))
         assert np.array_equal(w.recent(3).ravel(), [1.0, 0.0, 2.0])
-        w.push(np.array([5.0]))
-        assert np.array_equal(w.recent(3).ravel(), [0.0, 2.0, 5.0])
+        assert np.array_equal(w.as_array().ravel(), [1.0, 0.0, 2.0])
 
     def test_zero_depth_window(self):
         w = HistoryWindow.zeros(0, 2)
         assert w.depth == 0
-        w.push(np.array([1.0, 1.0]))  # no-op, nothing stored
         assert w.recent(0).shape == (0, 2)
 
     def test_negative_entries_rejected(self):
-        with pytest.raises(ValueError):
-            HistoryWindow.from_array(np.array([[-1.0]]))
+        for value in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                HistoryWindow.from_array(np.array([[value]]))
 
     def test_recent_beyond_depth_rejected(self):
         w = HistoryWindow.zeros(2, 1)

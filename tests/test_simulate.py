@@ -21,7 +21,8 @@ from oprisk_dynamics.model import (
     NoiseSpec,
     validate_parameters,
 )
-from oprisk_dynamics.simulate import cumulative, ramp, simulate, step, trigger_count
+from oprisk_dynamics.ensemble import run_ensemble
+from oprisk_dynamics.simulate import cumulative, simulate
 
 
 def naive_simulate(p: ModelParameters, initial: np.ndarray, n_steps: int, seed: int):
@@ -62,92 +63,6 @@ def random_model(rng: np.random.Generator, allow_negative_j: bool = True):
     w = p.max_horizon
     initial = np.where(rng.random((w, n)) < 0.4, rng.uniform(0.1, 2.0, (w, n)), 0.0)
     return p, initial
-
-
-class TestRamp:
-    def test_examples(self):
-        assert ramp(0.7) == 0.7
-        assert ramp(-0.3) == 0.0
-        assert ramp(0.0) == 0.0
-
-    @given(st.floats(allow_nan=False, allow_infinity=False, width=64))
-    def test_nonnegative_and_identity_on_positives(self, x):
-        y = ramp(x)
-        assert y >= 0.0
-        if x > 0:
-            assert y == x
-
-
-class TestTriggerCount:
-    def test_windowed_counts(self):
-        history = HistoryWindow.from_array(
-            np.array([[0.0], [2.0], [0.0], [1.5], [3.0]])
-        )
-        assert trigger_count(history, 0, 0, 5) == 3
-        assert trigger_count(history, 0, 0, 2) == 2
-        assert trigger_count(history, 0, 0, 0) == 0
-
-    def test_all_zero_history(self):
-        history = HistoryWindow.zeros(5, 3)
-        for j in range(3):
-            assert trigger_count(history, 0, j, 5) == 0
-
-    def test_horizon_beyond_depth(self):
-        history = HistoryWindow.zeros(2, 1)
-        with pytest.raises(errors.HorizonExceedsHistory):
-            trigger_count(history, 0, 0, 3)
-
-
-class TestStep:
-    def _single(self, theta=-1.0):
-        return validate_parameters(
-            ModelParameters(
-                n=1,
-                theta=[theta],
-                lam=[1.0],
-                couplings=[[0.0]],
-                horizons=[[0]],
-            )
-        )
-
-    def test_noise_below_threshold_clamps(self):
-        p = self._single()
-        losses = step(p, HistoryWindow.zeros(0, 1), np.array([0.4]))
-        assert losses[0] == 0.0
-
-    def test_noise_above_threshold_passes_through(self):
-        p = self._single()
-        losses = step(p, HistoryWindow.zeros(0, 1), np.array([1.7]))
-        assert losses[0] == pytest.approx(0.7, abs=1e-12)
-
-    def test_triggered_interaction(self):
-        # three recent nonzero losses of process 2 feed process 1
-        p = validate_parameters(
-            ModelParameters(
-                n=2,
-                theta=[-1.0, -1.0],
-                lam=[1.0, 1.0],
-                couplings=[[0.0, 0.1], [0.0, 0.0]],
-                horizons=[[0, 5], [0, 0]],
-            )
-        )
-        history = HistoryWindow.from_array(
-            np.array([[0, 0], [0, 2.0], [0, 0], [0, 1.5], [0, 3.0]], dtype=float)
-        )
-        losses = step(p, history, np.array([0.9, 0.0]))
-        assert losses[0] == pytest.approx(0.2, abs=1e-12)
-        assert losses[1] == 0.0
-
-    def test_result_is_pushed_into_history(self):
-        p = self._single()
-        history = HistoryWindow.zeros(2, 1)
-        step(p, history, np.array([3.0]))
-        assert np.array_equal(history.recent(2).ravel(), [0.0, 2.0])
-
-    def test_negative_draw_rejected(self):
-        p = self._single()
-        with pytest.raises(ValueError):
-            step(p, HistoryWindow.zeros(0, 1), np.array([-0.1]))
 
 
 class TestSimulate:
@@ -221,21 +136,35 @@ class TestSimulate:
         with pytest.raises(errors.HorizonExceedsHistory):
             simulate(small_parameters, window, 10, NoiseSpec(rates=small_parameters.lam, seed=0))
 
-    def test_compiled_and_numpy_paths_agree_exactly(self, monkeypatch):
+    @pytest.mark.parametrize("case_seed", range(6))
+    def test_compiled_and_numpy_paths_agree_exactly(self, monkeypatch, case_seed):
         # the package re-exports the simulate() function under the same name,
-        # so fetch the submodule itself through the import system
+        # so fetch the submodule itself through the import system; without
+        # Numba the scalar kernel runs as plain Python
         sim = importlib.import_module("oprisk_dynamics.simulate")
-
-        if not sim._HAVE_NUMBA:
-            pytest.skip("compiled kernel not available")
-        rng = np.random.default_rng(31)
+        rng = np.random.default_rng(31 + case_seed)
         p, initial = random_model(rng)
-        noise = NoiseSpec(rates=p.lam, seed=99)
+        noise = NoiseSpec(rates=p.lam, seed=99 + case_seed)
         monkeypatch.setattr(sim, "use_compiled_kernel", True)
         fast = simulate(p, HistoryWindow.from_array(initial), 300, noise)
         monkeypatch.setattr(sim, "use_compiled_kernel", False)
         plain = simulate(p, HistoryWindow.from_array(initial), 300, noise)
         assert fast.losses.losses.tobytes() == plain.losses.losses.tobytes()
+
+    def test_compiled_and_numpy_paths_agree_on_a_batch(self, monkeypatch):
+        sim = importlib.import_module("oprisk_dynamics.simulate")
+        p, initial = random_model(np.random.default_rng(45))
+        window = HistoryWindow.from_array(initial)
+        runs = {}
+        for compiled in (True, False):
+            monkeypatch.setattr(sim, "use_compiled_kernel", compiled)
+            runs[compiled] = run_ensemble(
+                p, window, 200, 6, master_seed=5, batch_size=3, capture_steps=(50,)
+            )
+        assert runs[True].mean_z.tobytes() == runs[False].mean_z.tobytes()
+        assert runs[True].std_z.tobytes() == runs[False].std_z.tobytes()
+        assert runs[True].terminal_samples.tobytes() == runs[False].terminal_samples.tobytes()
+        assert runs[True].captured[50].tobytes() == runs[False].captured[50].tobytes()
 
     def test_noninteracting_marginal_law(self):
         # frequency of nonzero losses ~ exp(lambda * theta); nonzero sizes ~ Exp(lambda)
