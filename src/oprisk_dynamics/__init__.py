@@ -47,7 +47,6 @@ from .io import (
     write_series,
 )
 from .model import (
-    HistoryWindow,
     LossMatrix,
     ModelParameters,
     NoiseSpec,
@@ -66,7 +65,6 @@ __all__ = [
     "EstimateSet",
     "EstimationDiagnostics",
     "EventClassCounts",
-    "HistoryWindow",
     "LossMatrix",
     "ModelParameters",
     "NoiseSpec",

@@ -14,6 +14,7 @@ leave one JSON line on stderr and map to stable exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -39,9 +40,23 @@ _DATA_ERRORS = (
     errors.UnknownProcess,
     errors.NonPositiveAmount,
     errors.DatabaseTooShort,
+    errors.TimestampSpanOverflow,
     OSError,
 )
 _DEGENERATE_ERRORS = (errors.EstimationDegenerate, errors.MissingTheta)
+
+
+# Flags that override a config key: the RunConfig field each replaces, and its
+# argparse options. An override passes through the field's own rule.
+_OVERRIDES = {
+    "seed": ("master_seed", dict(type=int, help="override simulation.seed")),
+    "trajectories": ("m_trajectories", dict(type=int, help="override simulation.m_trajectories")),
+    "fraction": ("fraction", dict(type=float, help="override estimation.fraction")),
+    "confidence": ("confidences", dict(type=float, action="append",
+                                       help="VaR confidence level, repeatable")),
+    "resolution": ("resolution", dict(type=float, help="override output.resolution (time bin)")),
+    "out_dir": ("out_dir", dict(help="override output.out_dir")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,50 +66,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, config=False, seed=False, trajectories=False, fraction=False,
-                   confidence=False, resolution=False, out_dir=False):
-        if config:
-            p.add_argument("--config", help="JSON run configuration")
-        if seed:
-            p.add_argument("--seed", type=int, help="override simulation.seed")
-        if trajectories:
-            p.add_argument(
-                "--trajectories", type=int, help="override simulation.m_trajectories"
-            )
-        if fraction:
-            p.add_argument(
-                "--fraction", type=float, help="override estimation.fraction"
-            )
-        if confidence:
-            p.add_argument(
-                "--confidence", type=float, action="append",
-                help="VaR confidence level, repeatable",
-            )
-        if resolution:
-            p.add_argument(
-                "--resolution", type=float, help="override output.resolution (time bin)"
-            )
-        if out_dir:
-            p.add_argument("--out-dir", help="override output.out_dir")
+    def add_command(command, help_text, *overrides):
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="JSON run configuration")
+        for name in overrides:
+            p.add_argument("--" + name.replace("_", "-"), **_OVERRIDES[name][1])
+        return p
 
-    p = sub.add_parser("simulate", help="one trajectory -> database + cumulative series")
-    add_common(p, config=True, seed=True, out_dir=True)
+    add_command("simulate", "one trajectory -> database + cumulative series", "seed", "out_dir")
 
-    p = sub.add_parser("estimate", help="database -> estimates JSON with diagnostics")
-    add_common(p, config=True, fraction=True, resolution=True, out_dir=True)
+    p = add_command("estimate", "database -> estimates JSON with diagnostics",
+                    "fraction", "resolution", "out_dir")
     p.add_argument("--database", required=True, help="loss database (t,process,amount)")
 
-    p = sub.add_parser("forecast", help="parameters or database -> ensemble + VaR table")
-    add_common(p, config=True, seed=True, trajectories=True, confidence=True,
-               resolution=True, out_dir=True)
+    p = add_command("forecast", "parameters or database -> ensemble + VaR table",
+                    "seed", "trajectories", "confidence", "resolution", "out_dir")
     p.add_argument("--database", help="estimate from this database first")
 
-    p = sub.add_parser("validate", help="synthesize, re-estimate, forecast, compare")
-    add_common(p, config=True, seed=True, trajectories=True, fraction=True,
-               confidence=True, out_dir=True)
+    add_command("validate", "synthesize, re-estimate, forecast, compare",
+                "seed", "trajectories", "fraction", "confidence", "out_dir")
 
     p = sub.add_parser("var", help="nearest-rank percentile of a samples file")
-    add_common(p, confidence=True)
+    p.add_argument("--confidence", **_OVERRIDES["confidence"][1])
     p.add_argument("samples", help="file with one sample per line")
 
     return parser
@@ -111,31 +104,12 @@ def _load_config(args, default_reference=False) -> io.RunConfig:
         if not default_reference:
             raise errors.ConfigError("--config", "required for this subcommand")
         path = io.reference_config_path()
-    config = io.load_config(path)
-    if getattr(args, "seed", None) is not None:
-        if args.seed < 0:
-            raise errors.ConfigError("--seed", "must be >= 0")
-        config.master_seed = args.seed
-    if getattr(args, "trajectories", None) is not None:
-        if args.trajectories < 2:
-            raise errors.ConfigError("--trajectories", "must be >= 2")
-        config.m_trajectories = args.trajectories
-    if getattr(args, "fraction", None) is not None:
-        if not 0.0 < args.fraction <= 1.0:
-            raise errors.ConfigError("--fraction", "must lie in (0, 1]")
-        config.fraction = args.fraction
-    if getattr(args, "confidence", None):
-        for c in args.confidence:
-            if not 0.0 < c < 1.0:
-                raise errors.ConfigError("--confidence", "must lie in (0, 1)")
-        config.confidences = tuple(args.confidence)
-    if getattr(args, "resolution", None) is not None:
-        if args.resolution <= 0:
-            raise errors.ConfigError("--resolution", "must be > 0")
-        config.resolution = args.resolution
-    if getattr(args, "out_dir", None) is not None:
-        config.out_dir = args.out_dir
-    return config
+    overrides = {
+        field: getattr(args, name)
+        for name, (field, _) in _OVERRIDES.items()
+        if getattr(args, name, None) is not None
+    }
+    return dataclasses.replace(io.load_config(path), **overrides)
 
 
 def _require_seed(config: io.RunConfig) -> int:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import errors
 from .estimate import CouplingSampler, EstimateSet, collapse_estimates, collapse_mean
-from .model import HistoryWindow, ModelParameters, validate_parameters
+from .model import LossMatrix, ModelParameters, seed_in_range, validate_parameters
 from .simulate import _evolve, _start_history
 
 logger = logging.getLogger(__name__)
@@ -47,8 +47,8 @@ def derive_seed(master_seed: int, stream: int) -> int:
     the (stream + 1)-th output of a splitmix64 generator seeded with
     master_seed. Distinct streams give statistically independent seeds.
     """
-    if master_seed < 0:
-        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
+    if not seed_in_range(master_seed):
+        raise ValueError(f"master_seed must lie in [0, 2**64), got {master_seed}")
     if stream < 0:
         raise ValueError(f"stream must be >= 0, got {stream}")
     x = (master_seed + (stream + 1) * _GOLDEN) & _MASK
@@ -116,7 +116,7 @@ def parameters_from_estimates(
 
 def run_ensemble(
     source,
-    initial: HistoryWindow | None,
+    initial: LossMatrix | None,
     n_steps: int,
     m_trajectories: int,
     master_seed: int,
@@ -131,7 +131,7 @@ def run_ensemble(
             ("mean" shares one matrix; "sample-per-run" draws a fresh
             couplings matrix per trajectory from the candidate lists, using
             derived stream 0).
-        initial: starting history shared by every trajectory; None = zeros.
+        initial: starting history shared by every trajectory, as in simulate.
         n_steps: trajectory length T.
         m_trajectories: M >= 2.
         master_seed: trajectory m uses derived stream 1 + m.

@@ -167,6 +167,10 @@ class MalformedRecord(OpriskError):
         super().__init__(f"line {line_no}: {reason}")
 
 
+class TimestampSpanOverflow(OpriskError):
+    """Two loss timestamps lie too far apart to count the steps between them."""
+
+
 class ConfigError(OpriskError):
     """A configuration document is missing or violates the schema."""
 

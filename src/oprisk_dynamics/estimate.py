@@ -28,7 +28,7 @@ import numpy as np
 
 from . import errors
 from .errors import DegeneracyWarning
-from .model import LossMatrix
+from .model import LossMatrix, noise_rates
 
 logger = logging.getLogger(__name__)
 
@@ -283,12 +283,7 @@ def estimate_theta(counts: EventClassCounts, lam: np.ndarray):
         ratios (no events, ratio 0, ratio 1) report the value 0.0, set the
         flag False, and emit a DegeneracyWarning; they are data, not errors.
     """
-    lam = np.asarray(lam, dtype=np.float64)
-    ok = np.isfinite(lam) & (lam > 0)
-    if not ok.all():
-        idx = int(np.argmin(ok))
-        raise errors.NonPositiveLambda(idx, float(lam[idx]))
-
+    lam = noise_rates(lam)
     n = counts.n_processes
     theta_hat = np.zeros(n)
     available = np.zeros(n, dtype=bool)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import errors
 from .estimate import lambda_from_p, lambda_from_quantile
-from .model import LossMatrix, ModelParameters, validate_parameters
+from .model import LossMatrix, ModelParameters, seed_in_range, validate_parameters
 
 __all__ = [
     "RawLossRecord",
@@ -130,6 +130,7 @@ def ingest(
 
     Raises:
         EmptyDatabase, UnknownProcess, NonPositiveAmount.
+        TimestampSpanOverflow: a record's distance from the origin overflows.
         ValueError: resolution <= 0, or a record falls outside a pinned range.
     """
     if not resolution > 0:
@@ -143,7 +144,14 @@ def ingest(
         if not (np.isfinite(rec.amount) and rec.amount > 0):
             raise errors.NonPositiveAmount(rec.amount, f"timestamp {rec.timestamp}")
 
-    t_min = min(rec.timestamp for rec in records) if origin is None else origin
+    lo = min(rec.timestamp for rec in records)
+    t_min = lo if origin is None else origin
+    # the step of a record is monotone in its timestamp, so the extremes bound it
+    for ts in (lo, max(rec.timestamp for rec in records)):
+        if not math.isfinite((ts - t_min) / resolution):
+            raise errors.TimestampSpanOverflow(
+                f"timestamps {t_min!r} and {ts!r} are too far apart to bin at {resolution!r}"
+            )
     steps = [math.floor((rec.timestamp - t_min) / resolution) for rec in records]
     last = max(steps)
     if min(steps) < 0:
@@ -214,9 +222,13 @@ def read_samples(path) -> np.ndarray:
     return np.array(values)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class RunConfig:
-    """A parsed and validated run configuration."""
+    """A run configuration; each field obeys the rule of its config key.
+
+    The rules run on construction, so ``dataclasses.replace`` (how CLI flags
+    override keys) checks them again. A ConfigError names the key broken.
+    """
 
     parameters: ModelParameters
     n_steps: int
@@ -228,6 +240,33 @@ class RunConfig:
     resolution: float
     histogram_bins: int
     out_dir: str
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.n_steps, int) and self.n_steps >= 1):
+            raise errors.ConfigError("simulation.n_steps", "must be an integer >= 1")
+        seed = self.master_seed
+        if seed is not None and not (isinstance(seed, int) and seed_in_range(seed)):
+            raise errors.ConfigError("simulation.seed", "must be an integer in [0, 2**64)")
+        if not (isinstance(self.m_trajectories, int) and self.m_trajectories >= 2):
+            raise errors.ConfigError("simulation.m_trajectories", "must be an integer >= 2")
+        if not (isinstance(self.fraction, (int, float)) and 0.0 < self.fraction <= 1.0):
+            raise errors.ConfigError("estimation.fraction", "must lie in (0, 1]")
+        if self.collapse not in ("mean", "sample-per-run"):
+            raise errors.ConfigError("estimation.collapse", "must be 'mean' or 'sample-per-run'")
+        confidences = self.confidences
+        if not isinstance(confidences, (list, tuple)) or not confidences or not all(
+            isinstance(c, (int, float)) and 0.0 < c < 1.0 for c in confidences
+        ):
+            raise errors.ConfigError("output.confidences", "must be a list of values in (0, 1)")
+        if not (isinstance(self.resolution, (int, float)) and self.resolution > 0):
+            raise errors.ConfigError("output.resolution", "must be > 0")
+        if not (isinstance(self.histogram_bins, int) and self.histogram_bins >= 1):
+            raise errors.ConfigError("output.histogram_bins", "must be an integer >= 1")
+        if not isinstance(self.out_dir, str):
+            raise errors.ConfigError("output.out_dir", "must be a string path")
+        object.__setattr__(self, "fraction", float(self.fraction))
+        object.__setattr__(self, "confidences", tuple(float(c) for c in confidences))
+        object.__setattr__(self, "resolution", float(self.resolution))
 
 
 def _require(block: dict, key: str, path: str):
@@ -339,51 +378,17 @@ def load_config(path) -> RunConfig:
     parameters = _build_parameters(model)
 
     sim = _require(doc, "simulation", "config")
-    n_steps = _require(sim, "n_steps", "simulation")
-    if not (isinstance(n_steps, int) and n_steps >= 1):
-        raise errors.ConfigError("simulation.n_steps", "must be an integer >= 1")
-    master_seed = sim.get("seed")
-    if master_seed is not None and not (isinstance(master_seed, int) and master_seed >= 0):
-        raise errors.ConfigError("simulation.seed", "must be an integer >= 0")
-    m_trajectories = sim.get("m_trajectories", 1000)
-    if not (isinstance(m_trajectories, int) and m_trajectories >= 2):
-        raise errors.ConfigError("simulation.m_trajectories", "must be an integer >= 2")
-
     est = doc.get("estimation", {})
-    fraction = est.get("fraction", 1.0)
-    if not (isinstance(fraction, (int, float)) and 0.0 < fraction <= 1.0):
-        raise errors.ConfigError("estimation.fraction", "must lie in (0, 1]")
-    collapse = est.get("collapse", "sample-per-run")
-    if collapse not in ("mean", "sample-per-run"):
-        raise errors.ConfigError(
-            "estimation.collapse", "must be 'mean' or 'sample-per-run'"
-        )
-
     out = doc.get("output", {})
-    confidences = out.get("confidences", [0.999])
-    if not isinstance(confidences, list) or not confidences or not all(
-        isinstance(c, (int, float)) and 0.0 < c < 1.0 for c in confidences
-    ):
-        raise errors.ConfigError("output.confidences", "must be a list of values in (0, 1)")
-    resolution = out.get("resolution", 1.0)
-    if not (isinstance(resolution, (int, float)) and resolution > 0):
-        raise errors.ConfigError("output.resolution", "must be > 0")
-    histogram_bins = out.get("histogram_bins", 60)
-    if not (isinstance(histogram_bins, int) and histogram_bins >= 1):
-        raise errors.ConfigError("output.histogram_bins", "must be an integer >= 1")
-    out_dir = out.get("out_dir", ".")
-    if not isinstance(out_dir, str):
-        raise errors.ConfigError("output.out_dir", "must be a string path")
-
     return RunConfig(
         parameters=parameters,
-        n_steps=n_steps,
-        master_seed=master_seed,
-        m_trajectories=m_trajectories,
-        fraction=float(fraction),
-        collapse=collapse,
-        confidences=tuple(float(c) for c in confidences),
-        resolution=float(resolution),
-        histogram_bins=histogram_bins,
-        out_dir=out_dir,
+        n_steps=_require(sim, "n_steps", "simulation"),
+        master_seed=sim.get("seed"),
+        m_trajectories=sim.get("m_trajectories", 1000),
+        fraction=est.get("fraction", 1.0),
+        collapse=est.get("collapse", "sample-per-run"),
+        confidences=out.get("confidences", [0.999]),
+        resolution=out.get("resolution", 1.0),
+        histogram_bins=out.get("histogram_bins", 60),
+        out_dir=out.get("out_dir", "."),
     )

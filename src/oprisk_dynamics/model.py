@@ -8,7 +8,7 @@ constants and histories shared by the simulator, estimator, and analytics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,8 +17,9 @@ from . import errors
 __all__ = [
     "ModelParameters",
     "LossMatrix",
-    "HistoryWindow",
     "NoiseSpec",
+    "noise_rates",
+    "seed_in_range",
     "validate_parameters",
 ]
 
@@ -64,6 +65,25 @@ def _require_shape(name: str, value: np.ndarray, expected: tuple) -> None:
         raise errors.DimensionMismatch(name, expected, value.shape)
 
 
+def noise_rates(rates) -> np.ndarray:
+    """``rates`` as a float64 array, every entry finite and positive.
+
+    Raises:
+        NonPositiveLambda: names the first offending rate and its index.
+    """
+    rates = np.asarray(rates, dtype=np.float64)
+    ok = np.isfinite(rates) & (rates > 0.0)
+    if not ok.all():
+        idx = int(np.argmin(ok))
+        raise errors.NonPositiveLambda(idx, float(rates[idx]))
+    return rates
+
+
+def seed_in_range(seed: int) -> bool:
+    """Whether ``seed`` is a 64-bit unsigned integer, the seeds PCG64 takes."""
+    return 0 <= seed < 2**64
+
+
 def validate_parameters(p: ModelParameters) -> ModelParameters:
     """Check every invariant of a parameter set.
 
@@ -90,11 +110,7 @@ def validate_parameters(p: ModelParameters) -> ModelParameters:
         if bad.size:
             raise errors.NonFiniteParameter(name, tuple(int(k) for k in bad[0]))
 
-    # NaN compares false against 0, so this also catches non-finite rates.
-    ok = np.isfinite(p.lam) & (p.lam > 0.0)
-    if not ok.all():
-        idx = int(np.argmin(ok))
-        raise errors.NonPositiveLambda(idx, float(p.lam[idx]))
+    noise_rates(p.lam)
 
     horizons = np.asarray(p.horizons)
     as_int = np.floor(horizons).astype(np.int64, copy=False)
@@ -166,56 +182,6 @@ class LossMatrix:
         return self.losses.shape[1]
 
 
-class HistoryWindow:
-    """The W loss vectors a simulation starts from, oldest first.
-
-    The window is what the equation of motion can see: counts of recent
-    nonzero losses are always taken over the last ``horizon <= W`` steps.
-    """
-
-    def __init__(self, depth: int, n_processes: int) -> None:
-        if depth < 0:
-            raise ValueError(f"depth must be >= 0, got {depth}")
-        if n_processes < 1:
-            raise ValueError(f"n_processes must be >= 1, got {n_processes}")
-        self._buf = np.zeros((depth, n_processes), dtype=np.float64)
-
-    @classmethod
-    def zeros(cls, depth: int, n_processes: int) -> "HistoryWindow":
-        """All-zero window: every process perfectly working so far."""
-        return cls(depth, n_processes)
-
-    @classmethod
-    def from_array(cls, initial: np.ndarray) -> "HistoryWindow":
-        """Build a window from a (W, N) array ordered oldest to newest."""
-        initial = np.asarray(initial, dtype=np.float64)
-        if initial.ndim != 2:
-            raise errors.DimensionMismatch("initial", "(W, N)", initial.shape)
-        if not (np.isfinite(initial) & (initial >= 0)).all():
-            raise ValueError("history entries must be finite and nonnegative")
-        window = cls(initial.shape[0], initial.shape[1])
-        window._buf[:] = initial
-        return window
-
-    @property
-    def depth(self) -> int:
-        return self._buf.shape[0]
-
-    @property
-    def n_processes(self) -> int:
-        return self._buf.shape[1]
-
-    def recent(self, n_back: int) -> np.ndarray:
-        """Return the last ``n_back`` loss vectors, oldest first."""
-        if n_back > self.depth:
-            raise errors.HorizonExceedsHistory(n_back, self.depth)
-        return self._buf[self.depth - n_back :].copy()
-
-    def as_array(self) -> np.ndarray:
-        """Full window content as a (W, N) array, oldest first."""
-        return self.recent(self.depth)
-
-
 @dataclass(frozen=True, eq=False)
 class NoiseSpec:
     """Noise rates plus the seed of the deterministic random stream.
@@ -228,12 +194,8 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        rates = np.asarray(self.rates, dtype=np.float64)
-        ok = np.isfinite(rates) & (rates > 0.0)
-        if not ok.all():
-            idx = int(np.argmin(ok))
-            raise errors.NonPositiveLambda(idx, float(rates[idx]))
-        if not (0 <= int(self.seed) < 2**64):
+        rates = noise_rates(self.rates)
+        if not seed_in_range(int(self.seed)):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "seed", int(self.seed))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .model import HistoryWindow, LossMatrix, ModelParameters, NoiseSpec, validate_parameters
+from .model import LossMatrix, ModelParameters, NoiseSpec, validate_parameters
 
 try:
     import numba
@@ -59,7 +59,7 @@ def cumulative(losses) -> np.ndarray:
 
 def simulate(
     p: ModelParameters,
-    initial: HistoryWindow | None,
+    initial: LossMatrix | None,
     n_steps: int,
     noise: NoiseSpec,
 ) -> Trajectory:
@@ -70,8 +70,9 @@ def simulate(
 
     Args:
         p: model parameters (validated here if not already).
-        initial: starting history of depth >= max horizon; None means the
-            all-zero window (no process has lost anything yet).
+        initial: loss history whose last max-horizon rows start the run, so
+            a run continues another's ``Trajectory.losses``; None means the
+            all-zero history (no process has lost anything yet).
         n_steps: number of steps T >= 1.
         noise: rates and seed; rates must equal ``p.lam``.
     """
@@ -98,19 +99,21 @@ def simulate(
     return Trajectory(losses=losses, cumulative=z, seed=noise.seed)
 
 
-def _start_history(p: ModelParameters, initial: HistoryWindow | None) -> np.ndarray:
-    """The (W, N) history the engine starts from, oldest first; None means zeros.
+def _start_history(p: ModelParameters, initial: LossMatrix | None) -> np.ndarray:
+    """The last W = max-horizon rows of ``initial``, oldest first; None means zeros.
 
     Raises:
         DimensionMismatch: ``initial`` has another number of processes.
-        HorizonExceedsHistory: ``initial`` is shallower than the maximum horizon.
+        HorizonExceedsHistory: ``initial`` has fewer than W steps.
     """
     w = p.max_horizon
     if initial is None:
         return np.zeros((w, p.n))
     if initial.n_processes != p.n:
-        raise errors.DimensionMismatch("initial", (w, p.n), (initial.depth, initial.n_processes))
-    return initial.recent(w)
+        raise errors.DimensionMismatch("initial", (w, p.n), initial.losses.shape)
+    if initial.n_steps < w:
+        raise errors.HorizonExceedsHistory(w, initial.n_steps)
+    return initial.losses[initial.n_steps - w :]
 
 
 def _evolve(
@@ -122,7 +125,6 @@ def _evolve(
     n_steps: int,
     generators: list,
     out: np.ndarray,
-    chunk_steps: int = _CHUNK_STEPS,
 ) -> None:
     """Batched engine filling ``out`` (n_steps, B, N) with losses.
 
@@ -168,10 +170,10 @@ def _evolve(
     chunk_loop = _compiled_chunk if use_compiled_kernel else _numpy_chunk
     # noise buffer is (B, chunk, N) so each member's slice is contiguous and
     # can be transformed in place without staging copies
-    xi = np.empty((n_batch, min(chunk_steps, n_steps), n))
+    xi = np.empty((n_batch, min(_CHUNK_STEPS, n_steps), n))
 
-    for start in range(0, n_steps, chunk_steps):
-        m = min(chunk_steps, n_steps - start)
+    for start in range(0, n_steps, _CHUNK_STEPS):
+        m = min(_CHUNK_STEPS, n_steps - start)
         for b, gen in enumerate(generators):
             member = xi[b, :m]
             gen.random(out=member)

@@ -167,6 +167,13 @@ class TestEstimateCommand:
         assert main(["estimate", "--config", config, "--database", str(bad)]) == 3
         assert last_stderr_json(capsys)["error"] == "MalformedRecord"
 
+    def test_overflowing_timestamp_span_is_a_data_error(self, tmp_path, capsys):
+        config = small_config(tmp_path)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,process,amount\n-1e308,1,0.5\n1e308,2,0.3\n")
+        assert main(["estimate", "--config", config, "--database", str(bad)]) == 3
+        assert last_stderr_json(capsys)["error"] == "TimestampSpanOverflow"
+
     @pytest.mark.parametrize("timestamp", ["nan", "inf"])
     def test_non_finite_timestamp_is_a_data_error(self, tmp_path, capsys, timestamp):
         config = small_config(tmp_path)
@@ -264,6 +271,29 @@ class TestValidateCommand:
         assert report["fraction_used"] == 0.8
         assert report["m_trajectories"] == 4
         assert report["master_seed"] == 77
+
+
+class TestFlagOverrides:
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("forecast", "--seed", "-1"),
+            ("forecast", "--trajectories", "1"),
+            ("validate", "--fraction", "0"),
+            ("validate", "--fraction", "1.5"),
+            ("forecast", "--confidence", "1.0"),
+            ("forecast", "--resolution", "0"),
+            ("forecast", "--resolution", "nan"),
+            ("simulate", "--seed", str(2**64)),
+            ("forecast", "--seed", str(2**64)),
+        ],
+    )
+    def test_out_of_range_flag_is_a_config_error(self, tmp_path, capsys, command, flag, value):
+        config = small_config(tmp_path)
+        argv = [command, "--config", config, "--out-dir", str(tmp_path / "out"), flag, value]
+        assert main(argv) == 2
+        assert last_stderr_json(capsys)["error"] == "ConfigError"
+        assert not (tmp_path / "out").exists()
 
 
 class TestUsageErrors:

@@ -23,7 +23,7 @@ from oprisk_dynamics.ensemble import (
     var,
 )
 from oprisk_dynamics.estimate import CouplingCandidate, CouplingSampler, EstimateSet
-from oprisk_dynamics.model import HistoryWindow, ModelParameters, NoiseSpec, validate_parameters
+from oprisk_dynamics.model import LossMatrix, ModelParameters, NoiseSpec, validate_parameters
 from oprisk_dynamics.simulate import simulate
 
 
@@ -52,6 +52,12 @@ class TestDeriveSeed:
             derive_seed(-1, 0)
         with pytest.raises(ValueError):
             derive_seed(0, -1)
+
+    def test_rejects_master_seeds_beyond_64_bits(self):
+        # the derivation works modulo 2**64, so 2**64 + k would alias k
+        assert derive_seed(2**64 - 1, 0) >= 0
+        with pytest.raises(ValueError, match="master_seed"):
+            derive_seed(2**64, 0)
 
 
 def brute_force_var(samples, confidence):
@@ -129,7 +135,7 @@ class TestRunEnsemble:
         p = small_parameters
         initial = None
         if with_initial:
-            initial = HistoryWindow.from_array(np.array([[0.0, 1.5], [2.0, 0.0], [0.0, 0.3]]))
+            initial = LossMatrix(np.array([[0.0, 1.5], [2.0, 0.0], [0.0, 0.3]]))
         result = run_ensemble(p, initial, n_steps=240, m_trajectories=5, master_seed=99,
                               capture_steps=(7, 240))
         stack = manual_ensemble(p, initial, 240, 5, master_seed=99)
@@ -207,8 +213,8 @@ class TestRunEnsemble:
     @pytest.mark.parametrize(
         ("initial", "error"),
         [
-            (HistoryWindow.zeros(3, 3), errors.DimensionMismatch),
-            (HistoryWindow.zeros(1, 2), errors.HorizonExceedsHistory),
+            (LossMatrix(np.zeros((3, 3))), errors.DimensionMismatch),
+            (LossMatrix(np.zeros((1, 2))), errors.HorizonExceedsHistory),
         ],
     )
     def test_bad_initial_history_rejected_like_simulate(self, small_parameters, initial, error):

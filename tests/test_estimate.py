@@ -178,6 +178,12 @@ class TestEstimateTheta:
             _, available = estimate_theta(counts, np.array([1.0]))
         assert not available[0]
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_rate_must_be_finite_and_positive(self, bad):
+        with pytest.raises(errors.NonPositiveLambda) as exc:
+            estimate_theta(make_counts(), np.array([bad]))
+        assert exc.value.index == 0
+
     @given(
         total=st.integers(min_value=2, max_value=10**6),
         zero_frac=st.floats(min_value=1e-6, max_value=1 - 1e-6),

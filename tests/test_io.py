@@ -80,6 +80,12 @@ class TestIngest:
         with pytest.raises(ValueError):
             ingest([rec(0, 1, 1.0)], 0.0, 1)
 
+    def test_overflowing_step_span_names_both_timestamps(self):
+        with pytest.raises(errors.TimestampSpanOverflow, match=r"-1e\+308 and 1e\+308"):
+            ingest([rec(-1e308, 1, 0.5), rec(1e308, 2, 0.3)], 1.0, 2)
+        with pytest.raises(errors.TimestampSpanOverflow):
+            ingest([rec(0.0, 1, 0.5), rec(1.0, 1, 0.3)], 1e-320, 1)
+
 
 def _ts(text):
     from datetime import datetime
@@ -266,6 +272,11 @@ class TestLoadConfig:
             ("simulation.n_steps", lambda d: d["simulation"].pop("n_steps")),
             ("simulation.n_steps", lambda d: d["simulation"].update(n_steps=0)),
             ("simulation.seed", lambda d: d["simulation"].update(seed=-1)),
+            pytest.param(
+                "simulation.seed",
+                lambda d: d["simulation"].update(seed=2**64),
+                id="simulation.seed-2**64",
+            ),
             ("simulation.m_trajectories", lambda d: d["simulation"].update(m_trajectories=1)),
             ("estimation.fraction", lambda d: d["estimation"].update(fraction=0.0)),
             ("estimation.collapse", lambda d: d["estimation"].update(collapse="median")),

@@ -5,7 +5,6 @@ import pytest
 
 from oprisk_dynamics import errors
 from oprisk_dynamics.model import (
-    HistoryWindow,
     LossMatrix,
     ModelParameters,
     NoiseSpec,
@@ -110,41 +109,6 @@ class TestLossMatrix:
         m = LossMatrix(np.ones((2, 2)))
         with pytest.raises(ValueError):
             m.losses[0, 0] = 3.0
-
-
-class TestHistoryWindow:
-    def test_zeros_constructor(self):
-        w = HistoryWindow.zeros(4, 3)
-        assert w.depth == 4
-        assert w.n_processes == 3
-        assert np.array_equal(w.recent(4), np.zeros((4, 3)))
-
-    def test_recent_ordering(self):
-        w = HistoryWindow.from_array(np.array([[2.0], [3.0], [4.0]]))
-        # recent(k) returns the last k steps, oldest first
-        assert np.array_equal(w.recent(3).ravel(), [2.0, 3.0, 4.0])
-        assert np.array_equal(w.recent(2).ravel(), [3.0, 4.0])
-        assert w.recent(0).shape == (0, 1)
-
-    def test_from_array_keeps_order(self):
-        w = HistoryWindow.from_array(np.array([[1.0], [0.0], [2.0]]))
-        assert np.array_equal(w.recent(3).ravel(), [1.0, 0.0, 2.0])
-        assert np.array_equal(w.as_array().ravel(), [1.0, 0.0, 2.0])
-
-    def test_zero_depth_window(self):
-        w = HistoryWindow.zeros(0, 2)
-        assert w.depth == 0
-        assert w.recent(0).shape == (0, 2)
-
-    def test_negative_entries_rejected(self):
-        for value in (-1.0, np.nan, np.inf):
-            with pytest.raises(ValueError):
-                HistoryWindow.from_array(np.array([[value]]))
-
-    def test_recent_beyond_depth_rejected(self):
-        w = HistoryWindow.zeros(2, 1)
-        with pytest.raises(errors.HorizonExceedsHistory):
-            w.recent(3)
 
 
 class TestNoiseSpec:

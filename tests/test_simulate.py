@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from oprisk_dynamics import errors
 from oprisk_dynamics.model import (
-    HistoryWindow,
     LossMatrix,
     ModelParameters,
     NoiseSpec,
@@ -95,7 +94,7 @@ class TestSimulate:
         n_steps = int(rng.integers(5, 80))
         seed = int(rng.integers(0, 2**63))
         expected = naive_simulate(p, initial, n_steps, seed)
-        window = HistoryWindow.from_array(initial)
+        window = LossMatrix(initial)
         traj = simulate(p, window, n_steps, NoiseSpec(rates=p.lam, seed=seed))
         assert np.array_equal(traj.losses.losses, expected)
 
@@ -114,25 +113,71 @@ class TestSimulate:
             )
         )
         noise = NoiseSpec(rates=base.lam, seed=77)
-        window = HistoryWindow.from_array(initial)
-        low = simulate(base, window, 300, noise)
-        window = HistoryWindow.from_array(initial)
-        high = simulate(raised, window, 300, noise)
+        low = simulate(base, LossMatrix(initial), 300, noise)
+        high = simulate(raised, LossMatrix(initial), 300, noise)
         assert (high.losses.losses >= low.losses.losses).all()
 
     def test_losses_nonnegative_and_cumulative_nondecreasing(self):
         rng = np.random.default_rng(11)
         p, initial = random_model(rng)
-        traj = simulate(
-            p, HistoryWindow.from_array(initial), 250, NoiseSpec(rates=p.lam, seed=3)
-        )
+        traj = simulate(p, LossMatrix(initial), 250, NoiseSpec(rates=p.lam, seed=3))
         assert (traj.losses.losses >= 0).all()
         diffs = np.diff(traj.cumulative, axis=0)
         assert (diffs >= 0).all()
         assert np.array_equal(traj.cumulative, np.cumsum(traj.losses.losses, axis=0))
 
+    def test_deeper_history_uses_its_last_max_horizon_rows(self):
+        rng = np.random.default_rng(404)
+        p, initial = random_model(rng)
+        while p.max_horizon == 0:
+            p, initial = random_model(rng)
+        older = rng.uniform(0.0, 2.0, (6, p.n))
+        deep = np.vstack([older, initial])
+        noise = NoiseSpec(rates=p.lam, seed=17)
+        from_deep = simulate(p, LossMatrix(deep), 60, noise)
+        from_last = simulate(p, LossMatrix(initial), 60, noise)
+        assert from_deep.losses.losses.tobytes() == from_last.losses.losses.tobytes()
+        assert np.array_equal(from_deep.losses.losses, naive_simulate(p, deep, 60, 17))
+
+    def test_run_continues_from_a_trajectory(self, small_parameters):
+        p = small_parameters
+        first = simulate(p, None, 30, NoiseSpec(rates=p.lam, seed=8))
+        then = simulate(p, first.losses, 20, NoiseSpec(rates=p.lam, seed=9))
+        expected = naive_simulate(p, first.losses.losses, 20, 9)
+        assert np.array_equal(then.losses.losses, expected)
+
+    def test_chunk_boundaries_carry_the_history(self, monkeypatch):
+        # chunks are 16 384 steps long by default; shrink them so a short run
+        # crosses several boundaries
+        sim = importlib.import_module("oprisk_dynamics.simulate")
+        rng = np.random.default_rng(808)
+        p, initial = random_model(rng)
+        while p.max_horizon == 0 or not initial.any():
+            p, initial = random_model(rng)
+        history = LossMatrix(initial)
+        kwargs = dict(master_seed=3, batch_size=3, capture_steps=(20,))
+        whole = run_ensemble(p, history, 50, 5, **kwargs)
+        monkeypatch.setattr(sim, "_CHUNK_STEPS", 7)
+        traj = simulate(p, history, 50, NoiseSpec(rates=p.lam, seed=21))
+        assert np.array_equal(traj.losses.losses, naive_simulate(p, initial, 50, 21))
+        chunked = run_ensemble(p, history, 50, 5, **kwargs)
+        assert chunked.mean_z.tobytes() == whole.mean_z.tobytes()
+        assert chunked.std_z.tobytes() == whole.std_z.tobytes()
+        assert chunked.terminal_samples.tobytes() == whole.terminal_samples.tobytes()
+        assert chunked.captured[20].tobytes() == whole.captured[20].tobytes()
+
+    def test_memoryless_model_runs_from_empty_history(self):
+        p = validate_parameters(
+            ModelParameters(n=2, theta=[-1.0, -0.5], lam=[1.0, 2.0],
+                            couplings=np.zeros((2, 2)), horizons=np.zeros((2, 2), int))
+        )
+        noise = NoiseSpec(rates=p.lam, seed=5)
+        traj = simulate(p, LossMatrix(np.zeros((0, 2))), 40, noise)
+        assert np.array_equal(traj.losses.losses, simulate(p, None, 40, noise).losses.losses)
+        assert np.array_equal(traj.losses.losses, naive_simulate(p, np.zeros((0, 2)), 40, 5))
+
     def test_short_initial_history_rejected(self, small_parameters):
-        window = HistoryWindow.zeros(1, 2)  # model needs depth 3
+        window = LossMatrix(np.zeros((1, 2)))  # model needs depth 3
         with pytest.raises(errors.HorizonExceedsHistory):
             simulate(small_parameters, window, 10, NoiseSpec(rates=small_parameters.lam, seed=0))
 
@@ -146,15 +191,15 @@ class TestSimulate:
         p, initial = random_model(rng)
         noise = NoiseSpec(rates=p.lam, seed=99 + case_seed)
         monkeypatch.setattr(sim, "use_compiled_kernel", True)
-        fast = simulate(p, HistoryWindow.from_array(initial), 300, noise)
+        fast = simulate(p, LossMatrix(initial), 300, noise)
         monkeypatch.setattr(sim, "use_compiled_kernel", False)
-        plain = simulate(p, HistoryWindow.from_array(initial), 300, noise)
+        plain = simulate(p, LossMatrix(initial), 300, noise)
         assert fast.losses.losses.tobytes() == plain.losses.losses.tobytes()
 
     def test_compiled_and_numpy_paths_agree_on_a_batch(self, monkeypatch):
         sim = importlib.import_module("oprisk_dynamics.simulate")
         p, initial = random_model(np.random.default_rng(45))
-        window = HistoryWindow.from_array(initial)
+        window = LossMatrix(initial)
         runs = {}
         for compiled in (True, False):
             monkeypatch.setattr(sim, "use_compiled_kernel", compiled)
