@@ -121,7 +121,7 @@ def run_ensemble(
     m_trajectories: int,
     master_seed: int,
     collapse: str = "mean",
-    batch_size: int = 128,
+    batch_size: int = 1024,
     capture_steps=(),
 ) -> EnsembleResult:
     """Simulate M independent trajectories and aggregate their z paths.
@@ -136,6 +136,8 @@ def run_ensemble(
         m_trajectories: M >= 2.
         master_seed: trajectory m uses derived stream 1 + m.
         batch_size: trajectories evolved concurrently; never affects results.
+            Memory is bounded by the engine's chunk, not by n_steps, so the
+            default evolves a whole default-sized ensemble at once.
         capture_steps: 1-based steps whose z cross-sections to keep for
             interior-step percentiles.
 
@@ -181,40 +183,48 @@ def run_ensemble(
 
     sum_z = np.zeros((n_steps, n))
     sumsq_z = np.zeros((n_steps, n))
-    scratch = np.empty((n_steps, n))
     terminal = np.empty((m_trajectories, n))
     captured = {s: np.empty((m_trajectories, n)) for s in capture}
 
-    for start in range(0, m_trajectories, batch_size):
-        bs = min(batch_size, m_trajectories - start)
+    for first in range(0, m_trajectories, batch_size):
+        bs = min(batch_size, m_trajectories - first)
         generators = [
-            np.random.Generator(np.random.PCG64(derive_seed(master_seed, 1 + start + b)))
+            np.random.Generator(np.random.PCG64(derive_seed(master_seed, 1 + first + b)))
             for b in range(bs)
         ]
-        out = np.empty((n_steps, bs, n))
-        _evolve(
+        members = slice(first, first + bs)
+        carry = np.zeros((bs, n))
+        for start, z in _evolve(
             p.theta,
             p.lam,
-            np.ascontiguousarray(coupling_stack[start : start + bs]),
+            np.ascontiguousarray(coupling_stack[members]),
             p.horizons,
             initial_arr,
             n_steps,
             generators,
-            out,
-        )
-        np.cumsum(out, axis=0, out=out)
-        # accumulate in trajectory-index order: batch size must not change
-        # floating-point results
-        for b in range(bs):
-            z = out[:, b, :]
-            sum_z += z
-            np.multiply(z, z, out=scratch)
-            sumsq_z += scratch
-            terminal[start + b] = z[-1]
+        ):
+            # the carry enters before the cumsum, so each running sum is
+            # associated exactly as one full-length cumsum would associate it
+            if start:
+                z[0] += carry
+            np.cumsum(z, axis=0, out=z)
+            carry[:] = z[-1]
+            stop = start + z.shape[0]
+            sum_rows = sum_z[start:stop]
+            sumsq_rows = sumsq_z[start:stop]
+            square = np.empty_like(sum_rows)
+            # accumulate in trajectory-index order: batch size must not change
+            # floating-point results
+            for b in range(bs):
+                zb = z[:, b]
+                sum_rows += zb
+                np.multiply(zb, zb, out=square)
+                sumsq_rows += square
             for s in capture:
-                captured[s][start + b] = z[s - 1]
-        del z, out  # the view must not pin the batch buffer across iterations
-        logger.debug("ensemble batch %d..%d of %d done", start, start + bs, m_trajectories)
+                if start < s <= stop:
+                    captured[s][members] = z[s - 1 - start]
+        terminal[members] = carry
+        logger.debug("ensemble batch %d..%d of %d done", first, first + bs, m_trajectories)
 
     m = float(m_trajectories)
     mean_z = sum_z / m

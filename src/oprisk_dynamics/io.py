@@ -130,7 +130,8 @@ def ingest(
 
     Raises:
         EmptyDatabase, UnknownProcess, NonPositiveAmount.
-        TimestampSpanOverflow: a record's distance from the origin overflows.
+        TimestampSpanOverflow: a record's distance from the origin overflows,
+            or the steps it spans are too many to allocate.
         ValueError: resolution <= 0, or a record falls outside a pinned range.
     """
     if not resolution > 0:
@@ -145,9 +146,10 @@ def ingest(
             raise errors.NonPositiveAmount(rec.amount, f"timestamp {rec.timestamp}")
 
     lo = min(rec.timestamp for rec in records)
+    hi = max(rec.timestamp for rec in records)
     t_min = lo if origin is None else origin
     # the step of a record is monotone in its timestamp, so the extremes bound it
-    for ts in (lo, max(rec.timestamp for rec in records)):
+    for ts in (lo, hi):
         if not math.isfinite((ts - t_min) / resolution):
             raise errors.TimestampSpanOverflow(
                 f"timestamps {t_min!r} and {ts!r} are too far apart to bin at {resolution!r}"
@@ -161,7 +163,13 @@ def ingest(
     elif last >= n_steps:
         raise ValueError(f"record in step {last + 1} beyond the pinned {n_steps} steps")
 
-    losses = np.zeros((n_steps, n))
+    try:
+        losses = np.zeros((n_steps, n))
+    except (ValueError, MemoryError) as exc:
+        raise errors.TimestampSpanOverflow(
+            f"timestamps {t_min!r} and {hi!r} span "
+            f"{n_steps:.4g} steps at {resolution!r}, too many to hold: {exc}"
+        ) from exc
     for rec, step in zip(records, steps):
         losses[step, rec.process_id - 1] += rec.amount
     return LossMatrix(losses)
@@ -275,6 +283,15 @@ def _require(block: dict, key: str, path: str):
     return block[key]
 
 
+def _section(doc: dict, key: str, required: bool) -> dict:
+    """The top-level block ``key``, which must be a JSON object; an absent
+    optional block reads as empty."""
+    block = _require(doc, key, "config") if required else doc.get(key, {})
+    if not isinstance(block, dict):
+        raise errors.ConfigError(key, "must be an object")
+    return block
+
+
 def _noise_rates(noise_specs, theta: np.ndarray) -> np.ndarray:
     """Each per-process entry holds exactly one of p / lambda / quantile."""
     lam = np.zeros(theta.shape[0])
@@ -374,12 +391,10 @@ def load_config(path) -> RunConfig:
     if not isinstance(doc, dict):
         raise errors.ConfigError(str(path), "top level must be an object")
 
-    model = _require(doc, "model", "config")
-    parameters = _build_parameters(model)
-
-    sim = _require(doc, "simulation", "config")
-    est = doc.get("estimation", {})
-    out = doc.get("output", {})
+    parameters = _build_parameters(_section(doc, "model", required=True))
+    sim = _section(doc, "simulation", required=True)
+    est = _section(doc, "estimation", required=False)
+    out = _section(doc, "output", required=False)
     return RunConfig(
         parameters=parameters,
         n_steps=_require(sim, "n_steps", "simulation"),

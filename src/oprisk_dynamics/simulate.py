@@ -13,7 +13,9 @@ inverse CDF ``xi = -ln(u) / lam`` with ``u = 1 - r`` so that u never hits 0.
 
 The batch engine evolves B independent trajectories in lockstep over shared
 (theta, lam, horizons) but per-trajectory couplings and noise streams. Its
-arithmetic is ordered so results are identical for any batch size.
+arithmetic is ordered so results are identical for any batch size. It hands
+its losses out one chunk of steps at a time, so its memory is bounded by the
+chunk, not by the trajectory length.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ except ImportError:  # pragma: no cover - exercised only without the extra
 __all__ = ["Trajectory", "simulate", "cumulative"]
 
 _CHUNK_STEPS = 16384
+# trajectory-steps per chunk: a batch of B evolves max(1, _CHUNK_BUDGET // B)
+# steps at a time, so the noise and loss blocks stay near 2 * budget * N floats
+_CHUNK_BUDGET = 131072
 
 # The scalar and pure-numpy chunk loops are arithmetically identical. The
 # scalar loop is fast only when Numba compiles it; this switch lets tests pin
@@ -82,8 +87,8 @@ def simulate(
     if not np.array_equal(noise.rates, p.lam):
         raise ValueError("noise rates must equal the model lambda vector")
 
-    out = np.empty((n_steps, 1, p.n))
-    _evolve(
+    out = np.empty((n_steps, p.n))
+    for start, block in _evolve(
         p.theta,
         p.lam,
         p.couplings[None, :, :],
@@ -91,9 +96,9 @@ def simulate(
         _start_history(p, initial),
         n_steps,
         [noise.generator()],
-        out,
-    )
-    losses = LossMatrix(out[:, 0, :])
+    ):
+        out[start : start + block.shape[0]] = block[:, 0]
+    losses = LossMatrix(out)
     z = np.cumsum(losses.losses, axis=0)
     z.setflags(write=False)
     return Trajectory(losses=losses, cumulative=z, seed=noise.seed)
@@ -124,9 +129,8 @@ def _evolve(
     initial: np.ndarray,
     n_steps: int,
     generators: list,
-    out: np.ndarray,
-) -> None:
-    """Batched engine filling ``out`` (n_steps, B, N) with losses.
+):
+    """Batched engine yielding the losses of ``n_steps`` steps chunk by chunk.
 
     Args:
         theta, lam: shared (N,) parameter vectors.
@@ -135,7 +139,11 @@ def _evolve(
         initial: (W, N) starting history, oldest first, shared by the batch.
         generators: B independent noise generators, consumed chunk-wise; each
             trajectory's stream is identical to per-step sequential draws.
-        out: preallocated float64 output buffer.
+
+    Yields:
+        (start, block): ``block`` is an (m, B, N) float64 view holding the
+        losses of steps start .. start + m - 1. It is one reused buffer, so
+        the caller consumes it (and may overwrite it) before the next chunk.
 
     Both chunk loops order the arithmetic the same way: the interaction term
     is accumulated column by column in ascending j, then theta, then noise,
@@ -168,21 +176,23 @@ def _evolve(
     couplings = np.ascontiguousarray(couplings)
     hs_arr = np.asarray(hs, dtype=np.int64)
     chunk_loop = _compiled_chunk if use_compiled_kernel else _numpy_chunk
-    # noise buffer is (B, chunk, N) so each member's slice is contiguous and
-    # can be transformed in place without staging copies
-    xi = np.empty((n_batch, min(_CHUNK_STEPS, n_steps), n))
+    chunk = max(1, min(_CHUNK_STEPS, _CHUNK_BUDGET // n_batch, n_steps))
+    # noise buffer is (B, chunk, N) so each member's draws fill a contiguous
+    # slice; the inverse CDF is elementwise, so one pass over the batch is exact
+    xi = np.empty((n_batch, chunk, n))
+    block = np.empty((chunk, n_batch, n))
 
-    for start in range(0, n_steps, _CHUNK_STEPS):
-        m = min(_CHUNK_STEPS, n_steps - start)
+    for start in range(0, n_steps, chunk):
+        m = min(chunk, n_steps - start)
+        noise = xi[:, :m]
         for b, gen in enumerate(generators):
-            member = xi[b, :m]
-            gen.random(out=member)
-            np.subtract(1.0, member, out=member)
-            np.log(member, out=member)
-            np.negative(member, out=member)
-            member /= lam
+            gen.random(out=noise[b])
+        np.subtract(1.0, noise, out=noise)
+        np.log(noise, out=noise)
+        np.negative(noise, out=noise)
+        noise /= lam
         write_pos = chunk_loop(
-            xi[:, :m],
+            noise,
             couplings,
             theta,
             slot_of_pair,
@@ -190,8 +200,9 @@ def _evolve(
             counts_ext,
             ring,
             write_pos,
-            out[start : start + m],
+            block[:m],
         )
+        yield start, block[:m]
 
 
 def _numpy_chunk(

@@ -101,7 +101,6 @@ def run_validation(
     m_trajectories: int,
     master_seed: int,
     use_true_parameters: bool = False,
-    batch_size: int = 128,
     capture_steps=(),
 ) -> ValidationReport:
     """Run the full synthesize/estimate/forecast/compare protocol.
@@ -142,7 +141,7 @@ def run_validation(
         }
         ensemble = run_ensemble(
             p_true, None, n_steps, m_trajectories, ensemble_master,
-            batch_size=batch_size, capture_steps=capture_steps,
+            capture_steps=capture_steps,
         )
     else:
         estimates = estimate_from_database(
@@ -161,7 +160,7 @@ def run_validation(
         }
         ensemble = run_ensemble(
             estimates, None, n_steps, m_trajectories, ensemble_master,
-            collapse="sample-per-run", batch_size=batch_size, capture_steps=capture_steps,
+            collapse="sample-per-run", capture_steps=capture_steps,
         )
 
     gap = np.abs(z_true[-1] - ensemble.mean_z[-1])

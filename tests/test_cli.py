@@ -184,6 +184,14 @@ class TestEstimateCommand:
         assert doc["error"] == "MalformedRecord"
         assert "line 3" in doc["message"]
 
+    @pytest.mark.parametrize("last", ["1e300", "1e17"])
+    def test_unallocatable_timestamp_span_is_a_data_error(self, tmp_path, capsys, last):
+        config = small_config(tmp_path)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"t,process,amount\n0,1,0.5\n{last},2,0.3\n")
+        assert main(["estimate", "--config", config, "--database", str(bad)]) == 3
+        assert last_stderr_json(capsys)["error"] == "TimestampSpanOverflow"
+
 
 class TestForecastCommand:
     def test_from_parameters_writes_everything(self, tmp_path, capsys):
@@ -294,6 +302,16 @@ class TestFlagOverrides:
         assert main(argv) == 2
         assert last_stderr_json(capsys)["error"] == "ConfigError"
         assert not (tmp_path / "out").exists()
+
+    def test_config_block_that_is_not_an_object_is_a_config_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        doc = json.loads(open(small_config(tmp_path)).read())
+        doc["estimation"] = 5
+        config.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path)]) == 2
+        err = last_stderr_json(capsys)
+        assert err["error"] == "ConfigError"
+        assert "'estimation'" in err["message"]
 
 
 class TestUsageErrors:

@@ -5,6 +5,8 @@ must equal M separate simulate() calls with the derived per-trajectory seeds,
 aggregated in trajectory order. Batch size must never change a single bit.
 """
 
+import importlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -172,6 +174,49 @@ class TestRunEnsemble:
         assert np.array_equal(baseline.std_z, other.std_z)
         assert np.array_equal(baseline.terminal_samples, other.terminal_samples)
         assert np.array_equal(baseline.captured[33], other.captured[33])
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 3])
+    def test_batch_size_never_changes_one_process_results(self, batch_size):
+        # with N = 1 the trajectory axis of a chunk is contiguous, where a
+        # reduction across it could take NumPy's pairwise summation
+        p = validate_parameters(
+            ModelParameters(n=1, theta=[-0.5], lam=[1.5], couplings=[[0.3]], horizons=[[4]])
+        )
+        baseline = run_ensemble(p, None, 150, 7, master_seed=4, batch_size=7)
+        other = run_ensemble(p, None, 150, 7, master_seed=4, batch_size=batch_size)
+        assert np.array_equal(baseline.mean_z, other.mean_z)
+        assert np.array_equal(baseline.std_z, other.std_z)
+        assert np.array_equal(baseline.terminal_samples, other.terminal_samples)
+
+    def test_chunk_boundaries_carry_the_running_sums(self, small_parameters, monkeypatch):
+        # a batch of 7 gets 280 // 7 = 40 steps per chunk: T = 150 spans
+        # chunks starting at steps 1, 41, 81 and 121
+        sim = importlib.import_module("oprisk_dynamics.simulate")
+        p = small_parameters
+        capture = (1, 40, 41, 80, 121, 150)
+        whole = run_ensemble(p, None, 150, 7, master_seed=11, batch_size=7)
+        monkeypatch.setattr(sim, "_CHUNK_BUDGET", 280)
+        chunked = run_ensemble(
+            p, None, 150, 7, master_seed=11, batch_size=7, capture_steps=capture
+        )
+        stack = manual_ensemble(p, None, 150, 7, master_seed=11)
+        assert np.array_equal(chunked.terminal_samples, stack[:, -1, :])
+        for s in capture:
+            assert np.array_equal(chunked.captured[s], stack[:, s - 1, :])
+        assert np.array_equal(chunked.mean_z, whole.mean_z)
+        assert np.array_equal(chunked.std_z, whole.std_z)
+
+    def test_memory_is_bounded_by_the_chunk_not_the_length(self, small_parameters):
+        # a (T, batch, N) float64 buffer alone would take 20 000 x 256 x 2 x 8
+        # bytes = 82 MB; the chunk's noise and loss blocks take 2 x 2**17 x 2 x 8
+        # bytes = 4.2 MB, and the (T, N) aggregates 0.6 MB
+        tracemalloc.start()
+        try:
+            run_ensemble(small_parameters, None, 20_000, 256, master_seed=6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_aggregate_invariants(self, small_parameters):
         result = run_ensemble(small_parameters, None, 300, 24, master_seed=8)

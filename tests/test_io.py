@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,20 @@ class TestIngest:
             ingest([rec(-1e308, 1, 0.5), rec(1e308, 2, 0.3)], 1.0, 2)
         with pytest.raises(errors.TimestampSpanOverflow):
             ingest([rec(0.0, 1, 0.5), rec(1.0, 1, 0.3)], 1e-320, 1)
+
+    @pytest.mark.parametrize(
+        "last",
+        [
+            pytest.param(1e300, id="beyond-the-largest-array-dimension"),
+            # 1.6e18 bytes: more than any 64-bit address space maps, so the
+            # allocation fails on every machine (3e9 steps would fit on some)
+            pytest.param(1e17, id="beyond-the-address-space"),
+        ],
+    )
+    def test_unallocatable_step_span_names_timestamps_and_steps(self, last):
+        message = re.escape(f"0.0 and {last!r} span {last:.4g} steps")
+        with pytest.raises(errors.TimestampSpanOverflow, match=message):
+            ingest([rec(0.0, 1, 0.5), rec(last, 2, 0.3)], 1.0, 2)
 
 
 def _ts(text):
@@ -250,6 +265,16 @@ class TestLoadConfig:
 
         config = load_config(write_config(tmp_path, mutate))
         assert config.parameters.horizons[0, 1] == 4
+
+    @pytest.mark.parametrize(
+        "block,value",
+        [("model", 5), ("simulation", 5), ("estimation", 5), ("output", [1])],
+    )
+    def test_blocks_must_be_objects(self, tmp_path, block, value):
+        path = write_config(tmp_path, lambda d: d.update({block: value}))
+        with pytest.raises(errors.ConfigError) as exc:
+            load_config(path)
+        assert exc.value.key == block
 
     @pytest.mark.parametrize(
         "key_part,mutate",
