@@ -181,8 +181,10 @@ def run_ensemble(
     else:
         coupling_stack = np.broadcast_to(p.couplings, (m_trajectories, n, n))
 
-    sum_z = np.zeros((n_steps, n))
-    sumsq_z = np.zeros((n_steps, n))
+    # process-major like the engine's blocks, so that each trajectory's
+    # chunk adds into contiguous rows
+    sum_z = np.zeros((n, n_steps))
+    sumsq_z = np.zeros((n, n_steps))
     terminal = np.empty((m_trajectories, n))
     captured = {s: np.empty((m_trajectories, n)) for s in capture}
 
@@ -193,42 +195,43 @@ def run_ensemble(
             for b in range(bs)
         ]
         members = slice(first, first + bs)
-        carry = np.zeros((bs, n))
+        carry = np.zeros((n, bs))
         for start, z in _evolve(
             p.theta,
             p.lam,
-            np.ascontiguousarray(coupling_stack[members]),
+            coupling_stack[members],
             p.horizons,
             initial_arr,
             n_steps,
             generators,
         ):
-            # the carry enters before the cumsum, so each running sum is
-            # associated exactly as one full-length cumsum would associate it
+            # z is (N, m, B), process-major. The carry enters before the
+            # cumsum, so each running sum is associated exactly as one
+            # full-length cumsum would associate it
             if start:
-                z[0] += carry
-            np.cumsum(z, axis=0, out=z)
-            carry[:] = z[-1]
-            stop = start + z.shape[0]
-            sum_rows = sum_z[start:stop]
-            sumsq_rows = sumsq_z[start:stop]
-            square = np.empty_like(sum_rows)
+                z[:, 0] += carry
+            np.cumsum(z, axis=1, out=z)
+            carry[:] = z[:, -1]
+            stop = start + z.shape[1]
+            sum_rows = sum_z[:, start:stop]
+            sumsq_rows = sumsq_z[:, start:stop]
+            square = np.empty(sum_rows.shape)
             # accumulate in trajectory-index order: batch size must not change
             # floating-point results
             for b in range(bs):
-                zb = z[:, b]
+                zb = z[:, :, b]
                 sum_rows += zb
                 np.multiply(zb, zb, out=square)
                 sumsq_rows += square
             for s in capture:
                 if start < s <= stop:
-                    captured[s][members] = z[s - 1 - start]
-        terminal[members] = carry
+                    captured[s][members] = z[:, s - 1 - start].T
+        terminal[members] = carry.T
         logger.debug("ensemble batch %d..%d of %d done", first, first + bs, m_trajectories)
 
     m = float(m_trajectories)
-    mean_z = sum_z / m
-    var_z = (sumsq_z - m * mean_z * mean_z) / (m - 1.0)
+    mean_z = np.ascontiguousarray(sum_z.T) / m
+    var_z = (np.ascontiguousarray(sumsq_z.T) - m * mean_z * mean_z) / (m - 1.0)
     np.maximum(var_z, 0.0, out=var_z)
     std_z = np.sqrt(var_z)
     return EnsembleResult(

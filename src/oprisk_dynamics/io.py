@@ -47,6 +47,8 @@ def reference_config_path() -> str:
 _DB_HEADER = ["t", "process", "amount"]
 _SERIES_HEADER = ["t", "process", "value"]
 _HIST_HEADER = ["bin_left", "bin_right", "count"]
+# rows of an array formatted at a time by the CSV writers
+_CSV_BLOCK_ROWS = 1024
 
 
 class RawLossRecord(NamedTuple):
@@ -175,25 +177,46 @@ def ingest(
     return LossMatrix(losses)
 
 
+def _write_csv(path, header, blocks) -> None:
+    """Write a header line, then the rows of each block of equal-length columns.
+
+    Each cell is the ``repr`` of its Python value, so floats round-trip
+    exactly, and lines end in ``\r\n``: the bytes ``csv.writer`` writes for
+    these plain cells. Callers pass their rows a block at a time, so only one
+    block's cells are held as Python objects at once.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(",".join(header) + "\r\n")
+        for columns in blocks:
+            cells = [map(repr, column.tolist()) for column in columns]
+            handle.writelines(",".join(row) + "\r\n" for row in zip(*cells))
+
+
+def _row_ranges(n_rows: int):
+    """(first, stop) ranges of at most _CSV_BLOCK_ROWS rows covering n_rows."""
+    for first in range(0, n_rows, _CSV_BLOCK_ROWS):
+        yield first, min(first + _CSV_BLOCK_ROWS, n_rows)
+
+
 def write_loss_database(path, losses) -> None:
     """Write nonzero losses as ``t,process,amount`` records, steps 1-based."""
     arr = losses.losses if isinstance(losses, LossMatrix) else np.asarray(losses)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_DB_HEADER)
-        for t, i in zip(*np.nonzero(arr)):
-            writer.writerow([int(t) + 1, int(i) + 1, repr(float(arr[t, i]))])
+    t, i = np.nonzero(arr)
+    _write_csv(path, _DB_HEADER, (
+        (t[a:b] + 1, i[a:b] + 1, arr[t[a:b], i[a:b]].astype(np.float64))
+        for a, b in _row_ranges(t.size)
+    ))
 
 
 def write_series(path, values) -> None:
     """Write a (T, N) table as the full ``t,process,value`` grid, 1-based."""
-    arr = np.asarray(values)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_SERIES_HEADER)
-        for t in range(arr.shape[0]):
-            for i in range(arr.shape[1]):
-                writer.writerow([t + 1, i + 1, repr(float(arr[t, i]))])
+    arr = np.asarray(values, dtype=np.float64)
+    n_steps, n = arr.shape
+    processes = np.arange(1, n + 1)
+    _write_csv(path, _SERIES_HEADER, (
+        (np.repeat(np.arange(a + 1, b + 1), n), np.tile(processes, b - a), arr[a:b].ravel())
+        for a, b in _row_ranges(n_steps)
+    ))
 
 
 def write_histogram(path, samples, n_bins: int = 60) -> None:
@@ -204,11 +227,7 @@ def write_histogram(path, samples, n_bins: int = 60) -> None:
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
     counts, edges = np.histogram(s, bins=n_bins)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_HIST_HEADER)
-        for k in range(counts.shape[0]):
-            writer.writerow([repr(float(edges[k])), repr(float(edges[k + 1])), int(counts[k])])
+    _write_csv(path, _HIST_HEADER, [(edges[:-1], edges[1:], counts)])
 
 
 def read_samples(path) -> np.ndarray:

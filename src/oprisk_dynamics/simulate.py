@@ -12,15 +12,34 @@ uniform draw per process per step in process order, transformed by the
 inverse CDF ``xi = -ln(u) / lam`` with ``u = 1 - r`` so that u never hits 0.
 
 The batch engine evolves B independent trajectories in lockstep over shared
-(theta, lam, horizons) but per-trajectory couplings and noise streams. Its
-arithmetic is ordered so results are identical for any batch size. It hands
-its losses out one chunk of steps at a time, so its memory is bounded by the
-chunk, not by the trajectory length.
+(theta, lam, horizons) but per-trajectory couplings and noise streams. It
+hands its losses out one chunk of steps at a time, so its memory is bounded
+by the chunk, not by the trajectory length. The chunk is held process-major,
+as an (N, m, B) block, so the m steps of one process are one contiguous
+(m, B) slab.
+
+Within a chunk the processes are evolved in dependency order. Process i
+depends on j when horizons[i, j] > 0 and some trajectory of the batch has
+J_ij != 0. The strongly connected components of that graph run upstream
+first. A process on no cycle needs only losses already known for the whole
+chunk: its window counts are differences of prefix counts of its upstream
+processes, and its losses come from one vectorised pass over the chunk. Only
+the processes of a cycle (in the reference model, the self-coupled process 3)
+step through the chunk, on (B,) rows; that step loop is the one kernel that
+Numba compiles when it imports.
+
+Every loss gets the same arithmetic in the same order whatever the batch,
+the chunk or the component: the interaction term is accumulated from +0.0
+over the live j in ascending order, then theta is added, then the noise,
+then the ramp. A term that is left out has a zero coupling or a zero count,
+so it is a signed zero, and adding one to an accumulator that is never -0.0
+changes nothing. Results are therefore identical for any batch size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,10 +57,14 @@ __all__ = ["Trajectory", "simulate", "cumulative"]
 
 _CHUNK_STEPS = 16384
 # trajectory-steps per chunk: a batch of B evolves max(1, _CHUNK_BUDGET // B)
-# steps at a time, so the noise and loss blocks stay near 2 * budget * N floats
+# steps at a time, so the (N, m, B) loss block stays near budget * N floats
 _CHUNK_BUDGET = 131072
+# members whose noise is drawn into the small staging buffer at a time
+_DRAW_MEMBERS = 64
+# trajectory-steps per tile of a process-major sweep
+_SWEEP_TILE = 16384
 
-# The scalar and pure-numpy chunk loops are arithmetically identical. The
+# The scalar and pure-numpy step loops are arithmetically identical. The
 # scalar loop is fast only when Numba compiles it; this switch lets tests pin
 # the equality on every machine and users opt out.
 use_compiled_kernel: bool = _HAVE_NUMBA
@@ -97,7 +120,7 @@ def simulate(
         n_steps,
         [noise.generator()],
     ):
-        out[start : start + block.shape[0]] = block[:, 0]
+        out[start : start + block.shape[1]] = block[:, :, 0].T
     losses = LossMatrix(out)
     z = np.cumsum(losses.losses, axis=0)
     z.setflags(write=False)
@@ -121,6 +144,76 @@ def _start_history(p: ModelParameters, initial: LossMatrix | None) -> np.ndarray
     return initial.losses[initial.n_steps - w :]
 
 
+def _component_order(live: np.ndarray) -> list:
+    """Strongly connected components of the dependency graph, upstream first.
+
+    Args:
+        live: (N, N) bool matrix, ``live[i, j]`` when process i depends on j.
+
+    Returns:
+        (members, cyclic) pairs: ``members`` is an ascending list of process
+        indices, and ``cyclic`` says whether they feed back on themselves
+        (two or more processes, or one self-coupled process). Each component
+        comes after every component it depends on.
+    """
+    n = live.shape[0]
+    # reach[i, j]: i depends on j through a path of zero or more edges
+    reach = live | np.eye(n, dtype=bool)
+    for k in range(n):
+        reach |= reach[:, k, None] & reach[None, k, :]
+    mutual = reach & reach.T
+    components = []
+    placed = np.zeros(n, dtype=bool)
+    for i in range(n):
+        if not placed[i]:
+            members = np.flatnonzero(mutual[i])
+            placed[members] = True
+            cyclic = members.size > 1 or bool(live[i, i])
+            components.append((members.tolist(), cyclic))
+    # a component reaches strictly more processes than any component it
+    # depends on, so sorting by that count is a topological order
+    components.sort(key=lambda c: int(reach[c[0][0]].sum()))
+    return components
+
+
+class _Component(NamedTuple):
+    """One strongly connected component, with its interaction terms.
+
+    The terms of member k are ``ptr[k] .. ptr[k + 1] - 1``, in ascending j.
+    Term t reads the prefix row ``rows[t]`` over a window of ``lags[t]``
+    steps and weighs it by ``coefs[t]``, the (B,) couplings J_ij of the
+    batch. ``own_rows[k]`` is the prefix row member k writes, or -1 when no
+    process depends on it.
+    """
+
+    cyclic: bool
+    members: np.ndarray
+    own_rows: np.ndarray
+    ptr: np.ndarray
+    rows: np.ndarray
+    lags: np.ndarray
+    coefs: np.ndarray
+
+
+def _component(members, cyclic, live, horizons, couplings, row_of) -> _Component:
+    ptr, rows, lags, cols = [0], [], [], []
+    for i in members:
+        for j in np.flatnonzero(live[i]):
+            rows.append(row_of[j])
+            lags.append(horizons[i, j])
+            cols.append(couplings[:, i, j])
+        ptr.append(len(rows))
+    return _Component(
+        cyclic=cyclic,
+        members=np.array(members, dtype=np.int64),
+        own_rows=row_of[members],
+        ptr=np.array(ptr, dtype=np.int64),
+        rows=np.array(rows, dtype=np.int64),
+        lags=np.array(lags, dtype=np.int64),
+        coefs=np.array(cols, dtype=np.float64).reshape(len(cols), couplings.shape[0]),
+    )
+
+
 def _evolve(
     theta: np.ndarray,
     lam: np.ndarray,
@@ -141,137 +234,157 @@ def _evolve(
             trajectory's stream is identical to per-step sequential draws.
 
     Yields:
-        (start, block): ``block`` is an (m, B, N) float64 view holding the
-        losses of steps start .. start + m - 1. It is one reused buffer, so
-        the caller consumes it (and may overwrite it) before the next chunk.
+        (start, block): ``block`` is an (N, m, B) float64 view holding the
+        losses of steps start .. start + m - 1, process-major. It is one
+        reused buffer, so the caller consumes it (and may overwrite it)
+        before the next chunk.
 
-    Both chunk loops order the arithmetic the same way: the interaction term
-    is accumulated column by column in ascending j, then theta, then noise,
-    then the ramp. Batch size must never change results, so no reduction
-    ever crosses the trajectory axis.
+    No reduction ever crosses the trajectory axis, so batch size never
+    changes results.
     """
     n = theta.shape[0]
     n_batch = couplings.shape[0]
     w = int(horizons.max()) if horizons.size else 0
-    hs = sorted(int(h) for h in np.unique(horizons) if h > 0)
+    live = (horizons > 0) & (couplings != 0.0).any(axis=0)
+    # only processes that some process depends on need prefix counts
+    sources = np.flatnonzero(live.any(axis=0))
+    row_of = np.full(n, -1, dtype=np.int64)
+    row_of[sources] = np.arange(sources.size)
 
-    # counts_ext[0] is a permanent zero slot for horizon-0 pairs
-    counts_ext = np.zeros((1 + len(hs), n_batch, n), dtype=np.int64)
-    h_slot = {h: 1 + k for k, h in enumerate(hs)}
-    slot_of_pair = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            h = int(horizons[i, j])
-            slot_of_pair[i, j] = h_slot[h] if h else 0
+    plan = [
+        _component(members, cyclic, live, horizons, couplings, row_of)
+        for members, cyclic in _component_order(live)
+    ]
 
-    if w:
-        ind_init = initial > 0.0
-        ring = np.repeat(ind_init[:, None, :], n_batch, axis=1).astype(np.int8)
-        for h, slot in h_slot.items():
-            counts_ext[slot] = ind_init[w - h:].sum(axis=0, dtype=np.int64)[None, :]
-    else:
-        ring = np.zeros((0, n_batch, n), dtype=np.int8)
-    write_pos = 0
-
-    couplings = np.ascontiguousarray(couplings)
-    hs_arr = np.asarray(hs, dtype=np.int64)
-    chunk_loop = _compiled_chunk if use_compiled_kernel else _numpy_chunk
     chunk = max(1, min(_CHUNK_STEPS, _CHUNK_BUDGET // n_batch, n_steps))
-    # noise buffer is (B, chunk, N) so each member's draws fill a contiguous
-    # slice; the inverse CDF is elementwise, so one pass over the batch is exact
-    xi = np.empty((n_batch, chunk, n))
-    block = np.empty((chunk, n_batch, n))
+    block = np.empty((n, chunk, n_batch))
+    draws = np.empty((min(_DRAW_MEMBERS, n_batch), chunk, n))
+    # prefix[r, k, b]: positive losses of process sources[r] among the first k
+    # rows of the window made of the w steps before the chunk, then the chunk
+    prefix = np.zeros((sources.size, w + chunk + 1, n_batch), dtype=np.int32)
+    prefix[:, 1 : w + 1] = np.cumsum(initial[:, sources] > 0.0, axis=0).T[:, :, None]
+    tile = max(1, min(chunk, _SWEEP_TILE // n_batch))
+    sweep_work = (
+        np.empty((tile, n_batch)),
+        np.empty((tile, n_batch)),
+        np.empty((tile, n_batch), dtype=bool),
+    )
+    step_loop = _compiled_chunk if use_compiled_kernel else _numpy_chunk
 
     for start in range(0, n_steps, chunk):
         m = min(chunk, n_steps - start)
-        noise = xi[:, :m]
-        for b, gen in enumerate(generators):
-            gen.random(out=noise[b])
-        np.subtract(1.0, noise, out=noise)
-        np.log(noise, out=noise)
-        np.negative(noise, out=noise)
-        noise /= lam
-        write_pos = chunk_loop(
-            noise,
-            couplings,
-            theta,
-            slot_of_pair,
-            hs_arr,
-            counts_ext,
-            ring,
-            write_pos,
-            block[:m],
-        )
-        yield start, block[:m]
+        losses = block[:, :m]
+        _draw_noise(losses, draws, generators, lam)
+        for c in plan:
+            if c.cyclic:
+                step_loop(losses, prefix, w, c.members, c.own_rows, c.ptr, c.rows, c.lags,
+                          c.coefs, theta)
+            else:
+                i = c.members[0]
+                _sweep(losses[i], prefix, w, c.own_rows[0], c.rows, c.lags, c.coefs, theta[i],
+                       sweep_work)
+        # the last w rows of this chunk's window start the next one
+        prefix[:, : w + 1] = prefix[:, m : m + w + 1] - prefix[:, m, None]
+        yield start, losses
 
 
-def _numpy_chunk(
-    xi, couplings, theta, slot_of_pair, hs, counts_ext, ring, write_pos, out
-) -> int:
-    """Chunk loop in pure numpy; arithmetic order matches the compiled kernel."""
-    n_batch, m, n = xi.shape
-    w = ring.shape[0]
-    live_cols = [j for j in range(n) if np.any(couplings[:, :, j] != 0.0)]
-    col_couplings = {j: np.ascontiguousarray(couplings[:, :, j]) for j in live_cols}
-    col_slots = {j: slot_of_pair[:, j] for j in live_cols}
-    theta_row = theta[None, :]
-    hs = hs.tolist()
-    inter = np.empty((n_batch, n))
-    prod = np.empty((n_batch, n))
-    arg = np.empty((n_batch, n))
-    ind = np.empty((n_batch, n), dtype=bool)
-    for s in range(m):
-        inter.fill(0.0)
-        for j in live_cols:
-            cj = counts_ext[col_slots[j], :, j]
-            np.multiply(col_couplings[j], cj.T, out=prod)
-            inter += prod
-        np.add(inter, theta_row, out=arg)
-        arg += xi[:, s, :]
-        np.maximum(arg, 0.0, out=arg)
-        out[s] = arg
-        if w:
-            np.greater(arg, 0.0, out=ind)
-            for k, h in enumerate(hs):
-                counts = counts_ext[k + 1]
-                counts += ind
-                counts -= ring[(write_pos - h) % w]
-            ring[write_pos] = ind
-            write_pos = (write_pos + 1) % w
-    return write_pos
+def _draw_noise(losses, draws, generators, lam) -> None:
+    """Fill the (N, m, B) block with exponential noise, member b from generators[b].
+
+    Each member's uniforms are drawn in stream order into the (members, m, N)
+    staging buffer; the transpose into the process-major block rides on the
+    first step of the inverse CDF.
+    """
+    m = losses.shape[1]
+    size = draws.shape[0]
+    for first in range(0, len(generators), size):
+        group = generators[first : first + size]
+        raw = draws[: len(group), :m]
+        for k, gen in enumerate(group):
+            gen.random(out=raw[k])
+        np.subtract(1.0, raw.transpose(2, 1, 0), out=losses[:, :, first : first + len(group)])
+    np.log(losses, out=losses)
+    # -ln(u) / lam: division rounds symmetrically, so dividing by -lam is
+    # the same as negating first
+    np.divide(losses, -lam[:, None, None], out=losses)
 
 
-def _compiled_chunk(
-    xi, couplings, theta, slot_of_pair, hs, counts_ext, ring, write_pos, out
-):
-    """Chunk loop one scalar at a time; compiled by Numba when it imports."""
-    n_batch, m, n = xi.shape
-    w = ring.shape[0]
-    n_h = hs.shape[0]
-    for s in range(m):
-        for b in range(n_batch):
-            for i in range(n):
-                acc = 0.0
-                for j in range(n):
-                    acc += couplings[b, i, j] * counts_ext[slot_of_pair[i, j], b, j]
-                v = (acc + theta[i]) + xi[b, s, i]
-                out[s, b, i] = v if v > 0.0 else 0.0
-        if w:
-            for k in range(n_h):
-                old = write_pos - hs[k]
-                if old < 0:
-                    old += w
-                for b in range(n_batch):
-                    for i in range(n):
-                        pos = 1 if out[s, b, i] > 0.0 else 0
-                        counts_ext[k + 1, b, i] += pos - ring[old, b, i]
+def _sweep(losses, prefix, w, own_row, rows, lags, coefs, theta_i, work) -> None:
+    """Evolve one process on no cycle over a whole chunk, in place.
+
+    ``losses`` is the process's (m, B) slab and holds its noise on entry.
+    Every process it depends on is already known for the chunk, so each
+    window count is a difference of two prefix rows. The slab is swept in
+    tiles of about _SWEEP_TILE trajectory-steps, so the work buffers stay small.
+    """
+    total_buf, term_buf, ind_buf = work
+    for first in range(0, losses.shape[0], total_buf.shape[0]):
+        slab = losses[first : first + total_buf.shape[0]]
+        k = slab.shape[0]
+        now = w + first
+        if coefs.shape[0]:
+            total, term = total_buf[:k], term_buf[:k]
+            total.fill(0.0)
+            for r, h, coef in zip(rows, lags, coefs):
+                np.subtract(prefix[r, now : now + k], prefix[r, now - h : now - h + k], out=term)
+                term *= coef
+                total += term
+            total += theta_i
+            slab += total  # xi + (acc + theta), the same sum as (acc + theta) + xi
+        else:
+            slab += 0.0 + theta_i  # the empty interaction sum is +0.0
+        np.maximum(slab, 0.0, out=slab)
+        if own_row >= 0:
+            counts = prefix[own_row, now + 1 : now + 1 + k]
+            np.greater(slab, 0.0, out=ind_buf[:k])
+            np.cumsum(ind_buf[:k], axis=0, dtype=np.int32, out=counts)
+            counts += prefix[own_row, now]
+
+
+def _numpy_chunk(losses, prefix, w, members, own_rows, ptr, rows, lags, coefs, theta) -> None:
+    """Step loop of one cyclic component in pure numpy; arithmetic order
+    matches the compiled kernel."""
+    n_batch = losses.shape[2]
+    acc = np.empty(n_batch)
+    prod = np.empty(n_batch)
+    counts = np.empty(n_batch, dtype=np.int32)
+    ind = np.empty(n_batch, dtype=bool)
+    procs = []
+    for k, i in enumerate(members.tolist()):
+        terms = [(coefs[t], prefix[rows[t]], w - lags[t]) for t in range(ptr[k], ptr[k + 1])]
+        procs.append((losses[i], prefix[own_rows[k]], theta[i], terms))
+    for s in range(losses.shape[1]):
+        for slab, window, theta_i, terms in procs:
+            acc.fill(0.0)
+            for coef, source, lag in terms:
+                np.subtract(source[w + s], source[lag + s], out=counts)
+                np.multiply(coef, counts, out=prod)
+                acc += prod
+            acc += theta_i
+            row = slab[s]
+            row += acc  # xi + (acc + theta), the same sum as (acc + theta) + xi
+            np.maximum(row, 0.0, out=row)
+            np.greater(row, 0.0, out=ind)
+            np.add(window[w + s], ind, out=window[w + s + 1])
+
+
+def _compiled_chunk(losses, prefix, w, members, own_rows, ptr, rows, lags, coefs, theta):
+    """Step loop of one cyclic component, one scalar at a time; compiled by
+    Numba when it imports."""
+    n_batch = losses.shape[2]
+    for s in range(losses.shape[1]):
+        for k in range(members.shape[0]):
+            i = members[k]
+            own = own_rows[k]
             for b in range(n_batch):
-                for i in range(n):
-                    ring[write_pos, b, i] = 1 if out[s, b, i] > 0.0 else 0
-            write_pos += 1
-            if write_pos == w:
-                write_pos = 0
-    return write_pos
+                acc = 0.0
+                for t in range(ptr[k], ptr[k + 1]):
+                    r = rows[t]
+                    acc += coefs[t, b] * (prefix[r, w + s, b] - prefix[r, w + s - lags[t], b])
+                v = (acc + theta[i]) + losses[i, s, b]
+                positive = v > 0.0
+                losses[i, s, b] = v if positive else 0.0
+                prefix[own, w + s + 1, b] = prefix[own, w + s, b] + (1 if positive else 0)
 
 
 if _HAVE_NUMBA:

@@ -360,6 +360,46 @@ class TestEstimateSetSources:
         assert np.array_equal(result.terminal_samples, stack[:, -1, :])
         np.testing.assert_allclose(result.mean_z, stack.mean(axis=0), rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("batch_size", [1, 2, 3, 7])
+    def test_coupling_graph_may_differ_between_batches(self, batch_size):
+        # pair (0, 1) draws 0.0 or 0.3, so some batches have the edge 0 <- 1
+        # and others evolve process 0 with no inputs; process 1 is
+        # self-coupled, so it always runs in the step loop
+        est = EstimateSet(
+            theta_hat=np.array([-0.7, -0.6]),
+            theta_available=np.array([True, True]),
+            j_hat={
+                (0, 1): [CouplingCandidate(1, 0.0, 40), CouplingCandidate(2, 0.3, 20)],
+                (1, 1): [CouplingCandidate(1, 0.2, 30)],
+            },
+            lam=np.array([1.5, 2.0]),
+            horizons=np.array([[0, 3], [0, 2]]),
+            diagnostics=None,
+        )
+        master, m_traj = 17, 7
+        kwargs = dict(master_seed=master, collapse="sample-per-run", capture_steps=(60,))
+        baseline = run_ensemble(est, None, 150, m_traj, batch_size=7, **kwargs)
+        result = run_ensemble(est, None, 150, m_traj, batch_size=batch_size, **kwargs)
+        assert np.array_equal(result.mean_z, baseline.mean_z)
+        assert np.array_equal(result.std_z, baseline.std_z)
+        assert np.array_equal(result.terminal_samples, baseline.terminal_samples)
+        assert np.array_equal(result.captured[60], baseline.captured[60])
+
+        sampler = CouplingSampler(est, derive_seed(master, 0))
+        drawn = []
+        for m in range(m_traj):
+            couplings = sampler()
+            drawn.append(couplings[0, 1])
+            p = validate_parameters(
+                ModelParameters(
+                    n=2, theta=est.theta_hat, lam=est.lam,
+                    couplings=couplings, horizons=est.horizons,
+                )
+            )
+            traj = simulate(p, None, 150, NoiseSpec(rates=p.lam, seed=derive_seed(master, 1 + m)))
+            assert np.array_equal(result.terminal_samples[m], traj.cumulative[-1])
+        assert 0.0 in drawn and 0.3 in drawn
+
     def test_unknown_collapse_rejected(self):
         est = two_candidate_estimates()
         with pytest.raises(ValueError):

@@ -198,6 +198,28 @@ class TestSeriesAndHistograms:
         assert all(l < r for l, r in zip(lefts, rights))
         assert lefts[1:] == rights[:-1]
 
+    def test_exact_bytes_of_each_file(self, tmp_path):
+        # every cell is its Python repr and every line ends in \r\n
+        db = tmp_path / "db.csv"
+        write_loss_database(db, np.array([[0.0, 1e-05], [0.1, 0.0], [0.0, 123456.789]]))
+        assert db.read_bytes() == (
+            b"t,process,amount\r\n1,2,1e-05\r\n2,1,0.1\r\n3,2,123456.789\r\n"
+        )
+        series = tmp_path / "series.csv"
+        write_series(series, np.array([[1e-05, 0.1], [123456.789, 0.0]]))
+        assert series.read_bytes() == (
+            b"t,process,value\r\n1,1,1e-05\r\n1,2,0.1\r\n2,1,123456.789\r\n2,2,0.0\r\n"
+        )
+        hist = tmp_path / "hist.csv"
+        write_histogram(hist, [0.0, 0.25, 1.0], n_bins=4)
+        assert hist.read_bytes() == (
+            b"bin_left,bin_right,count\r\n0.0,0.25,1\r\n0.25,0.5,1\r\n"
+            b"0.5,0.75,0\r\n0.75,1.0,1\r\n"
+        )
+        empty = tmp_path / "empty.csv"
+        write_loss_database(empty, np.zeros((3, 2)))
+        assert empty.read_bytes() == b"t,process,amount\r\n"
+
     def test_histogram_rejects_empty(self, tmp_path):
         with pytest.raises(errors.EmptySample):
             write_histogram(tmp_path / "h.csv", [])

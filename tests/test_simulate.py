@@ -20,8 +20,10 @@ from oprisk_dynamics.model import (
     NoiseSpec,
     validate_parameters,
 )
-from oprisk_dynamics.ensemble import run_ensemble
-from oprisk_dynamics.simulate import cumulative, simulate
+from oprisk_dynamics.ensemble import derive_seed, run_ensemble
+from oprisk_dynamics.simulate import _component_order, cumulative, simulate
+
+from conftest import build_reference_parameters
 
 
 def naive_simulate(p: ModelParameters, initial: np.ndarray, n_steps: int, seed: int):
@@ -62,6 +64,50 @@ def random_model(rng: np.random.Generator, allow_negative_j: bool = True):
     w = p.max_horizon
     initial = np.where(rng.random((w, n)) < 0.4, rng.uniform(0.1, 2.0, (w, n)), 0.0)
     return p, initial
+
+
+def linked_model(n, edges, theta=-0.6, lam=1.5):
+    """Model whose only couplings are ``edges``: 0-based (i, j, J_ij, horizon)."""
+    couplings = np.zeros((n, n))
+    horizons = np.zeros((n, n), dtype=int)
+    for i, j, value, h in edges:
+        couplings[i, j] = value
+        horizons[i, j] = h
+    return validate_parameters(
+        ModelParameters(n=n, theta=np.full(n, theta), lam=np.full(n, lam),
+                        couplings=couplings, horizons=horizons)
+    )
+
+
+# dependency graphs that exercise each path of the engine: process-major
+# sweeps of the processes on no cycle, and the step loop of each cycle
+ENGINE_MODELS = {
+    # 0 feeds the two-process cycle {1, 2}
+    "two_cycle_fed_upstream": lambda: linked_model(
+        3, [(1, 0, 0.3, 2), (1, 2, 0.25, 3), (2, 1, 0.35, 4)]
+    ),
+    # horizons 1..6 on one model, and a zero-horizon pair (2, 0)
+    "mixed_horizons": lambda: linked_model(
+        4, [(1, 0, 0.2, 1), (2, 1, 0.15, 6), (2, 2, 0.1, 2), (3, 0, 0.3, 5), (3, 2, 0.2, 3)]
+    ),
+    "negative_couplings": lambda: linked_model(
+        3, [(0, 0, -0.3, 3), (1, 0, -0.4, 2), (2, 1, 0.5, 4), (2, 0, -0.2, 1), (1, 2, -0.1, 2)],
+        theta=-0.2,
+    ),
+    "acyclic_chain": lambda: linked_model(
+        4, [(1, 0, 0.3, 3), (2, 1, 0.25, 2), (3, 2, 0.2, 4), (3, 0, -0.15, 1)]
+    ),
+    "fully_cyclic": lambda: linked_model(
+        3, [(i, j, 0.1 + 0.05 * (i + 2 * j), 1 + (i + j) % 3) for i in range(3) for j in range(3)]
+    ),
+    "reference": build_reference_parameters,
+}
+
+
+def history_for(p, seed):
+    rng = np.random.default_rng(seed)
+    shape = (p.max_horizon, p.n)
+    return np.where(rng.random(shape) < 0.5, rng.uniform(0.1, 2.0, shape), 0.0)
 
 
 class TestSimulate:
@@ -181,15 +227,20 @@ class TestSimulate:
         with pytest.raises(errors.HorizonExceedsHistory):
             simulate(small_parameters, window, 10, NoiseSpec(rates=small_parameters.lam, seed=0))
 
-    @pytest.mark.parametrize("case_seed", range(6))
+    @pytest.mark.parametrize("case_seed", [0, 1, 2, 3, 4, 5, "two_cycle"])
     def test_compiled_and_numpy_paths_agree_exactly(self, monkeypatch, case_seed):
         # the package re-exports the simulate() function under the same name,
         # so fetch the submodule itself through the import system; without
         # Numba the scalar kernel runs as plain Python
         sim = importlib.import_module("oprisk_dynamics.simulate")
-        rng = np.random.default_rng(31 + case_seed)
-        p, initial = random_model(rng)
-        noise = NoiseSpec(rates=p.lam, seed=99 + case_seed)
+        if case_seed == "two_cycle":
+            p = ENGINE_MODELS["two_cycle_fed_upstream"]()
+            initial = history_for(p, 7)
+            noise = NoiseSpec(rates=p.lam, seed=105)
+        else:
+            rng = np.random.default_rng(31 + case_seed)
+            p, initial = random_model(rng)
+            noise = NoiseSpec(rates=p.lam, seed=99 + case_seed)
         monkeypatch.setattr(sim, "use_compiled_kernel", True)
         fast = simulate(p, LossMatrix(initial), 300, noise)
         monkeypatch.setattr(sim, "use_compiled_kernel", False)
@@ -223,6 +274,55 @@ class TestSimulate:
         expected_freq = np.exp(lam * theta)
         assert abs(nonzero.size / n_steps - expected_freq) < 0.009  # ~5 sigma
         assert abs(nonzero.mean() - 1.0 / lam) < 0.04
+
+
+class TestDependencyOrder:
+    def test_reference_components_run_upstream_first(self):
+        p = build_reference_parameters()
+        live = (p.horizons > 0) & (p.couplings != 0.0)
+        order = [([i + 1 for i in members], cyclic) for members, cyclic in _component_order(live)]
+        position = {tuple(members): k for k, (members, _) in enumerate(order)}
+        assert sorted(position) == [(1,), (2,), (3,), (4,), (5,)]
+        assert position[(2,)] < position[(1,)]
+        assert position[(3,)] < position[(4,)]
+        assert position[(3,)] < position[(5,)]
+        assert position[(1,)] < position[(5,)]
+        assert [members for members, cyclic in order if cyclic] == [[3]]
+
+    def test_cycles_are_grouped_and_ordered(self):
+        p = ENGINE_MODELS["two_cycle_fed_upstream"]()
+        live = (p.horizons > 0) & (p.couplings != 0.0)
+        assert _component_order(live) == [([0], False), ([1, 2], True)]
+        p = ENGINE_MODELS["acyclic_chain"]()
+        live = (p.horizons > 0) & (p.couplings != 0.0)
+        assert _component_order(live) == [([0], False), ([1], False), ([2], False), ([3], False)]
+
+    @pytest.mark.parametrize("budget", [None, 3, 21])
+    @pytest.mark.parametrize("name", sorted(ENGINE_MODELS))
+    def test_engine_matches_naive_reference(self, monkeypatch, name, budget):
+        # a budget of 3 gives chunks shorter than the longest horizon, so the
+        # prefix counts carry across many boundaries; a 6-step tile splits
+        # each sweep of a chunk into several tiles
+        sim = importlib.import_module("oprisk_dynamics.simulate")
+        if budget is not None:
+            monkeypatch.setattr(sim, "_CHUNK_BUDGET", budget)
+            monkeypatch.setattr(sim, "_SWEEP_TILE", 6)
+        p = ENGINE_MODELS[name]()
+        initial = history_for(p, 61)
+        n_steps = 90
+        traj = simulate(p, LossMatrix(initial), n_steps, NoiseSpec(rates=p.lam, seed=13))
+        assert np.array_equal(traj.losses.losses, naive_simulate(p, initial, n_steps, 13))
+        result = run_ensemble(
+            p, LossMatrix(initial), n_steps, 4, master_seed=29, batch_size=3,
+            capture_steps=(1, 45),
+        )
+        paths = np.stack([
+            np.cumsum(naive_simulate(p, initial, n_steps, derive_seed(29, 1 + m)), axis=0)
+            for m in range(4)
+        ])
+        assert np.array_equal(result.terminal_samples, paths[:, -1])
+        assert np.array_equal(result.captured[1], paths[:, 0])
+        assert np.array_equal(result.captured[45], paths[:, 44])
 
 
 class TestCumulative:
