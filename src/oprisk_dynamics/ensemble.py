@@ -38,6 +38,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
+# trajectories staged per ordered reduction of the running sums
+_SUM_GROUP = 64
 
 
 def derive_seed(master_seed: int, stream: int) -> int:
@@ -181,10 +183,9 @@ def run_ensemble(
     else:
         coupling_stack = np.broadcast_to(p.couplings, (m_trajectories, n, n))
 
-    # process-major like the engine's blocks, so that each trajectory's
-    # chunk adds into contiguous rows
-    sum_z = np.zeros((n, n_steps))
-    sumsq_z = np.zeros((n, n_steps))
+    # process-major like the engine's blocks: sums[0] runs over z and
+    # sums[1] over z * z
+    sums = np.zeros((2, n, n_steps))
     terminal = np.empty((m_trajectories, n))
     captured = {s: np.empty((m_trajectories, n)) for s in capture}
 
@@ -213,16 +214,7 @@ def run_ensemble(
             np.cumsum(z, axis=1, out=z)
             carry[:] = z[:, -1]
             stop = start + z.shape[1]
-            sum_rows = sum_z[:, start:stop]
-            sumsq_rows = sumsq_z[:, start:stop]
-            square = np.empty(sum_rows.shape)
-            # accumulate in trajectory-index order: batch size must not change
-            # floating-point results
-            for b in range(bs):
-                zb = z[:, :, b]
-                sum_rows += zb
-                np.multiply(zb, zb, out=square)
-                sumsq_rows += square
+            _add_in_order(sums[:, :, start:stop], z)
             for s in capture:
                 if start < s <= stop:
                     captured[s][members] = z[:, s - 1 - start].T
@@ -230,8 +222,8 @@ def run_ensemble(
         logger.debug("ensemble batch %d..%d of %d done", first, first + bs, m_trajectories)
 
     m = float(m_trajectories)
-    mean_z = np.ascontiguousarray(sum_z.T) / m
-    var_z = (np.ascontiguousarray(sumsq_z.T) - m * mean_z * mean_z) / (m - 1.0)
+    mean_z = np.ascontiguousarray(sums[0].T) / m
+    var_z = (np.ascontiguousarray(sums[1].T) - m * mean_z * mean_z) / (m - 1.0)
     np.maximum(var_z, 0.0, out=var_z)
     std_z = np.sqrt(var_z)
     return EnsembleResult(
@@ -242,6 +234,28 @@ def run_ensemble(
         master_seed=master_seed,
         captured=captured,
     )
+
+
+def _add_in_order(sums, z) -> None:
+    """Add each trajectory's z and z * z into ``sums``, in trajectory order.
+
+    ``sums`` is a (2, N, m) view of the running sums and ``z`` an (N, m, B)
+    chunk. Batch size must not change floating-point results, so the
+    trajectories are added one after another: a reduction over the leading
+    axis of a C-contiguous stack adds its rows in order, and the stack holds
+    the running sums on top, then at most _SUM_GROUP trajectories. A row
+    holds both sums, so it never has just one element, which numpy would
+    reduce pairwise instead.
+    """
+    n_batch = z.shape[2]
+    stage = np.empty((min(_SUM_GROUP, n_batch) + 1,) + sums.shape)
+    for first in range(0, n_batch, _SUM_GROUP):
+        group = z[:, :, first : first + _SUM_GROUP].transpose(2, 0, 1)
+        rows = stage[: group.shape[0] + 1]
+        rows[0] = sums
+        rows[1:, 0] = group
+        np.multiply(rows[1:, 0], rows[1:, 0], out=rows[1:, 1])
+        np.add.reduce(rows, axis=0, out=sums)
 
 
 def var(samples, confidence: float) -> float:

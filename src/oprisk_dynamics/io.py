@@ -188,8 +188,19 @@ def _write_csv(path, header, blocks) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\r\n")
         for columns in blocks:
-            cells = [map(repr, column.tolist()) for column in columns]
+            cells = [_cells(column) for column in columns]
             handle.writelines(",".join(row) + "\r\n" for row in zip(*cells))
+
+
+def _cells(column):
+    """The ``repr`` of each value of a column, made once per distinct value.
+
+    Floats are keyed on their bit pattern, so -0.0 and 0.0 stay apart.
+    """
+    keys = column.view(np.int64) if column.dtype == np.float64 else column
+    keys, inverse = np.unique(keys, return_inverse=True)
+    text = [repr(value) for value in keys.view(column.dtype).tolist()]
+    return map(text.__getitem__, inverse.tolist())
 
 
 def _row_ranges(n_rows: int):

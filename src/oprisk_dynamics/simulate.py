@@ -26,7 +26,12 @@ chunk: its window counts are differences of prefix counts of its upstream
 processes, and its losses come from one vectorised pass over the chunk. Only
 the processes of a cycle (in the reference model, the self-coupled process 3)
 step through the chunk, on (B,) rows; that step loop is the one kernel that
-Numba compiles when it imports.
+Numba compiles when it imports. A cycle steps only while it is within reach
+of its own losses: when no member has lost anything, in any trajectory, over
+the last ``reach`` steps (the largest lag of a term whose source is a
+member), every such term counts zero, and the members' losses come from the
+same vectorised pass without those terms, up to the next step with a member
+loss.
 
 Every loss gets the same arithmetic in the same order whatever the batch,
 the chunk or the component: the interaction term is accumulated from +0.0
@@ -183,7 +188,9 @@ class _Component(NamedTuple):
     Term t reads the prefix row ``rows[t]`` over a window of ``lags[t]``
     steps and weighs it by ``coefs[t]``, the (B,) couplings J_ij of the
     batch. ``own_rows[k]`` is the prefix row member k writes, or -1 when no
-    process depends on it.
+    process depends on it. ``reach`` is the largest lag of a term whose
+    source is a member (0 on no cycle), and ``outside[k]`` holds the
+    (rows, lags, coefs) of member k's other terms.
     """
 
     cyclic: bool
@@ -193,24 +200,38 @@ class _Component(NamedTuple):
     rows: np.ndarray
     lags: np.ndarray
     coefs: np.ndarray
+    reach: int
+    outside: list
 
 
 def _component(members, cyclic, live, horizons, couplings, row_of) -> _Component:
-    ptr, rows, lags, cols = [0], [], [], []
+    ptr, rows, lags, cols, inside = [0], [], [], [], []
     for i in members:
         for j in np.flatnonzero(live[i]):
             rows.append(row_of[j])
             lags.append(horizons[i, j])
             cols.append(couplings[:, i, j])
+            inside.append(j in members)
         ptr.append(len(rows))
+    rows = np.array(rows, dtype=np.int64)
+    lags = np.array(lags, dtype=np.int64)
+    coefs = np.array(cols, dtype=np.float64).reshape(len(cols), couplings.shape[0])
+    inside = np.array(inside, dtype=bool)
+    outside = []
+    for k in range(len(members)):
+        terms = np.arange(ptr[k], ptr[k + 1])
+        terms = terms[~inside[terms]]
+        outside.append((rows[terms], lags[terms], coefs[terms]))
     return _Component(
         cyclic=cyclic,
         members=np.array(members, dtype=np.int64),
         own_rows=row_of[members],
         ptr=np.array(ptr, dtype=np.int64),
-        rows=np.array(rows, dtype=np.int64),
-        lags=np.array(lags, dtype=np.int64),
-        coefs=np.array(cols, dtype=np.float64).reshape(len(cols), couplings.shape[0]),
+        rows=rows,
+        lags=lags,
+        coefs=coefs,
+        reach=int(lags[inside].max(initial=0)),
+        outside=outside,
     )
 
 
@@ -270,6 +291,8 @@ def _evolve(
         np.empty((tile, n_batch), dtype=bool),
     )
     step_loop = _compiled_chunk if use_compiled_kernel else _numpy_chunk
+    # a cyclic component's losses over its quiet stretches, swept ahead
+    spare = np.empty((max((c.members.size for c in plan if c.cyclic), default=0), chunk, n_batch))
 
     for start in range(0, n_steps, chunk):
         m = min(chunk, n_steps - start)
@@ -277,12 +300,10 @@ def _evolve(
         _draw_noise(losses, draws, generators, lam)
         for c in plan:
             if c.cyclic:
-                step_loop(losses, prefix, w, c.members, c.own_rows, c.ptr, c.rows, c.lags,
-                          c.coefs, theta)
+                _cycle(c, losses, prefix, w, theta, step_loop, spare, sweep_work)
             else:
                 i = c.members[0]
-                _sweep(losses[i], prefix, w, c.own_rows[0], c.rows, c.lags, c.coefs, theta[i],
-                       sweep_work)
+                _sweep(losses[i], prefix, w, c.own_rows[0], *c.outside[0], theta[i], sweep_work)
         # the last w rows of this chunk's window start the next one
         prefix[:, : w + 1] = prefix[:, m : m + w + 1] - prefix[:, m, None]
         yield start, losses
@@ -310,11 +331,13 @@ def _draw_noise(losses, draws, generators, lam) -> None:
 
 
 def _sweep(losses, prefix, w, own_row, rows, lags, coefs, theta_i, work) -> None:
-    """Evolve one process on no cycle over a whole chunk, in place.
+    """Evolve one process over a whole chunk, in place.
 
     ``losses`` is the process's (m, B) slab and holds its noise on entry.
-    Every process it depends on is already known for the chunk, so each
-    window count is a difference of two prefix rows. The slab is swept in
+    The terms passed are those whose sources are already known for the
+    chunk (all of them for a process on no cycle; a cycle member's terms
+    from outside its cycle over a quiet stretch), so each window count is a
+    difference of two prefix rows. The slab is swept in
     tiles of about _SWEEP_TILE trajectory-steps, so the work buffers stay small.
     """
     total_buf, term_buf, ind_buf = work
@@ -341,9 +364,52 @@ def _sweep(losses, prefix, w, own_row, rows, lags, coefs, theta_i, work) -> None
             counts += prefix[own_row, now]
 
 
-def _numpy_chunk(losses, prefix, w, members, own_rows, ptr, rows, lags, coefs, theta) -> None:
+def _cycle(c, losses, prefix, w, theta, step_loop, spare, work) -> None:
+    """Evolve one cyclic component over a chunk, in place.
+
+    The step loop runs only while some member has lost something, in some
+    trajectory, within the last ``c.reach`` steps. At any other step every
+    term whose source is a member has a zero count, so the members' losses
+    are those of a sweep that leaves those terms out. That sweep runs once,
+    on a copy of the noise, from the first quiet step to the end of the
+    chunk; each quiet stretch is copied from it up to and including its next
+    positive step, and the step loop resumes after that step.
+    """
+    m = losses.shape[1]
+    members, own = c.members, c.own_rows
+    # steps at the end of the history with no member loss, counted up to reach
+    recent = prefix[own, w - c.reach : w + 1]
+    quiet = int((recent == recent[:, -1:]).all(axis=(0, 2)).sum()) - 1
+    swept = spare[: members.size, :m]
+    s, positive = 0, None
+    while True:
+        s = step_loop(losses, prefix, w, s, quiet, c.reach, members, own, c.ptr, c.rows, c.lags,
+                      c.coefs, theta)
+        if s == m:
+            return
+        if positive is None:
+            swept[:, s:] = losses[members, s:]
+            for k, i in enumerate(members.tolist()):
+                _sweep(swept[k, s:], prefix[:, s:], w, -1, *c.outside[k], theta[i], work)
+            positive = np.flatnonzero((swept[:, s:] > 0.0).any(axis=(0, 2))) + s
+        k = np.searchsorted(positive, s)
+        stop = positive[k] + 1 if k < positive.size else m
+        losses[members, s:stop] = swept[:, s:stop]
+        prefix[own, w + s + 1 : w + stop + 1] = prefix[own, w + s, None] + np.cumsum(
+            swept[:, s:stop] > 0.0, axis=1, dtype=np.int32
+        )
+        s, quiet = stop, 0
+
+
+def _numpy_chunk(losses, prefix, w, start, quiet, reach, members, own_rows, ptr, rows, lags,
+                 coefs, theta) -> int:
     """Step loop of one cyclic component in pure numpy; arithmetic order
-    matches the compiled kernel."""
+    matches the compiled kernel.
+
+    Steps from ``start`` while the component is within ``reach`` steps of a
+    member's loss; ``quiet`` is the number of steps since the last one.
+    Returns the step at which it has gone quiet, or the chunk's end.
+    """
     n_batch = losses.shape[2]
     acc = np.empty(n_batch)
     prod = np.empty(n_batch)
@@ -353,7 +419,10 @@ def _numpy_chunk(losses, prefix, w, members, own_rows, ptr, rows, lags, coefs, t
     for k, i in enumerate(members.tolist()):
         terms = [(coefs[t], prefix[rows[t]], w - lags[t]) for t in range(ptr[k], ptr[k + 1])]
         procs.append((losses[i], prefix[own_rows[k]], theta[i], terms))
-    for s in range(losses.shape[1]):
+    for s in range(start, losses.shape[1]):
+        if quiet >= reach:
+            return s
+        quiet += 1
         for slab, window, theta_i, terms in procs:
             acc.fill(0.0)
             for coef, source, lag in terms:
@@ -366,13 +435,20 @@ def _numpy_chunk(losses, prefix, w, members, own_rows, ptr, rows, lags, coefs, t
             np.maximum(row, 0.0, out=row)
             np.greater(row, 0.0, out=ind)
             np.add(window[w + s], ind, out=window[w + s + 1])
+            if ind.any():
+                quiet = 0
+    return losses.shape[1]
 
 
-def _compiled_chunk(losses, prefix, w, members, own_rows, ptr, rows, lags, coefs, theta):
+def _compiled_chunk(losses, prefix, w, start, quiet, reach, members, own_rows, ptr, rows, lags,
+                    coefs, theta):
     """Step loop of one cyclic component, one scalar at a time; compiled by
-    Numba when it imports."""
+    Numba when it imports. Same contract as ``_numpy_chunk``."""
     n_batch = losses.shape[2]
-    for s in range(losses.shape[1]):
+    for s in range(start, losses.shape[1]):
+        if quiet >= reach:
+            return s
+        quiet += 1
         for k in range(members.shape[0]):
             i = members[k]
             own = own_rows[k]
@@ -385,6 +461,9 @@ def _compiled_chunk(losses, prefix, w, members, own_rows, ptr, rows, lags, coefs
                 positive = v > 0.0
                 losses[i, s, b] = v if positive else 0.0
                 prefix[own, w + s + 1, b] = prefix[own, w + s, b] + (1 if positive else 0)
+                if positive:
+                    quiet = 0
+    return losses.shape[1]
 
 
 if _HAVE_NUMBA:

@@ -188,6 +188,28 @@ class TestRunEnsemble:
         assert np.array_equal(baseline.std_z, other.std_z)
         assert np.array_equal(baseline.terminal_samples, other.terminal_samples)
 
+    @pytest.mark.parametrize("case", ["reference", "one_process_one_step"])
+    @pytest.mark.parametrize("batch_size", [1, 63, 64, 65])
+    def test_batch_size_across_the_summation_groups(self, reference_parameters, case,
+                                                    batch_size):
+        # the running sums take up to 64 trajectories per ordered reduction,
+        # so batches of 63, 64, 65 and M = 130 cut those groups differently;
+        # one process over one step makes each chunk row a single value
+        if case == "reference":
+            p, n_steps = reference_parameters, 40
+        else:
+            p = validate_parameters(
+                ModelParameters(n=1, theta=[0.5], lam=[1.5], couplings=[[0.0]], horizons=[[0]])
+            )
+            n_steps = 1
+        kwargs = dict(master_seed=17, capture_steps=(1,))
+        baseline = run_ensemble(p, None, n_steps, 130, batch_size=130, **kwargs)
+        other = run_ensemble(p, None, n_steps, 130, batch_size=batch_size, **kwargs)
+        assert baseline.mean_z.tobytes() == other.mean_z.tobytes()
+        assert baseline.std_z.tobytes() == other.std_z.tobytes()
+        assert baseline.terminal_samples.tobytes() == other.terminal_samples.tobytes()
+        assert baseline.captured[1].tobytes() == other.captured[1].tobytes()
+
     def test_chunk_boundaries_carry_the_running_sums(self, small_parameters, monkeypatch):
         # a batch of 7 gets 280 // 7 = 40 steps per chunk: T = 150 spans
         # chunks starting at steps 1, 41, 81 and 121

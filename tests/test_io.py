@@ -220,6 +220,18 @@ class TestSeriesAndHistograms:
         write_loss_database(empty, np.zeros((3, 2)))
         assert empty.read_bytes() == b"t,process,amount\r\n"
 
+    def test_exact_bytes_of_repeated_values_and_signed_zeros(self, tmp_path):
+        # each distinct value is formatted once per block: repeats must come
+        # back in place, and -0.0 must not collapse into 0.0
+        series = tmp_path / "series.csv"
+        write_series(series, np.array([[0.5, -0.0, 0.0], [0.0, 0.5, -0.0], [2.5, 2.5, 0.5]]))
+        assert series.read_bytes() == (
+            b"t,process,value\r\n"
+            b"1,1,0.5\r\n1,2,-0.0\r\n1,3,0.0\r\n"
+            b"2,1,0.0\r\n2,2,0.5\r\n2,3,-0.0\r\n"
+            b"3,1,2.5\r\n3,2,2.5\r\n3,3,0.5\r\n"
+        )
+
     def test_histogram_rejects_empty(self, tmp_path):
         with pytest.raises(errors.EmptySample):
             write_histogram(tmp_path / "h.csv", [])

@@ -21,7 +21,7 @@ from oprisk_dynamics.model import (
     validate_parameters,
 )
 from oprisk_dynamics.ensemble import derive_seed, run_ensemble
-from oprisk_dynamics.simulate import _component_order, cumulative, simulate
+from oprisk_dynamics.simulate import _component_order, _evolve, cumulative, simulate
 
 from conftest import build_reference_parameters
 
@@ -108,6 +108,68 @@ def history_for(p, seed):
     rng = np.random.default_rng(seed)
     shape = (p.max_horizon, p.n)
     return np.where(rng.random(shape) < 0.5, rng.uniform(0.1, 2.0, shape), 0.0)
+
+
+# models whose cycles are quiet on some stretches and busy on others, so the
+# engine switches between its step loop and the sweep of a quiet stretch
+QUIET_MODELS = {
+    # theta + 3 J > 0: once three steps in a row lose, the process loses on
+    # every step; the seven oracle trajectories lock in at steps 3 to 94
+    "self_excited_lock_in": lambda: linked_model(1, [(0, 0, 0.6, 3)], theta=-1.6),
+    # the cycle {1, 2} reaches back 2 steps, its feed from 0 reaches back 6
+    "short_cycle_long_feed": lambda: linked_model(
+        3, [(1, 0, 0.3, 6), (1, 2, 0.3, 1), (2, 1, 0.35, 2)], theta=-2.5
+    ),
+    # each quiet in-component term is -0.0
+    "negative_self_coupling": lambda: linked_model(
+        2, [(0, 0, -0.5, 3), (1, 0, 0.3, 2), (1, 1, -0.2, 2)], theta=-2.0
+    ),
+    "reference": build_reference_parameters,
+}
+
+
+def cycle_members(p):
+    live = (p.horizons > 0) & (p.couplings != 0.0)
+    return [i for members, cyclic in _component_order(live) if cyclic for i in members]
+
+
+def start_history(p, kind):
+    """A start history whose last row has a loss of a cycle member, or in
+    which no cycle member has lost anything."""
+    initial = history_for(p, 5)
+    members = cycle_members(p)
+    if kind == "ends_in_member_loss":
+        initial[-1, members[0]] = 0.7
+    else:
+        initial[:, members] = 0.0
+    return initial
+
+
+def engine_losses(p, initial, n_steps, seeds):
+    """The (T, B, N) losses of one batch of the engine, one seed per member."""
+    out = np.empty((n_steps, len(seeds), p.n))
+    generators = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+    couplings = np.broadcast_to(p.couplings, (len(seeds), p.n, p.n))
+    for start, block in _evolve(p.theta, p.lam, couplings, p.horizons, initial, n_steps,
+                                generators):
+        out[start : start + block.shape[1]] = block.transpose(1, 2, 0)
+    return out
+
+
+def count_steps(monkeypatch, sim):
+    """Wrap the step loop the engine selects; returns the list of steps each
+    call of it stepped."""
+    name = "_compiled_chunk" if sim.use_compiled_kernel else "_numpy_chunk"
+    loop = getattr(sim, name)
+    stepped = []
+
+    def counted(losses, prefix, w, start, *rest):
+        stop = loop(losses, prefix, w, start, *rest)
+        stepped.append(stop - start)
+        return stop
+
+    monkeypatch.setattr(sim, name, counted)
+    return stepped
 
 
 class TestSimulate:
@@ -323,6 +385,41 @@ class TestDependencyOrder:
         assert np.array_equal(result.terminal_samples, paths[:, -1])
         assert np.array_equal(result.captured[1], paths[:, 0])
         assert np.array_equal(result.captured[45], paths[:, 44])
+
+    @pytest.mark.parametrize("budget", [None, 7])
+    @pytest.mark.parametrize("compiled", [True, False])
+    @pytest.mark.parametrize("history", ["ends_in_member_loss", "quiet"])
+    @pytest.mark.parametrize("name", sorted(QUIET_MODELS))
+    def test_quiet_stretches_match_naive_reference(self, monkeypatch, name, history, compiled,
+                                                   budget):
+        # a budget of 7 with 5-step tiles makes the quiet stretches cross
+        # chunk and tile boundaries at every batch size
+        sim = importlib.import_module("oprisk_dynamics.simulate")
+        monkeypatch.setattr(sim, "use_compiled_kernel", compiled)
+        if budget is not None:
+            monkeypatch.setattr(sim, "_CHUNK_BUDGET", budget)
+            monkeypatch.setattr(sim, "_SWEEP_TILE", 5)
+        p = QUIET_MODELS[name]()
+        initial = start_history(p, history)
+        n_steps, seeds = 150, [derive_seed(41, m) for m in range(7)]
+        expected = np.stack([naive_simulate(p, initial, n_steps, seed) for seed in seeds], axis=1)
+        stepped = count_steps(monkeypatch, sim)
+        for batch in (1, 2, 3, 7):
+            for first in range(0, 7, batch):
+                got = engine_losses(p, initial, n_steps, seeds[first : first + batch])
+                assert np.array_equal(got, expected[:, first : first + batch])
+            if batch == 1:
+                # one trajectory at a time, each run both steps and skips
+                assert 0 < sum(stepped) < 7 * n_steps
+
+    def test_step_loop_runs_on_few_steps_of_a_subcritical_run(self, monkeypatch):
+        # the reference model's process 3 loses on about 1% of its steps, so
+        # it is within reach (5 steps) of its own losses on few of them
+        sim = importlib.import_module("oprisk_dynamics.simulate")
+        stepped = count_steps(monkeypatch, sim)
+        p = build_reference_parameters()
+        simulate(p, None, 20_000, NoiseSpec(rates=p.lam, seed=1))
+        assert 0 < sum(stepped) < 0.25 * 20_000
 
 
 class TestCumulative:
