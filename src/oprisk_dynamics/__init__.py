@@ -12,11 +12,9 @@ distributions and VaR by Monte Carlo.
 from . import errors
 from .ensemble import (
     EnsembleResult,
-    SummaryReport,
     derive_seed,
     parameters_from_estimates,
     run_ensemble,
-    summarize,
     var,
 )
 from .estimate import (
@@ -41,6 +39,7 @@ from .io import (
     ingest,
     load_config,
     read_loss_records,
+    read_samples,
     reference_config_path,
     write_histogram,
     write_loss_database,
@@ -70,7 +69,6 @@ __all__ = [
     "NoiseSpec",
     "RawLossRecord",
     "RunConfig",
-    "SummaryReport",
     "Trajectory",
     "ValidationReport",
     "classify_events",
@@ -88,12 +86,12 @@ __all__ = [
     "load_config",
     "parameters_from_estimates",
     "read_loss_records",
+    "read_samples",
     "reference_config_path",
     "relative_error",
     "run_ensemble",
     "run_validation",
     "simulate",
-    "summarize",
     "validate_parameters",
     "var",
     "write_histogram",

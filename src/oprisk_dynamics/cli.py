@@ -20,8 +20,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import errors, io
 from .ensemble import run_ensemble, var
 from .estimate import EstimateSet, estimate_from_database

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import errors
-from .estimate import CouplingSampler, EstimateSet, collapse_estimates, collapse_mean
+from .estimate import CouplingSampler, EstimateSet, collapse_estimates
 from .model import LossMatrix, ModelParameters, seed_in_range, validate_parameters
 from .simulate import _evolve, _start_history
 
@@ -30,8 +30,6 @@ __all__ = [
     "parameters_from_estimates",
     "run_ensemble",
     "var",
-    "summarize",
-    "SummaryReport",
 ]
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -89,13 +87,11 @@ class EnsembleResult:
         return self.mean_z.shape[1]
 
 
-def parameters_from_estimates(
-    estimates: EstimateSet, couplings: np.ndarray | None = None
-) -> ModelParameters:
+def parameters_from_estimates(estimates: EstimateSet, couplings: np.ndarray) -> ModelParameters:
     """Assemble simulation parameters from an estimate set.
 
     Args:
-        couplings: an already-collapsed matrix; None means mean collapse.
+        couplings: the candidates collapsed, as ``collapse_estimates`` does.
 
     Raises:
         EstimationDegenerate: some process has no usable threshold estimate.
@@ -103,8 +99,6 @@ def parameters_from_estimates(
     missing = np.nonzero(~estimates.theta_available)[0]
     if missing.size:
         raise errors.EstimationDegenerate(missing.tolist())
-    if couplings is None:
-        couplings = collapse_mean(estimates)
     return validate_parameters(
         ModelParameters(
             n=estimates.n_processes,
@@ -274,53 +268,3 @@ def var(samples, confidence: float) -> float:
     rank = math.ceil(confidence * s.size)
     rank = min(max(rank, 1), s.size)
     return float(np.sort(s, kind="stable")[rank - 1])
-
-
-@dataclass(eq=False)
-class SummaryReport:
-    """Per-process cross-section report at one step.
-
-    ``var_by_confidence`` is None when the ensemble kept no z cross-section
-    at the step (interior steps must be requested via capture_steps).
-    """
-
-    step: int
-    mean: np.ndarray
-    std: np.ndarray
-    confidences: tuple
-    var_by_confidence: dict | None
-
-
-def summarize(
-    e: EnsembleResult, horizon_steps: int, confidences=(0.999,)
-) -> SummaryReport:
-    """Report mean, std, and VaR per process at a 1-based step.
-
-    Pure function of the EnsembleResult. VaR needs the z cross-section: it is
-    always available at the final step, and at interior steps captured when
-    the ensemble ran.
-
-    Raises:
-        HorizonOutOfRange: step outside [1, T].
-    """
-    t = int(horizon_steps)
-    if not 1 <= t <= e.n_steps:
-        raise errors.HorizonOutOfRange(t, e.n_steps)
-    if t == e.n_steps:
-        section = e.terminal_samples
-    else:
-        section = e.captured.get(t)
-
-    var_by_confidence = None
-    if section is not None:
-        var_by_confidence = {
-            float(c): np.array([var(section[:, i], c) for i in range(e.n_processes)])
-            for c in confidences
-        }
-    return SummaryReport(
-        step=t,
-        mean=e.mean_z[t - 1].copy(),
-        std=e.std_z[t - 1].copy(),
-        confidences=tuple(float(c) for c in confidences),
-        var_by_confidence=var_by_confidence,
-    )

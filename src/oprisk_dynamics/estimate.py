@@ -65,8 +65,6 @@ class EventClassCounts:
         n_steps: length of the scanned database.
         window: number of leading steps skipped (the maximum horizon).
         horizons: the (N, N) horizon matrix the classes were built with.
-
-    Counters from disjoint scans (same horizons) merge additively with ``+``.
     """
 
     base_total: np.ndarray
@@ -87,20 +85,6 @@ class EventClassCounts:
     @property
     def n_processes(self) -> int:
         return self.base_total.shape[0]
-
-    def __add__(self, other: "EventClassCounts") -> "EventClassCounts":
-        if not np.array_equal(self.horizons, other.horizons):
-            raise ValueError("cannot merge counters built with different horizons")
-        return EventClassCounts(
-            base_total=self.base_total + other.base_total,
-            base_zero=self.base_zero + other.base_zero,
-            class_total=self.class_total + other.class_total,
-            class_zero=self.class_zero + other.class_zero,
-            discarded=self.discarded + other.discarded,
-            n_steps=self.n_steps + other.n_steps,
-            window=self.window,
-            horizons=self.horizons,
-        )
 
 
 class CouplingCandidate(NamedTuple):

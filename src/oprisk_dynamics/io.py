@@ -3,7 +3,8 @@
 Formats (UTF-8, comma-separated, `.` decimal separator, 1-based indices):
 
 * loss database: header ``t,process,amount``, one positive-amount record per
-  line; ``t`` is an integer step or an ISO-8601 timestamp.
+  line; ``t`` is an integer step or an ISO-8601 timestamp. A timestamp
+  without a UTC offset is read as UTC, never in the machine's time zone.
 * series tables: header ``t,process,value``, full (step, process) grid.
 * histograms: header ``bin_left,bin_right,count``.
 * configuration: one JSON document; see ``load_config``.
@@ -16,7 +17,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timezone
 from importlib import resources
 from typing import Iterable, NamedTuple
 
@@ -65,11 +66,12 @@ def _parse_timestamp(text: str, line_no: int) -> float:
     except ValueError:
         try:
             # datetime.fromisoformat in 3.10 rejects a trailing Z
-            return datetime.fromisoformat(text.replace("Z", "+00:00")).timestamp()
+            stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
         except ValueError:
             raise errors.MalformedRecord(
                 line_no, f"timestamp {text!r} is neither a number nor ISO-8601"
             ) from None
+        return stamp.replace(tzinfo=stamp.tzinfo or timezone.utc).timestamp()
     if not math.isfinite(value):
         raise errors.MalformedRecord(line_no, f"timestamp {text!r} is not finite")
     return value
@@ -242,7 +244,7 @@ def write_histogram(path, samples, n_bins: int = 60) -> None:
 
 
 def read_samples(path) -> np.ndarray:
-    """Read one float per line (blank lines and # comments skipped)."""
+    """Read one finite float per line (blank lines and # comments skipped)."""
     values = []
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -250,11 +252,14 @@ def read_samples(path) -> np.ndarray:
             if not text or text.startswith("#"):
                 continue
             try:
-                values.append(float(text))
+                value = float(text)
             except ValueError:
                 raise errors.MalformedRecord(
                     line_no, f"sample {text!r} is not a number"
                 ) from None
+            if not math.isfinite(value):
+                raise errors.MalformedRecord(line_no, f"sample {text!r} is not finite")
+            values.append(value)
     if not values:
         raise errors.EmptySample(f"no samples in {path}")
     return np.array(values)
@@ -280,31 +285,38 @@ class RunConfig:
     out_dir: str
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n_steps, int) and self.n_steps >= 1):
+        if not (_is_number(self.n_steps, integer=True) and self.n_steps >= 1):
             raise errors.ConfigError("simulation.n_steps", "must be an integer >= 1")
         seed = self.master_seed
-        if seed is not None and not (isinstance(seed, int) and seed_in_range(seed)):
+        if seed is not None and not (_is_number(seed, integer=True) and seed_in_range(seed)):
             raise errors.ConfigError("simulation.seed", "must be an integer in [0, 2**64)")
-        if not (isinstance(self.m_trajectories, int) and self.m_trajectories >= 2):
+        if not (_is_number(self.m_trajectories, integer=True) and self.m_trajectories >= 2):
             raise errors.ConfigError("simulation.m_trajectories", "must be an integer >= 2")
-        if not (isinstance(self.fraction, (int, float)) and 0.0 < self.fraction <= 1.0):
+        if not (_is_number(self.fraction) and 0.0 < self.fraction <= 1.0):
             raise errors.ConfigError("estimation.fraction", "must lie in (0, 1]")
         if self.collapse not in ("mean", "sample-per-run"):
             raise errors.ConfigError("estimation.collapse", "must be 'mean' or 'sample-per-run'")
         confidences = self.confidences
         if not isinstance(confidences, (list, tuple)) or not confidences or not all(
-            isinstance(c, (int, float)) and 0.0 < c < 1.0 for c in confidences
+            _is_number(c) and 0.0 < c < 1.0 for c in confidences
         ):
             raise errors.ConfigError("output.confidences", "must be a list of values in (0, 1)")
-        if not (isinstance(self.resolution, (int, float)) and self.resolution > 0):
+        if not (_is_number(self.resolution) and self.resolution > 0):
             raise errors.ConfigError("output.resolution", "must be > 0")
-        if not (isinstance(self.histogram_bins, int) and self.histogram_bins >= 1):
+        if not (_is_number(self.histogram_bins, integer=True) and self.histogram_bins >= 1):
             raise errors.ConfigError("output.histogram_bins", "must be an integer >= 1")
         if not isinstance(self.out_dir, str):
             raise errors.ConfigError("output.out_dir", "must be a string path")
         object.__setattr__(self, "fraction", float(self.fraction))
         object.__setattr__(self, "confidences", tuple(float(c) for c in confidences))
         object.__setattr__(self, "resolution", float(self.resolution))
+
+
+def _is_number(value, integer: bool = False) -> bool:
+    """The rule of every numeric config value: a JSON number (an integer where
+    ``integer``), never a boolean, though Python's bool is an int."""
+    kinds = int if integer else (int, float)
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 def _require(block: dict, key: str, path: str):
@@ -334,29 +346,30 @@ def _noise_rates(noise_specs, theta: np.ndarray) -> np.ndarray:
             raise errors.ConfigError(
                 where, "exactly one of 'p', 'lambda', 'quantile' required"
             )
+        q = spec.get("quantile")
+        if "quantile" in spec and (not isinstance(q, dict) or set(q) != {"value", "alpha"}):
+            raise errors.ConfigError(
+                where + ".quantile", "needs exactly the keys 'value' and 'alpha'"
+            )
+        values = [q["value"], q["alpha"]] if "quantile" in spec else list(spec.values())
+        if not all(map(_is_number, values)):
+            raise errors.ConfigError(where, f"not a number: {values!r}")
         try:
             if "p" in spec:
                 lam[i] = lambda_from_p(float(spec["p"]), float(theta[i]))
             elif "lambda" in spec:
                 lam[i] = float(spec["lambda"])
             else:
-                q = spec["quantile"]
-                if not isinstance(q, dict) or set(q) != {"value", "alpha"}:
-                    raise errors.ConfigError(
-                        where + ".quantile", "needs exactly the keys 'value' and 'alpha'"
-                    )
                 lam[i] = lambda_from_quantile(float(q["value"]), float(q["alpha"]))
         except (errors.InvalidProbability, errors.NonNegativeTheta,
                 errors.InvalidQuantile, errors.InvalidOrder) as exc:
             raise errors.ConfigError(where, str(exc)) from exc
-        except (TypeError, ValueError) as exc:
-            raise errors.ConfigError(where, f"not a number: {exc}") from exc
     return lam
 
 
 def _build_parameters(model: dict) -> ModelParameters:
     theta_raw = _require(model, "theta", "model")
-    if not isinstance(theta_raw, list) or not theta_raw:
+    if not isinstance(theta_raw, list) or not theta_raw or not all(map(_is_number, theta_raw)):
         raise errors.ConfigError("model.theta", "must be a nonempty list of numbers")
     theta = np.asarray(theta_raw, dtype=np.float64)
     n = theta.shape[0]
@@ -372,18 +385,20 @@ def _build_parameters(model: dict) -> ModelParameters:
         if not (isinstance(triple, list) and len(triple) == 3):
             raise errors.ConfigError(where, "must be an [i, j, value] triple")
         i, j, value = triple
-        if not (isinstance(i, int) and isinstance(j, int) and 1 <= i <= n and 1 <= j <= n):
+        if not all(_is_number(index, integer=True) and 1 <= index <= n for index in (i, j)):
             raise errors.ConfigError(where, f"indices must be integers in [1, {n}]")
+        if not _is_number(value):
+            raise errors.ConfigError(where, "value must be a number")
         couplings[i - 1, j - 1] = float(value)
 
     horizons_raw = model.get("horizons", 0)
-    if isinstance(horizons_raw, (int, float)):
-        # scalar applies to every declared coupling
-        horizons = np.where(couplings != 0.0, int(horizons_raw), 0)
+    if _is_number(horizons_raw):
+        # scalar applies to every declared coupling; validation rejects a fraction
+        horizons = np.where(couplings != 0.0, horizons_raw, 0)
     else:
         horizons = np.asarray(horizons_raw)
-        if horizons.shape != (n, n):
-            raise errors.ConfigError("model.horizons", f"matrix must be {n}x{n}")
+        if horizons.shape != (n, n) or not all(_is_number(h) for row in horizons_raw for h in row):
+            raise errors.ConfigError("model.horizons", f"must be a number or a {n}x{n} matrix")
 
     try:
         return validate_parameters(

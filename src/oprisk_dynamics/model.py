@@ -18,8 +18,6 @@ __all__ = [
     "ModelParameters",
     "LossMatrix",
     "NoiseSpec",
-    "noise_rates",
-    "seed_in_range",
     "validate_parameters",
 ]
 

@@ -127,7 +127,7 @@ def simulate(
     ):
         out[start : start + block.shape[1]] = block[:, :, 0].T
     losses = LossMatrix(out)
-    z = np.cumsum(losses.losses, axis=0)
+    z = cumulative(losses)
     z.setflags(write=False)
     return Trajectory(losses=losses, cumulative=z, seed=noise.seed)
 
@@ -250,7 +250,7 @@ def _evolve(
         theta, lam: shared (N,) parameter vectors.
         couplings: (B, N, N), one matrix per trajectory.
         horizons: shared (N, N) integer matrix.
-        initial: (W, N) starting history, oldest first, shared by the batch.
+        initial: (W, N) history from ``_start_history``, oldest first; W is the largest horizon.
         generators: B independent noise generators, consumed chunk-wise; each
             trajectory's stream is identical to per-step sequential draws.
 
@@ -265,7 +265,7 @@ def _evolve(
     """
     n = theta.shape[0]
     n_batch = couplings.shape[0]
-    w = int(horizons.max()) if horizons.size else 0
+    w = initial.shape[0]
     live = (horizons > 0) & (couplings != 0.0).any(axis=0)
     # only processes that some process depends on need prefix counts
     sources = np.flatnonzero(live.any(axis=0))

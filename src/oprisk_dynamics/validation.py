@@ -53,7 +53,7 @@ class ValidationReport:
             per nonzero true coupling (0-based keys).
         coverage: per process, |z_true(T) - mean_z(T)| / std_z(T).
         fraction_used: share of the database the estimator saw.
-        estimates: the full estimate set (None in self-test mode).
+        estimates: the full estimate set.
         z_true: (T, N) cumulative losses of the synthesized database.
         ensemble: the forecast ensemble aggregates.
         master_seed, n_steps, m_trajectories: reproduction coordinates.
@@ -63,7 +63,7 @@ class ValidationReport:
     delta_j: dict
     coverage: np.ndarray
     fraction_used: float
-    estimates: EstimateSet | None
+    estimates: EstimateSet
     z_true: np.ndarray
     ensemble: EnsembleResult
     master_seed: int
@@ -73,7 +73,6 @@ class ValidationReport:
     def to_json_dict(self) -> dict:
         """Summary as plain JSON types; bulky series stay out (file exports
         carry them). Process indices and coupling keys are 1-based here."""
-        est = self.estimates
         doc = {
             "master_seed": self.master_seed,
             "n_steps": self.n_steps,
@@ -87,10 +86,10 @@ class ValidationReport:
             "z_true_terminal": [float(z) for z in self.z_true[-1]],
             "mean_z_terminal": [float(z) for z in self.ensemble.mean_z[-1]],
             "std_z_terminal": [float(z) for z in self.ensemble.std_z[-1]],
-            "self_test": est is None,
+            # every report forecasts from estimates; the key keeps the format
+            "self_test": False,
         }
-        if est is not None:
-            doc.update(est.to_json_dict())
+        doc.update(self.estimates.to_json_dict())
         return doc
 
 
@@ -100,16 +99,12 @@ def run_validation(
     fraction: float,
     m_trajectories: int,
     master_seed: int,
-    use_true_parameters: bool = False,
-    capture_steps=(),
 ) -> ValidationReport:
     """Run the full synthesize/estimate/forecast/compare protocol.
 
     Args:
         fraction: share (0, 1] of the database given to the estimator; the
             remainder is withheld, making the forecast a true extrapolation.
-        use_true_parameters: self-test mode; skips estimation and forecasts
-            with p_true itself (all relative errors are exactly 0).
 
     Raises:
         ValueError: fraction outside (0, 1].
@@ -133,35 +128,18 @@ def run_validation(
         raise errors.DatabaseTooShort(est_steps, p_true.max_horizon + 1)
 
     n = p_true.n
-    if use_true_parameters:
-        estimates = None
-        delta_theta = np.zeros(n)
-        delta_j = {
-            (int(i), int(j)): 0.0 for i, j in np.argwhere(p_true.couplings != 0.0)
-        }
-        ensemble = run_ensemble(
-            p_true, None, n_steps, m_trajectories, ensemble_master,
-            capture_steps=capture_steps,
-        )
-    else:
-        estimates = estimate_from_database(
-            truth.losses.losses[:est_steps], p_true.horizons, p_true.lam
-        )
-        delta_theta = np.array(
-            [
-                relative_error(p_true.theta[i], estimates.theta_hat[i])
-                for i in range(n)
-            ]
-        )
-        collapsed = collapse_precision(estimates)
-        delta_j = {
-            (int(i), int(j)): relative_error(p_true.couplings[i, j], collapsed[i, j])
-            for i, j in np.argwhere(p_true.couplings != 0.0)
-        }
-        ensemble = run_ensemble(
-            estimates, None, n_steps, m_trajectories, ensemble_master,
-            collapse="sample-per-run", capture_steps=capture_steps,
-        )
+    estimates = estimate_from_database(
+        truth.losses.losses[:est_steps], p_true.horizons, p_true.lam
+    )
+    delta_theta = np.array(list(map(relative_error, p_true.theta, estimates.theta_hat)))
+    collapsed = collapse_precision(estimates)
+    delta_j = {
+        (int(i), int(j)): relative_error(p_true.couplings[i, j], collapsed[i, j])
+        for i, j in np.argwhere(p_true.couplings != 0.0)
+    }
+    ensemble = run_ensemble(
+        estimates, None, n_steps, m_trajectories, ensemble_master, collapse="sample-per-run"
+    )
 
     gap = np.abs(z_true[-1] - ensemble.mean_z[-1])
     std = ensemble.std_z[-1]

@@ -72,6 +72,14 @@ class TestVarCommand:
         assert doc["error"] == "FileNotFoundError"
         assert doc["message"]
 
+    def test_non_finite_sample_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "samples.txt"
+        path.write_text("1\nnan\n2\n")
+        assert main(["var", str(path), "--confidence", "0.5"]) == 3
+        err = last_stderr_json(capsys)
+        assert err["error"] == "MalformedRecord"
+        assert "line 2" in err["message"]
+
     def test_bad_confidence_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "samples.txt"
         path.write_text("1.0\n")
@@ -301,6 +309,17 @@ class TestFlagOverrides:
         argv = [command, "--config", config, "--out-dir", str(tmp_path / "out"), flag, value]
         assert main(argv) == 2
         assert last_stderr_json(capsys)["error"] == "ConfigError"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key,value", [("simulation.n_steps", True), ("simulation.seed", True)]
+    )
+    def test_boolean_config_number_is_a_config_error(self, tmp_path, capsys, key, value):
+        config = small_config(tmp_path, **{key: value})
+        assert main(["simulate", "--config", config, "--out-dir", str(tmp_path / "out")]) == 2
+        err = last_stderr_json(capsys)
+        assert err["error"] == "ConfigError"
+        assert key in err["message"]
         assert not (tmp_path / "out").exists()
 
     def test_config_block_that_is_not_an_object_is_a_config_error(self, tmp_path, capsys):

@@ -15,16 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oprisk_dynamics import errors
-from oprisk_dynamics.ensemble import (
-    EnsembleResult,
-    SummaryReport,
-    derive_seed,
-    parameters_from_estimates,
-    run_ensemble,
-    summarize,
-    var,
+from oprisk_dynamics.ensemble import derive_seed, parameters_from_estimates, run_ensemble, var
+from oprisk_dynamics.estimate import (
+    CouplingCandidate,
+    CouplingSampler,
+    EstimateSet,
+    collapse_mean,
 )
-from oprisk_dynamics.estimate import CouplingCandidate, CouplingSampler, EstimateSet
 from oprisk_dynamics.model import LossMatrix, ModelParameters, NoiseSpec, validate_parameters
 from oprisk_dynamics.simulate import simulate
 
@@ -332,7 +329,7 @@ def two_candidate_estimates():
 class TestEstimateSetSources:
     def test_parameters_from_estimates_mean_collapse(self):
         est = two_candidate_estimates()
-        p = parameters_from_estimates(est)
+        p = parameters_from_estimates(est, collapse_mean(est))
         assert np.array_equal(p.theta, est.theta_hat)
         assert np.array_equal(p.lam, est.lam)
         assert np.array_equal(p.horizons, est.horizons)
@@ -343,7 +340,7 @@ class TestEstimateSetSources:
         est.theta_available = np.array([True, False])
         est.theta_hat = np.array([-1.0, 0.0])
         with pytest.raises(errors.EstimationDegenerate) as exc:
-            parameters_from_estimates(est)
+            parameters_from_estimates(est, collapse_mean(est))
         assert exc.value.indices == [1]
         with pytest.raises(errors.EstimationDegenerate):
             run_ensemble(est, None, 10, 2, master_seed=0)
@@ -351,7 +348,9 @@ class TestEstimateSetSources:
     def test_mean_collapse_source_equals_explicit_parameters(self):
         est = two_candidate_estimates()
         from_est = run_ensemble(est, None, 80, 4, master_seed=21)
-        explicit = run_ensemble(parameters_from_estimates(est), None, 80, 4, master_seed=21)
+        explicit = run_ensemble(
+            parameters_from_estimates(est, collapse_mean(est)), None, 80, 4, master_seed=21
+        )
         assert np.array_equal(from_est.terminal_samples, explicit.terminal_samples)
         assert np.array_equal(from_est.mean_z, explicit.mean_z)
 
@@ -426,62 +425,3 @@ class TestEstimateSetSources:
         est = two_candidate_estimates()
         with pytest.raises(ValueError):
             run_ensemble(est, None, 10, 2, master_seed=0, collapse="median")
-
-
-def hand_built_result():
-    mean_z = np.cumsum(np.full((6, 1), 2.0), axis=0)
-    std_z = np.linspace(0.0, 2.0, 6)[:, None]
-    return EnsembleResult(
-        mean_z=mean_z,
-        std_z=std_z,
-        terminal_samples=np.array([[10.0], [14.0]]),
-        m_trajectories=2,
-        master_seed=0,
-        captured={3: np.array([[4.0], [8.0]])},
-    )
-
-
-class TestSummarize:
-    def test_terminal_report_with_two_point_sample(self):
-        e = hand_built_result()
-        report = summarize(e, 6, confidences=(0.5, 0.9))
-        assert isinstance(report, SummaryReport)
-        assert report.step == 6
-        assert report.mean[0] == e.mean_z[-1, 0]
-        assert report.std[0] == e.std_z[-1, 0]
-        assert report.var_by_confidence[0.5][0] == 10.0  # rank ceil(0.5 * 2) = 1
-        assert report.var_by_confidence[0.9][0] == 14.0
-
-    def test_interior_step_uses_captured_cross_section(self):
-        e = hand_built_result()
-        report = summarize(e, 3, confidences=(0.5,))
-        assert report.var_by_confidence[0.5][0] == 4.0
-        assert report.mean[0] == e.mean_z[2, 0]
-
-    def test_interior_step_without_capture_has_no_var(self):
-        e = hand_built_result()
-        report = summarize(e, 2, confidences=(0.5,))
-        assert report.var_by_confidence is None
-        assert report.mean[0] == e.mean_z[1, 0]
-
-    def test_step_bounds(self):
-        e = hand_built_result()
-        with pytest.raises(errors.HorizonOutOfRange):
-            summarize(e, 0)
-        with pytest.raises(errors.HorizonOutOfRange):
-            summarize(e, 7)
-
-    def test_consistency_with_ensemble_output(self, small_parameters):
-        result = run_ensemble(
-            small_parameters, None, 90, 8, master_seed=13, capture_steps=(45,)
-        )
-        report = summarize(result, 90, confidences=(0.75,))
-        assert np.array_equal(report.mean, result.mean_z[-1])
-        assert np.array_equal(report.std, result.std_z[-1])
-        for i in range(2):
-            assert report.var_by_confidence[0.75][i] == var(
-                result.terminal_samples[:, i], 0.75
-            )
-        mid = summarize(result, 45, confidences=(0.75,))
-        for i in range(2):
-            assert mid.var_by_confidence[0.75][i] == var(result.captured[45][:, i], 0.75)

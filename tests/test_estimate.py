@@ -126,17 +126,6 @@ class TestClassifyEvents:
         counts = classify_events(np.zeros((6, 1)), np.array([[5]]))
         assert counts.base_total[0] == 1
 
-    def test_counters_merge_additively(self):
-        rng = np.random.default_rng(4242)
-        losses_a, horizons = random_database(rng)
-        losses_b, _ = random_database(rng)
-        a = classify_events(losses_a, horizons)
-        b = classify_events(losses_b, horizons)
-        merged = a + b
-        assert np.array_equal(merged.base_total, a.base_total + b.base_total)
-        assert np.array_equal(merged.class_zero, a.class_zero + b.class_zero)
-        assert np.array_equal(merged.discarded, a.discarded + b.discarded)
-
 
 def make_counts(n=1, base_total=(100,), base_zero=(50,), window=1):
     horizons = np.full((n, n), window, dtype=np.int64)

@@ -3,6 +3,8 @@
 import csv
 import json
 import re
+import time
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -103,9 +105,7 @@ class TestIngest:
 
 
 def _ts(text):
-    from datetime import datetime
-
-    return datetime.fromisoformat(text).timestamp()
+    return datetime.fromisoformat(text).replace(tzinfo=timezone.utc).timestamp()
 
 
 class TestDatabaseFiles:
@@ -134,6 +134,22 @@ class TestDatabaseFiles:
         assert rows[0] == ["t", "process", "amount"]
         assert rows[1] == ["1", "2", "2.5"]
         assert rows[2] == ["2", "1", "1.5"]
+
+    # Central European time as a POSIX rule, so no zoneinfo files are needed;
+    # its clocks move forward on 2021-03-28, between the two rows
+    @pytest.mark.parametrize("tz", ["UTC0", "CET-1CEST,M3.5.0,M10.5.0/3"])
+    def test_naive_timestamps_are_utc_in_every_time_zone(self, tmp_path, monkeypatch, tz):
+        path = tmp_path / "db.csv"
+        path.write_text("t,process,amount\n2021-03-27T12:00,1,1.0\n2021-03-28T12:00,1,2.0\n")
+        monkeypatch.setenv("TZ", tz)
+        time.tzset()
+        try:
+            records = read_loss_records(path)
+        finally:
+            monkeypatch.undo()
+            time.tzset()
+        assert records[0].timestamp == _ts("2021-03-27T12:00")
+        assert ingest(records, 3600.0, 1).n_steps == 25
 
     def test_header_is_enforced(self, tmp_path):
         path = tmp_path / "db.csv"
@@ -165,10 +181,13 @@ class TestDatabaseFiles:
         path = tmp_path / "db.csv"
         path.write_text(
             "t,process,amount\n2026-01-01T00:00:00,1,1.0\n\n2026-01-01T00:00:02Z,1,2.0\n"
+            "2026-01-01T02:00:03+02:00,1,3.0\n"
         )
         records = read_loss_records(path)
-        assert len(records) == 2
+        assert len(records) == 3
         assert records[0].amount == 1.0
+        # a naive timestamp is UTC, and an explicit offset is kept
+        assert [r.timestamp - records[0].timestamp for r in records] == [0.0, 2.0, 3.0]
 
 
 class TestSeriesAndHistograms:
@@ -249,6 +268,14 @@ class TestSeriesAndHistograms:
         empty.write_text("\n")
         with pytest.raises(errors.EmptySample):
             read_samples(empty)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "infinity"])
+    def test_read_samples_rejects_non_finite_values(self, tmp_path, text):
+        path = tmp_path / "samples.txt"
+        path.write_text(f"# terminal z\n1.0\n{text}\n2.0\n")
+        with pytest.raises(errors.MalformedRecord, match="not finite") as exc:
+            read_samples(path)
+        assert exc.value.line_no == 3
 
 
 def write_config(tmp_path, mutate=None):
@@ -342,6 +369,74 @@ class TestLoadConfig:
             ("output.confidences", lambda d: d["output"].update(confidences=[2.0])),
             ("output.resolution", lambda d: d["output"].update(resolution=0)),
             ("output.histogram_bins", lambda d: d["output"].update(histogram_bins=0)),
+            # JSON booleans are not numbers, though Python's bool is an int
+            pytest.param(
+                "model.theta",
+                lambda d: d["model"]["theta"].__setitem__(0, True),
+                id="model.theta-bool",
+            ),
+            pytest.param(
+                "model.noise[1]",
+                lambda d: d["model"]["noise"].__setitem__(0, {"lambda": True}),
+                id="model.noise[1]-bool",
+            ),
+            pytest.param(
+                "model.noise[2]",
+                lambda d: d["model"]["noise"].__setitem__(
+                    1, {"quantile": {"value": True, "alpha": 0.5}}
+                ),
+                id="model.noise[2]-quantile-bool",
+            ),
+            pytest.param(
+                "model.couplings[1]",
+                lambda d: d["model"]["couplings"].__setitem__(0, [True, 2, 0.1]),
+                id="model.couplings[1]-index-bool",
+            ),
+            pytest.param(
+                "model.couplings[1]",
+                lambda d: d["model"]["couplings"].__setitem__(0, [1, 2, True]),
+                id="model.couplings[1]-value-bool",
+            ),
+            pytest.param(
+                "model.horizons",
+                lambda d: d["model"].update(horizons=True),
+                id="model.horizons-bool",
+            ),
+            pytest.param(
+                "model.horizons",
+                lambda d: d["model"].update(horizons=[[True] * 5] * 5),
+                id="model.horizons-matrix-bool",
+            ),
+            pytest.param(
+                "horizons[1][2]",
+                lambda d: d["model"].update(horizons=2.5),
+                id="model.horizons-fraction",
+            ),
+            pytest.param(
+                "simulation.n_steps",
+                lambda d: d["simulation"].update(n_steps=True),
+                id="simulation.n_steps-bool",
+            ),
+            pytest.param(
+                "simulation.seed",
+                lambda d: d["simulation"].update(seed=True),
+                id="simulation.seed-bool",
+            ),
+            pytest.param(
+                "estimation.fraction",
+                lambda d: d["estimation"].update(fraction=True),
+                id="estimation.fraction-bool",
+            ),
+            pytest.param(
+                "output.resolution",
+                lambda d: d["output"].update(resolution=True),
+                id="output.resolution-bool",
+            ),
+            pytest.param(
+                "output.histogram_bins",
+                lambda d: d["output"].update(histogram_bins=True),
+                id="output.histogram_bins-bool",
+            ),
         ],
     )
     def test_rejections_name_the_key(self, tmp_path, key_part, mutate):

@@ -114,14 +114,6 @@ class TestRunValidation:
             with pytest.raises(errors.EstimationDegenerate):
                 run_validation(silent, 500, 1.0, 4, 12)
 
-    def test_self_test_mode_has_zero_errors(self, small_parameters):
-        report = run_validation(small_parameters, 2500, 1.0, 16, 77, use_true_parameters=True)
-        assert report.estimates is None
-        assert not report.delta_theta.any()
-        assert report.delta_j == {(0, 1): 0.0}
-        assert np.all(np.isfinite(report.coverage))
-        assert report.coverage.max() < 3.0  # deterministic for this seed
-
     def test_noninteracting_round_trip(self):
         p = validate_parameters(
             ModelParameters(
@@ -155,11 +147,3 @@ class TestReportSerialization:
         assert {"count_class", "estimate", "support"} <= set(first)
         assert back["diagnostics"]["window"] == 3
         assert back["diagnostics"]["estimation_steps"] == 2250
-
-    def test_self_test_document_is_lean(self, small_parameters):
-        report = run_validation(small_parameters, 1200, 1.0, 4, 5, use_true_parameters=True)
-        doc = report.to_json_dict()
-        assert doc["self_test"] is True
-        assert "theta_hat" not in doc
-        assert "coupling_candidates" not in doc
-        json.dumps(doc)
