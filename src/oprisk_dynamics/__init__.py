@@ -34,6 +34,7 @@ from .estimate import (
     lambda_from_quantile,
 )
 from .io import (
+    LossRecords,
     RawLossRecord,
     RunConfig,
     ingest,
@@ -65,6 +66,7 @@ __all__ = [
     "EstimationDiagnostics",
     "EventClassCounts",
     "LossMatrix",
+    "LossRecords",
     "ModelParameters",
     "NoiseSpec",
     "RawLossRecord",

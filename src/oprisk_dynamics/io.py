@@ -1,6 +1,8 @@
 """File formats, database ingestion with time binning, and configuration.
 
-Formats (UTF-8, comma-separated, `.` decimal separator, 1-based indices):
+Formats (UTF-8, comma-separated, `.` decimal separator, 1-based indices).
+The database and samples readers ignore a leading UTF-8 byte-order mark,
+which spreadsheet tools write:
 
 * loss database: header ``t,process,amount``, one positive-amount record per
   line; ``t`` is an integer step or an ISO-8601 timestamp. A timestamp
@@ -16,9 +18,11 @@ import csv
 import json
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
+from itertools import islice
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -29,6 +33,7 @@ from .model import LossMatrix, ModelParameters, seed_in_range, validate_paramete
 
 __all__ = [
     "RawLossRecord",
+    "LossRecords",
     "read_loss_records",
     "ingest",
     "write_loss_database",
@@ -48,8 +53,10 @@ def reference_config_path() -> str:
 _DB_HEADER = ["t", "process", "amount"]
 _SERIES_HEADER = ["t", "process", "value"]
 _HIST_HEADER = ["bin_left", "bin_right", "count"]
-# rows of an array formatted at a time by the CSV writers
+# rows formatted at a time by the CSV writers, and parsed at a time by
+# read_loss_records
 _CSV_BLOCK_ROWS = 1024
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 class RawLossRecord(NamedTuple):
@@ -77,21 +84,108 @@ def _parse_timestamp(text: str, line_no: int) -> float:
     return value
 
 
-def read_loss_records(source) -> list[RawLossRecord]:
+class LossRecords(Sequence):
+    """Loss records held as three read-only columns, in file order.
+
+    ``timestamps`` is float64, ``process_ids`` int64 and ``amounts`` float64,
+    except that ``of`` keeps Python objects in the first two unless every
+    timestamp is a float other than NaN and every id an int within int64.
+    So ``ingest`` bins an integer timestamp beyond 2**53 exactly, and finds
+    the extremes of NaN timestamps as Python's ``min`` and ``max`` do.
+    Indexing and iteration give RawLossRecords of Python scalars, as a list
+    of them would.
+    """
+
+    def __init__(self, timestamps, process_ids, amounts) -> None:
+        self.timestamps = timestamps
+        self.process_ids = process_ids
+        self.amounts = amounts
+        for column in (timestamps, process_ids, amounts):
+            column.setflags(write=False)
+
+    @classmethod
+    def of(cls, timestamps: list, process_ids: list, amounts: list) -> "LossRecords":
+        """Columns of Python values, each holding them exactly."""
+        stamps_fit = all(type(t) is float and t == t for t in timestamps)
+        ids_fit = all(type(p) is int and _INT64_MIN <= p <= _INT64_MAX for p in process_ids)
+        return cls(
+            np.array(timestamps, dtype=np.float64 if stamps_fit else object),
+            np.array(process_ids, dtype=np.int64 if ids_fit else object),
+            np.array(amounts, dtype=np.float64),
+        )
+
+    def __len__(self) -> int:
+        return self.amounts.shape[0]
+
+    def __getitem__(self, index: int) -> RawLossRecord:
+        return RawLossRecord(
+            self.timestamps.item(index), self.process_ids.item(index), self.amounts.item(index)
+        )
+
+    def __iter__(self):
+        columns = (self.timestamps.tolist(), self.process_ids.tolist(), self.amounts.tolist())
+        return map(RawLossRecord._make, zip(*columns))
+
+
+def read_loss_records(source) -> LossRecords:
     """Parse a loss database from a path or an iterable of lines.
+
+    Columns are parsed a block of rows at a time. A file that column pass
+    cannot take (an ISO timestamp, or a fault) is read again line by line,
+    which reports the first faulty line.
 
     Raises:
         MalformedRecord: wrong header, wrong field count, unparsable values.
     """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, newline="", encoding="utf-8") as handle:
-            return _parse_records(handle)
-    return _parse_records(source)
+    if not isinstance(source, (str, os.PathLike)):
+        lines = list(source)
+        records = _parse_columns(lines)
+        return _parse_rows(lines) if records is None else records
+    with open(source, newline="", encoding="utf-8-sig") as handle:
+        records = _parse_columns(handle)
+    if records is None:
+        with open(source, newline="", encoding="utf-8-sig") as handle:
+            records = _parse_rows(handle)
+    return records
 
 
-def _parse_records(lines: Iterable[str]) -> list[RawLossRecord]:
+def _parse_columns(lines: Iterable[str]) -> LossRecords | None:
+    """The records of a file whose every row has three fields, numeric
+    timestamps that are finite and ids that fit int64; None otherwise.
+
+    Each column goes through the ``float``/``int`` the row loop uses, so a
+    file either parses to the same values or falls to the row loop. Only one
+    block of rows is held as Python strings at a time.
+    """
     reader = csv.reader(lines)
-    records = []
+    parts = []
+    try:
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != _DB_HEADER:
+            return None
+        rows = filter(None, reader)
+        while block := list(islice(rows, _CSV_BLOCK_ROWS)):
+            if set(map(len, block)) != {3}:
+                return None
+            stamps, ids, amounts = zip(*block)
+            parts.append((
+                np.fromiter(map(float, stamps), np.float64, len(block)),
+                np.fromiter(map(int, ids), np.int64, len(block)),
+                np.fromiter(map(float, amounts), np.float64, len(block)),
+            ))
+    except (csv.Error, ValueError, OverflowError):
+        return None
+    if not parts:
+        return None
+    columns = [np.concatenate(part) for part in zip(*parts)]
+    if not np.isfinite(columns[0]).all():
+        return None
+    return LossRecords(*columns)
+
+
+def _parse_rows(lines: Iterable[str]) -> LossRecords:
+    reader = csv.reader(lines)
+    stamps, ids, amounts = [], [], []
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != _DB_HEADER:
         raise errors.MalformedRecord(1, f"expected header {','.join(_DB_HEADER)!r}")
@@ -100,21 +194,20 @@ def _parse_records(lines: Iterable[str]) -> list[RawLossRecord]:
             continue
         if len(row) != 3:
             raise errors.MalformedRecord(line_no, f"expected 3 fields, got {len(row)}")
-        ts = _parse_timestamp(row[0].strip(), line_no)
+        stamps.append(_parse_timestamp(row[0].strip(), line_no))
         try:
-            process_id = int(row[1])
+            ids.append(int(row[1]))
         except ValueError:
             raise errors.MalformedRecord(
                 line_no, f"process id {row[1]!r} is not an integer"
             ) from None
         try:
-            amount = float(row[2])
+            amounts.append(float(row[2]))
         except ValueError:
             raise errors.MalformedRecord(
                 line_no, f"amount {row[2]!r} is not a number"
             ) from None
-        records.append(RawLossRecord(ts, process_id, amount))
-    return records
+    return LossRecords.of(stamps, ids, amounts)
 
 
 def ingest(
@@ -127,30 +220,51 @@ def ingest(
     """Bin raw loss records into a dense (T, N) loss matrix.
 
     A record lands in step floor((timestamp - origin) / resolution); records
-    sharing a (step, process) bin are summed; empty bins are 0. By default
-    the origin is the earliest timestamp and T = last occupied step + 1;
-    pinning ``origin`` and ``n_steps`` preserves loss-free leading or
-    trailing steps, making export -> ingest lossless.
+    sharing a (step, process) bin are summed in record order; empty bins are
+    0. By default the origin is the earliest timestamp and T = last occupied
+    step + 1; pinning ``origin`` and ``n_steps`` preserves loss-free leading
+    or trailing steps, making export -> ingest lossless.
+
+    ``records`` is binned as columns: a LossRecords as it is, any other
+    iterable after one pass that builds them.
 
     Raises:
-        EmptyDatabase, UnknownProcess, NonPositiveAmount.
+        EmptyDatabase, UnknownProcess, NonPositiveAmount: the first faulty
+            record, in record order.
         TimestampSpanOverflow: a record's distance from the origin overflows,
             or the steps it spans are too many to allocate.
         ValueError: resolution <= 0, or a record falls outside a pinned range.
     """
     if not resolution > 0:
         raise ValueError(f"resolution must be > 0, got {resolution!r}")
-    records = list(records)
-    if not records:
+    if isinstance(records, LossRecords):
+        table = records
+    else:
+        records = list(records)
+        table = LossRecords.of(
+            [rec.timestamp for rec in records],
+            [rec.process_id for rec in records],
+            [rec.amount for rec in records],
+        )
+    if not len(table):
         raise errors.EmptyDatabase("no loss records to ingest")
-    for rec in records:
+    ids, amounts = table.process_ids, table.amounts
+    valid = np.asarray((ids >= 1) & (ids <= n), dtype=bool)
+    valid &= np.isfinite(amounts) & (amounts > 0)
+    if not valid.all():
+        rec = records[int(np.argmin(valid))]
         if not 1 <= rec.process_id <= n:
             raise errors.UnknownProcess(rec.process_id, n)
-        if not (np.isfinite(rec.amount) and rec.amount > 0):
-            raise errors.NonPositiveAmount(rec.amount, f"timestamp {rec.timestamp}")
+        raise errors.NonPositiveAmount(rec.amount, f"timestamp {rec.timestamp}")
 
-    lo = min(rec.timestamp for rec in records)
-    hi = max(rec.timestamp for rec in records)
+    stamps = table.timestamps
+    exact = stamps.dtype == object
+    if exact:
+        # Python arithmetic on values no float64 column holds exactly
+        values = stamps.tolist()
+        lo, hi = min(values), max(values)
+    else:
+        lo, hi = stamps.item(stamps.argmin()), stamps.item(stamps.argmax())
     t_min = lo if origin is None else origin
     # the step of a record is monotone in its timestamp, so the extremes bound it
     for ts in (lo, hi):
@@ -158,15 +272,21 @@ def ingest(
             raise errors.TimestampSpanOverflow(
                 f"timestamps {t_min!r} and {ts!r} are too far apart to bin at {resolution!r}"
             )
-    steps = [math.floor((rec.timestamp - t_min) / resolution) for rec in records]
-    last = max(steps)
-    if min(steps) < 0:
-        raise ValueError(f"record at {min(steps)} steps before the origin {t_min}")
+    if exact:
+        steps = [math.floor((ts - t_min) / resolution) for ts in values]
+        first, last = min(steps), max(steps)
+    else:
+        steps = np.floor((stamps - t_min) / resolution)
+        first, last = int(steps.min()), int(steps.max())
+    if first < 0:
+        raise ValueError(f"record at {first} steps before the origin {t_min}")
     if n_steps is None:
         n_steps = last + 1
     elif last >= n_steps:
         raise ValueError(f"record in step {last + 1} beyond the pinned {n_steps} steps")
 
+    # np.zeros gives numpy's own reason when a (T, N) matrix cannot be
+    # held; its pages are never touched, as the bin sums replace it
     try:
         losses = np.zeros((n_steps, n))
     except (ValueError, MemoryError) as exc:
@@ -174,8 +294,9 @@ def ingest(
             f"timestamps {t_min!r} and {hi!r} span "
             f"{n_steps:.4g} steps at {resolution!r}, too many to hold: {exc}"
         ) from exc
-    for rec, step in zip(records, steps):
-        losses[step, rec.process_id - 1] += rec.amount
+    # bincount adds each bin's amounts from 0.0 in record order, as += would
+    bins = np.asarray(steps, dtype=np.int64) * n + np.asarray(ids, dtype=np.int64) - 1
+    losses = np.bincount(bins, weights=amounts, minlength=losses.size).reshape(losses.shape)
     return LossMatrix(losses)
 
 
@@ -246,7 +367,7 @@ def write_histogram(path, samples, n_bins: int = 60) -> None:
 def read_samples(path) -> np.ndarray:
     """Read one finite float per line (blank lines and # comments skipped)."""
     values = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for line_no, line in enumerate(handle, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
@@ -285,12 +406,12 @@ class RunConfig:
     out_dir: str
 
     def __post_init__(self) -> None:
-        if not (_is_number(self.n_steps, integer=True) and self.n_steps >= 1):
+        if not (_is_number(self.n_steps, kind=int) and self.n_steps >= 1):
             raise errors.ConfigError("simulation.n_steps", "must be an integer >= 1")
         seed = self.master_seed
-        if seed is not None and not (_is_number(seed, integer=True) and seed_in_range(seed)):
+        if seed is not None and not (_is_number(seed, kind=int) and seed_in_range(seed)):
             raise errors.ConfigError("simulation.seed", "must be an integer in [0, 2**64)")
-        if not (_is_number(self.m_trajectories, integer=True) and self.m_trajectories >= 2):
+        if not (_is_number(self.m_trajectories, kind=int) and self.m_trajectories >= 2):
             raise errors.ConfigError("simulation.m_trajectories", "must be an integer >= 2")
         if not (_is_number(self.fraction) and 0.0 < self.fraction <= 1.0):
             raise errors.ConfigError("estimation.fraction", "must lie in (0, 1]")
@@ -303,7 +424,7 @@ class RunConfig:
             raise errors.ConfigError("output.confidences", "must be a list of values in (0, 1)")
         if not (_is_number(self.resolution) and self.resolution > 0):
             raise errors.ConfigError("output.resolution", "must be > 0")
-        if not (_is_number(self.histogram_bins, integer=True) and self.histogram_bins >= 1):
+        if not (_is_number(self.histogram_bins, kind=int) and self.histogram_bins >= 1):
             raise errors.ConfigError("output.histogram_bins", "must be an integer >= 1")
         if not isinstance(self.out_dir, str):
             raise errors.ConfigError("output.out_dir", "must be a string path")
@@ -312,11 +433,24 @@ class RunConfig:
         object.__setattr__(self, "resolution", float(self.resolution))
 
 
-def _is_number(value, integer: bool = False) -> bool:
-    """The rule of every numeric config value: a JSON number (an integer where
-    ``integer``), never a boolean, though Python's bool is an int."""
-    kinds = int if integer else (int, float)
-    return isinstance(value, kinds) and not isinstance(value, bool)
+def _is_number(value, kind: type = float) -> bool:
+    """The rule of every numeric config value: a JSON number, never a boolean
+    (though Python's bool is an int), that fits what its field becomes.
+
+    ``kind`` is that: ``float`` for a finite float, ``int`` for an integer
+    (each integer key checks its own range), ``np.int64`` for a horizon, a
+    finite number that fits int64 when it is an integer.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    if kind is int:
+        return isinstance(value, int)
+    if kind is np.int64 and isinstance(value, int):
+        return _INT64_MIN <= value <= _INT64_MAX
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _require(block: dict, key: str, path: str):
@@ -385,20 +519,25 @@ def _build_parameters(model: dict) -> ModelParameters:
         if not (isinstance(triple, list) and len(triple) == 3):
             raise errors.ConfigError(where, "must be an [i, j, value] triple")
         i, j, value = triple
-        if not all(_is_number(index, integer=True) and 1 <= index <= n for index in (i, j)):
+        if not all(_is_number(index, kind=int) and 1 <= index <= n for index in (i, j)):
             raise errors.ConfigError(where, f"indices must be integers in [1, {n}]")
         if not _is_number(value):
             raise errors.ConfigError(where, "value must be a number")
         couplings[i - 1, j - 1] = float(value)
 
     horizons_raw = model.get("horizons", 0)
-    if _is_number(horizons_raw):
+    if _is_number(horizons_raw, np.int64):
         # scalar applies to every declared coupling; validation rejects a fraction
         horizons = np.where(couplings != 0.0, horizons_raw, 0)
-    else:
+    elif (
+        isinstance(horizons_raw, list)
+        and len(horizons_raw) == n
+        and all(isinstance(row, list) and len(row) == n for row in horizons_raw)
+        and all(_is_number(h, np.int64) for row in horizons_raw for h in row)
+    ):
         horizons = np.asarray(horizons_raw)
-        if horizons.shape != (n, n) or not all(_is_number(h) for row in horizons_raw for h in row):
-            raise errors.ConfigError("model.horizons", f"must be a number or a {n}x{n} matrix")
+    else:
+        raise errors.ConfigError("model.horizons", f"must be a number or a {n}x{n} matrix")
 
     try:
         return validate_parameters(

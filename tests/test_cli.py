@@ -300,6 +300,7 @@ class TestFlagOverrides:
             ("forecast", "--confidence", "1.0"),
             ("forecast", "--resolution", "0"),
             ("forecast", "--resolution", "nan"),
+            ("forecast", "--resolution", "inf"),
             ("simulate", "--seed", str(2**64)),
             ("forecast", "--seed", str(2**64)),
         ],
@@ -315,6 +316,25 @@ class TestFlagOverrides:
         "key,value", [("simulation.n_steps", True), ("simulation.seed", True)]
     )
     def test_boolean_config_number_is_a_config_error(self, tmp_path, capsys, key, value):
+        config = small_config(tmp_path, **{key: value})
+        assert main(["simulate", "--config", config, "--out-dir", str(tmp_path / "out")]) == 2
+        err = last_stderr_json(capsys)
+        assert err["error"] == "ConfigError"
+        assert key in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("model.horizons", 10**400),
+            ("output.resolution", 10**400),
+            ("model.horizons", [[1, 2], [3]]),
+        ],
+        ids=["horizons-401-digits", "resolution-401-digits", "horizons-ragged"],
+    )
+    def test_config_value_its_field_cannot_hold_is_a_config_error(
+        self, tmp_path, capsys, key, value
+    ):
         config = small_config(tmp_path, **{key: value})
         assert main(["simulate", "--config", config, "--out-dir", str(tmp_path / "out")]) == 2
         err = last_stderr_json(capsys)

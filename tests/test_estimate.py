@@ -98,13 +98,20 @@ class TestClassifyEvents:
     def test_matches_brute_force_recount(self, case_seed):
         rng = np.random.default_rng(4000 + case_seed)
         losses, horizons = random_database(rng)
-        counts = classify_events(losses, horizons)
-        bt, bz, ct, cz, disc = brute_force_classify(losses, horizons)
-        assert np.array_equal(counts.base_total, bt)
-        assert np.array_equal(counts.base_zero, bz)
-        assert np.array_equal(counts.class_total, ct)
-        assert np.array_equal(counts.class_zero, cz)
-        assert np.array_equal(counts.discarded, disc)
+        # also W = 0, and process 1 with no live pair
+        dead_row = horizons.copy()
+        dead_row[0] = 0
+        for h in (horizons, np.zeros_like(horizons), dead_row):
+            counts = classify_events(losses, h)
+            bt, bz, ct, cz, disc = brute_force_classify(losses, h)
+            assert np.array_equal(counts.base_total, bt)
+            assert np.array_equal(counts.base_zero, bz)
+            assert np.array_equal(counts.class_total, ct)
+            assert np.array_equal(counts.class_zero, cz)
+            assert np.array_equal(counts.discarded, disc)
+            assert counts.class_total.shape == ct.shape
+            for field in (counts.base_total, counts.class_total, counts.discarded):
+                assert field.dtype == np.int64
 
     @pytest.mark.parametrize("case_seed", range(4))
     def test_event_partition_is_complete(self, case_seed):

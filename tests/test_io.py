@@ -2,15 +2,17 @@
 
 import csv
 import json
+import math
 import re
 import time
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
 from oprisk_dynamics import errors
 from oprisk_dynamics.io import (
+    LossRecords,
     RawLossRecord,
     ingest,
     load_config,
@@ -29,6 +31,283 @@ from conftest import build_reference_parameters
 
 def rec(t, p, a):
     return RawLossRecord(t, p, a)
+
+
+def naive_read(lines):
+    """Row-at-a-time parse of a loss database: the reference the columnar
+    ``read_loss_records`` is checked against."""
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != ["t", "process", "amount"]:
+        raise errors.MalformedRecord(1, "expected header 't,process,amount'")
+    records = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise errors.MalformedRecord(line_no, f"expected 3 fields, got {len(row)}")
+        text = row[0].strip()
+        try:
+            ts = float(text)
+        except ValueError:
+            try:
+                stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
+            except ValueError:
+                raise errors.MalformedRecord(
+                    line_no, f"timestamp {text!r} is neither a number nor ISO-8601"
+                ) from None
+            ts = stamp.replace(tzinfo=stamp.tzinfo or timezone.utc).timestamp()
+        if not math.isfinite(ts):
+            raise errors.MalformedRecord(line_no, f"timestamp {text!r} is not finite")
+        try:
+            process_id = int(row[1])
+        except ValueError:
+            raise errors.MalformedRecord(
+                line_no, f"process id {row[1]!r} is not an integer"
+            ) from None
+        try:
+            amount = float(row[2])
+        except ValueError:
+            raise errors.MalformedRecord(line_no, f"amount {row[2]!r} is not a number") from None
+        records.append(RawLossRecord(ts, process_id, amount))
+    return records
+
+
+def naive_ingest(records, resolution, n, origin=None, n_steps=None):
+    """One record at a time, in Python arithmetic: the reference the
+    columnar ``ingest`` is checked against."""
+    if not resolution > 0:
+        raise ValueError(f"resolution must be > 0, got {resolution!r}")
+    records = list(records)
+    if not records:
+        raise errors.EmptyDatabase("no loss records to ingest")
+    for r in records:
+        if not 1 <= r.process_id <= n:
+            raise errors.UnknownProcess(r.process_id, n)
+        if not (np.isfinite(r.amount) and r.amount > 0):
+            raise errors.NonPositiveAmount(r.amount, f"timestamp {r.timestamp}")
+    lo = min(r.timestamp for r in records)
+    hi = max(r.timestamp for r in records)
+    t_min = lo if origin is None else origin
+    for ts in (lo, hi):
+        if not math.isfinite((ts - t_min) / resolution):
+            raise errors.TimestampSpanOverflow(
+                f"timestamps {t_min!r} and {ts!r} are too far apart to bin at {resolution!r}"
+            )
+    steps = [math.floor((r.timestamp - t_min) / resolution) for r in records]
+    last = max(steps)
+    if min(steps) < 0:
+        raise ValueError(f"record at {min(steps)} steps before the origin {t_min}")
+    if n_steps is None:
+        n_steps = last + 1
+    elif last >= n_steps:
+        raise ValueError(f"record in step {last + 1} beyond the pinned {n_steps} steps")
+    try:
+        losses = np.zeros((n_steps, n))
+    except (ValueError, MemoryError) as exc:
+        raise errors.TimestampSpanOverflow(
+            f"timestamps {t_min!r} and {hi!r} span "
+            f"{n_steps:.4g} steps at {resolution!r}, too many to hold: {exc}"
+        ) from exc
+    for r, step in zip(records, steps):
+        losses[step, r.process_id - 1] += r.amount
+    return losses
+
+
+def outcome(call):
+    """What ``call()`` returns, or the type, message and line of what it raises."""
+    try:
+        return ("ok", call())
+    except Exception as exc:  # noqa: BLE001 - the comparison is of any outcome
+        return (type(exc), str(exc), getattr(exc, "line_no", None))
+
+
+def same(a, b) -> bool:
+    """Outcomes equal, NaNs and the bits of float arrays included."""
+    if isinstance(a[1], np.ndarray) and isinstance(b[1], np.ndarray):
+        return a[1].shape == b[1].shape and a[1].tobytes() == b[1].tobytes()
+    return repr(a) == repr(b)
+
+
+# 2026-01-01T00:00:00Z, so numeric and ISO timestamps of one file lie close
+_EPOCH = 1767225600
+
+
+def random_database_text(rng) -> str:
+    """A valid database: LF and CRLF lines, blank lines, quoted fields,
+    numeric and ISO timestamps, several records per bin."""
+    iso = rng.random() < 0.5
+    lines = ["t,process,amount"]
+    for _ in range(int(rng.integers(1, 60))):
+        if rng.random() < 0.1:
+            lines.append("")
+        step = int(rng.integers(0, 25))
+        kinds = ["int", "float", "iso", "iso-z", "iso-offset"] if iso else ["int", "float"]
+        stamp = rng.choice(kinds)
+        moment = datetime.fromtimestamp(_EPOCH + step, timezone.utc)
+        t = {
+            "int": str(step + (_EPOCH if iso else 0)),
+            "float": repr(step + (_EPOCH if iso else 0) + float(rng.uniform(0, 1))),
+            "iso": moment.strftime("%Y-%m-%dT%H:%M:%S"),
+            "iso-z": moment.strftime("%Y-%m-%dT%H:%M:%SZ"),
+            "iso-offset": (moment + timedelta(hours=2)).strftime("%Y-%m-%dT%H:%M:%S+02:00"),
+        }[stamp]
+        fields = [t, str(int(rng.integers(1, 4))), repr(float(rng.uniform(0.01, 5.0)))]
+        if rng.random() < 0.1:
+            fields[1] = f" {fields[1]} "
+        fields = [f'"{f}"' if rng.random() < 0.1 else f for f in fields]
+        lines.append(",".join(fields))
+    return "".join(line + ("\r\n" if rng.random() < 0.5 else "\n") for line in lines)
+
+
+class TestColumnarPathMatchesRowOracle:
+    @pytest.mark.parametrize("case_seed", range(40))
+    def test_read_and_ingest_bit_for_bit(self, tmp_path, case_seed):
+        rng = np.random.default_rng(7000 + case_seed)
+        path = tmp_path / "db.csv"
+        path.write_bytes(random_database_text(rng).encode())
+        with open(path, newline="", encoding="utf-8") as handle:
+            expected = naive_read(handle)
+        records = read_loss_records(path)
+        assert isinstance(records, LossRecords)
+        assert repr(list(records)) == repr(expected)
+        resolution = float(rng.choice([1.0, 2.5, 0.5, 3600.0]))
+        pins = [{}]
+        if case_seed % 4 == 0:
+            lo = min(r.timestamp for r in expected)
+            pins += [{"origin": lo - 2 * resolution, "n_steps": 40}, {"origin": lo + resolution}]
+        for pin in pins:
+            want = outcome(lambda: naive_ingest(expected, resolution, 3, **pin))
+            got = outcome(lambda: ingest(records, resolution, 3, **pin).losses)
+            assert same(got, want), pin
+
+    # one fault per entry, each in the field the row loop checks it in
+    FAULTS = [
+        "2,1",
+        "2,1,1.0,4",
+        "x,1,1.0",
+        "nan,1,1.0",
+        "-inf,1,1.0",
+        "2026-13-01T00:00:00,1,1.0",
+        "2,one,1.0",
+        "2,1.0,1.0",
+        "2,1,lots",
+        "2,99999999999999999999999,1.0",
+        "2,0,1.0",
+        "2,4,1.0",
+        "2,1,0.0",
+        "2,1,-1.5",
+        "2,1,nan",
+        "2,1,inf",
+        "2026-01-01T00:00:00,1,1.0",
+        '"2",1,"1.5"',
+        "",
+    ]
+
+    @pytest.mark.parametrize("case_seed", range(30))
+    def test_faulty_files_fail_alike(self, tmp_path, case_seed):
+        rng = np.random.default_rng(7500 + case_seed)
+        lines = random_database_text(rng).splitlines(keepends=True)
+        for _ in range(int(rng.integers(1, 4))):
+            at = int(rng.integers(1, len(lines) + 1))
+            lines.insert(at, str(rng.choice(self.FAULTS)) + "\n")
+        path = tmp_path / "db.csv"
+        path.write_text("".join(lines), newline="")
+        with open(path, newline="", encoding="utf-8") as handle:
+            text_lines = handle.readlines()
+        want = outcome(lambda: naive_ingest(naive_read(text_lines), 1.0, 3))
+        got = outcome(lambda: ingest(read_loss_records(path), 1.0, 3).losses)
+        assert same(got, want)
+
+    def test_first_faulty_line_is_reported(self, tmp_path):
+        path = tmp_path / "db.csv"
+        path.write_text("t,process,amount\n1,1,1.0\n2,one,1.0\n3,1,1.0\nx,1,1.0\n")
+        with pytest.raises(errors.MalformedRecord, match="process id") as exc:
+            read_loss_records(path)
+        assert exc.value.line_no == 3
+
+    @pytest.mark.parametrize(
+        "line,reason_part",
+        [
+            ("x,one", "3 fields"),
+            ("x,one,lots", "timestamp"),
+            ("1,one,lots", "process id"),
+            ("1,1,lots", "amount"),
+        ],
+    )
+    def test_fields_are_checked_in_row_order(self, tmp_path, line, reason_part):
+        path = tmp_path / "db.csv"
+        path.write_text(f"t,process,amount\n1,1,1.0\n{line}\n")
+        with pytest.raises(errors.MalformedRecord) as exc:
+            read_loss_records(path)
+        assert exc.value.line_no == 3
+        assert reason_part in exc.value.reason
+
+    @pytest.mark.parametrize(
+        "records",
+        [
+            pytest.param(
+                [rec(2**53, 1, 1.0), rec(2**53 + 1, 1, 2.0)], id="int-stamps-beyond-2**53"
+            ),
+            pytest.param([rec(0, 2**63, 1.0)], id="process-id-beyond-int64"),
+            pytest.param([rec(0, 1, 1.0), rec(1, -(2**70), 1.0)], id="process-id-below-int64"),
+            pytest.param(
+                [rec(0.0, 1, 1.0), rec(math.nan, 1, 1.0), rec(3.0, 1, 1.0)], id="nan-stamp"
+            ),
+            pytest.param([rec(math.nan, 1, 1.0), rec(3.0, 1, 1.0)], id="nan-stamp-first"),
+            pytest.param(
+                [rec(0.0, 1, 1.0), rec(-0.0, 1, 2.0), rec(2.0, 1, 1.0)], id="signed-zeros"
+            ),
+            pytest.param([rec(0, 1, 0)], id="int-amount"),
+            pytest.param([rec(1.5, True, 1.0)], id="bool-process-id"),
+            pytest.param([rec(np.float64(1.5), np.int64(1), np.float64(2.0))], id="numpy-scalars"),
+            pytest.param([rec(1, 1, -1.0), rec(2, 0, 1.0)], id="first-bad-record-wins"),
+        ],
+    )
+    def test_records_no_column_holds_exactly_bin_or_fail_alike(self, records):
+        for pin in ({}, {"origin": 0, "n_steps": 10}, {"origin": -0.0}):
+            want = outcome(lambda: naive_ingest(records, 1.0, 2, **pin))
+            got = outcome(lambda: ingest(records, 1.0, 2, **pin).losses)
+            assert same(got, want), pin
+
+    def test_exact_integer_stamps_keep_their_steps(self):
+        m = ingest([rec(2**53, 1, 1.0), rec(2**53 + 1, 1, 2.0)], 1.0, 1)
+        assert np.array_equal(m.losses, [[1.0], [2.0]])
+
+    def test_process_id_beyond_int64_is_unknown(self, tmp_path):
+        path = tmp_path / "db.csv"
+        path.write_text("t,process,amount\n1,1,1.0\n2,99999999999999999999999,1.0\n")
+        records = read_loss_records(path)
+        assert records[1].process_id == 99999999999999999999999
+        with pytest.raises(errors.UnknownProcess, match="99999999999999999999999"):
+            ingest(records, 1.0, 2)
+
+
+class TestLossRecords:
+    def test_sequence_of_raw_records(self, tmp_path):
+        path = tmp_path / "db.csv"
+        path.write_text("t,process,amount\n1,2,0.5\n\n4.5,1,1e-05\n2,3,7\n")
+        with open(path, newline="", encoding="utf-8") as handle:
+            expected = naive_read(handle)
+        records = read_loss_records(path)
+        assert len(records) == len(expected) == 3
+        assert [records[k] for k in range(3)] == expected
+        assert records[-1] == expected[-1]
+        assert list(records) == expected
+        assert [tuple(map(type, r)) for r in records] == [(float, int, float)] * 3
+        assert type(records[0]) is RawLossRecord
+        with pytest.raises(IndexError):
+            records[3]
+
+    def test_columns_are_read_only(self, tmp_path):
+        path = tmp_path / "db.csv"
+        path.write_text("t,process,amount\n1,2,0.5\n")
+        records = read_loss_records(path)
+        assert records.timestamps.dtype == np.float64
+        assert records.process_ids.dtype == np.int64
+        assert records.amounts.dtype == np.float64
+        with pytest.raises(ValueError):
+            records.amounts[0] = 1.0
 
 
 class TestIngest:
@@ -177,6 +456,14 @@ class TestDatabaseFiles:
         assert exc.value.line_no == 3
         assert reason_part in str(exc.value)
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        text = "t,process,amount\r\n1,2,0.5\r\n3,1,1.5\r\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert list(read_loss_records(marked)) == list(read_loss_records(plain))
+        assert len(read_loss_records(marked)) == 2
+
     def test_iso_and_blank_lines_parse(self, tmp_path):
         path = tmp_path / "db.csv"
         path.write_text(
@@ -268,6 +555,11 @@ class TestSeriesAndHistograms:
         empty.write_text("\n")
         with pytest.raises(errors.EmptySample):
             read_samples(empty)
+
+    def test_read_samples_ignores_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "samples.txt"
+        path.write_bytes(b"\xef\xbb\xbf0.5\n1.5\n")
+        assert np.array_equal(read_samples(path), [0.5, 1.5])
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "infinity"])
     def test_read_samples_rejects_non_finite_values(self, tmp_path, text):
@@ -436,6 +728,65 @@ class TestLoadConfig:
                 "output.histogram_bins",
                 lambda d: d["output"].update(histogram_bins=True),
                 id="output.histogram_bins-bool",
+            ),
+            # a number must fit what its field becomes: a finite float, or
+            # an int64 for a horizon
+            pytest.param(
+                "model.noise[1]",
+                lambda d: d["model"]["noise"].__setitem__(0, {"lambda": 10**400}),
+                id="model.noise[1]-lambda-401-digits",
+            ),
+            pytest.param(
+                "model.noise[1]",
+                lambda d: d["model"]["noise"].__setitem__(0, {"p": 10**400}),
+                id="model.noise[1]-p-401-digits",
+            ),
+            pytest.param(
+                "model.noise[2]",
+                lambda d: d["model"]["noise"].__setitem__(
+                    1, {"quantile": {"value": 10**400, "alpha": 0.5}}
+                ),
+                id="model.noise[2]-quantile-401-digits",
+            ),
+            pytest.param(
+                "model.theta",
+                lambda d: d["model"]["theta"].__setitem__(0, -(10**400)),
+                id="model.theta-401-digits",
+            ),
+            pytest.param(
+                "model.couplings[1]",
+                lambda d: d["model"]["couplings"].__setitem__(0, [1, 2, 10**400]),
+                id="model.couplings[1]-value-401-digits",
+            ),
+            pytest.param(
+                "output.resolution",
+                lambda d: d["output"].update(resolution=10**400),
+                id="output.resolution-401-digits",
+            ),
+            pytest.param(
+                "model.horizons",
+                lambda d: d["model"].update(horizons=10**400),
+                id="model.horizons-401-digits",
+            ),
+            pytest.param(
+                "model.horizons",
+                lambda d: d["model"].update(horizons=[[0] * 5] * 4 + [[0, 0, 0, 0, 10**400]]),
+                id="model.horizons-matrix-401-digits",
+            ),
+            pytest.param(
+                "model.horizons",
+                lambda d: d["model"].update(horizons=[[0] * 5] * 4 + [[0, 0, 0, 0, 2**63]]),
+                id="model.horizons-matrix-beyond-int64",
+            ),
+            pytest.param(
+                "model.horizons",
+                lambda d: d["model"].update(horizons=[[1, 2], [3]]),
+                id="model.horizons-ragged",
+            ),
+            pytest.param(
+                "model.horizons",
+                lambda d: d["model"].update(horizons=[[5] * 5] * 4 + [[5] * 4]),
+                id="model.horizons-ragged-last-row",
             ),
         ],
     )
