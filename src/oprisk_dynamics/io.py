@@ -7,6 +7,7 @@ which spreadsheet tools write:
 * loss database: header ``t,process,amount``, one positive-amount record per
   line; ``t`` is an integer step or an ISO-8601 timestamp. A timestamp
   without a UTC offset is read as UTC, never in the machine's time zone.
+  The file is read in one pass, and every timestamp becomes a float64.
 * series tables: header ``t,process,value``, full (step, process) grid.
 * histograms: header ``bin_left,bin_right,count``.
 * configuration: one JSON document; see ``load_config``.
@@ -17,8 +18,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 from collections.abc import Sequence
+from contextlib import suppress
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
@@ -87,13 +88,10 @@ def _parse_timestamp(text: str, line_no: int) -> float:
 class LossRecords(Sequence):
     """Loss records held as three read-only columns, in file order.
 
-    ``timestamps`` is float64, ``process_ids`` int64 and ``amounts`` float64,
-    except that ``of`` keeps Python objects in the first two unless every
-    timestamp is a float other than NaN and every id an int within int64.
-    So ``ingest`` bins an integer timestamp beyond 2**53 exactly, and finds
-    the extremes of NaN timestamps as Python's ``min`` and ``max`` do.
-    Indexing and iteration give RawLossRecords of Python scalars, as a list
-    of them would.
+    ``timestamps`` and ``amounts`` are float64. ``process_ids`` is int64,
+    except that ``of`` keeps Python objects when some id is no int within
+    int64, so that ``ingest`` names that id as it was written. Indexing and
+    iteration give RawLossRecords of Python scalars, as a list of them would.
     """
 
     def __init__(self, timestamps, process_ids, amounts) -> None:
@@ -105,11 +103,10 @@ class LossRecords(Sequence):
 
     @classmethod
     def of(cls, timestamps: list, process_ids: list, amounts: list) -> "LossRecords":
-        """Columns of Python values, each holding them exactly."""
-        stamps_fit = all(type(t) is float and t == t for t in timestamps)
+        """Columns of Python values; every timestamp and amount as float64."""
         ids_fit = all(type(p) is int and _INT64_MIN <= p <= _INT64_MAX for p in process_ids)
         return cls(
-            np.array(timestamps, dtype=np.float64 if stamps_fit else object),
+            np.array(timestamps, dtype=np.float64),
             np.array(process_ids, dtype=np.int64 if ids_fit else object),
             np.array(amounts, dtype=np.float64),
         )
@@ -127,69 +124,72 @@ class LossRecords(Sequence):
         return map(RawLossRecord._make, zip(*columns))
 
 
-def read_loss_records(source) -> LossRecords:
-    """Parse a loss database from a path or an iterable of lines.
+def read_loss_records(path) -> LossRecords:
+    """Parse a loss database file in one pass, a block of rows at a time.
 
-    Columns are parsed a block of rows at a time. A file that column pass
-    cannot take (an ISO timestamp, or a fault) is read again line by line,
-    which reports the first faulty line.
+    A block is parsed as columns, or row by row if it holds an ISO
+    timestamp or a fault; the row parser reports the first faulty line.
 
     Raises:
-        MalformedRecord: wrong header, wrong field count, unparsable values.
+        MalformedRecord: wrong header, a row that is not CSV, wrong field
+            count, unparsable values.
     """
-    if not isinstance(source, (str, os.PathLike)):
-        lines = list(source)
-        records = _parse_columns(lines)
-        return _parse_rows(lines) if records is None else records
-    with open(source, newline="", encoding="utf-8-sig") as handle:
-        records = _parse_columns(handle)
-    if records is None:
-        with open(source, newline="", encoding="utf-8-sig") as handle:
-            records = _parse_rows(handle)
-    return records
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        blocks = [LossRecords.of([], [], [])]
+        blocks += (_parse_block(rows, line_no) for line_no, rows in _row_blocks(handle))
+    columns = zip(*((b.timestamps, b.process_ids, b.amounts) for b in blocks))
+    return LossRecords(*map(np.concatenate, columns))
 
 
-def _parse_columns(lines: Iterable[str]) -> LossRecords | None:
-    """The records of a file whose every row has three fields, numeric
-    timestamps that are finite and ids that fit int64; None otherwise.
-
-    Each column goes through the ``float``/``int`` the row loop uses, so a
-    file either parses to the same values or falls to the row loop. Only one
-    block of rows is held as Python strings at a time.
+def _row_blocks(handle):
+    """Check the header, then yield (line number, rows) blocks of at most
+    _CSV_BLOCK_ROWS rows, blank ones included. A row the csv module rejects
+    ends its block and, once that block is parsed, raises MalformedRecord.
     """
-    reader = csv.reader(lines)
-    parts = []
+    reader = csv.reader(handle)
+    line_no, block = 1, []
     try:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != _DB_HEADER:
-            return None
-        rows = filter(None, reader)
-        while block := list(islice(rows, _CSV_BLOCK_ROWS)):
-            if set(map(len, block)) != {3}:
-                return None
-            stamps, ids, amounts = zip(*block)
-            parts.append((
-                np.fromiter(map(float, stamps), np.float64, len(block)),
-                np.fromiter(map(int, ids), np.int64, len(block)),
-                np.fromiter(map(float, amounts), np.float64, len(block)),
-            ))
-    except (csv.Error, ValueError, OverflowError):
-        return None
-    if not parts:
-        return None
-    columns = [np.concatenate(part) for part in zip(*parts)]
-    if not np.isfinite(columns[0]).all():
-        return None
-    return LossRecords(*columns)
+            raise errors.MalformedRecord(1, f"expected header {','.join(_DB_HEADER)!r}")
+        line_no = 2
+        while True:
+            for row in islice(reader, _CSV_BLOCK_ROWS):
+                block.append(row)
+            if not block:
+                return
+            yield line_no, block
+            line_no, block = line_no + len(block), []
+    except csv.Error as exc:
+        if block:
+            yield line_no, block
+        raise errors.MalformedRecord(line_no + len(block), f"not a CSV row: {exc}") from None
 
 
-def _parse_rows(lines: Iterable[str]) -> LossRecords:
-    reader = csv.reader(lines)
+def _parse_block(rows: list, line_no: int) -> LossRecords:
+    """The records of ``rows``, the first on line ``line_no``.
+
+    The columns go through the ``float``/``int`` the row parser uses, so
+    they hold its values; a block they reject (an ISO timestamp, a fault, an
+    id beyond int64, a non-finite timestamp) goes to the row parser.
+    """
+    full = list(filter(None, rows))
+    if set(map(len, full)) == {3}:
+        stamps, ids, amounts = zip(*full)
+        with suppress(ValueError, OverflowError):
+            records = LossRecords(
+                np.fromiter(map(float, stamps), np.float64, len(full)),
+                np.fromiter(map(int, ids), np.int64, len(full)),
+                np.fromiter(map(float, amounts), np.float64, len(full)),
+            )
+            if np.isfinite(records.timestamps).all():
+                return records
+    return _parse_rows(rows, line_no)
+
+
+def _parse_rows(rows: list, line_no: int) -> LossRecords:
     stamps, ids, amounts = [], [], []
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != _DB_HEADER:
-        raise errors.MalformedRecord(1, f"expected header {','.join(_DB_HEADER)!r}")
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in enumerate(rows, start=line_no):
         if not row:
             continue
         if len(row) != 3:
@@ -225,14 +225,14 @@ def ingest(
     step + 1; pinning ``origin`` and ``n_steps`` preserves loss-free leading
     or trailing steps, making export -> ingest lossless.
 
-    ``records`` is binned as columns: a LossRecords as it is, any other
-    iterable after one pass that builds them.
+    ``records`` is binned as float64 columns: a LossRecords as it is, any
+    other iterable after one pass that builds them.
 
     Raises:
         EmptyDatabase, UnknownProcess, NonPositiveAmount: the first faulty
-            record, in record order.
-        TimestampSpanOverflow: a record's distance from the origin overflows,
-            or the steps it spans are too many to allocate.
+            record, in record order, or the first bin whose sum overflows.
+        TimestampSpanOverflow: a record's distance from the origin overflows
+            or is NaN, or the steps it spans are too many to allocate.
         ValueError: resolution <= 0, or a record falls outside a pinned range.
     """
     if not resolution > 0:
@@ -257,14 +257,9 @@ def ingest(
             raise errors.UnknownProcess(rec.process_id, n)
         raise errors.NonPositiveAmount(rec.amount, f"timestamp {rec.timestamp}")
 
+    # a NaN timestamp is both extremes, as argmin and argmax take the first NaN
     stamps = table.timestamps
-    exact = stamps.dtype == object
-    if exact:
-        # Python arithmetic on values no float64 column holds exactly
-        values = stamps.tolist()
-        lo, hi = min(values), max(values)
-    else:
-        lo, hi = stamps.item(stamps.argmin()), stamps.item(stamps.argmax())
+    lo, hi = stamps.item(stamps.argmin()), stamps.item(stamps.argmax())
     t_min = lo if origin is None else origin
     # the step of a record is monotone in its timestamp, so the extremes bound it
     for ts in (lo, hi):
@@ -272,12 +267,8 @@ def ingest(
             raise errors.TimestampSpanOverflow(
                 f"timestamps {t_min!r} and {ts!r} are too far apart to bin at {resolution!r}"
             )
-    if exact:
-        steps = [math.floor((ts - t_min) / resolution) for ts in values]
-        first, last = min(steps), max(steps)
-    else:
-        steps = np.floor((stamps - t_min) / resolution)
-        first, last = int(steps.min()), int(steps.max())
+    steps = np.floor((stamps - t_min) / resolution)
+    first, last = int(steps.min()), int(steps.max())
     if first < 0:
         raise ValueError(f"record at {first} steps before the origin {t_min}")
     if n_steps is None:
@@ -297,6 +288,10 @@ def ingest(
     # bincount adds each bin's amounts from 0.0 in record order, as += would
     bins = np.asarray(steps, dtype=np.int64) * n + np.asarray(ids, dtype=np.int64) - 1
     losses = np.bincount(bins, weights=amounts, minlength=losses.size).reshape(losses.shape)
+    # every amount is finite, but the sum of a bin's amounts can overflow
+    if losses.max() == math.inf:
+        step, process = divmod(int(losses.argmax()), n)
+        raise errors.NonPositiveAmount(math.inf, f"sum of step {step + 1}, process {process + 1}")
     return LossMatrix(losses)
 
 

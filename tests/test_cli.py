@@ -6,6 +6,7 @@ can be asserted without spawning interpreters.
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,7 +158,7 @@ class TestEstimateCommand:
         doc = json.loads((out / "estimates.json").read_text())
         assert doc["fraction_used"] == 0.5
         # default binning spans first to last record, not the raw horizon
-        times = [int(r[0]) for r in list(csv.reader(open(db)))[1:]]
+        times = [int(r[0]) for r in list(csv.reader(Path(db).read_text().splitlines()))[1:]]
         data_steps = max(times) - min(times) + 1
         assert doc["diagnostics"]["estimation_steps"] == data_steps // 2
 
@@ -192,6 +193,24 @@ class TestEstimateCommand:
         assert doc["error"] == "MalformedRecord"
         assert "line 3" in doc["message"]
 
+    @pytest.mark.parametrize(
+        "rows,error,where",
+        [
+            (["1,1,0.5", "2,2," + "9" * 131_073], "MalformedRecord", "line 3"),
+            (["1,1,1e308", "1,1,1e308"], "NonPositiveAmount", "step 1, process 1"),
+        ],
+    )
+    def test_unreadable_row_or_overflowing_bin_is_a_data_error(
+        self, tmp_path, capsys, rows, error, where
+    ):
+        config = small_config(tmp_path)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,process,amount\n" + "\n".join(rows) + "\n")
+        assert main(["estimate", "--config", config, "--database", str(bad)]) == 3
+        doc = last_stderr_json(capsys)
+        assert doc["error"] == error
+        assert where in doc["message"]
+
     @pytest.mark.parametrize("last", ["1e300", "1e17"])
     def test_unallocatable_timestamp_span_is_a_data_error(self, tmp_path, capsys, last):
         config = small_config(tmp_path)
@@ -222,7 +241,7 @@ class TestForecastCommand:
         config = small_config(tmp_path)
         out = tmp_path / "fc"
         main(["forecast", "--config", config, "--out-dir", str(out)])
-        rows = list(csv.reader((out / "var_table.csv").open()))
+        rows = list(csv.reader((out / "var_table.csv").read_text().splitlines()))
         assert rows[0] == ["process", "confidence", "var"]
         table = {(r[0], r[1]): float(r[2]) for r in rows[1:]}
         for i in (1, 2):
@@ -344,7 +363,7 @@ class TestFlagOverrides:
 
     def test_config_block_that_is_not_an_object_is_a_config_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
-        doc = json.loads(open(small_config(tmp_path)).read())
+        doc = json.loads(Path(small_config(tmp_path)).read_text())
         doc["estimation"] = 5
         config.write_text(json.dumps(doc))
         assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path)]) == 2
