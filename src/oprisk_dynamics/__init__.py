@@ -19,13 +19,11 @@ from .ensemble import (
 )
 from .estimate import (
     CouplingCandidate,
-    CouplingSampler,
     EstimateSet,
     EstimationDiagnostics,
     EventClassCounts,
     classify_events,
     collapse_estimates,
-    collapse_mean,
     collapse_precision,
     estimate_couplings,
     estimate_from_database,
@@ -60,7 +58,6 @@ __version__ = "1.0.0"
 __all__ = [
     "errors",
     "CouplingCandidate",
-    "CouplingSampler",
     "EnsembleResult",
     "EstimateSet",
     "EstimationDiagnostics",
@@ -75,7 +72,6 @@ __all__ = [
     "ValidationReport",
     "classify_events",
     "collapse_estimates",
-    "collapse_mean",
     "collapse_precision",
     "cumulative",
     "derive_seed",

@@ -5,8 +5,8 @@ master seed and the trajectory index (splitmix-style derivation), and all
 cross-trajectory reductions run in trajectory-index order. An ensemble is
 therefore bit-identical for any batch size or worker schedule.
 
-Seed layout: stream 0 feeds the coupling sampler (sample-per-run collapse),
-stream 1 + m feeds trajectory m.
+Seed layout: stream 0 seeds the candidate draws of a sample-per-run
+collapse, stream 1 + m feeds trajectory m.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import errors
-from .estimate import CouplingSampler, EstimateSet, collapse_estimates
+from .estimate import EstimateSet, collapse_estimates
 from .model import LossMatrix, ModelParameters, seed_in_range, validate_parameters
 from .simulate import _evolve, _start_history
 
@@ -123,10 +123,10 @@ def run_ensemble(
     """Simulate M independent trajectories and aggregate their z paths.
 
     Args:
-        source: ModelParameters, or an EstimateSet collapsed per ``collapse``
-            ("mean" shares one matrix; "sample-per-run" draws a fresh
-            couplings matrix per trajectory from the candidate lists, using
-            derived stream 0).
+        source: ModelParameters, or an EstimateSet that collapse_estimates
+            turns into one couplings matrix per trajectory: "mean" repeats
+            collapse_precision; "sample-per-run" draws each trajectory's
+            matrix from the candidates, seeded with derived stream 0.
         initial: starting history shared by every trajectory, as in simulate.
         n_steps: trajectory length T.
         m_trajectories: M >= 2.
@@ -147,17 +147,18 @@ def run_ensemble(
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
 
-    sampler = None
     if isinstance(source, EstimateSet):
-        couplings = collapse_estimates(source, collapse, seed=derive_seed(master_seed, 0))
-        if isinstance(couplings, CouplingSampler):
-            sampler = couplings
-            couplings = sampler()
-        p = parameters_from_estimates(source, couplings=couplings)
+        # the whole stack up front: trajectory m's matrix is the same however
+        # the batches are cut
+        couplings = collapse_estimates(
+            source, collapse, m_trajectories, derive_seed(master_seed, 0)
+        )
+        p = parameters_from_estimates(source, couplings[0])
     else:
         if collapse != "mean":
             raise ValueError("sample-per-run collapse requires an EstimateSet")
         p = validate_parameters(source)
+        couplings = np.broadcast_to(p.couplings, (m_trajectories, p.n, p.n))
 
     n = p.n
     initial_arr = _start_history(p, initial)
@@ -166,16 +167,6 @@ def run_ensemble(
     for s in capture:
         if not 1 <= s <= n_steps:
             raise errors.HorizonOutOfRange(s, n_steps)
-
-    # couplings drawn up front in trajectory order, so trajectory m carries
-    # the same matrix no matter how the batches are cut
-    if sampler is not None:
-        coupling_stack = np.empty((m_trajectories, n, n))
-        coupling_stack[0] = p.couplings
-        for m in range(1, m_trajectories):
-            coupling_stack[m] = sampler()
-    else:
-        coupling_stack = np.broadcast_to(p.couplings, (m_trajectories, n, n))
 
     # process-major like the engine's blocks: sums[0] runs over z and
     # sums[1] over z * z
@@ -194,7 +185,7 @@ def run_ensemble(
         for start, z in _evolve(
             p.theta,
             p.lam,
-            coupling_stack[members],
+            couplings[members],
             p.horizons,
             initial_arr,
             n_steps,

@@ -41,9 +41,7 @@ __all__ = [
     "estimate_theta",
     "estimate_couplings",
     "estimate_from_database",
-    "collapse_mean",
     "collapse_precision",
-    "CouplingSampler",
     "collapse_estimates",
     "lambda_from_p",
     "lambda_from_quantile",
@@ -376,15 +374,6 @@ def estimate_from_database(db, horizons: np.ndarray, lam: np.ndarray) -> Estimat
     )
 
 
-def collapse_mean(estimates: EstimateSet) -> np.ndarray:
-    """Unweighted mean of the candidates per pair; 0 where none exist."""
-    n = estimates.n_processes
-    collapsed = np.zeros((n, n))
-    for (i, j), candidates in estimates.j_hat.items():
-        collapsed[i, j] = float(np.mean([cand.estimate for cand in candidates]))
-    return collapsed
-
-
 def collapse_precision(estimates: EstimateSet) -> np.ndarray:
     """Inverse-variance mean of the candidates per pair; 0 where none exist.
 
@@ -418,44 +407,34 @@ def collapse_precision(estimates: EstimateSet) -> np.ndarray:
     return collapsed
 
 
-class CouplingSampler:
-    """Seeded sampler drawing one couplings matrix per call.
-
-    Each call picks, independently and uniformly, one candidate per (i, j)
-    pair; pairs without candidates stay 0. The draw sequence is a pure
-    function of the seed.
-    """
-
-    def __init__(self, estimates: EstimateSet, seed: int) -> None:
-        self._n = estimates.n_processes
-        self._pairs = [
-            (pair, np.array([cand.estimate for cand in candidates]))
-            for pair, candidates in sorted(estimates.j_hat.items())
-        ]
-        self._gen = np.random.Generator(np.random.PCG64(seed))
-
-    def __call__(self) -> np.ndarray:
-        matrix = np.zeros((self._n, self._n))
-        for (i, j), values in self._pairs:
-            matrix[i, j] = values[self._gen.integers(values.shape[0])]
-        return matrix
-
-
-def collapse_estimates(estimates: EstimateSet, strategy: str, seed: int | None = None):
-    """Collapse multi-class candidates into usable coupling matrices.
+def collapse_estimates(
+    estimates: EstimateSet, strategy: str, m_trajectories: int, seed: int | None = None
+) -> np.ndarray:
+    """Collapse the candidates into the (M, N, N) couplings stack of an
+    M-trajectory forecast, one matrix per trajectory.
 
     Args:
-        strategy: "mean" for one unweighted-mean matrix, "sample-per-run" for
-            a seeded CouplingSampler yielding a fresh matrix per call.
+        strategy: "mean" repeats the collapse_precision matrix (a read-only
+            view). "sample-per-run" draws trajectory m's matrix by picking,
+            independently and uniformly, one candidate per (i, j) pair; pairs
+            without candidates stay 0. Draws run matrix by matrix in
+            trajectory order, and in sorted pair order within a matrix.
         seed: required for "sample-per-run".
     """
+    n = estimates.n_processes
     if strategy == "mean":
-        return collapse_mean(estimates)
-    if strategy == "sample-per-run":
-        if seed is None:
-            raise ValueError("sample-per-run collapse requires a seed")
-        return CouplingSampler(estimates, seed)
-    raise ValueError(f"unknown collapse strategy {strategy!r}")
+        return np.broadcast_to(collapse_precision(estimates), (m_trajectories, n, n))
+    if strategy != "sample-per-run":
+        raise ValueError(f"unknown collapse strategy {strategy!r}")
+    if seed is None:
+        raise ValueError("sample-per-run collapse requires a seed")
+    pairs = sorted(estimates.j_hat.items())
+    gen = np.random.Generator(np.random.PCG64(seed))
+    stack = np.zeros((m_trajectories, n, n))
+    for matrix in stack:
+        for (i, j), candidates in pairs:
+            matrix[i, j] = candidates[gen.integers(len(candidates))].estimate
+    return stack
 
 
 def lambda_from_p(p: float, theta: float) -> float:

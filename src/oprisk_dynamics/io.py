@@ -147,23 +147,23 @@ def _row_blocks(handle):
     ends its block and, once that block is parsed, raises MalformedRecord.
     """
     reader = csv.reader(handle)
-    line_no, block = 1, []
+    block = []
     try:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != _DB_HEADER:
             raise errors.MalformedRecord(1, f"expected header {','.join(_DB_HEADER)!r}")
-        line_no = 2
         while True:
+            line_no = reader.line_num + 1
             for row in islice(reader, _CSV_BLOCK_ROWS):
                 block.append(row)
             if not block:
                 return
             yield line_no, block
-            line_no, block = line_no + len(block), []
+            block = []
     except csv.Error as exc:
         if block:
             yield line_no, block
-        raise errors.MalformedRecord(line_no + len(block), f"not a CSV row: {exc}") from None
+        raise errors.MalformedRecord(reader.line_num, f"not a CSV row: {exc}") from None
 
 
 def _parse_block(rows: list, line_no: int) -> LossRecords:
@@ -187,9 +187,18 @@ def _parse_block(rows: list, line_no: int) -> LossRecords:
     return _parse_rows(rows, line_no)
 
 
+def _first_lines(rows: list, line_no: int):
+    """The file line each row starts on, the first on ``line_no``: a quoted
+    field keeps the line breaks (CR LF, LF or CR) it spans."""
+    for row in rows:
+        yield line_no
+        text = ",".join(row)
+        line_no += 1 + text.count("\n") + text.count("\r") - text.count("\r\n")
+
+
 def _parse_rows(rows: list, line_no: int) -> LossRecords:
     stamps, ids, amounts = [], [], []
-    for line_no, row in enumerate(rows, start=line_no):
+    for line_no, row in zip(_first_lines(rows, line_no), rows):
         if not row:
             continue
         if len(row) != 3:
@@ -226,13 +235,15 @@ def ingest(
     or trailing steps, making export -> ingest lossless.
 
     ``records`` is binned as float64 columns: a LossRecords as it is, any
-    other iterable after one pass that builds them.
+    other iterable after one pass that builds them, which fails first on a
+    record whose timestamp or amount no float64 holds.
 
     Raises:
         EmptyDatabase, UnknownProcess, NonPositiveAmount: the first faulty
             record, in record order, or the first bin whose sum overflows.
-        TimestampSpanOverflow: a record's distance from the origin overflows
-            or is NaN, or the steps it spans are too many to allocate.
+        TimestampSpanOverflow: a timestamp no float64 holds, a record's
+            distance from the origin overflows or is NaN, or the steps it
+            spans are too many to hold.
         ValueError: resolution <= 0, or a record falls outside a pinned range.
     """
     if not resolution > 0:
@@ -241,11 +252,15 @@ def ingest(
         table = records
     else:
         records = list(records)
-        table = LossRecords.of(
-            [rec.timestamp for rec in records],
-            [rec.process_id for rec in records],
-            [rec.amount for rec in records],
-        )
+        try:
+            table = LossRecords.of(
+                [rec.timestamp for rec in records],
+                [rec.process_id for rec in records],
+                [rec.amount for rec in records],
+            )
+        except OverflowError:
+            _check_float64(records)
+            raise
     if not len(table):
         raise errors.EmptyDatabase("no loss records to ingest")
     ids, amounts = table.process_ids, table.amounts
@@ -276,23 +291,38 @@ def ingest(
     elif last >= n_steps:
         raise ValueError(f"record in step {last + 1} beyond the pinned {n_steps} steps")
 
-    # np.zeros gives numpy's own reason when a (T, N) matrix cannot be
-    # held; its pages are never touched, as the bin sums replace it
+    # a step beyond int64 casts to garbage, but bincount then fails on its length
+    with np.errstate(invalid="ignore"):
+        bins = np.asarray(steps, dtype=np.int64) * n + np.asarray(ids, dtype=np.int64) - 1
+    # bincount adds each bin's amounts from 0.0 in record order, as += would
     try:
-        losses = np.zeros((n_steps, n))
-    except (ValueError, MemoryError) as exc:
+        losses = np.bincount(bins, weights=amounts, minlength=n_steps * n).reshape(n_steps, n)
+    except (ValueError, MemoryError, OverflowError) as exc:
         raise errors.TimestampSpanOverflow(
             f"timestamps {t_min!r} and {hi!r} span "
             f"{n_steps:.4g} steps at {resolution!r}, too many to hold: {exc}"
         ) from exc
-    # bincount adds each bin's amounts from 0.0 in record order, as += would
-    bins = np.asarray(steps, dtype=np.int64) * n + np.asarray(ids, dtype=np.int64) - 1
-    losses = np.bincount(bins, weights=amounts, minlength=losses.size).reshape(losses.shape)
     # every amount is finite, but the sum of a bin's amounts can overflow
     if losses.max() == math.inf:
         step, process = divmod(int(losses.argmax()), n)
         raise errors.NonPositiveAmount(math.inf, f"sum of step {step + 1}, process {process + 1}")
     return LossMatrix(losses)
+
+
+def _check_float64(records: list) -> None:
+    """Raise the data error of the first record whose timestamp or amount
+    no float64 holds."""
+    for k, rec in enumerate(records, start=1):
+        try:
+            float(rec.timestamp)
+        except OverflowError:
+            raise errors.TimestampSpanOverflow(
+                f"record {k}: timestamp {rec.timestamp!r} is beyond the float64 range"
+            ) from None
+        try:
+            float(rec.amount)
+        except OverflowError:
+            raise errors.NonPositiveAmount(rec.amount, f"record {k}") from None
 
 
 def _write_csv(path, header, blocks) -> None:

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from oprisk_dynamics.cli import main
+from oprisk_dynamics.ensemble import parameters_from_estimates, run_ensemble
 from oprisk_dynamics.ensemble import var as var_fn
-from oprisk_dynamics.io import read_samples
+from oprisk_dynamics.estimate import collapse_precision, estimate_from_database
+from oprisk_dynamics.io import ingest, load_config, read_loss_records, read_samples
 
 
 def small_config(tmp_path, **overrides):
@@ -265,6 +267,26 @@ class TestForecastCommand:
         ])
         assert code == 0
         assert (out / "var_table.csv").exists()
+
+    def test_mean_collapse_forecasts_with_the_precision_mean(self, tmp_path):
+        config = small_config(tmp_path, **{"estimation.collapse": "mean"})
+        db = tmp_path / "sim" / "database.csv"
+        main(["simulate", "--config", config, "--out-dir", str(db.parent)])
+        out = tmp_path / "fc"
+        code = main(["forecast", "--config", config, "--database", str(db), "--out-dir", str(out)])
+        assert code == 0
+
+        run = load_config(config)
+        p = run.parameters
+        est = estimate_from_database(ingest(read_loss_records(db), 1.0, p.n), p.horizons, p.lam)
+        assert any(len(candidates) > 1 for candidates in est.j_hat.values())
+        expected = run_ensemble(
+            parameters_from_estimates(est, collapse_precision(est)),
+            None, run.n_steps, run.m_trajectories, run.master_seed,
+        )
+        for i in range(p.n):
+            samples = read_samples(out / f"terminal_p{i + 1}.txt")
+            assert np.array_equal(samples, expected.terminal_samples[:, i])
 
     def test_degenerate_database_exit_code(self, tmp_path, capsys):
         doc = {

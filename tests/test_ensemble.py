@@ -18,9 +18,9 @@ from oprisk_dynamics import errors
 from oprisk_dynamics.ensemble import derive_seed, parameters_from_estimates, run_ensemble, var
 from oprisk_dynamics.estimate import (
     CouplingCandidate,
-    CouplingSampler,
     EstimateSet,
-    collapse_mean,
+    collapse_estimates,
+    collapse_precision,
 )
 from oprisk_dynamics.model import LossMatrix, ModelParameters, NoiseSpec, validate_parameters
 from oprisk_dynamics.simulate import simulate
@@ -313,8 +313,9 @@ class TestRunEnsemble:
 
 
 def two_candidate_estimates():
+    # each candidate inverts a zero-loss ratio inside (0, 1): theta + c J < 0
     j_hat = {
-        (0, 1): [CouplingCandidate(1, 0.3, 50), CouplingCandidate(2, 0.5, 20)],
+        (0, 1): [CouplingCandidate(1, 0.3, 50), CouplingCandidate(2, 0.4, 20)],
     }
     return EstimateSet(
         theta_hat=np.array([-1.0, -0.8]),
@@ -329,18 +330,19 @@ def two_candidate_estimates():
 class TestEstimateSetSources:
     def test_parameters_from_estimates_mean_collapse(self):
         est = two_candidate_estimates()
-        p = parameters_from_estimates(est, collapse_mean(est))
+        p = parameters_from_estimates(est, collapse_estimates(est, "mean", 2)[0])
         assert np.array_equal(p.theta, est.theta_hat)
         assert np.array_equal(p.lam, est.lam)
         assert np.array_equal(p.horizons, est.horizons)
-        assert p.couplings[0, 1] == pytest.approx(0.4, abs=1e-12)
+        assert np.array_equal(p.couplings, collapse_precision(est))
+        assert 0.3 < p.couplings[0, 1] < 0.4
 
     def test_degenerate_theta_blocks_simulation(self):
         est = two_candidate_estimates()
         est.theta_available = np.array([True, False])
         est.theta_hat = np.array([-1.0, 0.0])
         with pytest.raises(errors.EstimationDegenerate) as exc:
-            parameters_from_estimates(est, collapse_mean(est))
+            parameters_from_estimates(est, collapse_precision(est))
         assert exc.value.indices == [1]
         with pytest.raises(errors.EstimationDegenerate):
             run_ensemble(est, None, 10, 2, master_seed=0)
@@ -349,7 +351,7 @@ class TestEstimateSetSources:
         est = two_candidate_estimates()
         from_est = run_ensemble(est, None, 80, 4, master_seed=21)
         explicit = run_ensemble(
-            parameters_from_estimates(est, collapse_mean(est)), None, 80, 4, master_seed=21
+            parameters_from_estimates(est, collapse_precision(est)), None, 80, 4, master_seed=21
         )
         assert np.array_equal(from_est.terminal_samples, explicit.terminal_samples)
         assert np.array_equal(from_est.mean_z, explicit.mean_z)
@@ -364,10 +366,10 @@ class TestEstimateSetSources:
             collapse="sample-per-run", batch_size=batch_size,
         )
 
-        sampler = CouplingSampler(est, derive_seed(master, 0))
+        drawn = collapse_estimates(est, "sample-per-run", m_traj, derive_seed(master, 0))
         paths = []
         for m in range(m_traj):
-            couplings = sampler()  # draw m+1, trajectory order
+            couplings = drawn[m]
             p = validate_parameters(
                 ModelParameters(
                     n=2, theta=est.theta_hat, lam=est.lam,
@@ -406,10 +408,10 @@ class TestEstimateSetSources:
         assert np.array_equal(result.terminal_samples, baseline.terminal_samples)
         assert np.array_equal(result.captured[60], baseline.captured[60])
 
-        sampler = CouplingSampler(est, derive_seed(master, 0))
+        stack = collapse_estimates(est, "sample-per-run", m_traj, derive_seed(master, 0))
         drawn = []
         for m in range(m_traj):
-            couplings = sampler()
+            couplings = stack[m]
             drawn.append(couplings[0, 1])
             p = validate_parameters(
                 ModelParameters(

@@ -18,12 +18,10 @@ from oprisk_dynamics import errors
 from oprisk_dynamics.errors import DegeneracyWarning
 from oprisk_dynamics.estimate import (
     CouplingCandidate,
-    CouplingSampler,
     EstimateSet,
     EventClassCounts,
     classify_events,
     collapse_estimates,
-    collapse_mean,
     collapse_precision,
     estimate_couplings,
     estimate_from_database,
@@ -312,19 +310,21 @@ class TestCollapse:
             diagnostics=None,
         )
 
-    def test_mean_of_candidates(self):
+    def test_mean_stack_repeats_the_precision_mean(self):
         est = self._estimates({(0, 1): [0.10, 0.12]})
-        collapsed = collapse_mean(est)
-        assert collapsed[0, 1] == pytest.approx(0.11, abs=1e-12)
-        assert collapsed[1, 0] == 0.0  # no candidates -> absent interaction
+        stack = collapse_estimates(est, "mean", 3)
+        assert stack.shape == (3, 2, 2)
+        for m in range(3):
+            assert np.array_equal(stack[m], collapse_precision(est))
+        assert 0.10 < stack[0, 0, 1] < 0.12
+        assert stack[0, 1, 0] == 0.0  # no candidates -> absent interaction
 
     def test_singleton_under_both_strategies(self):
         est = self._estimates({(0, 1): [0.15]})
-        assert collapse_mean(est)[0, 1] == 0.15
         assert collapse_precision(est)[0, 1] == 0.15
-        sampler = CouplingSampler(est, seed=1)
-        assert sampler()[0, 1] == 0.15
-        assert collapse_estimates(est, "mean")[0, 1] == 0.15
+        for strategy in ("mean", "sample-per-run"):
+            stack = collapse_estimates(est, strategy, 4, seed=1)
+            assert (stack[:, 0, 1] == 0.15).all()
 
     def test_precision_weights_match_hand_computation(self):
         est = self._with_candidates(
@@ -344,7 +344,6 @@ class TestCollapse:
         est = self._with_candidates(
             {(0, 1): [CouplingCandidate(1, 0.10, 10000), CouplingCandidate(1, 0.25, 3)]}
         )
-        assert collapse_mean(est)[0, 1] == pytest.approx(0.175, abs=1e-12)
         assert abs(collapse_precision(est)[0, 1] - 0.10) < 1e-4
 
     def test_precision_rejects_ratio_outside_unit_interval(self):
@@ -378,21 +377,32 @@ class TestCollapse:
         assert min(values) <= collapsed[0, 1] <= max(values)
         assert np.count_nonzero(collapsed) == 1
 
-    def test_sampler_is_seeded_and_draws_from_candidates(self):
+    def test_sample_per_run_is_seeded_and_draws_from_candidates(self):
         est = self._estimates({(0, 1): [0.10, 0.12, 0.20]})
-        first = [CouplingSampler(est, seed=7)() for _ in range(20)]
-        second = [CouplingSampler(est, seed=7)() for _ in range(20)]
-        assert all(np.array_equal(a, b) for a, b in zip(first, second))
-        sampler = CouplingSampler(est, seed=8)
-        seen = {sampler()[0, 1] for _ in range(60)}
+        first = collapse_estimates(est, "sample-per-run", 20, seed=7)
+        assert np.array_equal(first, collapse_estimates(est, "sample-per-run", 20, seed=7))
+        # trajectory m's matrix does not depend on how many follow it
+        assert np.array_equal(first, collapse_estimates(est, "sample-per-run", 60, seed=7)[:20])
+        seen = set(collapse_estimates(est, "sample-per-run", 60, seed=8)[:, 0, 1])
         assert seen == {0.10, 0.12, 0.20}
+
+    def test_sample_per_run_draw_order(self):
+        # one integers() call per pair, pairs in sorted order, matrix by matrix
+        mapping = {(1, 0): [0.3, 0.2], (0, 1): [0.10, 0.12, 0.20]}
+        stack = collapse_estimates(self._estimates(mapping), "sample-per-run", 25, seed=5)
+        gen = np.random.Generator(np.random.PCG64(5))
+        for matrix in stack:
+            for pair, values in sorted(mapping.items()):
+                assert matrix[pair] == values[gen.integers(len(values))]
+            assert matrix[0, 0] == matrix[1, 1] == 0.0
 
     def test_dispatcher_validates_strategy(self):
         est = self._estimates({})
         with pytest.raises(ValueError):
-            collapse_estimates(est, "median")
-        sampler = collapse_estimates(est, "sample-per-run", seed=3)
-        assert not sampler().any()
+            collapse_estimates(est, "median", 2)
+        with pytest.raises(ValueError, match="seed"):
+            collapse_estimates(est, "sample-per-run", 2)
+        assert not collapse_estimates(est, "sample-per-run", 2, seed=3).any()
 
 
 class TestLambdaHelpers:
@@ -451,7 +461,7 @@ class TestRoundTrip:
         assert est.theta_available.all()
         assert np.allclose(est.theta_hat, p.theta, rtol=0.06)
         assert est.j_hat == {}
-        assert not collapse_mean(est).any()
+        assert not collapse_estimates(est, "mean", 2).any()
 
     def test_interacting_recovery_within_sampling_noise(self, small_parameters):
         traj = simulate(
@@ -461,5 +471,5 @@ class TestRoundTrip:
             traj.losses, small_parameters.horizons, small_parameters.lam
         )
         assert np.allclose(est.theta_hat, small_parameters.theta, rtol=0.05)
-        collapsed = collapse_mean(est)
+        collapsed = collapse_estimates(est, "mean", 2)[0]
         assert collapsed[0, 1] == pytest.approx(0.5, rel=0.25)

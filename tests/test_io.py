@@ -242,6 +242,63 @@ class TestColumnarPathMatchesRowOracle:
             read_loss_records(path)
         assert exc.value.line_no == 3
 
+    # a quoted field may hold line breaks, so a row's line is the file's
+    # line, not the row's count
+    @pytest.mark.parametrize(
+        "text,line_no,reason_part",
+        [
+            pytest.param('t,process,amount\n1,1,"1.0\n"\n2,1,x\n', 4, "amount", id="after"),
+            pytest.param(
+                't,process,amount\r\n1,1,"1.0\r\n"\r\n\r\n2,"1\r",1.0\n3,1,x\n', 7, "amount",
+                id="crlf-cr-and-blank-before",
+            ),
+            pytest.param(
+                't,process,amount\n1,1,"1.0\n"\n2,1,"x\ny"\n3,1,1.0\n', 4, "amount",
+                id="faulty-row-spans-two",
+            ),
+            pytest.param(
+                't,process,amount\n1,1,"1.0\n"\n2,1,' + "9" * 131_073 + "\n", 4, "not a CSV row",
+                id="row-the-csv-module-rejects",
+            ),
+        ],
+    )
+    def test_line_numbers_count_file_lines(self, tmp_path, monkeypatch, text, line_no, reason_part):
+        path = tmp_path / "db.csv"
+        path.write_text(text, newline="")
+        for block_rows in self.BLOCK_ROWS + (2, 1):
+            monkeypatch.setattr(io, "_CSV_BLOCK_ROWS", block_rows)
+            with pytest.raises(errors.MalformedRecord) as exc:
+                read_loss_records(path)
+            assert exc.value.line_no == line_no, block_rows
+            assert reason_part in exc.value.reason
+
+    @pytest.mark.parametrize("case_seed", range(20))
+    def test_faulty_row_starts_where_the_reader_says(self, tmp_path, monkeypatch, case_seed):
+        # quoted amounts span lines ending in LF, CR LF or a lone CR; the
+        # csv module's own line count places the faulty row
+        rng = np.random.default_rng(7700 + case_seed)
+        ends = ["\n", "\r\n", "\r"]
+        rows = [
+            f'{k},1,"{k + 1}.0' + "".join(rng.choice(ends, int(rng.integers(0, 3)))) + '"'
+            for k in range(int(rng.integers(1, 30)))
+        ]
+        rows.insert(int(rng.integers(0, len(rows) + 1)), '"x' + str(rng.choice(ends)) + '",1,1.0')
+        text = "t,process,amount" + "".join(rng.choice(ends) + row for row in rows) + "\n"
+        path = tmp_path / "db.csv"
+        path.write_text(text, newline="")
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            line_no = 1
+            for row in reader:
+                if row[0].strip() == "x":
+                    break
+                line_no = reader.line_num + 1
+        for block_rows in self.BLOCK_ROWS + (2, 1):
+            monkeypatch.setattr(io, "_CSV_BLOCK_ROWS", block_rows)
+            with pytest.raises(errors.MalformedRecord, match="timestamp") as exc:
+                read_loss_records(path)
+            assert exc.value.line_no == line_no, block_rows
+
     @pytest.mark.parametrize(
         "lines,line_no,reason_part",
         [
@@ -395,6 +452,27 @@ class TestIngest:
                 ingest([rec(0, 1, bad)], 1.0, 1)
         with pytest.raises(ValueError):
             ingest([rec(0, 1, 1.0)], 0.0, 1)
+
+    @pytest.mark.parametrize(
+        "records,error,message",
+        [
+            pytest.param(
+                [rec(0, 1, 1.0), rec(10**400, 1, 1.0)],
+                errors.TimestampSpanOverflow,
+                r"record 2: timestamp 10{400} is beyond the float64 range",
+                id="timestamp",
+            ),
+            pytest.param(
+                [rec(0, 1, 1.0), rec(1, 1, -(10**400))],
+                errors.NonPositiveAmount,
+                r"loss amount -10{400} must be finite and > 0 \(record 2\)",
+                id="amount",
+            ),
+        ],
+    )
+    def test_listed_value_beyond_float64_is_a_data_error(self, records, error, message):
+        with pytest.raises(error, match=message):
+            ingest(records, 1.0, 1)
 
     def test_overflowing_bin_sum_names_step_and_process(self):
         records = [rec(0, 1, 1.0), rec(1, 2, 1e308), rec(1, 1, 1e308), rec(1, 2, 1e308)]
