@@ -22,6 +22,7 @@ from .estimate import (
     EstimateSet,
     EstimationDiagnostics,
     EventClassCounts,
+    LossEvents,
     classify_events,
     collapse_estimates,
     collapse_precision,
@@ -36,6 +37,7 @@ from .io import (
     RawLossRecord,
     RunConfig,
     ingest,
+    ingest_events,
     load_config,
     read_loss_records,
     read_samples,
@@ -62,6 +64,7 @@ __all__ = [
     "EstimateSet",
     "EstimationDiagnostics",
     "EventClassCounts",
+    "LossEvents",
     "LossMatrix",
     "LossRecords",
     "ModelParameters",
@@ -79,6 +82,7 @@ __all__ = [
     "estimate_from_database",
     "estimate_theta",
     "ingest",
+    "ingest_events",
     "lambda_from_p",
     "lambda_from_quantile",
     "load_config",

@@ -149,11 +149,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _estimates_from_file(config: io.RunConfig, database: str) -> EstimateSet:
-    records = io.read_loss_records(database)
-    matrix = io.ingest(records, config.resolution, config.parameters.n)
-    steps = int(config.fraction * matrix.n_steps)
     p = config.parameters
-    return estimate_from_database(matrix.losses[:steps], p.horizons, p.lam)
+    events = io.ingest_events(io.read_loss_records(database), config.resolution, p.n)
+    steps = int(config.fraction * events.n_steps)
+    return estimate_from_database(events.head(steps), p.horizons, p.lam)
 
 
 def _cmd_estimate(args) -> int:

@@ -1,11 +1,15 @@
 """Frequentist parameter estimation from a loss database.
 
-The database is scanned once into sufficient statistics: for every event
-(t, i) with a full memory window behind it, either all trigger counts are
-zero (the base class, informative about theta_i), or exactly one influencer
-j is active with count c (the (i, j, c) class, informative about J_ij), or
-several influencers are active at once and the event fits no closed-form
-inversion and is discarded with a diagnostic count.
+The estimator reads a database as LossEvents: the steps of each process
+that hold a positive loss, plus its length T. They are counted into
+sufficient statistics: for every event (t, i) with a full memory window
+behind it, either all trigger counts are zero (the base class, informative
+about theta_i), or exactly one influencer j is active with count c (the
+(i, j, c) class, informative about J_ij), or several influencers are active
+at once and the event fits no closed-form inversion and is discarded with a
+diagnostic count. The counts are taken over the segments between the steps
+where some trigger count changes, so the work and memory grow with the
+number of losses, not with T.
 
 Zero-loss ratios within each class invert into estimates:
 
@@ -33,6 +37,7 @@ from .model import LossMatrix, noise_rates
 logger = logging.getLogger(__name__)
 
 __all__ = [
+    "LossEvents",
     "EventClassCounts",
     "CouplingCandidate",
     "EstimationDiagnostics",
@@ -48,6 +53,35 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, eq=False)
+class LossEvents:
+    """The steps that hold a positive loss, per process, and the length T of
+    the database: all the estimator reads of a loss database.
+
+    ``steps[i]`` holds process i's 0-based steps, as distinct int64 values in
+    increasing order, each in [0, n_steps).
+    """
+
+    steps: tuple
+    n_steps: int
+
+    @classmethod
+    def of(cls, db) -> "LossEvents":
+        """The events of a LossMatrix or (T, N) array: its entries > 0."""
+        losses = db.losses if isinstance(db, LossMatrix) else np.asarray(db, dtype=np.float64)
+        n_steps, n = losses.shape
+        t, i = np.nonzero(losses > 0.0)
+        return cls(tuple(t[i == k] for k in range(n)), n_steps)
+
+    @property
+    def n_processes(self) -> int:
+        return len(self.steps)
+
+    def head(self, n_steps: int) -> "LossEvents":
+        """The events of the first ``n_steps`` steps."""
+        return LossEvents(tuple(s[: np.searchsorted(s, n_steps)] for s in self.steps), n_steps)
+
+
 @dataclass(eq=False)
 class EventClassCounts:
     """Event counters per conditioning class.
@@ -60,7 +94,7 @@ class EventClassCounts:
         class_zero: of those, events with zero loss of process i.
         discarded: per process, events with two or more active influencers,
             excluded from every class.
-        n_steps: length of the scanned database.
+        n_steps: length of the counted database.
         window: number of leading steps skipped (the maximum horizon).
         horizons: the (N, N) horizon matrix the classes were built with.
     """
@@ -170,23 +204,27 @@ class EstimateSet:
 
 
 def classify_events(db, horizons: np.ndarray) -> EventClassCounts:
-    """Scan a loss database into per-class event counters.
+    """Count a database's events into per-class event counters.
 
     Counting starts at t = max horizon so every trigger count sees a full
-    window; the strict predicate loss > 0 defines activity. Trigger counts
-    are built per process i, and only for its live pairs (horizons[i, j] >
-    0): a (live pairs, T - max horizon) slab of window counts taken from
-    one prefix count per process.
+    window; the strict predicate loss > 0 defines activity. Each trigger
+    count C_ij(t), the positive losses of j over [t - h_ij, t - 1], changes
+    only at s + 1 and s + h_ij + 1 for a positive step s of j. So the steps
+    of process i are cut at those points of its live pairs (horizons[i, j]
+    > 0), and each segment adds its length to its class's total and its
+    length minus i's own losses inside it to the class's zero count. No
+    array of the database's length is built.
 
     Args:
-        db: LossMatrix or (T, N) array.
+        db: LossEvents, or a LossMatrix or (T, N) array (read through
+            LossEvents.of).
         horizons: (N, N) nonnegative integer matrix.
 
     Raises:
         DatabaseTooShort: fewer than max horizon + 1 steps.
     """
-    losses = db.losses if isinstance(db, LossMatrix) else np.asarray(db, dtype=np.float64)
-    n_steps, n = losses.shape
+    events = db if isinstance(db, LossEvents) else LossEvents.of(db)
+    n_steps, n = events.n_steps, events.n_processes
     horizons = np.asarray(horizons)
     if horizons.shape != (n, n):
         raise errors.DimensionMismatch("horizons", (n, n), horizons.shape)
@@ -194,44 +232,39 @@ def classify_events(db, horizons: np.ndarray) -> EventClassCounts:
     if n_steps < w + 1:
         raise errors.DatabaseTooShort(n_steps, w + 1)
 
-    # prefix counts of positive losses, one row per process
-    positive = np.ascontiguousarray((losses > 0.0).T)
-    csum = np.zeros((n, n_steps + 1), dtype=np.int64)
-    np.cumsum(positive, axis=1, out=csum[:, 1:])
-    zero_loss = ~positive[:, w:]
-
-    rows = n_steps - w
-    base_total = np.full(n, rows, dtype=np.int64)
-    base_zero = np.count_nonzero(zero_loss, axis=1).astype(np.int64)
+    base_total = np.zeros(n, dtype=np.int64)
+    base_zero = np.zeros(n, dtype=np.int64)
     discarded = np.zeros(n, dtype=np.int64)
     class_total = np.zeros((n, n, w), dtype=np.int64)
     class_zero = np.zeros((n, n, w), dtype=np.int64)
     for i in range(n):
         live = np.flatnonzero(horizons[i])
-        if live.size == 0:
-            continue
-        # counts[k, t - w]: positive losses of live[k] over [t-h, t-1], t in [w, T)
-        counts = np.empty((live.size, rows), dtype=np.int64)
-        for k, j in enumerate(live.tolist()):
-            h = int(horizons[i, j])
-            np.subtract(csum[j, w:n_steps], csum[j, w - h : n_steps - h], out=counts[k])
+        lags = horizons[i, live].tolist()
+        sources = [events.steps[j] for j in live.tolist()]
+        # segment k is [cuts[k], cuts[k + 1]), every count constant on it;
+        # a repeated cut makes an empty segment, which adds nothing
+        cuts = np.concatenate([[w, n_steps]] + [s + 1 for s in sources]
+                              + [s + (h + 1) for s, h in zip(sources, lags)])
+        cuts = np.sort(np.clip(cuts, w, n_steps))
+        start, length = cuts[:-1], np.diff(cuts)
+        lossless = length - np.diff(np.searchsorted(events.steps[i], cuts))
+        # counts[k, s]: positive losses of live[k] over [t - h, t - 1], t in segment s
+        counts = np.empty((live.size, start.size), dtype=np.int64)
+        for k, (s, h) in enumerate(zip(sources, lags)):
+            np.subtract(np.searchsorted(s, start), np.searchsorted(s, start - h), out=counts[k])
         active = counts > 0
         n_active = active.sum(axis=0)
-        base = n_active == 0
-        base_total[i] = np.count_nonzero(base)
-        base_zero[i] = np.count_nonzero(base & zero_loss[i])
-        discarded[i] = np.count_nonzero(n_active >= 2)
-        # an event with one active influencer live[k] at count c is in class
-        # code k * w + c, every other event in code 0; bin 2 * code + 1 of
-        # the event's code counts its zero losses, bin 2 * code the others
+        # a segment with one active influencer live[k] at count c is in class
+        # code k * w + c, one with none in code 0, every other in the last code
         code = (counts + active * (w * np.arange(live.size))[:, None]).sum(axis=0)
-        code *= n_active == 1
-        code <<= 1
-        code += zero_loss[i]
-        bins = np.bincount(code, minlength=2 * (live.size * w + 1))[2:]
-        bins = bins.reshape(live.size, w, 2)
-        class_total[i, live] = bins.sum(axis=2)
-        class_zero[i, live] = bins[:, :, 1]
+        code[n_active >= 2] = live.size * w + 1
+        total = np.zeros(live.size * w + 2, dtype=np.int64)
+        zero = np.zeros_like(total)
+        np.add.at(total, code, length)
+        np.add.at(zero, code, lossless)
+        base_total[i], base_zero[i], discarded[i] = total[0], zero[0], total[-1]
+        class_total[i, live] = total[1:-1].reshape(live.size, w)
+        class_zero[i, live] = zero[1:-1].reshape(live.size, w)
 
     return EventClassCounts(
         base_total=base_total,
@@ -334,7 +367,11 @@ def estimate_couplings(
 
 
 def estimate_from_database(db, horizons: np.ndarray, lam: np.ndarray) -> EstimateSet:
-    """Classify a database and invert both estimators in one pass."""
+    """Classify a database and invert both estimators in one pass.
+
+    ``db`` is LossEvents, or a LossMatrix or (T, N) array, as classify_events
+    takes it.
+    """
     counts = classify_events(db, horizons)
     theta_hat, available = estimate_theta(counts, lam)
     j_hat = estimate_couplings(counts, theta_hat, lam, theta_available=available)
@@ -429,11 +466,16 @@ def collapse_estimates(
     if seed is None:
         raise ValueError("sample-per-run collapse requires a seed")
     pairs = sorted(estimates.j_hat.items())
-    gen = np.random.Generator(np.random.PCG64(seed))
     stack = np.zeros((m_trajectories, n, n))
-    for matrix in stack:
-        for (i, j), candidates in pairs:
-            matrix[i, j] = candidates[gen.integers(len(candidates))].estimate
+    if not pairs:
+        return stack
+    gen = np.random.Generator(np.random.PCG64(seed))
+    # one bounded draw per (trajectory, pair), in the order a loop over
+    # trajectories, then pairs, would make them
+    sizes = np.array([len(candidates) for _, candidates in pairs])
+    picks = gen.integers(np.tile(sizes, m_trajectories)).reshape(m_trajectories, len(pairs))
+    for p, ((i, j), candidates) in enumerate(pairs):
+        stack[:, i, j] = np.array([cand.estimate for cand in candidates])[picks[:, p]]
     return stack
 
 

@@ -8,6 +8,10 @@ which spreadsheet tools write:
   line; ``t`` is an integer step or an ISO-8601 timestamp. A timestamp
   without a UTC offset is read as UTC, never in the machine's time zone.
   The file is read in one pass, and every timestamp becomes a float64.
+  Records are binned onto the step grid in two forms, with the same checks:
+  ``ingest_events`` keeps only the occupied (step, process) bins, the
+  LossEvents the estimator reads, and ``ingest`` builds the dense (T, N)
+  loss matrix.
 * series tables: header ``t,process,value``, full (step, process) grid.
 * histograms: header ``bin_left,bin_right,count``.
 * configuration: one JSON document; see ``load_config``.
@@ -29,7 +33,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from . import errors
-from .estimate import lambda_from_p, lambda_from_quantile
+from .estimate import LossEvents, lambda_from_p, lambda_from_quantile
 from .model import LossMatrix, ModelParameters, seed_in_range, validate_parameters
 
 __all__ = [
@@ -37,6 +41,7 @@ __all__ = [
     "LossRecords",
     "read_loss_records",
     "ingest",
+    "ingest_events",
     "write_loss_database",
     "write_series",
     "write_histogram",
@@ -246,6 +251,61 @@ def ingest(
             spans are too many to hold.
         ValueError: resolution <= 0, or a record falls outside a pinned range.
     """
+    table, steps, n_steps, span = _binned_steps(records, resolution, n, origin, n_steps)
+    # a step beyond int64 casts to garbage, but bincount then fails on its length
+    with np.errstate(invalid="ignore"):
+        bins = np.asarray(steps, dtype=np.int64) * n + np.asarray(table.process_ids, np.int64) - 1
+    # bincount adds each bin's amounts from 0.0 in record order, as += would
+    try:
+        losses = np.bincount(bins, weights=table.amounts, minlength=n_steps * n)
+    except (ValueError, MemoryError, OverflowError) as exc:
+        raise errors.TimestampSpanOverflow(f"{span}, too many to hold: {exc}") from exc
+    if losses.max() == math.inf:
+        raise _overflowed_bin(int(losses.argmax()), n)
+    return LossMatrix(losses.reshape(n_steps, n))
+
+
+def ingest_events(
+    records: Iterable[RawLossRecord],
+    resolution: float,
+    n: int,
+    origin: float | None = None,
+    n_steps: int | None = None,
+) -> LossEvents:
+    """The positive bins of raw loss records, as the estimator reads them.
+
+    Records are checked and binned as ``ingest`` does, with the same errors,
+    but only the occupied (step, process) bins are kept: ``ingest`` followed
+    by LossEvents.of, without a (T, N) matrix. A span of steps too large for
+    that matrix is no error here, as long as every step * N + process fits
+    int64.
+
+    Raises:
+        as ``ingest``; TimestampSpanOverflow when a bin's number overflows
+            int64.
+    """
+    table, steps, n_steps, span = _binned_steps(records, resolution, n, origin, n_steps)
+    if n_steps * n - 1 > _INT64_MAX:
+        raise errors.TimestampSpanOverflow(f"{span}, too many to number in int64")
+    keys = steps.astype(np.int64) * n + np.asarray(table.process_ids, np.int64) - 1
+    keys, inverse = np.unique(keys, return_inverse=True)
+    # each bin's sum from 0.0 in record order, as ingest's bincount makes it
+    sums = np.bincount(inverse, weights=table.amounts)
+    if sums.max() == math.inf:
+        raise _overflowed_bin(int(keys[sums.argmax()]), n)
+    step, process = np.divmod(keys, n)
+    return LossEvents(tuple(step[process == i] for i in range(n)), n_steps)
+
+
+def _binned_steps(records, resolution, n, origin, n_steps):
+    """Check raw records and compute the step of each, as ``ingest`` and
+    ``ingest_events`` bin them.
+
+    Returns:
+        (table, steps, n_steps, span): the records as LossRecords, each
+        record's step as a float64, T, and the phrase naming the timestamps'
+        span that a TimestampSpanOverflow starts with.
+    """
     if not resolution > 0:
         raise ValueError(f"resolution must be > 0, got {resolution!r}")
     if isinstance(records, LossRecords):
@@ -290,23 +350,15 @@ def ingest(
         n_steps = last + 1
     elif last >= n_steps:
         raise ValueError(f"record in step {last + 1} beyond the pinned {n_steps} steps")
+    span = f"timestamps {t_min!r} and {hi!r} span {n_steps:.4g} steps at {resolution!r}"
+    return table, steps, n_steps, span
 
-    # a step beyond int64 casts to garbage, but bincount then fails on its length
-    with np.errstate(invalid="ignore"):
-        bins = np.asarray(steps, dtype=np.int64) * n + np.asarray(ids, dtype=np.int64) - 1
-    # bincount adds each bin's amounts from 0.0 in record order, as += would
-    try:
-        losses = np.bincount(bins, weights=amounts, minlength=n_steps * n).reshape(n_steps, n)
-    except (ValueError, MemoryError, OverflowError) as exc:
-        raise errors.TimestampSpanOverflow(
-            f"timestamps {t_min!r} and {hi!r} span "
-            f"{n_steps:.4g} steps at {resolution!r}, too many to hold: {exc}"
-        ) from exc
-    # every amount is finite, but the sum of a bin's amounts can overflow
-    if losses.max() == math.inf:
-        step, process = divmod(int(losses.argmax()), n)
-        raise errors.NonPositiveAmount(math.inf, f"sum of step {step + 1}, process {process + 1}")
-    return LossMatrix(losses)
+
+def _overflowed_bin(key: int, n: int) -> errors.NonPositiveAmount:
+    """The error for bin number ``key`` (step * n + process - 1), whose sum
+    of finite amounts overflowed."""
+    step, process = divmod(key, n)
+    return errors.NonPositiveAmount(math.inf, f"sum of step {step + 1}, process {process + 1}")
 
 
 def _check_float64(records: list) -> None:
@@ -337,7 +389,7 @@ def _write_csv(path, header, blocks) -> None:
         handle.write(",".join(header) + "\r\n")
         for columns in blocks:
             cells = [_cells(column) for column in columns]
-            handle.writelines(",".join(row) + "\r\n" for row in zip(*cells))
+            handle.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def _cells(column):

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import errors
 from .ensemble import EnsembleResult, derive_seed, run_ensemble
-from .estimate import EstimateSet, collapse_precision, estimate_from_database
+from .estimate import EstimateSet, LossEvents, collapse_precision, estimate_from_database
 from .model import ModelParameters, NoiseSpec, validate_parameters
 from .simulate import simulate
 
@@ -129,7 +129,7 @@ def run_validation(
 
     n = p_true.n
     estimates = estimate_from_database(
-        truth.losses.losses[:est_steps], p_true.horizons, p_true.lam
+        LossEvents.of(truth.losses).head(est_steps), p_true.horizons, p_true.lam
     )
     delta_theta = np.array(list(map(relative_error, p_true.theta, estimates.theta_hat)))
     collapsed = collapse_precision(estimates)

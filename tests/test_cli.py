@@ -6,12 +6,15 @@ can be asserted without spawning interpreters.
 
 import csv
 import json
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oprisk_dynamics.cli import main
+from oprisk_dynamics.errors import DegeneracyWarning
 from oprisk_dynamics.ensemble import parameters_from_estimates, run_ensemble
 from oprisk_dynamics.ensemble import var as var_fn
 from oprisk_dynamics.estimate import collapse_precision, estimate_from_database
@@ -213,13 +216,38 @@ class TestEstimateCommand:
         assert doc["error"] == error
         assert where in doc["message"]
 
-    @pytest.mark.parametrize("last", ["1e300", "1e17"])
+    # a step number beyond int64; 1e17 steps fit, and estimate below
+    @pytest.mark.parametrize("last", ["1e300"])
     def test_unallocatable_timestamp_span_is_a_data_error(self, tmp_path, capsys, last):
         config = small_config(tmp_path)
         bad = tmp_path / "bad.csv"
         bad.write_text(f"t,process,amount\n0,1,0.5\n{last},2,0.3\n")
         assert main(["estimate", "--config", config, "--database", str(bad)]) == 3
         assert last_stderr_json(capsys)["error"] == "TimestampSpanOverflow"
+
+    def test_huge_sparse_span_estimates_in_time_and_memory_of_its_records(self, tmp_path):
+        # two records 1e17 steps apart: no array of the database's length is built
+        config = small_config(tmp_path)
+        db = tmp_path / "db.csv"
+        db.write_text("t,process,amount\n0,1,0.5\n1e17,2,0.3\n")
+        out = tmp_path / "est"
+        argv = ["estimate", "--config", config, "--database", str(db), "--out-dir", str(out)]
+        tracemalloc.start()
+        began = time.perf_counter()
+        try:
+            with pytest.warns(DegeneracyWarning):
+                code = main(argv)
+            elapsed = time.perf_counter() - began
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert elapsed < 1.0
+        assert peak < 2 * 2**20
+        doc = json.loads((out / "estimates.json").read_text())
+        # T = 1e17 + 1 steps, cut at int(fraction * T) in float arithmetic
+        assert doc["diagnostics"]["estimation_steps"] == int(1.0 * (10**17 + 1))
+        assert doc["diagnostics"]["window"] == 2
 
 
 class TestForecastCommand:

@@ -1,12 +1,15 @@
 """Estimator tests.
 
-Two independent oracles anchor this module: a brute-force event classifier
-that recounts every trigger window naively, and the closed-form inversion
-identity (plugging estimates back must reproduce the observed zero-ratios to
-machine precision).
+Three oracles anchor this module: a brute-force event classifier that
+recounts every trigger window naively, a dense classifier that counts every
+event of a (T, N) matrix at once (the counting the estimator did before it
+read loss events), and the closed-form inversion identity (plugging
+estimates back must reproduce the observed zero-ratios to machine
+precision).
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -20,6 +23,7 @@ from oprisk_dynamics.estimate import (
     CouplingCandidate,
     EstimateSet,
     EventClassCounts,
+    LossEvents,
     classify_events,
     collapse_estimates,
     collapse_precision,
@@ -61,6 +65,56 @@ def brute_force_classify(losses: np.ndarray, horizons: np.ndarray):
             else:
                 discarded[i] += 1
     return base_total, base_zero, class_total, class_zero, discarded
+
+
+def dense_classify(losses: np.ndarray, horizons: np.ndarray):
+    """Every event of a dense (T, N) matrix classified at once: per process,
+    a (live pairs, T - W) slab of window counts from prefix counts."""
+    n_steps, n = losses.shape
+    w = int(horizons.max()) if horizons.size else 0
+    if n_steps < w + 1:
+        raise errors.DatabaseTooShort(n_steps, w + 1)
+    positive = np.ascontiguousarray((losses > 0.0).T)
+    csum = np.zeros((n, n_steps + 1), dtype=np.int64)
+    np.cumsum(positive, axis=1, out=csum[:, 1:])
+    zero_loss = ~positive[:, w:]
+
+    rows = n_steps - w
+    base_total = np.full(n, rows, dtype=np.int64)
+    base_zero = np.count_nonzero(zero_loss, axis=1).astype(np.int64)
+    discarded = np.zeros(n, dtype=np.int64)
+    class_total = np.zeros((n, n, w), dtype=np.int64)
+    class_zero = np.zeros((n, n, w), dtype=np.int64)
+    for i in range(n):
+        live = np.flatnonzero(horizons[i])
+        if live.size == 0:
+            continue
+        counts = np.empty((live.size, rows), dtype=np.int64)
+        for k, j in enumerate(live.tolist()):
+            h = int(horizons[i, j])
+            np.subtract(csum[j, w:n_steps], csum[j, w - h : n_steps - h], out=counts[k])
+        active = counts > 0
+        n_active = active.sum(axis=0)
+        base = n_active == 0
+        base_total[i] = np.count_nonzero(base)
+        base_zero[i] = np.count_nonzero(base & zero_loss[i])
+        discarded[i] = np.count_nonzero(n_active >= 2)
+        # class code k * w + c for one active influencer live[k] at count c,
+        # 0 otherwise; bin 2 * code + 1 counts zero losses, 2 * code the others
+        code = (counts + active * (w * np.arange(live.size))[:, None]).sum(axis=0)
+        code *= n_active == 1
+        code <<= 1
+        code += zero_loss[i]
+        bins = np.bincount(code, minlength=2 * (live.size * w + 1))[2:]
+        bins = bins.reshape(live.size, w, 2)
+        class_total[i, live] = bins.sum(axis=2)
+        class_zero[i, live] = bins[:, :, 1]
+    return base_total, base_zero, class_total, class_zero, discarded
+
+
+def counters(counts: EventClassCounts):
+    return (counts.base_total, counts.base_zero, counts.class_total, counts.class_zero,
+            counts.discarded)
 
 
 def random_database(rng, n=3, max_steps=200):
@@ -130,6 +184,70 @@ class TestClassifyEvents:
         # exactly window + 1 steps is enough
         counts = classify_events(np.zeros((6, 1)), np.array([[5]]))
         assert counts.base_total[0] == 1
+
+
+class TestEventsMatchDenseOracle:
+    @given(
+        n=st.integers(min_value=1, max_value=4),
+        n_steps=st.integers(min_value=1, max_value=300),
+        density=st.floats(min_value=0.02, max_value=0.9),
+        horizon_rows=st.lists(
+            st.lists(st.integers(min_value=0, max_value=6), min_size=4, max_size=4),
+            min_size=4, max_size=4,
+        ),
+        dead_rows=st.lists(st.booleans(), min_size=4, max_size=4),
+        fraction=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_events_classifier_equals_dense_oracle(
+        self, n, n_steps, density, horizon_rows, dead_rows, fraction, seed
+    ):
+        rng = np.random.default_rng(seed)
+        losses = np.where(rng.random((n_steps, n)) < density,
+                          rng.uniform(0.1, 3.0, (n_steps, n)), 0.0)
+        horizons = np.array(horizon_rows)[:n, :n]
+        horizons[np.array(dead_rows[:n])] = 0  # rows with no live pair
+        cut = int(fraction * n_steps)
+        events = LossEvents.of(losses).head(cut)
+        head = LossEvents.of(losses[:cut])
+        assert events.n_steps == head.n_steps == cut
+        for got, want in zip(events.steps, head.steps):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+        try:
+            want = dense_classify(losses[:cut], horizons)
+        except errors.DatabaseTooShort as exc:
+            with pytest.raises(errors.DatabaseTooShort, match=re.escape(str(exc))):
+                classify_events(events, horizons)
+            return
+        got = classify_events(events, horizons)
+        assert (got.n_steps, got.window) == (cut, int(horizons.max()))
+        for field, expected in zip(counters(got), want):
+            assert field.dtype == np.int64
+            assert field.shape == expected.shape
+            assert np.array_equal(field, expected)
+
+    def test_reference_database_at_every_sweep_fraction(self, reference_parameters):
+        p = reference_parameters
+        traj = simulate(p, None, 20_000, NoiseSpec(rates=p.lam, seed=1))
+        events = LossEvents.of(traj.losses)
+        for fraction in (1.0, 0.75, 0.5, 0.25):
+            cut = int(fraction * 20_000)
+            got = counters(classify_events(events.head(cut), p.horizons))
+            want = dense_classify(traj.losses.losses[:cut], p.horizons)
+            assert all(map(np.array_equal, got, want))
+
+    def test_counts_exact_beyond_float64_integers(self):
+        # two losses 2**60 steps apart: segment lengths no float64 holds exactly
+        n_steps = 2**60 + 7
+        events = LossEvents((np.array([0, 2**60], dtype=np.int64),), n_steps)
+        counts = classify_events(events, np.array([[3]]))
+        # C = 1 at t = 3 (the first counted step) and t = 2**60 + 1 .. 2**60 + 3
+        assert counts.class_total[0, 0].tolist() == [4, 0, 0]
+        assert counts.class_zero[0, 0].tolist() == [4, 0, 0]
+        assert int(counts.base_total[0]) == n_steps - 3 - 4
+        assert int(counts.base_zero[0]) == n_steps - 3 - 4 - 1  # t = 2**60 loses
 
 
 def make_counts(n=1, base_total=(100,), base_zero=(50,), window=1):
@@ -395,6 +513,29 @@ class TestCollapse:
             for pair, values in sorted(mapping.items()):
                 assert matrix[pair] == values[gen.integers(len(values))]
             assert matrix[0, 0] == matrix[1, 1] == 0.0
+
+    @pytest.mark.parametrize("case_seed", range(12))
+    def test_sample_per_run_equals_a_draw_per_pair_loop(self, case_seed):
+        rng = np.random.default_rng(9100 + case_seed)
+        n = int(rng.integers(1, 5))
+        pairs = [(i, j) for i in range(n) for j in range(n) if rng.random() < 0.7]
+        j_hat = {
+            pair: [CouplingCandidate(c + 1, float(v), 10)
+                   for c, v in enumerate(rng.uniform(-0.3, 0.3, int(rng.integers(1, 13))))]
+            for pair in pairs
+        }
+        est = EstimateSet(
+            theta_hat=-np.ones(n), theta_available=np.ones(n, dtype=bool), j_hat=j_hat,
+            lam=np.ones(n), horizons=np.ones((n, n), dtype=np.int64), diagnostics=None,
+        )
+        m, seed = int(rng.integers(1, 301)), int(rng.integers(2**63))
+        stack = collapse_estimates(est, "sample-per-run", m, seed=seed)
+        gen = np.random.Generator(np.random.PCG64(seed))
+        expected = np.zeros((m, n, n))
+        for matrix in expected:
+            for (i, j), candidates in sorted(j_hat.items()):
+                matrix[i, j] = candidates[gen.integers(len(candidates))].estimate
+        assert stack.tobytes() == expected.tobytes()
 
     def test_dispatcher_validates_strategy(self):
         est = self._estimates({})

@@ -16,6 +16,7 @@ from oprisk_dynamics.io import (
     LossRecords,
     RawLossRecord,
     ingest,
+    ingest_events,
     load_config,
     read_loss_records,
     read_samples,
@@ -24,6 +25,7 @@ from oprisk_dynamics.io import (
     write_loss_database,
     write_series,
 )
+from oprisk_dynamics.estimate import LossEvents
 from oprisk_dynamics.model import LossMatrix, NoiseSpec
 from oprisk_dynamics.simulate import simulate
 
@@ -119,6 +121,18 @@ def naive_ingest(records, resolution, n, origin=None, n_steps=None):
     for r, step in zip(records, steps):
         losses[step, r.process_id - 1] += r.amount
     return losses
+
+
+def plain(events):
+    """LossEvents as Python lists, with the dtype of each step array."""
+    return [(s.dtype.str, s.tolist()) for s in events.steps], events.n_steps
+
+
+def events_outcomes(records, resolution, n, **pin):
+    """The outcomes of ``ingest_events`` and of ``ingest`` then LossEvents.of."""
+    got = outcome(lambda: plain(ingest_events(records, resolution, n, **pin)))
+    want = outcome(lambda: plain(LossEvents.of(ingest(records, resolution, n, **pin))))
+    return got, want
 
 
 def outcome(call):
@@ -234,6 +248,36 @@ class TestColumnarPathMatchesRowOracle:
             monkeypatch.setattr(io, "_CSV_BLOCK_ROWS", block_rows)
             got = outcome(lambda: ingest(read_loss_records(path), 1.0, 3).losses)
             assert same(got, want), block_rows
+
+    @pytest.mark.parametrize("fault", [None] + FAULTS)
+    def test_events_equal_ingest_then_nonzero(self, tmp_path, fault):
+        # a file of 40 or more records puts several in many (step, process)
+        # bins; numeric steps keep the dense matrix small, unless the fault
+        # is an ISO timestamp, whose span only the hour bins keep small
+        seed = 7800
+        while "T" in (text := random_database_text(np.random.default_rng(seed))) or (
+            text.count("\n") < 40
+        ):
+            seed += 1
+        rng = np.random.default_rng(seed)
+        lines = text.splitlines(keepends=True)
+        if fault is not None:
+            lines.insert(int(rng.integers(1, len(lines) + 1)), fault + "\n")
+        path = tmp_path / "db.csv"
+        path.write_text("".join(lines), newline="")
+        try:
+            records = read_loss_records(path)
+        except errors.MalformedRecord:
+            return  # a file ingest never sees
+        lo, hi = min(records.timestamps), max(records.timestamps)
+        for resolution in (1.0, 2.5, 3600.0):
+            if (hi - lo) / resolution > 1e6:
+                continue
+            pins = [{}, {"origin": lo - 2 * resolution, "n_steps": 40},
+                    {"origin": lo + resolution}]
+            for pin in pins:
+                got, want = events_outcomes(records, resolution, 3, **pin)
+                assert same(got, want), (resolution, pin)
 
     def test_first_faulty_line_is_reported(self, tmp_path):
         path = tmp_path / "db.csv"
@@ -351,6 +395,7 @@ class TestColumnarPathMatchesRowOracle:
             want = outcome(lambda: naive_ingest(records, 1.0, 2, **pin))
             got = outcome(lambda: ingest(records, 1.0, 2, **pin).losses)
             assert same(got, want), pin
+            assert same(*events_outcomes(records, 1.0, 2, **pin)), pin
 
     def test_listed_timestamps_bin_as_float64_like_a_file(self, tmp_path):
         # 2**53 + 1 is no float64: in a list as in a file it joins 2**53's bin
@@ -498,6 +543,41 @@ class TestIngest:
         message = re.escape(f"0.0 and {last!r} span {last:.4g} steps")
         with pytest.raises(errors.TimestampSpanOverflow, match=message):
             ingest([rec(0.0, 1, 0.5), rec(last, 2, 0.3)], 1.0, 2)
+
+
+class TestIngestEvents:
+    def test_positive_bins_per_process_in_step_order(self):
+        records = [rec(4, 2, 1.0), rec(0, 1, 3.0), rec(4, 2, 2.0), rec(2, 1, 1.0), rec(1, 2, 1.0)]
+        events = ingest_events(records, 1.0, 3)
+        assert plain(events) == ([("<i8", [0, 2]), ("<i8", [1, 4]), ("<i8", [])], 5)
+        assert plain(events.head(2)) == ([("<i8", [0]), ("<i8", [1]), ("<i8", [])], 2)
+
+    def test_overflowing_bin_sum_fails_as_ingest_does(self):
+        records = [rec(0, 1, 1.0), rec(1, 2, 1e308), rec(1, 1, 1e308), rec(1, 2, 1e308)]
+        got, want = events_outcomes(records, 1.0, 2)
+        assert same(got, want)
+        assert got[0] is errors.NonPositiveAmount and "step 2, process 2" in got[1]
+
+    def test_overflowing_step_span_fails_as_ingest_does(self):
+        records = [rec(-1e308, 1, 0.5), rec(1e308, 2, 0.3)]
+        got, want = events_outcomes(records, 1.0, 2)
+        assert same(got, want)
+        assert got[0] is errors.TimestampSpanOverflow
+
+    def test_step_numbers_beyond_int64_are_a_span_overflow(self):
+        message = re.escape("0.0 and 1e+300 span 1e+300 steps")
+        with pytest.raises(errors.TimestampSpanOverflow, match=message):
+            ingest_events([rec(0.0, 1, 0.5), rec(1e300, 2, 0.3)], 1.0, 2)
+        # the last step number of 2**62 steps of 2 processes is 2**63 - 1
+        ingest_events([rec(0.0, 1, 0.5)], 1.0, 2, origin=0.0, n_steps=2**62)
+        with pytest.raises(errors.TimestampSpanOverflow, match="int64"):
+            ingest_events([rec(0.0, 1, 0.5)], 1.0, 3, origin=0.0, n_steps=2**62)
+
+    def test_span_too_large_for_a_matrix_is_no_error(self):
+        records = [rec(0.0, 1, 0.5), rec(1e17, 2, 0.3)]
+        assert plain(ingest_events(records, 1.0, 2)) == (
+            [("<i8", [0]), ("<i8", [10**17])], 10**17 + 1
+        )
 
 
 def _ts(text):
