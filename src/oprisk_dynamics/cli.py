@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -57,7 +58,10 @@ _OVERRIDES = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged and gives each call a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="opriskdyn",
         description="Simulate, estimate, and forecast interacting operational losses.",
@@ -151,7 +155,10 @@ def _cmd_simulate(args) -> int:
 def _estimates_from_file(config: io.RunConfig, database: str) -> EstimateSet:
     p = config.parameters
     events = io.ingest_events(io.read_loss_records(database), config.resolution, p.n)
-    steps = int(config.fraction * events.n_steps)
+    # past 2**53 steps the float product drops steps, so the whole database
+    # is cut at its own length; other fractions keep the float cut, which
+    # takes 0.7 of 10 steps as 7 where an exact one would take 6
+    steps = events.n_steps if config.fraction == 1.0 else int(config.fraction * events.n_steps)
     return estimate_from_database(events.head(steps), p.horizons, p.lam)
 
 

@@ -25,13 +25,14 @@ first. A process on no cycle needs only losses already known for the whole
 chunk: its window counts are differences of prefix counts of its upstream
 processes, and its losses come from one vectorised pass over the chunk. Only
 the processes of a cycle (in the reference model, the self-coupled process 3)
-step through the chunk, on (B,) rows; that step loop is the one kernel that
-Numba compiles when it imports. A cycle steps only while it is within reach
-of its own losses: when no member has lost anything, in any trajectory, over
-the last ``reach`` steps (the largest lag of a term whose source is a
-member), every such term counts zero, and the members' losses come from the
-same vectorised pass without those terms, up to the next step with a member
-loss.
+step through the chunk, on (B,) rows. That step loop has two bodies: a scalar
+one, which Numba compiles when it imports and which otherwise runs as plain
+Python on narrow batches, and a NumPy one for wider batches without the
+compiled kernel. A cycle steps only while it is within reach of its own
+losses: when no member has lost anything, in any trajectory, over the last
+``reach`` steps (the largest lag of a term whose source is a member), every
+such term counts zero, and the members' losses come from the same vectorised
+pass without those terms, up to the next step with a member loss.
 
 Every loss gets the same arithmetic in the same order whatever the batch,
 the chunk or the component: the interaction term is accumulated from +0.0
@@ -69,10 +70,15 @@ _DRAW_MEMBERS = 64
 # trajectory-steps per tile of a process-major sweep
 _SWEEP_TILE = 16384
 
-# The scalar and pure-numpy step loops are arithmetically identical. The
-# scalar loop is fast only when Numba compiles it; this switch lets tests pin
-# the equality on every machine and users opt out.
+# The scalar and pure-numpy step loops are arithmetically identical. This
+# switch selects the compiled kernel; with it off, a batch of at most
+# _SCALAR_BATCH trajectories steps with the scalar body as plain Python, which
+# costs fewer interpreter calls per step there than the NumPy loop's ufuncs on
+# tiny rows, and a wider batch steps with the NumPy loop. On the reference
+# model the scalar body is about 2x faster at one trajectory and slower from
+# four on.
 use_compiled_kernel: bool = _HAVE_NUMBA
+_SCALAR_BATCH = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,7 +296,12 @@ def _evolve(
         np.empty((tile, n_batch)),
         np.empty((tile, n_batch), dtype=bool),
     )
-    step_loop = _compiled_chunk if use_compiled_kernel else _numpy_chunk
+    if use_compiled_kernel:
+        step_loop = _compiled_chunk
+    elif n_batch <= _SCALAR_BATCH:
+        step_loop = _scalar_chunk
+    else:
+        step_loop = _numpy_chunk
     # a cyclic component's losses over its quiet stretches, swept ahead
     spare = np.empty((max((c.members.size for c in plan if c.cyclic), default=0), chunk, n_batch))
 
@@ -404,7 +415,7 @@ def _cycle(c, losses, prefix, w, theta, step_loop, spare, work) -> None:
 def _numpy_chunk(losses, prefix, w, start, quiet, reach, members, own_rows, ptr, rows, lags,
                  coefs, theta) -> int:
     """Step loop of one cyclic component in pure numpy; arithmetic order
-    matches the compiled kernel.
+    matches the scalar body.
 
     Steps from ``start`` while the component is within ``reach`` steps of a
     member's loss; ``quiet`` is the number of steps since the last one.
@@ -440,10 +451,10 @@ def _numpy_chunk(losses, prefix, w, start, quiet, reach, members, own_rows, ptr,
     return losses.shape[1]
 
 
-def _compiled_chunk(losses, prefix, w, start, quiet, reach, members, own_rows, ptr, rows, lags,
-                    coefs, theta):
-    """Step loop of one cyclic component, one scalar at a time; compiled by
-    Numba when it imports. Same contract as ``_numpy_chunk``."""
+def _scalar_chunk(losses, prefix, w, start, quiet, reach, members, own_rows, ptr, rows, lags,
+                  coefs, theta):
+    """Step loop of one cyclic component, one scalar at a time: the body of
+    ``_compiled_chunk``, run as plain Python. Same contract as ``_numpy_chunk``."""
     n_batch = losses.shape[2]
     for s in range(start, losses.shape[1]):
         if quiet >= reach:
@@ -466,5 +477,5 @@ def _compiled_chunk(losses, prefix, w, start, quiet, reach, members, own_rows, p
     return losses.shape[1]
 
 
-if _HAVE_NUMBA:
-    _compiled_chunk = numba.njit(cache=True)(_compiled_chunk)
+# the kernel use_compiled_kernel selects; without Numba, the Python body
+_compiled_chunk = numba.njit(cache=True)(_scalar_chunk) if _HAVE_NUMBA else _scalar_chunk

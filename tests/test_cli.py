@@ -245,8 +245,9 @@ class TestEstimateCommand:
         assert elapsed < 1.0
         assert peak < 2 * 2**20
         doc = json.loads((out / "estimates.json").read_text())
-        # T = 1e17 + 1 steps, cut at int(fraction * T) in float arithmetic
-        assert doc["diagnostics"]["estimation_steps"] == int(1.0 * (10**17 + 1))
+        # T = 1e17 + 1 steps, all of them at fraction 1, which a float cut
+        # would round down to 1e17
+        assert doc["diagnostics"]["estimation_steps"] == 10**17 + 1
         assert doc["diagnostics"]["window"] == 2
 
 
@@ -359,6 +360,27 @@ class TestValidateCommand:
 
 
 class TestFlagOverrides:
+    def test_successive_calls_share_no_parsed_flags(self, tmp_path):
+        # one parser serves every call in a process; a flag given to one call
+        # must not reach the next, nor an appended --confidence accumulate
+        config = small_config(tmp_path)
+        outs = [tmp_path / name for name in ("flags", "config_seed", "same_seed")]
+        argv = ["forecast", "--config", config, "--trajectories", "4", "--out-dir"]
+        assert main(argv + [str(outs[0]), "--seed", "5",
+                            "--confidence", "0.5", "--confidence", "0.8"]) == 0
+        assert main(argv + [str(outs[1]), "--confidence", "0.95"]) == 0
+        assert main(argv + [str(outs[2]), "--confidence", "0.95", "--seed", "11"]) == 0
+
+        def confidences(out):
+            rows = list(csv.reader((out / "var_table.csv").read_text().splitlines()))
+            return [row[1] for row in rows[1:]]
+
+        assert confidences(outs[0]) == ["0.5", "0.8", "0.5", "0.8"]
+        assert confidences(outs[1]) == ["0.95", "0.95"]
+        samples = [(out / "terminal_p1.txt").read_bytes() for out in outs]
+        # without --seed the config's seed (11) runs, not the first call's 5
+        assert samples[1] == samples[2] != samples[0]
+
     @pytest.mark.parametrize(
         "command,flag,value",
         [

@@ -156,20 +156,34 @@ def engine_losses(p, initial, n_steps, seeds):
     return out
 
 
+# the module names the engine selects its step loop from
+STEP_LOOPS = ("_compiled_chunk", "_scalar_chunk", "_numpy_chunk")
+
+
 def count_steps(monkeypatch, sim):
-    """Wrap the step loop the engine selects; returns the list of steps each
-    call of it stepped."""
-    name = "_compiled_chunk" if sim.use_compiled_kernel else "_numpy_chunk"
-    loop = getattr(sim, name)
-    stepped = []
+    """Wrap every step loop the engine may select; returns, per loop name,
+    the list of steps each call of it stepped."""
+    stepped = {}
+    for name in STEP_LOOPS:
+        loop, calls = getattr(sim, name), []
 
-    def counted(losses, prefix, w, start, *rest):
-        stop = loop(losses, prefix, w, start, *rest)
-        stepped.append(stop - start)
-        return stop
+        def counted(losses, prefix, w, start, *rest, loop=loop, calls=calls):
+            stop = loop(losses, prefix, w, start, *rest)
+            calls.append(stop - start)
+            return stop
 
-    monkeypatch.setattr(sim, name, counted)
+        monkeypatch.setattr(sim, name, counted)
+        stepped[name] = calls
     return stepped
+
+
+def force_step_loop(monkeypatch, sim, loop):
+    """Make the engine step every cycle with ``loop`` ("compiled", "scalar" or
+    "numpy") at any batch width; returns the name the engine calls it by.
+    Without Numba, "compiled" is the scalar body under the kernel's name."""
+    monkeypatch.setattr(sim, "use_compiled_kernel", loop == "compiled")
+    monkeypatch.setattr(sim, "_SCALAR_BATCH", 2**31 if loop == "scalar" else 0)
+    return {"compiled": "_compiled_chunk", "scalar": "_scalar_chunk", "numpy": "_numpy_chunk"}[loop]
 
 
 class TestSimulate:
@@ -292,8 +306,7 @@ class TestSimulate:
     @pytest.mark.parametrize("case_seed", [0, 1, 2, 3, 4, 5, "two_cycle"])
     def test_compiled_and_numpy_paths_agree_exactly(self, monkeypatch, case_seed):
         # the package re-exports the simulate() function under the same name,
-        # so fetch the submodule itself through the import system; without
-        # Numba the scalar kernel runs as plain Python
+        # so fetch the submodule itself through the import system
         sim = importlib.import_module("oprisk_dynamics.simulate")
         if case_seed == "two_cycle":
             p = ENGINE_MODELS["two_cycle_fed_upstream"]()
@@ -303,26 +316,44 @@ class TestSimulate:
             rng = np.random.default_rng(31 + case_seed)
             p, initial = random_model(rng)
             noise = NoiseSpec(rates=p.lam, seed=99 + case_seed)
-        monkeypatch.setattr(sim, "use_compiled_kernel", True)
-        fast = simulate(p, LossMatrix(initial), 300, noise)
-        monkeypatch.setattr(sim, "use_compiled_kernel", False)
-        plain = simulate(p, LossMatrix(initial), 300, noise)
-        assert fast.losses.losses.tobytes() == plain.losses.losses.tobytes()
+        runs = {}
+        for loop in ("compiled", "scalar", "numpy"):
+            force_step_loop(monkeypatch, sim, loop)
+            runs[loop] = simulate(p, LossMatrix(initial), 300, noise).losses.losses.tobytes()
+        assert runs["compiled"] == runs["scalar"] == runs["numpy"]
 
     def test_compiled_and_numpy_paths_agree_on_a_batch(self, monkeypatch):
+        # batches of 3, and of 5, wider than the scalar body's default width
         sim = importlib.import_module("oprisk_dynamics.simulate")
         p, initial = random_model(np.random.default_rng(45))
         window = LossMatrix(initial)
-        runs = {}
-        for compiled in (True, False):
-            monkeypatch.setattr(sim, "use_compiled_kernel", compiled)
-            runs[compiled] = run_ensemble(
-                p, window, 200, 6, master_seed=5, batch_size=3, capture_steps=(50,)
-            )
-        assert runs[True].mean_z.tobytes() == runs[False].mean_z.tobytes()
-        assert runs[True].std_z.tobytes() == runs[False].std_z.tobytes()
-        assert runs[True].terminal_samples.tobytes() == runs[False].terminal_samples.tobytes()
-        assert runs[True].captured[50].tobytes() == runs[False].captured[50].tobytes()
+        for batch in (3, 5):
+            runs = {}
+            for loop in ("compiled", "scalar", "numpy"):
+                force_step_loop(monkeypatch, sim, loop)
+                result = run_ensemble(p, window, 200, 2 * batch, master_seed=5, batch_size=batch,
+                                      capture_steps=(50,))
+                runs[loop] = [result.mean_z.tobytes(), result.std_z.tobytes(),
+                              result.terminal_samples.tobytes(), result.captured[50].tobytes()]
+            assert runs["compiled"] == runs["scalar"] == runs["numpy"]
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_step_loop_is_chosen_by_batch_width(self, monkeypatch, compiled):
+        # without the compiled kernel, a narrow batch steps with the scalar
+        # body as plain Python and a wider one with the numpy loop
+        sim = importlib.import_module("oprisk_dynamics.simulate")
+        monkeypatch.setattr(sim, "use_compiled_kernel", compiled)
+        stepped = count_steps(monkeypatch, sim)
+        p = build_reference_parameters()
+        initial = np.zeros((p.max_horizon, p.n))
+        width = sim._SCALAR_BATCH
+        for batch, expected in ((1, "_scalar_chunk"), (width, "_scalar_chunk"),
+                                (width + 1, "_numpy_chunk")):
+            engine_losses(p, initial, 2000, range(batch))
+            ran = [name for name in STEP_LOOPS if stepped[name]]
+            assert ran == ["_compiled_chunk" if compiled else expected]
+            for calls in stepped.values():
+                calls.clear()
 
     def test_noninteracting_marginal_law(self):
         # frequency of nonzero losses ~ exp(lambda * theta); nonzero sizes ~ Exp(lambda)
@@ -387,15 +418,16 @@ class TestDependencyOrder:
         assert np.array_equal(result.captured[45], paths[:, 44])
 
     @pytest.mark.parametrize("budget", [None, 7])
-    @pytest.mark.parametrize("compiled", [True, False])
+    @pytest.mark.parametrize("loop", ["compiled", "scalar", "numpy"])
     @pytest.mark.parametrize("history", ["ends_in_member_loss", "quiet"])
     @pytest.mark.parametrize("name", sorted(QUIET_MODELS))
-    def test_quiet_stretches_match_naive_reference(self, monkeypatch, name, history, compiled,
+    def test_quiet_stretches_match_naive_reference(self, monkeypatch, name, history, loop,
                                                    budget):
         # a budget of 7 with 5-step tiles makes the quiet stretches cross
-        # chunk and tile boundaries at every batch size
+        # chunk and tile boundaries at every batch size; the step loop forced
+        # here runs at every batch size
         sim = importlib.import_module("oprisk_dynamics.simulate")
-        monkeypatch.setattr(sim, "use_compiled_kernel", compiled)
+        selected = force_step_loop(monkeypatch, sim, loop)
         if budget is not None:
             monkeypatch.setattr(sim, "_CHUNK_BUDGET", budget)
             monkeypatch.setattr(sim, "_SWEEP_TILE", 5)
@@ -410,7 +442,8 @@ class TestDependencyOrder:
                 assert np.array_equal(got, expected[:, first : first + batch])
             if batch == 1:
                 # one trajectory at a time, each run both steps and skips
-                assert 0 < sum(stepped) < 7 * n_steps
+                assert 0 < sum(stepped[selected]) < 7 * n_steps
+        assert [name for name in STEP_LOOPS if stepped[name]] == [selected]
 
     def test_step_loop_runs_on_few_steps_of_a_subcritical_run(self, monkeypatch):
         # the reference model's process 3 loses on about 1% of its steps, so
@@ -419,7 +452,7 @@ class TestDependencyOrder:
         stepped = count_steps(monkeypatch, sim)
         p = build_reference_parameters()
         simulate(p, None, 20_000, NoiseSpec(rates=p.lam, seed=1))
-        assert 0 < sum(stepped) < 0.25 * 20_000
+        assert 0 < sum(map(sum, stepped.values())) < 0.25 * 20_000
 
 
 class TestCumulative:
