@@ -2,31 +2,39 @@
 
 Formats (UTF-8, comma-separated, `.` decimal separator, 1-based indices).
 The database and samples readers ignore a leading UTF-8 byte-order mark,
-which spreadsheet tools write:
+which spreadsheet tools write, and report a byte that is not UTF-8 as a
+MalformedRecord on its line:
 
 * loss database: header ``t,process,amount``, one positive-amount record per
   line; ``t`` is an integer step or an ISO-8601 timestamp. A timestamp
   without a UTC offset is read as UTC, never in the machine's time zone.
-  The file is read in one pass, and every timestamp becomes a float64.
+  A file of plain numeric records is parsed by ``np.loadtxt``, in text
+  blocks of about 1 MiB; any other file is read again by the row parser,
+  which gives the same records and the line of the first fault. Every
+  timestamp becomes a float64.
   Records are binned onto the step grid in two forms, with the same checks:
   ``ingest_events`` keeps only the occupied (step, process) bins, the
   LossEvents the estimator reads, and ``ingest`` builds the dense (T, N)
   loss matrix.
 * series tables: header ``t,process,value``, full (step, process) grid.
 * histograms: header ``bin_left,bin_right,count``.
-* configuration: one JSON document; see ``load_config``.
+* configuration: one JSON document; see ``load_config``. A byte that is
+  not UTF-8 is a ConfigError.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
+import sys
+import warnings
 from collections.abc import Sequence
-from contextlib import suppress
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
+from io import BytesIO
 from itertools import islice
 from typing import Iterable, NamedTuple
 
@@ -59,9 +67,18 @@ def reference_config_path() -> str:
 _DB_HEADER = ["t", "process", "amount"]
 _SERIES_HEADER = ["t", "process", "value"]
 _HIST_HEADER = ["bin_left", "bin_right", "count"]
-# rows formatted at a time by the CSV writers, and parsed at a time by
-# read_loss_records
+# rows formatted at a time by the CSV writers, and parsed at a time by the
+# row parser of read_loss_records
 _CSV_BLOCK_ROWS = 1024
+# the database headers the NumPy pass reads, and every byte it reads after
+# them: the characters of decimal numbers, separators and line ends. Beyond
+# them the two parsers part: Python's float and int read `_`, `nan` and `inf`
+# and strip Unicode whitespace, and NumPy skips \x1c-\x1f, which int rejects
+_DB_HEADER_LINES = (b"t,process,amount", b"t,process,amount\n", b"t,process,amount\r\n")
+_NUMERIC_BYTES = b"0123456789.+-eE, \t\r\n"
+_RECORD_DTYPE = np.dtype([("t", np.float64), ("process", np.int64), ("amount", np.float64)])
+# bytes of database text the NumPy pass parses at a time, to the next line end
+_TEXT_BLOCK_BYTES = 2**20
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
@@ -130,28 +147,87 @@ class LossRecords(Sequence):
 
 
 def read_loss_records(path) -> LossRecords:
-    """Parse a loss database file in one pass, a block of rows at a time.
+    """Parse a loss database file into its records, in file order.
 
-    A block is parsed as columns, or row by row if it holds an ISO
-    timestamp or a fault; the row parser reports the first faulty line.
+    A file of plain numeric records is parsed by ``np.loadtxt``, a text block
+    of about 1 MiB at a time. Any other file (ISO timestamps, quoted fields,
+    a fault) is read again from its start by the row parser, which converts
+    ISO timestamps and reports the first faulty line. Both give the same
+    records, bit for bit.
 
     Raises:
         MalformedRecord: wrong header, a row that is not CSV, wrong field
-            count, unparsable values.
+            count, unparsable values, a byte that is not UTF-8.
     """
+    with open(path, "rb") as handle:
+        records = _read_columns(handle)
+    if records is not None:
+        return records
     with open(path, newline="", encoding="utf-8-sig") as handle:
         blocks = [LossRecords.of([], [], [])]
-        blocks += (_parse_block(rows, line_no) for line_no, rows in _row_blocks(handle))
+        blocks += (_parse_rows(rows, line_no) for line_no, rows in _row_blocks(handle))
     columns = zip(*((b.timestamps, b.process_ids, b.amounts) for b in blocks))
     return LossRecords(*map(np.concatenate, columns))
 
 
+def _read_columns(handle) -> LossRecords | None:
+    """The records of the binary database ``handle`` as ``np.loadtxt`` parses
+    them, a text block of about _TEXT_BLOCK_BYTES at a time, or None when
+    that parse might not give the row parser's records.
+
+    It declines a header other than the plain one, a body that is not plain
+    numeric text (see ``_plain_numeric``), a NumPy error or warning, and a
+    timestamp that is not finite.
+    """
+    if handle.readline(64).removeprefix(codecs.BOM_UTF8) not in _DB_HEADER_LINES:
+        return None
+    tables = [np.empty(0, _RECORD_DTYPE)]
+    while block := handle.read(_TEXT_BLOCK_BYTES):
+        # cut at a line end; a line that runs on past this readline is longer
+        # than _plain_numeric allows
+        block += handle.readline(_TEXT_BLOCK_BYTES)
+        if not _plain_numeric(block):
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                table = np.loadtxt(
+                    BytesIO(block), _RECORD_DTYPE, delimiter=",", comments=None,
+                    quotechar=None, encoding="ascii", ndmin=1,
+                )
+            except (ValueError, Warning):
+                return None
+        if not np.isfinite(table["t"]).all():
+            return None
+        tables.append(table)
+    columns = ([table[name] for table in tables] for name in _RECORD_DTYPE.names)
+    return LossRecords(*map(np.concatenate, columns))
+
+
+def _plain_numeric(block: bytes) -> bool:
+    """Whether the NumPy pass reads ``block`` as the row parser does: it
+    holds only _NUMERIC_BYTES, each CR in a CR LF (the csv module ends a line
+    at a lone CR, NumPy fails), and no line longer than the csv module's
+    field limit or ``int``'s digit limit, which NumPy does not apply."""
+    if block.translate(None, _NUMERIC_BYTES):
+        return False
+    codes = np.frombuffer(block, np.uint8)
+    after_cr = np.flatnonzero(codes == ord("\r")) + 1
+    if not (codes[np.minimum(after_cr, codes.size - 1)] == ord("\n")).all():
+        return False
+    line_ends = np.flatnonzero(codes == ord("\n"))
+    longest_line = np.diff(line_ends, prepend=-1, append=codes.size).max() - 1
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return longest_line <= min(csv.field_size_limit(), digits or csv.field_size_limit())
+
+
 def _row_blocks(handle):
     """Check the header, then yield (line number, rows) blocks of at most
-    _CSV_BLOCK_ROWS rows, blank ones included. A row the csv module rejects
-    ends its block and, once that block is parsed, raises MalformedRecord.
+    _CSV_BLOCK_ROWS rows, blank ones included. A row the csv module rejects,
+    or text that is not UTF-8, ends its block and, once that block is
+    parsed, raises MalformedRecord.
     """
-    reader = csv.reader(handle)
+    reader = csv.reader(_decoded_lines(handle))
     block = []
     try:
         header = next(reader, None)
@@ -166,30 +242,43 @@ def _row_blocks(handle):
             yield line_no, block
             block = []
     except csv.Error as exc:
-        if block:
-            yield line_no, block
-        raise errors.MalformedRecord(reader.line_num, f"not a CSV row: {exc}") from None
+        fault = errors.MalformedRecord(reader.line_num, f"not a CSV row: {exc}")
+    except errors.MalformedRecord as exc:  # the header, or text that is not UTF-8
+        fault = exc
+    if block:
+        yield line_no, block
+    raise fault
 
 
-def _parse_block(rows: list, line_no: int) -> LossRecords:
-    """The records of ``rows``, the first on line ``line_no``.
+def _decoded_lines(handle):
+    """The lines of the text file ``handle``. A byte that is not UTF-8
+    raises MalformedRecord naming its line once the chunk of text that
+    holds it is decoded, so lines of that chunk before it are never read."""
+    try:
+        yield from handle
+    except UnicodeDecodeError:
+        raise _undecodable(handle.buffer) from None
 
-    The columns go through the ``float``/``int`` the row parser uses, so
-    they hold its values; a block they reject (an ISO timestamp, a fault, an
-    id beyond int64, a non-finite timestamp) goes to the row parser.
-    """
-    full = list(filter(None, rows))
-    if set(map(len, full)) == {3}:
-        stamps, ids, amounts = zip(*full)
-        with suppress(ValueError, OverflowError):
-            records = LossRecords(
-                np.fromiter(map(float, stamps), np.float64, len(full)),
-                np.fromiter(map(int, ids), np.int64, len(full)),
-                np.fromiter(map(float, amounts), np.float64, len(full)),
-            )
-            if np.isfinite(records.timestamps).all():
-                return records
-    return _parse_rows(rows, line_no)
+
+def _undecodable(handle) -> errors.MalformedRecord:
+    """The MalformedRecord naming the line of the first byte of the binary
+    file ``handle`` that is not UTF-8."""
+    handle.seek(0)
+    line_no = 1
+    # no byte of a multi-byte UTF-8 sequence is a LF, so each line decodes alone
+    for line in handle:
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no += _line_breaks(line[: exc.start].decode("latin-1"))
+            return errors.MalformedRecord(line_no, f"byte {line[exc.start]:#04x} is not UTF-8")
+        line_no += _line_breaks(line.decode("latin-1"))
+    return errors.MalformedRecord(line_no, "not UTF-8")
+
+
+def _line_breaks(text: str) -> int:
+    """The line breaks in ``text``: CR LF, LF or CR."""
+    return text.count("\n") + text.count("\r") - text.count("\r\n")
 
 
 def _first_lines(rows: list, line_no: int):
@@ -197,8 +286,7 @@ def _first_lines(rows: list, line_no: int):
     field keeps the line breaks (CR LF, LF or CR) it spans."""
     for row in rows:
         yield line_no
-        text = ",".join(row)
-        line_no += 1 + text.count("\n") + text.count("\r") - text.count("\r\n")
+        line_no += 1 + _line_breaks(",".join(row))
 
 
 def _parse_rows(rows: list, line_no: int) -> LossRecords:
@@ -442,10 +530,15 @@ def write_histogram(path, samples, n_bins: int = 60) -> None:
 
 
 def read_samples(path) -> np.ndarray:
-    """Read one finite float per line (blank lines and # comments skipped)."""
+    """Read one finite float per line (blank lines and # comments skipped).
+
+    Raises:
+        MalformedRecord: a line that is no finite number, a byte that is not
+            UTF-8.
+    """
     values = []
     with open(path, encoding="utf-8-sig") as handle:
-        for line_no, line in enumerate(handle, start=1):
+        for line_no, line in enumerate(_decoded_lines(handle), start=1):
             text = line.strip()
             if not text or text.startswith("#"):
                 continue
@@ -640,11 +733,15 @@ def load_config(path) -> RunConfig:
       ``histogram_bins``, ``out_dir``.
 
     Raises:
-        ConfigError: always names the offending key.
+        ConfigError: always names the offending key, or the file when it is
+            unreadable, not UTF-8 or not JSON.
     """
     try:
         with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
+            try:
+                doc = json.load(handle)
+            except UnicodeDecodeError:
+                raise errors.ConfigError(str(path), str(_undecodable(handle.buffer))) from None
     except OSError as exc:
         raise errors.ConfigError(str(path), f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -86,6 +86,14 @@ class TestVarCommand:
         assert err["error"] == "MalformedRecord"
         assert "line 2" in err["message"]
 
+    def test_non_utf8_samples_are_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "samples.txt"
+        path.write_bytes(b"1.0\n2.0\n# caf\xe9\n3.0\n")
+        assert main(["var", str(path), "--confidence", "0.5"]) == 3
+        err = last_stderr_json(capsys)
+        assert err["error"] == "MalformedRecord"
+        assert "line 3: byte 0xe9 is not UTF-8" in err["message"]
+
     def test_bad_confidence_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "samples.txt"
         path.write_text("1.0\n")
@@ -136,6 +144,14 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(path)]) == 2
         assert last_stderr_json(capsys)["error"] == "ConfigError"
 
+    def test_non_utf8_config_file(self, tmp_path, capsys):
+        path = Path(small_config(tmp_path))
+        path.write_bytes(path.read_bytes().replace(b"{", b'{"note": "caf\xe9", ', 1))
+        assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+        err = last_stderr_json(capsys)
+        assert err["error"] == "ConfigError"
+        assert "line 1" in err["message"]
+
 
 class TestEstimateCommand:
     def make_database(self, tmp_path):
@@ -180,6 +196,25 @@ class TestEstimateCommand:
         bad.write_text("t,process,amount\n1,1,not-a-number\n")
         assert main(["estimate", "--config", config, "--database", str(bad)]) == 3
         assert last_stderr_json(capsys)["error"] == "MalformedRecord"
+
+    # a file of numeric records, which the NumPy pass would read, and one of
+    # ISO timestamps, which only the row parser reads
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b"t,process,amount\n1,1,0.5\n2,2,0.3\xe9\n",
+            b"t,process,amount\n2026-01-01T00:00:00,1,0.5\n2026-01-01T00:00:02,2,0.3\xe9\n",
+        ],
+        ids=["numeric", "iso"],
+    )
+    def test_non_utf8_database_is_a_data_error(self, tmp_path, capsys, text):
+        config = small_config(tmp_path)
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(text)
+        assert main(["estimate", "--config", config, "--database", str(bad)]) == 3
+        doc = last_stderr_json(capsys)
+        assert doc["error"] == "MalformedRecord"
+        assert "line 3" in doc["message"]
 
     def test_overflowing_timestamp_span_is_a_data_error(self, tmp_path, capsys):
         config = small_config(tmp_path)

@@ -4,12 +4,16 @@ import csv
 import json
 import math
 import re
+import sys
 import time
+import warnings
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oprisk_dynamics import errors, io
 from oprisk_dynamics.io import (
@@ -181,16 +185,52 @@ def random_database_text(rng) -> str:
     return "".join(line + ("\r\n" if rng.random() < 0.5 else "\n") for line in lines)
 
 
-class TestColumnarPathMatchesRowOracle:
-    # a second run in blocks of 7 rows puts blank lines, ISO rows and faults
-    # in later blocks, so line numbers must carry across block boundaries
-    BLOCK_ROWS = (io._CSV_BLOCK_ROWS, 7)
+def random_numeric_text(rng) -> str:
+    """A valid database of unquoted numeric fields, the files the NumPy pass
+    reads: LF and CRLF lines, blank lines, signs, leading zeros, exponents,
+    spaces and tabs around fields, maybe no final line end, several records
+    per bin."""
+    lines = ["t,process,amount"]
+    for _ in range(int(rng.integers(1, 60))):
+        if rng.random() < 0.1:
+            lines.append("")
+        step = int(rng.integers(0, 25))
+        fraction = float(rng.uniform(0, 1))
+        forms = [str(step), repr(step + fraction), f"{step:+04d}", f"{step * 10}E-1"]
+        fields = [
+            str(rng.choice(forms)),
+            str(rng.choice(["{}", "0{}", "+{}"])).format(int(rng.integers(1, 4))),
+            repr(float(rng.uniform(0.01, 5.0))),
+        ]
+        if rng.random() < 0.1:
+            fields = [f"{rng.choice(['', ' ', chr(9)])}{f}{rng.choice(['', ' '])}" for f in fields]
+        lines.append(",".join(fields))
+    text = "".join(line + ("\r\n" if rng.random() < 0.5 else "\n") for line in lines)
+    return text.rstrip("\r\n") if rng.random() < 0.2 else text
 
+
+@pytest.fixture(params=["either-path", "row-parser"])
+def read_path(request, monkeypatch):
+    """Read files as read_loss_records does, or with the NumPy pass declining
+    every file, so that the row parser reads valid files too."""
+    if request.param == "row-parser":
+        monkeypatch.setattr(io, "_read_columns", lambda handle: None)
+    return request.param
+
+
+class TestReadPathsMatchRowOracle:
+    # runs in blocks of 7, 2 and 1 rows put blank lines, ISO rows and faults
+    # in later blocks, so line numbers must carry across block boundaries
+    BLOCK_ROWS = (io._CSV_BLOCK_ROWS, 7, 2, 1)
+
+    @pytest.mark.parametrize("make_text", [random_database_text, random_numeric_text])
     @pytest.mark.parametrize("case_seed", range(40))
-    def test_read_and_ingest_bit_for_bit(self, tmp_path, monkeypatch, case_seed):
+    def test_read_and_ingest_bit_for_bit(
+        self, tmp_path, monkeypatch, read_path, make_text, case_seed
+    ):
         rng = np.random.default_rng(7000 + case_seed)
         path = tmp_path / "db.csv"
-        path.write_bytes(random_database_text(rng).encode())
+        path.write_bytes(make_text(rng).encode())
         with open(path, newline="", encoding="utf-8") as handle:
             expected = naive_read(handle)
         resolution = float(rng.choice([1.0, 2.5, 0.5, 3600.0]))
@@ -233,7 +273,7 @@ class TestColumnarPathMatchesRowOracle:
     ]
 
     @pytest.mark.parametrize("case_seed", range(30))
-    def test_faulty_files_fail_alike(self, tmp_path, monkeypatch, case_seed):
+    def test_faulty_files_fail_alike(self, tmp_path, monkeypatch, read_path, case_seed):
         rng = np.random.default_rng(7500 + case_seed)
         lines = random_database_text(rng).splitlines(keepends=True)
         for _ in range(int(rng.integers(1, 4))):
@@ -306,10 +346,12 @@ class TestColumnarPathMatchesRowOracle:
             ),
         ],
     )
-    def test_line_numbers_count_file_lines(self, tmp_path, monkeypatch, text, line_no, reason_part):
+    def test_line_numbers_count_file_lines(
+        self, tmp_path, monkeypatch, read_path, text, line_no, reason_part
+    ):
         path = tmp_path / "db.csv"
         path.write_text(text, newline="")
-        for block_rows in self.BLOCK_ROWS + (2, 1):
+        for block_rows in self.BLOCK_ROWS:
             monkeypatch.setattr(io, "_CSV_BLOCK_ROWS", block_rows)
             with pytest.raises(errors.MalformedRecord) as exc:
                 read_loss_records(path)
@@ -317,7 +359,9 @@ class TestColumnarPathMatchesRowOracle:
             assert reason_part in exc.value.reason
 
     @pytest.mark.parametrize("case_seed", range(20))
-    def test_faulty_row_starts_where_the_reader_says(self, tmp_path, monkeypatch, case_seed):
+    def test_faulty_row_starts_where_the_reader_says(
+        self, tmp_path, monkeypatch, read_path, case_seed
+    ):
         # quoted amounts span lines ending in LF, CR LF or a lone CR; the
         # csv module's own line count places the faulty row
         rng = np.random.default_rng(7700 + case_seed)
@@ -337,7 +381,7 @@ class TestColumnarPathMatchesRowOracle:
                 if row[0].strip() == "x":
                     break
                 line_no = reader.line_num + 1
-        for block_rows in self.BLOCK_ROWS + (2, 1):
+        for block_rows in self.BLOCK_ROWS:
             monkeypatch.setattr(io, "_CSV_BLOCK_ROWS", block_rows)
             with pytest.raises(errors.MalformedRecord, match="timestamp") as exc:
                 read_loss_records(path)
@@ -417,6 +461,232 @@ class TestColumnarPathMatchesRowOracle:
         assert records[1].process_id == 99999999999999999999999
         with pytest.raises(errors.UnknownProcess, match="99999999999999999999999"):
             ingest(records, 1.0, 2)
+
+
+def assert_declines_or_matches(path):
+    """The NumPy pass declines ``path`` or returns the row parser's columns,
+    bit for bit and in the same dtypes; returns what the pass returned."""
+    with open(path, "rb") as handle:
+        columns = io._read_columns(handle)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io, "_read_columns", lambda handle: None)
+        rows = outcome(lambda: read_loss_records(path))
+    if columns is not None:
+        assert rows[0] == "ok", rows
+        for got, want in zip(
+            (columns.timestamps, columns.process_ids, columns.amounts),
+            (rows[1].timestamps, rows[1].process_ids, rows[1].amounts),
+        ):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+    return columns
+
+
+# the characters of numbers, and those that Python's int and float, the csv
+# module or NumPy read otherwise: whitespace NumPy skips (\x1c-\x1f) or
+# Python strips (\x0b, \x0c, \xa0), digit separators, quotes
+_HOSTILE = "0123456789.+-eE \t\x0b\x0c\x1c\x1d\x1e\x1f\xa0_\"'"
+_odd_numbers = st.sampled_from(
+    ["nan", "inf", "-inf", "2.0", "1e3", "-0", "007", "+5", ".5", "5.", "1e999", "", "-", "e5"]
+)
+_numbers = st.one_of(st.integers(-(2**64), 2**64).map(str), st.floats().map(repr), _odd_numbers)
+
+
+def _padded(numbers):
+    return st.tuples(st.text(" \t", max_size=2), numbers, st.text(" \t", max_size=2)).map("".join)
+
+
+def _mostly(good, other):
+    """``good`` nine times in ten, else ``other``."""
+    return st.tuples(st.integers(0, 9), good, other).map(lambda t: t[2] if t[0] == 9 else t[1])
+
+
+# lines of numbers, most of which the NumPy pass reads, and lines of
+# anything, most of which it declines
+_finite = st.one_of(
+    st.integers(-(2**60), 2**60).map(str),
+    st.floats(allow_infinity=False, allow_nan=False).map(repr),
+)
+_number_lines = st.tuples(
+    _mostly(_padded(_finite), _padded(_numbers)),
+    _mostly(_padded(st.integers(1, 9).map(str)), _padded(_numbers)),
+    _mostly(_padded(_finite), _padded(_numbers)),
+).map(",".join)
+_any_lines = st.lists(
+    st.one_of(_numbers, st.text(_HOSTILE, max_size=6)), max_size=4
+).map(",".join)
+
+
+class TestNumpyPassMatchesRowParser:
+    """``io._read_columns``, the NumPy pass, on any file either declines or
+    gives the row parser's columns, bit for bit and in the same dtypes."""
+
+    @given(
+        header=st.sampled_from(
+            ["t,process,amount", "\ufefft,process,amount", " t,process,amount"]
+        ),
+        lines=st.lists(st.tuples(st.sampled_from(["\n", "\r\n"]), _number_lines), max_size=8),
+        odd_line=st.none() | st.none() | st.tuples(
+            st.integers(0, 8), st.sampled_from(["\n", "\r\n", "\r", ""]), _any_lines
+        ),
+        final_end=st.sampled_from(["", "\n", "\r\n", "\r", "\n\n"]),
+    )
+    @settings(
+        max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_hostile_text(self, tmp_path, header, lines, odd_line, final_end):
+        if odd_line is not None:
+            lines.insert(odd_line[0], odd_line[1:])
+        text = header + "".join(end + line for end, line in lines) + final_end
+        path = tmp_path / "db.csv"
+        path.write_bytes(text.encode())
+        assert_declines_or_matches(path)
+
+    @pytest.mark.parametrize("case_seed", range(20))
+    def test_numeric_files_take_the_pass(self, tmp_path, case_seed):
+        path = tmp_path / "db.csv"
+        path.write_bytes(random_numeric_text(np.random.default_rng(7900 + case_seed)).encode())
+        assert assert_declines_or_matches(path) is not None
+
+    LIMIT = csv.field_size_limit()
+    DIGITS = sys.get_int_max_str_digits()
+
+    @pytest.mark.parametrize(
+        "body,takes_pass",
+        [
+            pytest.param("1,2.0,3\n", False, id="id-2.0"),
+            pytest.param("1,9223372036854775808,3\n", False, id="id-beyond-int64"),
+            pytest.param("1,-9223372036854775809,3\n", False, id="id-below-int64"),
+            pytest.param("1,9223372036854775807,3\n-1,-9223372036854775808,3\n", True,
+                         id="ids-at-int64-edges"),
+            pytest.param("1,1," + "0" * (LIMIT - 1) + "1\n", False, id="field-at-csv-limit"),
+            pytest.param("1,1," + "0" * LIMIT + "1\n", False, id="field-over-csv-limit"),
+            pytest.param("1," + "0" * (DIGITS - 1) + "1,1\n", False, id="id-at-int-digit-limit"),
+            pytest.param("1," + "0" * DIGITS + "1,1\n", False, id="id-over-int-digit-limit"),
+            pytest.param("1," + "0" * (DIGITS - 6) + "1,1\n", True, id="id-on-longest-line"),
+            pytest.param("1,1,1\n \n", False, id="space-only-line"),
+            pytest.param("1,1,1\n\t\r\n", False, id="tab-only-line"),
+            pytest.param("\n\r\n1,1,1\n\n2,1,1\r\n\r\n", True, id="blank-lines"),
+            pytest.param("\n\r\n", False, id="blank-lines-only"),
+            pytest.param("", True, id="header-only"),
+            pytest.param("1,1,1\n2,1,1", True, id="no-final-line-end"),
+            pytest.param("1,1,1\r2,1,1\r", False, id="cr-line-ends"),
+            pytest.param("1,1\r,1\n", False, id="cr-in-a-line"),
+            pytest.param("1,1,1\r", False, id="cr-at-the-end"),
+            pytest.param("1,2\x1f,3\n", False, id="unit-separator"),
+            pytest.param("1,2\x1c,3\n", False, id="file-separator"),
+            pytest.param("1,2\x0b,3\n", False, id="vertical-tab"),
+            pytest.param("1,2\xa0,3\n", False, id="no-break-space"),
+            pytest.param("1_0,1,1\n", False, id="digit-separator"),
+            pytest.param('"1",1,1\n', False, id="quoted"),
+            pytest.param("nan,1,1\n", False, id="nan-timestamp"),
+            pytest.param("1e999,1,1\n", False, id="overflowing-timestamp"),
+            pytest.param("1,1,1e999\n1,1,nan\n", False, id="non-finite-amounts"),
+            pytest.param("1,1,1e999\n", True, id="overflowing-amount"),
+            pytest.param("2026-01-01T00:00:00,1,1\n", False, id="iso"),
+            pytest.param(
+                "-0,1,-0.0\n0.1000000000000000055511151231257827021181583404541015625,2,"
+                "4.9e-324\n2.4703282292062327e-324,1,1.7976931348623158e308\n"
+                "2.4703282292062328e-324,1,1.7976931348623159e308\n", True,
+                id="signed-zeros-rounding-and-subnormals",
+            ),
+            pytest.param(" 1 ,\t2\t, +3e0 \n+.5,+0,5.\n", True, id="padding-and-signs"),
+        ],
+    )
+    @pytest.mark.parametrize("header", ["t,process,amount\n", "\ufefft,process,amount\r\n"])
+    def test_fixed_cases(self, tmp_path, header, body, takes_pass):
+        path = tmp_path / "db.csv"
+        path.write_bytes((header + body).encode())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            columns = assert_declines_or_matches(path)
+        assert not caught
+        assert (columns is not None) == takes_pass
+
+    def test_header_only_file_without_a_line_end_takes_the_pass(self, tmp_path):
+        path = tmp_path / "db.csv"
+        path.write_bytes(b"t,process,amount")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            columns = assert_declines_or_matches(path)
+        assert not caught
+        assert columns is not None and len(columns) == 0
+
+    @pytest.mark.parametrize("block_bytes", [io._TEXT_BLOCK_BYTES, 4096, 64, 30, 1])
+    def test_written_database_takes_the_pass(self, tmp_path, monkeypatch, block_bytes):
+        # with the row parser gone only the pass can read the file; a block of
+        # 30 bytes or more reaches each line end, one of a byte ends within a
+        # line and declines
+        rng = np.random.default_rng(8100)
+        losses = np.where(rng.random((500, 3)) < 0.3, rng.exponential(size=(500, 3)), 0.0)
+        path = tmp_path / "db.csv"
+        write_loss_database(path, losses)
+
+        def row_parser(handle):
+            raise AssertionError("the row parser read the file")
+
+        monkeypatch.setattr(io, "_TEXT_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(io, "_row_blocks", row_parser)
+        if block_bytes == 1:
+            with pytest.raises(AssertionError, match="row parser"):
+                read_loss_records(path)
+            return
+        records = read_loss_records(path)
+        back = ingest(records, 1.0, 3, origin=1, n_steps=500)
+        assert np.array_equal(back.losses, losses)
+
+
+class TestNonUtf8Files:
+    # the byte 0xe9, which Latin-1 and cp1252 write for "é"
+    @pytest.mark.parametrize(
+        "text,line_no",
+        [
+            pytest.param(b"t,process,amount\n1,1,0.5\n2,2,0.3\xe9\n", 3, id="numeric"),
+            pytest.param(b"t,process,amount\r\n2026-01-01T00:00:00,1,0.5\r\n\xe9\r\n", 3, id="iso"),
+            pytest.param(b"t,process,amount\n1,1,\"0.5\r\n\"\r\r\n2,2,0.3\n3,1,\xe90.3\n", 6,
+                         id="after-cr-lf-and-a-quoted-line-end"),
+            pytest.param(b"t,process,amount\n" + b"1,1,0.5\n" * 3000 + b"2,2,0.3\xe9\n", 3002,
+                         id="past-the-first-read"),
+            pytest.param(b"t,process,am\xe9ount\n1,1,0.5\n", 1, id="header"),
+        ],
+    )
+    def test_database_names_the_line_of_the_byte(
+        self, tmp_path, monkeypatch, read_path, text, line_no
+    ):
+        path = tmp_path / "db.csv"
+        path.write_bytes(text)
+        for block_rows in TestReadPathsMatchRowOracle.BLOCK_ROWS:
+            monkeypatch.setattr(io, "_CSV_BLOCK_ROWS", block_rows)
+            with pytest.raises(errors.MalformedRecord, match="byte 0xe9 is not UTF-8") as exc:
+                read_loss_records(path)
+            assert exc.value.line_no == line_no, block_rows
+
+    def test_fault_in_rows_read_before_the_byte_comes_first(
+        self, tmp_path, monkeypatch, read_path
+    ):
+        # text is decoded 8 KiB at a time: the rows read before the chunk that
+        # fails to decode are parsed first, whatever the block of rows
+        path = tmp_path / "db.csv"
+        head = b"t,process,amount\n1,1,0.5\n2,one,0.5\n"
+        path.write_bytes(head + b"1,1,0.5\n" * 2000 + b"\xe9\n")
+        for block_rows in TestReadPathsMatchRowOracle.BLOCK_ROWS:
+            monkeypatch.setattr(io, "_CSV_BLOCK_ROWS", block_rows)
+            with pytest.raises(errors.MalformedRecord, match="process id") as exc:
+                read_loss_records(path)
+            assert exc.value.line_no == 3, block_rows
+
+    def test_samples_name_the_line_of_the_byte(self, tmp_path):
+        path = tmp_path / "samples.txt"
+        path.write_bytes(b"# terminal z\r\n1.0\r2.0\n" + b"3.0\n" * 3000 + b"# caf\xe9\n")
+        with pytest.raises(errors.MalformedRecord, match="byte 0xe9 is not UTF-8") as exc:
+            read_samples(path)
+        assert exc.value.line_no == 3004
+
+    def test_config_is_a_config_error(self, tmp_path):
+        path = Path(write_config(tmp_path))
+        path.write_bytes(path.read_bytes().replace(b"{", b'{"note": "caf\xe9", ', 1))
+        with pytest.raises(errors.ConfigError, match="byte 0xe9 is not UTF-8"):
+            load_config(path)
 
 
 class TestLossRecords:
