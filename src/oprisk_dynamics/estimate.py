@@ -290,6 +290,14 @@ def _degeneracy(total: int, zero: int) -> str | None:
     return None
 
 
+def _log_lossy_ratio(total: int, zero: int):
+    """log(1 - zero / total) for a usable class, as log1p; where zero / total
+    rounds to 1.0, from the exact count of lossy events, so that it stays
+    finite."""
+    ratio = zero / total
+    return np.log1p(-ratio) if ratio < 1.0 else np.log((total - zero) / total)
+
+
 _THETA_WARNINGS = {
     "no-base-events": "no base-class events, theta unavailable",
     "zero-ratio-0": "base zero-loss ratio is 0, theta degenerate at 0",
@@ -318,7 +326,7 @@ def estimate_theta(counts: EventClassCounts, lam: np.ndarray):
                 f"process {i + 1}: {_THETA_WARNINGS[reason]}", DegeneracyWarning, stacklevel=2
             )
         else:
-            theta_hat[i] = np.log1p(-zero / total) / lam[i]
+            theta_hat[i] = _log_lossy_ratio(total, zero) / lam[i]
             available[i] = True
     return theta_hat, available
 
@@ -359,7 +367,7 @@ def estimate_couplings(
             continue
         if not theta_available[i]:
             raise errors.MissingTheta(i)
-        estimate = (-theta_hat[i] + np.log1p(-zero / total) / lam[i]) / c
+        estimate = (-theta_hat[i] + _log_lossy_ratio(total, zero) / lam[i]) / c
         j_hat.setdefault((i, j), []).append(
             CouplingCandidate(count_class=c, estimate=float(estimate), support=total)
         )

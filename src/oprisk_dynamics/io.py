@@ -2,20 +2,21 @@
 
 Formats (UTF-8, comma-separated, `.` decimal separator, 1-based indices).
 The database and samples readers ignore a leading UTF-8 byte-order mark,
-which spreadsheet tools write, and report a byte that is not UTF-8 as a
-MalformedRecord on its line:
+which spreadsheet tools write. They check each line for UTF-8 as they read
+it, so a byte that is not UTF-8 is a MalformedRecord on its line, after any
+fault on an earlier line:
 
 * loss database: header ``t,process,amount``, one positive-amount record per
   line; ``t`` is an integer step or an ISO-8601 timestamp. A timestamp
   without a UTC offset is read as UTC, never in the machine's time zone.
   A file of plain numeric records is parsed by ``np.loadtxt``, in text
   blocks of about 1 MiB; any other file is read again by the row parser,
-  which gives the same records and the line of the first fault. Every
-  timestamp becomes a float64.
-  Records are binned onto the step grid in two forms, with the same checks:
-  ``ingest_events`` keeps only the occupied (step, process) bins, the
-  LossEvents the estimator reads, and ``ingest`` builds the dense (T, N)
-  loss matrix.
+  one row at a time, which gives the same records and the line of the
+  first fault. Every timestamp becomes a float64.
+  Records are binned onto the step grid in two forms, with the same checks
+  and sums: ``ingest_events`` keeps only the occupied (step, process) bins,
+  the LossEvents the estimator reads, and ``ingest`` writes them into the
+  dense (T, N) loss matrix.
 * series tables: header ``t,process,value``, full (step, process) grid.
 * histograms: header ``bin_left,bin_right,count``.
 * configuration: one JSON document; see ``load_config``. A byte that is
@@ -28,14 +29,15 @@ import codecs
 import csv
 import json
 import math
+import re
 import sys
 import warnings
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
 from io import BytesIO
-from itertools import islice
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -67,8 +69,7 @@ def reference_config_path() -> str:
 _DB_HEADER = ["t", "process", "amount"]
 _SERIES_HEADER = ["t", "process", "value"]
 _HIST_HEADER = ["bin_left", "bin_right", "count"]
-# rows formatted at a time by the CSV writers, and parsed at a time by the
-# row parser of read_loss_records
+# rows formatted at a time by the CSV writers
 _CSV_BLOCK_ROWS = 1024
 # the database headers the NumPy pass reads, and every byte it reads after
 # them: the characters of decimal numbers, separators and line ends. Beyond
@@ -80,6 +81,8 @@ _RECORD_DTYPE = np.dtype([("t", np.float64), ("process", np.int64), ("amount", n
 # bytes of database text the NumPy pass parses at a time, to the next line end
 _TEXT_BLOCK_BYTES = 2**20
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+# a byte that is not UTF-8, as errors="surrogateescape" decodes it
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 class RawLossRecord(NamedTuple):
@@ -124,13 +127,15 @@ class LossRecords(Sequence):
             column.setflags(write=False)
 
     @classmethod
-    def of(cls, timestamps: list, process_ids: list, amounts: list) -> "LossRecords":
-        """Columns of Python values; every timestamp and amount as float64."""
+    def of(cls, timestamps, process_ids: list, amounts) -> "LossRecords":
+        """Columns of Python values; every timestamp and amount as float64.
+        A column of timestamps or amounts given as an ``array("d")`` becomes
+        a view of it, without a copy."""
         ids_fit = all(type(p) is int and _INT64_MIN <= p <= _INT64_MAX for p in process_ids)
         return cls(
-            np.array(timestamps, dtype=np.float64),
+            np.asarray(timestamps, dtype=np.float64),
             np.array(process_ids, dtype=np.int64 if ids_fit else object),
-            np.array(amounts, dtype=np.float64),
+            np.asarray(amounts, dtype=np.float64),
         )
 
     def __len__(self) -> int:
@@ -151,9 +156,10 @@ def read_loss_records(path) -> LossRecords:
 
     A file of plain numeric records is parsed by ``np.loadtxt``, a text block
     of about 1 MiB at a time. Any other file (ISO timestamps, quoted fields,
-    a fault) is read again from its start by the row parser, which converts
-    ISO timestamps and reports the first faulty line. Both give the same
-    records, bit for bit.
+    a fault) is read again from its start by the row parser, one row at a
+    time, which converts ISO timestamps and reports the first faulty line,
+    a byte that is not UTF-8 included. Both give the same records, bit for
+    bit.
 
     Raises:
         MalformedRecord: wrong header, a row that is not CSV, wrong field
@@ -163,11 +169,8 @@ def read_loss_records(path) -> LossRecords:
         records = _read_columns(handle)
     if records is not None:
         return records
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        blocks = [LossRecords.of([], [], [])]
-        blocks += (_parse_rows(rows, line_no) for line_no, rows in _row_blocks(handle))
-    columns = zip(*((b.timestamps, b.process_ids, b.amounts) for b in blocks))
-    return LossRecords(*map(np.concatenate, columns))
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
+        return _parse_rows(handle)
 
 
 def _read_columns(handle) -> LossRecords | None:
@@ -221,95 +224,55 @@ def _plain_numeric(block: bytes) -> bool:
     return longest_line <= min(csv.field_size_limit(), digits or csv.field_size_limit())
 
 
-def _row_blocks(handle):
-    """Check the header, then yield (line number, rows) blocks of at most
-    _CSV_BLOCK_ROWS rows, blank ones included. A row the csv module rejects,
-    or text that is not UTF-8, ends its block and, once that block is
-    parsed, raises MalformedRecord.
+def _parse_rows(handle) -> LossRecords:
+    """The records of the text database ``handle``, read one row at a time.
+
+    A row starts on the line after the last line the csv module read before
+    it, so a quoted field keeps the line breaks it spans. The first faulty
+    line raises MalformedRecord: the header, a row the csv module rejects,
+    a field, or a byte that is not UTF-8.
     """
-    reader = csv.reader(_decoded_lines(handle))
-    block = []
+    stamps, ids, amounts = array("d"), [], array("d")
+    reader = csv.reader(_utf8_lines(handle))
     try:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != _DB_HEADER:
             raise errors.MalformedRecord(1, f"expected header {','.join(_DB_HEADER)!r}")
-        while True:
-            line_no = reader.line_num + 1
-            for row in islice(reader, _CSV_BLOCK_ROWS):
-                block.append(row)
-            if not block:
-                return
-            yield line_no, block
-            block = []
+        end = reader.line_num
+        for row in reader:
+            line_no, end = end + 1, reader.line_num
+            if not row:
+                continue
+            if len(row) != 3:
+                raise errors.MalformedRecord(line_no, f"expected 3 fields, got {len(row)}")
+            stamps.append(_parse_timestamp(row[0].strip(), line_no))
+            try:
+                ids.append(int(row[1]))
+            except ValueError:
+                raise errors.MalformedRecord(
+                    line_no, f"process id {row[1]!r} is not an integer"
+                ) from None
+            try:
+                amounts.append(float(row[2]))
+            except ValueError:
+                raise errors.MalformedRecord(
+                    line_no, f"amount {row[2]!r} is not a number"
+                ) from None
     except csv.Error as exc:
-        fault = errors.MalformedRecord(reader.line_num, f"not a CSV row: {exc}")
-    except errors.MalformedRecord as exc:  # the header, or text that is not UTF-8
-        fault = exc
-    if block:
-        yield line_no, block
-    raise fault
-
-
-def _decoded_lines(handle):
-    """The lines of the text file ``handle``. A byte that is not UTF-8
-    raises MalformedRecord naming its line once the chunk of text that
-    holds it is decoded, so lines of that chunk before it are never read."""
-    try:
-        yield from handle
-    except UnicodeDecodeError:
-        raise _undecodable(handle.buffer) from None
-
-
-def _undecodable(handle) -> errors.MalformedRecord:
-    """The MalformedRecord naming the line of the first byte of the binary
-    file ``handle`` that is not UTF-8."""
-    handle.seek(0)
-    line_no = 1
-    # no byte of a multi-byte UTF-8 sequence is a LF, so each line decodes alone
-    for line in handle:
-        try:
-            line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line_no += _line_breaks(line[: exc.start].decode("latin-1"))
-            return errors.MalformedRecord(line_no, f"byte {line[exc.start]:#04x} is not UTF-8")
-        line_no += _line_breaks(line.decode("latin-1"))
-    return errors.MalformedRecord(line_no, "not UTF-8")
-
-
-def _line_breaks(text: str) -> int:
-    """The line breaks in ``text``: CR LF, LF or CR."""
-    return text.count("\n") + text.count("\r") - text.count("\r\n")
-
-
-def _first_lines(rows: list, line_no: int):
-    """The file line each row starts on, the first on ``line_no``: a quoted
-    field keeps the line breaks (CR LF, LF or CR) it spans."""
-    for row in rows:
-        yield line_no
-        line_no += 1 + _line_breaks(",".join(row))
-
-
-def _parse_rows(rows: list, line_no: int) -> LossRecords:
-    stamps, ids, amounts = [], [], []
-    for line_no, row in zip(_first_lines(rows, line_no), rows):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise errors.MalformedRecord(line_no, f"expected 3 fields, got {len(row)}")
-        stamps.append(_parse_timestamp(row[0].strip(), line_no))
-        try:
-            ids.append(int(row[1]))
-        except ValueError:
-            raise errors.MalformedRecord(
-                line_no, f"process id {row[1]!r} is not an integer"
-            ) from None
-        try:
-            amounts.append(float(row[2]))
-        except ValueError:
-            raise errors.MalformedRecord(
-                line_no, f"amount {row[2]!r} is not a number"
-            ) from None
+        raise errors.MalformedRecord(reader.line_num, f"not a CSV row: {exc}") from None
     return LossRecords.of(stamps, ids, amounts)
+
+
+def _utf8_lines(lines):
+    """The lines of a text file opened with ``errors="surrogateescape"``.
+    The first line that holds an escaped byte, one that is not UTF-8, raises
+    MalformedRecord naming that byte and line."""
+    for line_no, line in enumerate(lines, start=1):
+        if not line.isascii() and (byte := _ESCAPED_BYTE.search(line)):
+            raise errors.MalformedRecord(
+                line_no, f"byte {ord(byte[0]) - 0xDC00:#04x} is not UTF-8"
+            )
+        yield line
 
 
 def ingest(
@@ -336,20 +299,16 @@ def ingest(
             record, in record order, or the first bin whose sum overflows.
         TimestampSpanOverflow: a timestamp no float64 holds, a record's
             distance from the origin overflows or is NaN, or the steps it
-            spans are too many to hold.
+            spans are too many to number in int64 (as step * N + process)
+            or to hold.
         ValueError: resolution <= 0, or a record falls outside a pinned range.
     """
-    table, steps, n_steps, span = _binned_steps(records, resolution, n, origin, n_steps)
-    # a step beyond int64 casts to garbage, but bincount then fails on its length
-    with np.errstate(invalid="ignore"):
-        bins = np.asarray(steps, dtype=np.int64) * n + np.asarray(table.process_ids, np.int64) - 1
-    # bincount adds each bin's amounts from 0.0 in record order, as += would
+    keys, sums, n_steps, span = _binned_steps(records, resolution, n, origin, n_steps)
     try:
-        losses = np.bincount(bins, weights=table.amounts, minlength=n_steps * n)
-    except (ValueError, MemoryError, OverflowError) as exc:
+        losses = np.zeros(n_steps * n)
+    except (ValueError, MemoryError) as exc:
         raise errors.TimestampSpanOverflow(f"{span}, too many to hold: {exc}") from exc
-    if losses.max() == math.inf:
-        raise _overflowed_bin(int(losses.argmax()), n)
+    losses[keys] = sums
     return LossMatrix(losses.reshape(n_steps, n))
 
 
@@ -369,30 +328,22 @@ def ingest_events(
     int64.
 
     Raises:
-        as ``ingest``; TimestampSpanOverflow when a bin's number overflows
-            int64.
+        as ``ingest``, but for a span of steps too large to hold.
     """
-    table, steps, n_steps, span = _binned_steps(records, resolution, n, origin, n_steps)
-    if n_steps * n - 1 > _INT64_MAX:
-        raise errors.TimestampSpanOverflow(f"{span}, too many to number in int64")
-    keys = steps.astype(np.int64) * n + np.asarray(table.process_ids, np.int64) - 1
-    keys, inverse = np.unique(keys, return_inverse=True)
-    # each bin's sum from 0.0 in record order, as ingest's bincount makes it
-    sums = np.bincount(inverse, weights=table.amounts)
-    if sums.max() == math.inf:
-        raise _overflowed_bin(int(keys[sums.argmax()]), n)
+    keys, _, n_steps, _ = _binned_steps(records, resolution, n, origin, n_steps)
     step, process = np.divmod(keys, n)
     return LossEvents(tuple(step[process == i] for i in range(n)), n_steps)
 
 
 def _binned_steps(records, resolution, n, origin, n_steps):
-    """Check raw records and compute the step of each, as ``ingest`` and
-    ``ingest_events`` bin them.
+    """Check raw records and sum them into their (step, process) bins, as
+    ``ingest`` and ``ingest_events`` bin them.
 
     Returns:
-        (table, steps, n_steps, span): the records as LossRecords, each
-        record's step as a float64, T, and the phrase naming the timestamps'
-        span that a TimestampSpanOverflow starts with.
+        (keys, sums, n_steps, span): the sorted numbers step * n + process - 1
+        of the occupied bins as int64, each bin's sum of amounts from 0.0 in
+        record order, T, and the phrase naming the timestamps' span that a
+        TimestampSpanOverflow starts with.
     """
     if not resolution > 0:
         raise ValueError(f"resolution must be > 0, got {resolution!r}")
@@ -439,7 +390,14 @@ def _binned_steps(records, resolution, n, origin, n_steps):
     elif last >= n_steps:
         raise ValueError(f"record in step {last + 1} beyond the pinned {n_steps} steps")
     span = f"timestamps {t_min!r} and {hi!r} span {n_steps:.4g} steps at {resolution!r}"
-    return table, steps, n_steps, span
+    if n_steps * n - 1 > _INT64_MAX:
+        raise errors.TimestampSpanOverflow(f"{span}, too many to number in int64")
+    keys = steps.astype(np.int64) * n + np.asarray(table.process_ids, np.int64) - 1
+    keys, inverse = np.unique(keys, return_inverse=True)
+    sums = np.bincount(inverse, weights=table.amounts)
+    if sums.max() == math.inf:
+        raise _overflowed_bin(int(keys[sums.argmax()]), n)
+    return keys, sums, n_steps, span
 
 
 def _overflowed_bin(key: int, n: int) -> errors.NonPositiveAmount:
@@ -537,8 +495,8 @@ def read_samples(path) -> np.ndarray:
             UTF-8.
     """
     values = []
-    with open(path, encoding="utf-8-sig") as handle:
-        for line_no, line in enumerate(_decoded_lines(handle), start=1):
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
+        for line_no, line in enumerate(_utf8_lines(handle), start=1):
             text = line.strip()
             if not text or text.startswith("#"):
                 continue
@@ -737,13 +695,12 @@ def load_config(path) -> RunConfig:
             unreadable, not UTF-8 or not JSON.
     """
     try:
-        with open(path, encoding="utf-8") as handle:
-            try:
-                doc = json.load(handle)
-            except UnicodeDecodeError:
-                raise errors.ConfigError(str(path), str(_undecodable(handle.buffer))) from None
+        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+            doc = json.loads("".join(_utf8_lines(handle)))
     except OSError as exc:
         raise errors.ConfigError(str(path), f"cannot read config: {exc}") from exc
+    except errors.MalformedRecord as exc:
+        raise errors.ConfigError(str(path), str(exc)) from None
     except json.JSONDecodeError as exc:
         raise errors.ConfigError(str(path), f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -44,6 +44,10 @@ def small_config(tmp_path, **overrides):
     return str(path)
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def last_stderr_json(capsys):
     err = capsys.readouterr().err.strip().splitlines()
     return json.loads(err[-1])
@@ -279,7 +283,10 @@ class TestEstimateCommand:
         assert code == 0
         assert elapsed < 1.0
         assert peak < 2 * 2**20
-        doc = json.loads((out / "estimates.json").read_text())
+        # strict JSON: process 2's zero ratio rounds to 1.0, yet its theta
+        # comes from its one loss, never -inf
+        doc = json.loads((out / "estimates.json").read_text(), parse_constant=reject_constant)
+        assert np.isfinite(doc["theta_hat"]).all()
         # T = 1e17 + 1 steps, all of them at fraction 1, which a float cut
         # would round down to 1e17
         assert doc["diagnostics"]["estimation_steps"] == 10**17 + 1
@@ -351,6 +358,19 @@ class TestForecastCommand:
         for i in range(p.n):
             samples = read_samples(out / f"terminal_p{i + 1}.txt")
             assert np.array_equal(samples, expected.terminal_samples[:, i])
+
+    def test_zero_ratio_rounding_to_one_forecasts(self, tmp_path):
+        # each process loses at a few of about 1e17 steps: zero ratios that
+        # round to 1.0, though no class is lossless
+        config = small_config(tmp_path)
+        db = tmp_path / "db.csv"
+        db.write_text("t,process,amount\n0,2,0.1\n5,1,0.5\n9,2,0.25\n1e17,2,0.3\n")
+        out = tmp_path / "fc"
+        with pytest.warns(DegeneracyWarning):
+            code = main(["forecast", "--config", config, "--database", str(db),
+                         "--out-dir", str(out)])
+        assert code == 0
+        assert (out / "var_table.csv").exists()
 
     def test_degenerate_database_exit_code(self, tmp_path, capsys):
         doc = {

@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import time
+import tracemalloc
 import warnings
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -219,15 +220,9 @@ def read_path(request, monkeypatch):
 
 
 class TestReadPathsMatchRowOracle:
-    # runs in blocks of 7, 2 and 1 rows put blank lines, ISO rows and faults
-    # in later blocks, so line numbers must carry across block boundaries
-    BLOCK_ROWS = (io._CSV_BLOCK_ROWS, 7, 2, 1)
-
     @pytest.mark.parametrize("make_text", [random_database_text, random_numeric_text])
     @pytest.mark.parametrize("case_seed", range(40))
-    def test_read_and_ingest_bit_for_bit(
-        self, tmp_path, monkeypatch, read_path, make_text, case_seed
-    ):
+    def test_read_and_ingest_bit_for_bit(self, tmp_path, read_path, make_text, case_seed):
         rng = np.random.default_rng(7000 + case_seed)
         path = tmp_path / "db.csv"
         path.write_bytes(make_text(rng).encode())
@@ -238,15 +233,13 @@ class TestReadPathsMatchRowOracle:
         if case_seed % 4 == 0:
             lo = min(r.timestamp for r in expected)
             pins += [{"origin": lo - 2 * resolution, "n_steps": 40}, {"origin": lo + resolution}]
-        for block_rows in self.BLOCK_ROWS:
-            monkeypatch.setattr(io, "_CSV_BLOCK_ROWS", block_rows)
-            records = read_loss_records(path)
-            assert isinstance(records, LossRecords)
-            assert repr(list(records)) == repr(expected)
-            for pin in pins:
-                want = outcome(lambda: naive_ingest(expected, resolution, 3, **pin))
-                got = outcome(lambda: ingest(records, resolution, 3, **pin).losses)
-                assert same(got, want), (block_rows, pin)
+        records = read_loss_records(path)
+        assert isinstance(records, LossRecords)
+        assert repr(list(records)) == repr(expected)
+        for pin in pins:
+            want = outcome(lambda: naive_ingest(expected, resolution, 3, **pin))
+            got = outcome(lambda: ingest(records, resolution, 3, **pin).losses)
+            assert same(got, want), pin
 
     # one fault per entry, each in the field the row loop checks it in
     FAULTS = [
@@ -273,7 +266,7 @@ class TestReadPathsMatchRowOracle:
     ]
 
     @pytest.mark.parametrize("case_seed", range(30))
-    def test_faulty_files_fail_alike(self, tmp_path, monkeypatch, read_path, case_seed):
+    def test_faulty_files_fail_alike(self, tmp_path, read_path, case_seed):
         rng = np.random.default_rng(7500 + case_seed)
         lines = random_database_text(rng).splitlines(keepends=True)
         for _ in range(int(rng.integers(1, 4))):
@@ -284,10 +277,8 @@ class TestReadPathsMatchRowOracle:
         with open(path, newline="", encoding="utf-8") as handle:
             text_lines = handle.readlines()
         want = outcome(lambda: naive_ingest(naive_read(text_lines), 1.0, 3))
-        for block_rows in self.BLOCK_ROWS:
-            monkeypatch.setattr(io, "_CSV_BLOCK_ROWS", block_rows)
-            got = outcome(lambda: ingest(read_loss_records(path), 1.0, 3).losses)
-            assert same(got, want), block_rows
+        got = outcome(lambda: ingest(read_loss_records(path), 1.0, 3).losses)
+        assert same(got, want)
 
     @pytest.mark.parametrize("fault", [None] + FAULTS)
     def test_events_equal_ingest_then_nonzero(self, tmp_path, fault):
@@ -346,22 +337,16 @@ class TestReadPathsMatchRowOracle:
             ),
         ],
     )
-    def test_line_numbers_count_file_lines(
-        self, tmp_path, monkeypatch, read_path, text, line_no, reason_part
-    ):
+    def test_line_numbers_count_file_lines(self, tmp_path, read_path, text, line_no, reason_part):
         path = tmp_path / "db.csv"
         path.write_text(text, newline="")
-        for block_rows in self.BLOCK_ROWS:
-            monkeypatch.setattr(io, "_CSV_BLOCK_ROWS", block_rows)
-            with pytest.raises(errors.MalformedRecord) as exc:
-                read_loss_records(path)
-            assert exc.value.line_no == line_no, block_rows
-            assert reason_part in exc.value.reason
+        with pytest.raises(errors.MalformedRecord) as exc:
+            read_loss_records(path)
+        assert exc.value.line_no == line_no
+        assert reason_part in exc.value.reason
 
     @pytest.mark.parametrize("case_seed", range(20))
-    def test_faulty_row_starts_where_the_reader_says(
-        self, tmp_path, monkeypatch, read_path, case_seed
-    ):
+    def test_faulty_row_starts_where_the_reader_says(self, tmp_path, read_path, case_seed):
         # quoted amounts span lines ending in LF, CR LF or a lone CR; the
         # csv module's own line count places the faulty row
         rng = np.random.default_rng(7700 + case_seed)
@@ -381,11 +366,9 @@ class TestReadPathsMatchRowOracle:
                 if row[0].strip() == "x":
                     break
                 line_no = reader.line_num + 1
-        for block_rows in self.BLOCK_ROWS:
-            monkeypatch.setattr(io, "_CSV_BLOCK_ROWS", block_rows)
-            with pytest.raises(errors.MalformedRecord, match="timestamp") as exc:
-                read_loss_records(path)
-            assert exc.value.line_no == line_no, block_rows
+        with pytest.raises(errors.MalformedRecord, match="timestamp") as exc:
+            read_loss_records(path)
+        assert exc.value.line_no == line_no
 
     @pytest.mark.parametrize(
         "lines,line_no,reason_part",
@@ -626,7 +609,7 @@ class TestNumpyPassMatchesRowParser:
             raise AssertionError("the row parser read the file")
 
         monkeypatch.setattr(io, "_TEXT_BLOCK_BYTES", block_bytes)
-        monkeypatch.setattr(io, "_row_blocks", row_parser)
+        monkeypatch.setattr(io, "_parse_rows", row_parser)
         if block_bytes == 1:
             with pytest.raises(AssertionError, match="row parser"):
                 read_loss_records(path)
@@ -650,30 +633,47 @@ class TestNonUtf8Files:
             pytest.param(b"t,process,am\xe9ount\n1,1,0.5\n", 1, id="header"),
         ],
     )
-    def test_database_names_the_line_of_the_byte(
-        self, tmp_path, monkeypatch, read_path, text, line_no
-    ):
+    def test_database_names_the_line_of_the_byte(self, tmp_path, read_path, text, line_no):
         path = tmp_path / "db.csv"
         path.write_bytes(text)
-        for block_rows in TestReadPathsMatchRowOracle.BLOCK_ROWS:
-            monkeypatch.setattr(io, "_CSV_BLOCK_ROWS", block_rows)
-            with pytest.raises(errors.MalformedRecord, match="byte 0xe9 is not UTF-8") as exc:
-                read_loss_records(path)
-            assert exc.value.line_no == line_no, block_rows
+        with pytest.raises(errors.MalformedRecord, match="byte 0xe9 is not UTF-8") as exc:
+            read_loss_records(path)
+        assert exc.value.line_no == line_no
 
-    def test_fault_in_rows_read_before_the_byte_comes_first(
-        self, tmp_path, monkeypatch, read_path
-    ):
-        # text is decoded 8 KiB at a time: the rows read before the chunk that
-        # fails to decode are parsed first, whatever the block of rows
+    def test_fault_in_rows_read_before_the_byte_comes_first(self, tmp_path, read_path):
+        # the byte lies past the text layer's first read of the file
         path = tmp_path / "db.csv"
         head = b"t,process,amount\n1,1,0.5\n2,one,0.5\n"
         path.write_bytes(head + b"1,1,0.5\n" * 2000 + b"\xe9\n")
-        for block_rows in TestReadPathsMatchRowOracle.BLOCK_ROWS:
-            monkeypatch.setattr(io, "_CSV_BLOCK_ROWS", block_rows)
-            with pytest.raises(errors.MalformedRecord, match="process id") as exc:
-                read_loss_records(path)
-            assert exc.value.line_no == 3, block_rows
+        with pytest.raises(errors.MalformedRecord, match="process id") as exc:
+            read_loss_records(path)
+        assert exc.value.line_no == 3
+
+    # each line is checked as it is read, so a fault in a line before the
+    # byte comes first, however near the byte it lies
+    @pytest.mark.parametrize(
+        "text,line_no,reason_part",
+        [
+            pytest.param(b"t,process,amount\n2,one,0.5\n1,1,\xe9\n", 2, "process id",
+                         id="row-before"),
+            pytest.param(b"t,proces,amount\n1,1,\xe9\n", 1, "expected header", id="header"),
+        ],
+    )
+    def test_fault_on_a_line_near_the_byte_comes_first(
+        self, tmp_path, read_path, text, line_no, reason_part
+    ):
+        path = tmp_path / "db.csv"
+        path.write_bytes(text)
+        with pytest.raises(errors.MalformedRecord, match=reason_part) as exc:
+            read_loss_records(path)
+        assert exc.value.line_no == line_no
+
+    def test_samples_fault_before_the_byte_comes_first(self, tmp_path):
+        path = tmp_path / "samples.txt"
+        path.write_bytes(b"1.0\nx\n# caf\xe9\n")
+        with pytest.raises(errors.MalformedRecord, match="sample 'x'") as exc:
+            read_samples(path)
+        assert exc.value.line_no == 2
 
     def test_samples_name_the_line_of_the_byte(self, tmp_path):
         path = tmp_path / "samples.txt"
@@ -942,6 +942,27 @@ class TestDatabaseFiles:
         assert records[0].amount == 1.0
         # a naive timestamp is UTC, and an explicit offset is kept
         assert [r.timestamp - records[0].timestamp for r in records] == [0.0, 2.0, 3.0]
+
+    def test_row_parser_holds_float64_columns_not_python_floats(self, tmp_path):
+        # ISO timestamps send the file to the row parser. It gathers timestamps
+        # and amounts as float64 in array("d"), which become the records'
+        # columns without a copy: about 33 bytes per row at the peak, where
+        # lists of Python floats hold about 96
+        n_rows = 100_000
+        stamps = (np.datetime64("2026-01-01T00:00:00") + np.arange(n_rows)).astype(str)
+        path = tmp_path / "db.csv"
+        path.write_text("t,process,amount\n" + "".join(
+            f"{t},{k % 5 + 1},{k % 97 + 0.25}\n" for k, t in enumerate(stamps)
+        ))
+        tracemalloc.start()
+        try:
+            records = read_loss_records(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == n_rows
+        assert records[-1] == (_ts(str(stamps[-1])), 5, (n_rows - 1) % 97 + 0.25)
+        assert peak / n_rows < 64
 
 
 class TestSeriesAndHistograms:
