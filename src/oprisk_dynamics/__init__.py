@@ -37,7 +37,6 @@ from .io import (
     RawLossRecord,
     RunConfig,
     ingest,
-    ingest_events,
     load_config,
     read_loss_records,
     read_samples,
@@ -82,7 +81,6 @@ __all__ = [
     "estimate_from_database",
     "estimate_theta",
     "ingest",
-    "ingest_events",
     "lambda_from_p",
     "lambda_from_quantile",
     "load_config",

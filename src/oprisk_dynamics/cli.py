@@ -154,7 +154,7 @@ def _cmd_simulate(args) -> int:
 
 def _estimates_from_file(config: io.RunConfig, database: str) -> EstimateSet:
     p = config.parameters
-    events = io.ingest_events(io.read_loss_records(database), config.resolution, p.n)
+    events = io.ingest(io.read_loss_records(database), config.resolution, p.n)
     # past 2**53 steps the float product drops steps, so the whole database
     # is cut at its own length; other fractions keep the float cut, which
     # takes 0.7 of 10 steps as 7 where an exact one would take 6

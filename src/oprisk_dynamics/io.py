@@ -12,11 +12,9 @@ fault on an earlier line:
   A file of plain numeric records is parsed by ``np.loadtxt``, in text
   blocks of about 1 MiB; any other file is read again by the row parser,
   one row at a time, which gives the same records and the line of the
-  first fault. Every timestamp becomes a float64.
-  Records are binned onto the step grid in two forms, with the same checks
-  and sums: ``ingest_events`` keeps only the occupied (step, process) bins,
-  the LossEvents the estimator reads, and ``ingest`` writes them into the
-  dense (T, N) loss matrix.
+  first fault. Every timestamp becomes a float64. ``ingest`` bins the
+  records onto the step grid and keeps the occupied (step, process) bins,
+  the LossEvents the estimator reads.
 * series tables: header ``t,process,value``, full (step, process) grid.
 * histograms: header ``bin_left,bin_right,count``.
 * configuration: one JSON document; see ``load_config``. A byte that is
@@ -33,12 +31,11 @@ import re
 import sys
 import warnings
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
 from io import BytesIO
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,7 +48,6 @@ __all__ = [
     "LossRecords",
     "read_loss_records",
     "ingest",
-    "ingest_events",
     "write_loss_database",
     "write_series",
     "write_histogram",
@@ -110,13 +106,13 @@ def _parse_timestamp(text: str, line_no: int) -> float:
     return value
 
 
-class LossRecords(Sequence):
+class LossRecords:
     """Loss records held as three read-only columns, in file order.
 
     ``timestamps`` and ``amounts`` are float64. ``process_ids`` is int64,
     except that ``of`` keeps Python objects when some id is no int within
-    int64, so that ``ingest`` names that id as it was written. Indexing and
-    iteration give RawLossRecords of Python scalars, as a list of them would.
+    int64, so that ``ingest`` names that id as it was written. Iteration
+    gives RawLossRecords of Python scalars.
     """
 
     def __init__(self, timestamps, process_ids, amounts) -> None:
@@ -141,11 +137,6 @@ class LossRecords(Sequence):
     def __len__(self) -> int:
         return self.amounts.shape[0]
 
-    def __getitem__(self, index: int) -> RawLossRecord:
-        return RawLossRecord(
-            self.timestamps.item(index), self.process_ids.item(index), self.amounts.item(index)
-        )
-
     def __iter__(self):
         columns = (self.timestamps.tolist(), self.process_ids.tolist(), self.amounts.tolist())
         return map(RawLossRecord._make, zip(*columns))
@@ -159,7 +150,8 @@ def read_loss_records(path) -> LossRecords:
     a fault) is read again from its start by the row parser, one row at a
     time, which converts ISO timestamps and reports the first faulty line,
     a byte that is not UTF-8 included. Both give the same records, bit for
-    bit.
+    bit. A file whose first record is not plain numeric text goes to the
+    row parser after that one line.
 
     Raises:
         MalformedRecord: wrong header, a row that is not CSV, wrong field
@@ -184,6 +176,12 @@ def _read_columns(handle) -> LossRecords | None:
     """
     if handle.readline(64).removeprefix(codecs.BOM_UTF8) not in _DB_HEADER_LINES:
         return None
+    # a block that holds a line _plain_numeric declines is declined whole, so
+    # a file is declined on its first record before a block is read
+    start = handle.tell()
+    if not _plain_numeric(handle.readline(_TEXT_BLOCK_BYTES)):
+        return None
+    handle.seek(start)
     tables = [np.empty(0, _RECORD_DTYPE)]
     while block := handle.read(_TEXT_BLOCK_BYTES):
         # cut at a line end; a line that runs on past this readline is longer
@@ -276,103 +274,47 @@ def _utf8_lines(lines):
 
 
 def ingest(
-    records: Iterable[RawLossRecord],
-    resolution: float,
-    n: int,
-    origin: float | None = None,
-    n_steps: int | None = None,
-) -> LossMatrix:
-    """Bin raw loss records into a dense (T, N) loss matrix.
-
-    A record lands in step floor((timestamp - origin) / resolution); records
-    sharing a (step, process) bin are summed in record order; empty bins are
-    0. By default the origin is the earliest timestamp and T = last occupied
-    step + 1; pinning ``origin`` and ``n_steps`` preserves loss-free leading
-    or trailing steps, making export -> ingest lossless.
-
-    ``records`` is binned as float64 columns: a LossRecords as it is, any
-    other iterable after one pass that builds them, which fails first on a
-    record whose timestamp or amount no float64 holds.
-
-    Raises:
-        EmptyDatabase, UnknownProcess, NonPositiveAmount: the first faulty
-            record, in record order, or the first bin whose sum overflows.
-        TimestampSpanOverflow: a timestamp no float64 holds, a record's
-            distance from the origin overflows or is NaN, or the steps it
-            spans are too many to number in int64 (as step * N + process)
-            or to hold.
-        ValueError: resolution <= 0, or a record falls outside a pinned range.
-    """
-    keys, sums, n_steps, span = _binned_steps(records, resolution, n, origin, n_steps)
-    try:
-        losses = np.zeros(n_steps * n)
-    except (ValueError, MemoryError) as exc:
-        raise errors.TimestampSpanOverflow(f"{span}, too many to hold: {exc}") from exc
-    losses[keys] = sums
-    return LossMatrix(losses.reshape(n_steps, n))
-
-
-def ingest_events(
-    records: Iterable[RawLossRecord],
+    records: LossRecords,
     resolution: float,
     n: int,
     origin: float | None = None,
     n_steps: int | None = None,
 ) -> LossEvents:
-    """The positive bins of raw loss records, as the estimator reads them.
+    """Bin loss records onto the step grid: the occupied (step, process)
+    bins, as the estimator reads them.
 
-    Records are checked and binned as ``ingest`` does, with the same errors,
-    but only the occupied (step, process) bins are kept: ``ingest`` followed
-    by LossEvents.of, without a (T, N) matrix. A span of steps too large for
-    that matrix is no error here, as long as every step * N + process fits
-    int64.
+    A record lands in step floor((timestamp - origin) / resolution), in
+    float64 arithmetic. By default the origin is the earliest timestamp and
+    T = last occupied step + 1; pinning ``origin`` and ``n_steps`` keeps
+    loss-free leading or trailing steps, making export -> ingest lossless.
+    Each bin's amounts are summed from 0.0 in record order, which only a
+    sum that overflows shows. No (T, N) matrix is built, so a span of any
+    length bins, as long as every step * N + process fits int64.
 
     Raises:
-        as ``ingest``, but for a span of steps too large to hold.
-    """
-    keys, _, n_steps, _ = _binned_steps(records, resolution, n, origin, n_steps)
-    step, process = np.divmod(keys, n)
-    return LossEvents(tuple(step[process == i] for i in range(n)), n_steps)
-
-
-def _binned_steps(records, resolution, n, origin, n_steps):
-    """Check raw records and sum them into their (step, process) bins, as
-    ``ingest`` and ``ingest_events`` bin them.
-
-    Returns:
-        (keys, sums, n_steps, span): the sorted numbers step * n + process - 1
-        of the occupied bins as int64, each bin's sum of amounts from 0.0 in
-        record order, T, and the phrase naming the timestamps' span that a
-        TimestampSpanOverflow starts with.
+        EmptyDatabase, UnknownProcess, NonPositiveAmount: the first faulty
+            record, in record order, or the first bin whose sum overflows.
+        TimestampSpanOverflow: a record's distance from the origin
+            overflows or is NaN, or the steps it spans are too many to
+            number in int64 (as step * N + process).
+        ValueError: resolution <= 0, or a record falls outside a pinned range.
     """
     if not resolution > 0:
         raise ValueError(f"resolution must be > 0, got {resolution!r}")
-    if isinstance(records, LossRecords):
-        table = records
-    else:
-        records = list(records)
-        try:
-            table = LossRecords.of(
-                [rec.timestamp for rec in records],
-                [rec.process_id for rec in records],
-                [rec.amount for rec in records],
-            )
-        except OverflowError:
-            _check_float64(records)
-            raise
-    if not len(table):
+    if not len(records):
         raise errors.EmptyDatabase("no loss records to ingest")
-    ids, amounts = table.process_ids, table.amounts
+    ids, amounts = records.process_ids, records.amounts
     valid = np.asarray((ids >= 1) & (ids <= n), dtype=bool)
     valid &= np.isfinite(amounts) & (amounts > 0)
     if not valid.all():
-        rec = records[int(np.argmin(valid))]
-        if not 1 <= rec.process_id <= n:
-            raise errors.UnknownProcess(rec.process_id, n)
-        raise errors.NonPositiveAmount(rec.amount, f"timestamp {rec.timestamp}")
+        k = int(np.argmin(valid))
+        if not 1 <= ids.item(k) <= n:
+            raise errors.UnknownProcess(ids.item(k), n)
+        stamp = records.timestamps.item(k)
+        raise errors.NonPositiveAmount(amounts.item(k), f"timestamp {stamp}")
 
     # a NaN timestamp is both extremes, as argmin and argmax take the first NaN
-    stamps = table.timestamps
+    stamps = records.timestamps
     lo, hi = stamps.item(stamps.argmin()), stamps.item(stamps.argmax())
     t_min = lo if origin is None else origin
     # the step of a record is monotone in its timestamp, so the extremes bound it
@@ -389,38 +331,19 @@ def _binned_steps(records, resolution, n, origin, n_steps):
         n_steps = last + 1
     elif last >= n_steps:
         raise ValueError(f"record in step {last + 1} beyond the pinned {n_steps} steps")
-    span = f"timestamps {t_min!r} and {hi!r} span {n_steps:.4g} steps at {resolution!r}"
     if n_steps * n - 1 > _INT64_MAX:
-        raise errors.TimestampSpanOverflow(f"{span}, too many to number in int64")
-    keys = steps.astype(np.int64) * n + np.asarray(table.process_ids, np.int64) - 1
+        raise errors.TimestampSpanOverflow(
+            f"timestamps {t_min!r} and {hi!r} span {n_steps:.4g} steps at {resolution!r}, "
+            "too many to number in int64"
+        )
+    keys = steps.astype(np.int64) * n + np.asarray(ids, np.int64) - 1
     keys, inverse = np.unique(keys, return_inverse=True)
-    sums = np.bincount(inverse, weights=table.amounts)
+    sums = np.bincount(inverse, weights=amounts)
     if sums.max() == math.inf:
-        raise _overflowed_bin(int(keys[sums.argmax()]), n)
-    return keys, sums, n_steps, span
-
-
-def _overflowed_bin(key: int, n: int) -> errors.NonPositiveAmount:
-    """The error for bin number ``key`` (step * n + process - 1), whose sum
-    of finite amounts overflowed."""
-    step, process = divmod(key, n)
-    return errors.NonPositiveAmount(math.inf, f"sum of step {step + 1}, process {process + 1}")
-
-
-def _check_float64(records: list) -> None:
-    """Raise the data error of the first record whose timestamp or amount
-    no float64 holds."""
-    for k, rec in enumerate(records, start=1):
-        try:
-            float(rec.timestamp)
-        except OverflowError:
-            raise errors.TimestampSpanOverflow(
-                f"record {k}: timestamp {rec.timestamp!r} is beyond the float64 range"
-            ) from None
-        try:
-            float(rec.amount)
-        except OverflowError:
-            raise errors.NonPositiveAmount(rec.amount, f"record {k}") from None
+        step, process = divmod(int(keys[sums.argmax()]), n)
+        raise errors.NonPositiveAmount(math.inf, f"sum of step {step + 1}, process {process + 1}")
+    step, process = np.divmod(keys, n)
+    return LossEvents(tuple(step[process == i] for i in range(n)), n_steps)
 
 
 def _write_csv(path, header, blocks) -> None:

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oprisk_dynamics import io
 from oprisk_dynamics.cli import main
 from oprisk_dynamics.errors import DegeneracyWarning
 from oprisk_dynamics.ensemble import parameters_from_estimates, run_ensemble
@@ -174,6 +175,20 @@ class TestEstimateCommand:
         assert doc["fraction_used"] == 1.0
         assert "1,2" in doc["coupling_candidates"]
         assert "diagnostics" in doc
+
+    def test_database_is_binned_by_io_ingest(self, tmp_path, monkeypatch):
+        # per-layer timings of the estimate command trace io.ingest by name
+        config, db = self.make_database(tmp_path)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return ingest(*args, **kwargs)
+
+        monkeypatch.setattr(io, "ingest", counted)
+        assert main(["estimate", "--config", config, "--database", db,
+                     "--out-dir", str(tmp_path / "est")]) == 0
+        assert len(calls) == 1
 
     def test_fraction_flag_is_recorded(self, tmp_path):
         config, db = self.make_database(tmp_path)

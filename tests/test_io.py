@@ -21,7 +21,6 @@ from oprisk_dynamics.io import (
     LossRecords,
     RawLossRecord,
     ingest,
-    ingest_events,
     load_config,
     read_loss_records,
     read_samples,
@@ -35,10 +34,6 @@ from oprisk_dynamics.model import LossMatrix, NoiseSpec
 from oprisk_dynamics.simulate import simulate
 
 from conftest import build_reference_parameters
-
-
-def rec(t, p, a):
-    return RawLossRecord(t, p, a)
 
 
 def naive_read(lines):
@@ -88,8 +83,9 @@ def naive_read(lines):
 
 
 def naive_ingest(records, resolution, n, origin=None, n_steps=None):
-    """One record at a time, in Python arithmetic: the reference the
-    columnar ``ingest`` is checked against."""
+    """One record at a time, in Python arithmetic, into a dense (T, N) loss
+    matrix: the reference ``ingest`` is checked against, through
+    LossEvents.of, for spans of steps small enough to hold."""
     if not resolution > 0:
         raise ValueError(f"resolution must be > 0, got {resolution!r}")
     records = list(records)
@@ -116,15 +112,14 @@ def naive_ingest(records, resolution, n, origin=None, n_steps=None):
         n_steps = last + 1
     elif last >= n_steps:
         raise ValueError(f"record in step {last + 1} beyond the pinned {n_steps} steps")
-    try:
-        losses = np.zeros((n_steps, n))
-    except (ValueError, MemoryError) as exc:
-        raise errors.TimestampSpanOverflow(
-            f"timestamps {t_min!r} and {hi!r} span "
-            f"{n_steps:.4g} steps at {resolution!r}, too many to hold: {exc}"
-        ) from exc
-    for r, step in zip(records, steps):
-        losses[step, r.process_id - 1] += r.amount
+    losses = np.zeros((n_steps, n))
+    with np.errstate(over="ignore"):
+        for r, step in zip(records, steps):
+            losses[step, r.process_id - 1] += r.amount
+    overflowed = np.argwhere(losses == math.inf)
+    if overflowed.size:
+        step, process = overflowed[0].tolist()
+        raise errors.NonPositiveAmount(math.inf, f"sum of step {step + 1}, process {process + 1}")
     return losses
 
 
@@ -134,9 +129,10 @@ def plain(events):
 
 
 def events_outcomes(records, resolution, n, **pin):
-    """The outcomes of ``ingest_events`` and of ``ingest`` then LossEvents.of."""
-    got = outcome(lambda: plain(ingest_events(records, resolution, n, **pin)))
-    want = outcome(lambda: plain(LossEvents.of(ingest(records, resolution, n, **pin))))
+    """The outcomes of ``ingest`` and of its oracle, ``naive_ingest`` then
+    LossEvents.of."""
+    got = outcome(lambda: plain(ingest(records, resolution, n, **pin)))
+    want = outcome(lambda: plain(LossEvents.of(naive_ingest(records, resolution, n, **pin))))
     return got, want
 
 
@@ -237,8 +233,10 @@ class TestReadPathsMatchRowOracle:
         assert isinstance(records, LossRecords)
         assert repr(list(records)) == repr(expected)
         for pin in pins:
-            want = outcome(lambda: naive_ingest(expected, resolution, 3, **pin))
-            got = outcome(lambda: ingest(records, resolution, 3, **pin).losses)
+            want = outcome(
+                lambda: plain(LossEvents.of(naive_ingest(expected, resolution, 3, **pin)))
+            )
+            got = outcome(lambda: plain(ingest(records, resolution, 3, **pin)))
             assert same(got, want), pin
 
     # one fault per entry, each in the field the row loop checks it in
@@ -276,15 +274,16 @@ class TestReadPathsMatchRowOracle:
         path.write_text("".join(lines), newline="")
         with open(path, newline="", encoding="utf-8") as handle:
             text_lines = handle.readlines()
-        want = outcome(lambda: naive_ingest(naive_read(text_lines), 1.0, 3))
-        got = outcome(lambda: ingest(read_loss_records(path), 1.0, 3).losses)
+        want = outcome(lambda: plain(LossEvents.of(naive_ingest(naive_read(text_lines), 1.0, 3))))
+        got = outcome(lambda: plain(ingest(read_loss_records(path), 1.0, 3)))
         assert same(got, want)
 
     @pytest.mark.parametrize("fault", [None] + FAULTS)
     def test_events_equal_ingest_then_nonzero(self, tmp_path, fault):
         # a file of 40 or more records puts several in many (step, process)
-        # bins; numeric steps keep the dense matrix small, unless the fault
-        # is an ISO timestamp, whose span only the hour bins keep small
+        # bins; numeric steps keep the oracle's dense matrix small, unless
+        # the fault is an ISO timestamp, whose span only the hour bins keep
+        # small
         seed = 7800
         while "T" in (text := random_database_text(np.random.default_rng(seed))) or (
             text.count("\n") < 40
@@ -404,35 +403,44 @@ class TestReadPathsMatchRowOracle:
         assert reason_part in exc.value.reason
 
     @pytest.mark.parametrize(
-        "records",
+        "columns",
         [
-            pytest.param([rec(0, 2**63, 1.0)], id="process-id-beyond-int64"),
-            pytest.param([rec(0, 1, 1.0), rec(1, -(2**70), 1.0)], id="process-id-below-int64"),
+            pytest.param(([0], [2**63], [1.0]), id="process-id-beyond-int64"),
+            pytest.param(([0, 1], [1, -(2**70)], [1.0, 1.0]), id="process-id-below-int64"),
+            pytest.param(([0.0, -0.0, 2.0], [1, 1, 1], [1.0, 2.0, 1.0]), id="signed-zeros"),
+            pytest.param(([0], [1], [0]), id="int-amount"),
+            pytest.param(([1.5], [True], [1.0]), id="bool-process-id"),
             pytest.param(
-                [rec(0.0, 1, 1.0), rec(-0.0, 1, 2.0), rec(2.0, 1, 1.0)], id="signed-zeros"
+                ([np.float64(1.5)], [np.int64(1)], [np.float64(2.0)]), id="numpy-scalars"
             ),
-            pytest.param([rec(0, 1, 0)], id="int-amount"),
-            pytest.param([rec(1.5, True, 1.0)], id="bool-process-id"),
-            pytest.param([rec(np.float64(1.5), np.int64(1), np.float64(2.0))], id="numpy-scalars"),
-            pytest.param([rec(1, 1, -1.0), rec(2, 0, 1.0)], id="first-bad-record-wins"),
+            pytest.param(([1, 2], [1, 0], [-1.0, 1.0]), id="first-bad-record-wins"),
         ],
     )
-    def test_records_no_column_holds_exactly_bin_or_fail_alike(self, records):
+    def test_records_no_column_holds_exactly_bin_or_fail_alike(self, columns):
+        records = LossRecords.of(*columns)
         for pin in ({}, {"origin": 0, "n_steps": 10}, {"origin": -0.0}):
-            want = outcome(lambda: naive_ingest(records, 1.0, 2, **pin))
-            got = outcome(lambda: ingest(records, 1.0, 2, **pin).losses)
-            assert same(got, want), pin
             assert same(*events_outcomes(records, 1.0, 2, **pin)), pin
 
     def test_listed_timestamps_bin_as_float64_like_a_file(self, tmp_path):
-        # 2**53 + 1 is no float64: in a list as in a file it joins 2**53's bin
+        # LossRecords.of takes a list's 2**53 + 1 as float64, as a file's
         stamps = [2**53, 2**53 + 1, 2**53 + 4]
         path = tmp_path / "db.csv"
         path.write_text("t,process,amount\n" + "".join(f"{t},1,1.0\n" for t in stamps))
-        listed = ingest([rec(t, 1, 1.0) for t in stamps], 1.0, 1)
-        assert np.array_equal(listed.losses, [[2.0], [0.0], [0.0], [0.0], [1.0]])
-        assert np.array_equal(listed.losses, ingest(read_loss_records(path), 1.0, 1).losses)
-        for records in ([rec(0.0, 1, 1.0), rec(math.nan, 1, 1.0)], [rec(math.nan, 1, 1.0)]):
+        listed = ingest(LossRecords.of(stamps, [1, 1, 1], [1.0, 1.0, 1.0]), 1.0, 1)
+        assert plain(listed) == ([("<i8", [0, 4])], 5)
+        assert plain(listed) == plain(ingest(read_loss_records(path), 1.0, 1))
+
+    def test_file_timestamps_bin_as_float64(self, tmp_path):
+        # 2**53 + 1 is no float64: in a file it joins 2**53's bin
+        stamps = [2**53, 2**53 + 1, 2**53 + 4]
+        path = tmp_path / "db.csv"
+        path.write_text("t,process,amount\n" + "".join(f"{t},1,1.0\n" for t in stamps))
+        records = read_loss_records(path)
+        assert np.array_equal(naive_ingest(records, 1.0, 1), [[2.0], [0.0], [0.0], [0.0], [1.0]])
+        assert plain(ingest(records, 1.0, 1)) == ([("<i8", [0, 4])], 5)
+        for nan_stamps in ([0.0, math.nan], [math.nan]):
+            ones = [1] * len(nan_stamps)
+            records = LossRecords.of(nan_stamps, ones, [1.0] * len(nan_stamps))
             for pin in ({}, {"origin": 0.0, "n_steps": 10}):
                 with pytest.raises(errors.TimestampSpanOverflow, match="nan"):
                     ingest(records, 1.0, 1, **pin)
@@ -441,7 +449,7 @@ class TestReadPathsMatchRowOracle:
         path = tmp_path / "db.csv"
         path.write_text("t,process,amount\n1,1,1.0\n2,99999999999999999999999,1.0\n")
         records = read_loss_records(path)
-        assert records[1].process_id == 99999999999999999999999
+        assert list(records)[1].process_id == 99999999999999999999999
         with pytest.raises(errors.UnknownProcess, match="99999999999999999999999"):
             ingest(records, 1.0, 2)
 
@@ -614,9 +622,77 @@ class TestNumpyPassMatchesRowParser:
             with pytest.raises(AssertionError, match="row parser"):
                 read_loss_records(path)
             return
-        records = read_loss_records(path)
-        back = ingest(records, 1.0, 3, origin=1, n_steps=500)
-        assert np.array_equal(back.losses, losses)
+        back = naive_ingest(list(read_loss_records(path)), 1.0, 3, origin=1, n_steps=500)
+        assert np.array_equal(back, losses)
+
+
+class CountingReader:
+    """A binary file handle that counts the bytes read through it and keeps
+    the size of each ``read``."""
+
+    def __init__(self, handle):
+        self.handle, self.bytes_read, self.read_sizes = handle, 0, []
+
+    def __getattr__(self, name):
+        return getattr(self.handle, name)
+
+    def read(self, size=-1):
+        self.read_sizes.append(size)
+        return self._counted(self.handle.read(size))
+
+    def readline(self, size=-1):
+        return self._counted(self.handle.readline(size))
+
+    def _counted(self, data):
+        self.bytes_read += len(data)
+        return data
+
+
+class TestPassReadsWhatItNeeds:
+    HEAD = "t,process,amount\n"
+
+    def test_file_declined_on_its_first_record_is_read_no_further(self, tmp_path):
+        # the row parser reads this file again, so the pass reads one line
+        first = "2026-01-01T00:00:00,1,0.5\n"
+        path = tmp_path / "db.csv"
+        path.write_text(self.HEAD + first + "1,1,0.5\n" * 20_000)
+        with open(path, "rb") as handle:
+            reader = CountingReader(handle)
+            assert io._read_columns(reader) is None
+        assert reader.bytes_read == len(self.HEAD + first)
+
+    def test_numeric_file_is_read_once_in_whole_blocks(self, tmp_path, monkeypatch):
+        # the first record is read to be checked, then again in its block
+        first = "1,1,0.5\n"
+        path = tmp_path / "db.csv"
+        path.write_text(self.HEAD + first + "2,2,0.25\n" * 500)
+        monkeypatch.setattr(io, "_TEXT_BLOCK_BYTES", 1000)
+        with open(path, "rb") as handle:
+            reader = CountingReader(handle)
+            records = io._read_columns(reader)
+        assert len(records) == 501
+        assert set(reader.read_sizes) == {1000}
+        assert reader.bytes_read == path.stat().st_size + len(first)
+
+    def test_declined_file_peaks_as_the_row_parser_alone(self, tmp_path, monkeypatch):
+        # the pass's block of up to 1 MiB is never read for a file its first
+        # record declines, so its peak is about that of the row parser alone
+        stamps = (np.datetime64("2026-01-01T00:00:00") + np.arange(5000)).astype(str)
+        path = tmp_path / "db.csv"
+        path.write_text(self.HEAD + "".join(f"{t},1,0.5\n" for t in stamps))
+
+        def peak():
+            tracemalloc.start()
+            try:
+                assert len(read_loss_records(path)) == 5000
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak()  # the first read also allocates what stays cached
+        with_pass = peak()
+        monkeypatch.setattr(io, "_read_columns", lambda handle: None)
+        assert with_pass < 1.1 * peak()
 
 
 class TestNonUtf8Files:
@@ -690,20 +766,28 @@ class TestNonUtf8Files:
 
 
 class TestLossRecords:
-    def test_sequence_of_raw_records(self, tmp_path):
+    def test_iterates_as_raw_records(self, tmp_path):
         path = tmp_path / "db.csv"
         path.write_text("t,process,amount\n1,2,0.5\n\n4.5,1,1e-05\n2,3,7\n")
         with open(path, newline="", encoding="utf-8") as handle:
             expected = naive_read(handle)
         records = read_loss_records(path)
         assert len(records) == len(expected) == 3
-        assert [records[k] for k in range(3)] == expected
-        assert records[-1] == expected[-1]
         assert list(records) == expected
+        assert [type(r) for r in records] == [RawLossRecord] * 3
         assert [tuple(map(type, r)) for r in records] == [(float, int, float)] * 3
-        assert type(records[0]) is RawLossRecord
-        with pytest.raises(IndexError):
-            records[3]
+
+    def test_amounts_sum_to_the_written_column_totals(self, tmp_path):
+        rng = np.random.default_rng(8200)
+        losses = np.where(rng.random((300, 3)) < 0.3, rng.exponential(size=(300, 3)), 0.0)
+        path = tmp_path / "db.csv"
+        write_loss_database(path, losses)
+        records = read_loss_records(path)
+        totals = np.zeros(3)
+        for record in records:
+            totals[record.process_id - 1] += record.amount
+        assert len(records) == np.count_nonzero(losses)
+        assert np.array_equal(totals, losses.sum(axis=0))
 
     def test_columns_are_read_only(self, tmp_path):
         path = tmp_path / "db.csv"
@@ -717,137 +801,91 @@ class TestLossRecords:
 
 
 class TestIngest:
+    def test_records_sharing_a_bin_are_one_event(self):
+        events = ingest(LossRecords.of([0, 0.5], [1, 1], [3.0, 2.0]), 1.0, 1)
+        assert plain(events) == ([("<i8", [0])], 1)
+
     def test_same_bin_amounts_are_summed(self):
-        m = ingest([rec(0, 1, 3.0), rec(0, 1, 2.0)], 1.0, 1)
-        assert np.array_equal(m.losses, [[5.0]])
+        # the sum of a bin is what overflows, not any one amount
+        apart = ingest(LossRecords.of([0, 1], [1, 1], [1e308, 1e308]), 1.0, 1)
+        assert plain(apart) == ([("<i8", [0, 1])], 2)
+        with pytest.raises(errors.NonPositiveAmount, match=r"inf .*step 1, process 1"):
+            ingest(LossRecords.of([0, 0.5], [1, 1], [1e308, 1e308]), 1.0, 1)
 
-    def test_gaps_fill_with_zeros(self):
-        m = ingest([rec(0, 1, 1.0), rec(3, 2, 2.0)], 1.0, 2)
-        expected = np.zeros((4, 2))
-        expected[0, 0] = 1.0
-        expected[3, 1] = 2.0
-        assert np.array_equal(m.losses, expected)
+    def test_gaps_hold_no_events(self):
+        records = LossRecords.of([0, 3], [1, 2], [1.0, 2.0])
+        want = naive_ingest(records, 1.0, 2)
+        assert np.count_nonzero(want[1:3]) == 0
+        assert plain(ingest(records, 1.0, 2)) == plain(LossEvents.of(want))
+        assert plain(ingest(records, 1.0, 2)) == ([("<i8", [0]), ("<i8", [3])], 4)
 
-    def test_resolution_widens_bins(self):
-        m = ingest([rec(0, 1, 1.0), rec(1, 1, 1.0), rec(2, 1, 4.0)], 2.0, 1)
-        assert np.array_equal(m.losses, [[2.0], [4.0]])
-
-    def test_origin_is_earliest_timestamp_by_default(self):
-        m = ingest([rec(100, 1, 1.0), rec(102, 1, 2.0)], 1.0, 1)
-        assert m.n_steps == 3
-        assert m.losses[0, 0] == 1.0
-
-    def test_iso_timestamps(self):
-        records = [
-            rec(_ts("2026-01-01T00:00:00"), 1, 1.0),
-            rec(_ts("2026-01-01T00:00:05"), 1, 2.0),
-        ]
-        m = ingest(records, 1.0, 1)
-        assert m.n_steps == 6
-        assert m.losses[5, 0] == 2.0
-
-    def test_pinned_origin_and_length(self):
-        m = ingest([rec(5, 1, 1.0)], 1.0, 1, origin=1, n_steps=10)
-        assert m.n_steps == 10
-        assert m.losses[4, 0] == 1.0
-        with pytest.raises(ValueError):
-            ingest([rec(5, 1, 1.0)], 1.0, 1, origin=1, n_steps=4)
-        with pytest.raises(ValueError):
-            ingest([rec(0, 1, 1.0)], 1.0, 1, origin=1)
-
-    def test_rejections(self):
-        with pytest.raises(errors.EmptyDatabase):
-            ingest([], 1.0, 1)
-        with pytest.raises(errors.UnknownProcess):
-            ingest([rec(0, 0, 1.0)], 1.0, 1)
-        with pytest.raises(errors.UnknownProcess):
-            ingest([rec(0, 3, 1.0)], 1.0, 2)
-        for bad in (0.0, -1.0, np.nan):
-            with pytest.raises(errors.NonPositiveAmount):
-                ingest([rec(0, 1, bad)], 1.0, 1)
-        with pytest.raises(ValueError):
-            ingest([rec(0, 1, 1.0)], 0.0, 1)
-
-    @pytest.mark.parametrize(
-        "records,error,message",
-        [
-            pytest.param(
-                [rec(0, 1, 1.0), rec(10**400, 1, 1.0)],
-                errors.TimestampSpanOverflow,
-                r"record 2: timestamp 10{400} is beyond the float64 range",
-                id="timestamp",
-            ),
-            pytest.param(
-                [rec(0, 1, 1.0), rec(1, 1, -(10**400))],
-                errors.NonPositiveAmount,
-                r"loss amount -10{400} must be finite and > 0 \(record 2\)",
-                id="amount",
-            ),
-        ],
-    )
-    def test_listed_value_beyond_float64_is_a_data_error(self, records, error, message):
-        with pytest.raises(error, match=message):
-            ingest(records, 1.0, 1)
-
-    def test_overflowing_bin_sum_names_step_and_process(self):
-        records = [rec(0, 1, 1.0), rec(1, 2, 1e308), rec(1, 1, 1e308), rec(1, 2, 1e308)]
-        with pytest.raises(errors.NonPositiveAmount, match=r"inf .*step 2, process 2"):
-            ingest(records, 1.0, 2)
-
-    def test_overflowing_step_span_names_both_timestamps(self):
-        with pytest.raises(errors.TimestampSpanOverflow, match=r"-1e\+308 and 1e\+308"):
-            ingest([rec(-1e308, 1, 0.5), rec(1e308, 2, 0.3)], 1.0, 2)
-        with pytest.raises(errors.TimestampSpanOverflow):
-            ingest([rec(0.0, 1, 0.5), rec(1.0, 1, 0.3)], 1e-320, 1)
-
-    @pytest.mark.parametrize(
-        "last",
-        [
-            pytest.param(1e300, id="beyond-the-largest-array-dimension"),
-            # 1.6e18 bytes: more than any 64-bit address space maps, so the
-            # allocation fails on every machine (3e9 steps would fit on some)
-            pytest.param(1e17, id="beyond-the-address-space"),
-        ],
-    )
-    def test_unallocatable_step_span_names_timestamps_and_steps(self, last):
-        message = re.escape(f"0.0 and {last!r} span {last:.4g} steps")
-        with pytest.raises(errors.TimestampSpanOverflow, match=message):
-            ingest([rec(0.0, 1, 0.5), rec(last, 2, 0.3)], 1.0, 2)
-
-
-class TestIngestEvents:
     def test_positive_bins_per_process_in_step_order(self):
-        records = [rec(4, 2, 1.0), rec(0, 1, 3.0), rec(4, 2, 2.0), rec(2, 1, 1.0), rec(1, 2, 1.0)]
-        events = ingest_events(records, 1.0, 3)
+        records = LossRecords.of([4, 0, 4, 2, 1], [2, 1, 2, 1, 2], [1.0, 3.0, 2.0, 1.0, 1.0])
+        events = ingest(records, 1.0, 3)
         assert plain(events) == ([("<i8", [0, 2]), ("<i8", [1, 4]), ("<i8", [])], 5)
         assert plain(events.head(2)) == ([("<i8", [0]), ("<i8", [1]), ("<i8", [])], 2)
 
-    def test_overflowing_bin_sum_fails_as_ingest_does(self):
-        records = [rec(0, 1, 1.0), rec(1, 2, 1e308), rec(1, 1, 1e308), rec(1, 2, 1e308)]
-        got, want = events_outcomes(records, 1.0, 2)
-        assert same(got, want)
-        assert got[0] is errors.NonPositiveAmount and "step 2, process 2" in got[1]
+    def test_resolution_widens_bins(self):
+        events = ingest(LossRecords.of([0, 1, 2], [1, 1, 1], [1.0, 1.0, 4.0]), 2.0, 1)
+        assert plain(events) == ([("<i8", [0, 1])], 2)
 
-    def test_overflowing_step_span_fails_as_ingest_does(self):
-        records = [rec(-1e308, 1, 0.5), rec(1e308, 2, 0.3)]
+    def test_origin_is_earliest_timestamp_by_default(self):
+        events = ingest(LossRecords.of([100, 102], [1, 1], [1.0, 2.0]), 1.0, 1)
+        assert plain(events) == ([("<i8", [0, 2])], 3)
+
+    def test_iso_timestamps(self):
+        stamps = [_ts("2026-01-01T00:00:00"), _ts("2026-01-01T00:00:05")]
+        events = ingest(LossRecords.of(stamps, [1, 1], [1.0, 2.0]), 1.0, 1)
+        assert plain(events) == ([("<i8", [0, 5])], 6)
+
+    def test_pinned_origin_and_length(self):
+        events = ingest(LossRecords.of([5], [1], [1.0]), 1.0, 1, origin=1, n_steps=10)
+        assert plain(events) == ([("<i8", [4])], 10)
+        with pytest.raises(ValueError):
+            ingest(LossRecords.of([5], [1], [1.0]), 1.0, 1, origin=1, n_steps=4)
+        with pytest.raises(ValueError):
+            ingest(LossRecords.of([0], [1], [1.0]), 1.0, 1, origin=1)
+
+    def test_rejections(self):
+        with pytest.raises(errors.EmptyDatabase):
+            ingest(LossRecords.of([], [], []), 1.0, 1)
+        with pytest.raises(errors.UnknownProcess):
+            ingest(LossRecords.of([0], [0], [1.0]), 1.0, 1)
+        with pytest.raises(errors.UnknownProcess):
+            ingest(LossRecords.of([0], [3], [1.0]), 1.0, 2)
+        for bad in (0.0, -1.0, np.nan):
+            with pytest.raises(errors.NonPositiveAmount):
+                ingest(LossRecords.of([0], [1], [bad]), 1.0, 1)
+        with pytest.raises(ValueError):
+            ingest(LossRecords.of([0], [1], [1.0]), 0.0, 1)
+
+    def test_overflowing_bin_sum_names_step_and_process(self):
+        records = LossRecords.of([0, 1, 1, 1], [1, 2, 1, 2], [1.0, 1e308, 1e308, 1e308])
         got, want = events_outcomes(records, 1.0, 2)
         assert same(got, want)
-        assert got[0] is errors.TimestampSpanOverflow
+        assert got[0] is errors.NonPositiveAmount
+        assert re.fullmatch(r"loss amount inf .*step 2, process 2\)", got[1])
+
+    def test_overflowing_step_span_names_both_timestamps(self):
+        records = LossRecords.of([-1e308, 1e308], [1, 2], [0.5, 0.3])
+        got, want = events_outcomes(records, 1.0, 2)
+        assert same(got, want)
+        assert got[0] is errors.TimestampSpanOverflow and "-1e+308 and 1e+308" in got[1]
+        with pytest.raises(errors.TimestampSpanOverflow):
+            ingest(LossRecords.of([0.0, 1.0], [1, 1], [0.5, 0.3]), 1e-320, 1)
 
     def test_step_numbers_beyond_int64_are_a_span_overflow(self):
-        message = re.escape("0.0 and 1e+300 span 1e+300 steps")
+        message = re.escape("0.0 and 1e+300 span 1e+300 steps at 1.0, too many to number in int64")
         with pytest.raises(errors.TimestampSpanOverflow, match=message):
-            ingest_events([rec(0.0, 1, 0.5), rec(1e300, 2, 0.3)], 1.0, 2)
+            ingest(LossRecords.of([0.0, 1e300], [1, 2], [0.5, 0.3]), 1.0, 2)
         # the last step number of 2**62 steps of 2 processes is 2**63 - 1
-        ingest_events([rec(0.0, 1, 0.5)], 1.0, 2, origin=0.0, n_steps=2**62)
+        ingest(LossRecords.of([0.0], [1], [0.5]), 1.0, 2, origin=0.0, n_steps=2**62)
         with pytest.raises(errors.TimestampSpanOverflow, match="int64"):
-            ingest_events([rec(0.0, 1, 0.5)], 1.0, 3, origin=0.0, n_steps=2**62)
+            ingest(LossRecords.of([0.0], [1], [0.5]), 1.0, 3, origin=0.0, n_steps=2**62)
 
     def test_span_too_large_for_a_matrix_is_no_error(self):
-        records = [rec(0.0, 1, 0.5), rec(1e17, 2, 0.3)]
-        assert plain(ingest_events(records, 1.0, 2)) == (
-            [("<i8", [0]), ("<i8", [10**17])], 10**17 + 1
-        )
+        records = LossRecords.of([0.0, 1e17], [1, 2], [0.5, 0.3])
+        assert plain(ingest(records, 1.0, 2)) == ([("<i8", [0]), ("<i8", [10**17])], 10**17 + 1)
 
 
 def _ts(text):
@@ -860,17 +898,16 @@ class TestDatabaseFiles:
         traj = simulate(p, None, 64, NoiseSpec(rates=p.lam, seed=9))
         path = tmp_path / "db.csv"
         write_loss_database(path, traj.losses)
-        records = read_loss_records(path)
-        back = ingest(records, 1.0, p.n, origin=1, n_steps=64)
-        assert np.array_equal(back.losses, traj.losses.losses)
+        back = naive_ingest(list(read_loss_records(path)), 1.0, p.n, origin=1, n_steps=64)
+        assert np.array_equal(back, traj.losses.losses)
 
     def test_round_trip_preserves_silent_edges(self, tmp_path):
         losses = np.zeros((5, 2))
         losses[2, 1] = 1.25
         path = tmp_path / "db.csv"
         write_loss_database(path, LossMatrix(losses))
-        back = ingest(read_loss_records(path), 1.0, 2, origin=1, n_steps=5)
-        assert np.array_equal(back.losses, losses)
+        back = naive_ingest(list(read_loss_records(path)), 1.0, 2, origin=1, n_steps=5)
+        assert np.array_equal(back, losses)
 
     def test_database_file_shape(self, tmp_path):
         losses = np.array([[0.0, 2.5], [1.5, 0.0]])
@@ -894,7 +931,7 @@ class TestDatabaseFiles:
         finally:
             monkeypatch.undo()
             time.tzset()
-        assert records[0].timestamp == _ts("2021-03-27T12:00")
+        assert list(records)[0].timestamp == _ts("2021-03-27T12:00")
         assert ingest(records, 3600.0, 1).n_steps == 25
 
     def test_header_is_enforced(self, tmp_path):
@@ -937,7 +974,7 @@ class TestDatabaseFiles:
             "t,process,amount\n2026-01-01T00:00:00,1,1.0\n\n2026-01-01T00:00:02Z,1,2.0\n"
             "2026-01-01T02:00:03+02:00,1,3.0\n"
         )
-        records = read_loss_records(path)
+        records = list(read_loss_records(path))
         assert len(records) == 3
         assert records[0].amount == 1.0
         # a naive timestamp is UTC, and an explicit offset is kept
@@ -961,7 +998,7 @@ class TestDatabaseFiles:
         finally:
             tracemalloc.stop()
         assert len(records) == n_rows
-        assert records[-1] == (_ts(str(stamps[-1])), 5, (n_rows - 1) % 97 + 0.25)
+        assert list(records)[-1] == (_ts(str(stamps[-1])), 5, (n_rows - 1) % 97 + 0.25)
         assert peak / n_rows < 64
 
 
