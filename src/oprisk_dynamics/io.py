@@ -27,6 +27,7 @@ import codecs
 import csv
 import json
 import math
+import os
 import re
 import sys
 import warnings
@@ -65,8 +66,9 @@ def reference_config_path() -> str:
 _DB_HEADER = ["t", "process", "amount"]
 _SERIES_HEADER = ["t", "process", "value"]
 _HIST_HEADER = ["bin_left", "bin_right", "count"]
-# rows formatted at a time by the CSV writers
-_CSV_BLOCK_ROWS = 1024
+# rows of cell texts a CSV writer holds at a time: a series block holds the
+# whole steps that fit, at least one
+_CSV_BLOCK_ROWS = 8192
 # the database headers the NumPy pass reads, and every byte it reads after
 # them: the characters of decimal numbers, separators and line ends. Beyond
 # them the two parsers part: Python's float and int read `_`, `nan` and `inf`
@@ -182,11 +184,15 @@ def _read_columns(handle) -> LossRecords | None:
     if not _plain_numeric(handle.readline(_TEXT_BLOCK_BYTES)):
         return None
     handle.seek(start)
-    tables = [np.empty(0, _RECORD_DTYPE)]
-    while block := handle.read(_TEXT_BLOCK_BYTES):
-        # cut at a line end; a line that runs on past this readline is longer
-        # than _plain_numeric allows
-        block += handle.readline(_TEXT_BLOCK_BYTES)
+    # each read is sized to the bytes left, as a read allocates all it asks for
+    left = os.fstat(handle.fileno()).st_size - start
+    tables = []
+    while left > 0 and (block := handle.read(min(_TEXT_BLOCK_BYTES, left))):
+        if len(block) < left:
+            # cut at a line end; a line that runs on past this readline is
+            # longer than _plain_numeric allows
+            block += handle.readline(_TEXT_BLOCK_BYTES)
+        left -= len(block)
         if not _plain_numeric(block):
             return None
         with warnings.catch_warnings():
@@ -201,8 +207,10 @@ def _read_columns(handle) -> LossRecords | None:
         if not np.isfinite(table["t"]).all():
             return None
         tables.append(table)
-    columns = ([table[name] for table in tables] for name in _RECORD_DTYPE.names)
-    return LossRecords(*map(np.concatenate, columns))
+    if len(tables) != 1:
+        tables = [np.concatenate([np.empty(0, _RECORD_DTYPE), *tables])]
+    # the columns are views of the one table, with no copy
+    return LossRecords(*(tables[0][name] for name in _RECORD_DTYPE.names))
 
 
 def _plain_numeric(block: bytes) -> bool:
@@ -347,35 +355,46 @@ def ingest(
 
 
 def _write_csv(path, header, blocks) -> None:
-    """Write a header line, then the rows of each block of equal-length columns.
+    """Write a header line, then each block of cell texts with one join.
 
-    Each cell is the ``repr`` of its Python value, so floats round-trip
-    exactly, and lines end in ``\r\n``: the bytes ``csv.writer`` writes for
-    these plain cells. Callers pass their rows a block at a time, so only one
-    block's cells are held as Python objects at once.
+    A block is an object array of the texts of its cells in row-major order,
+    each text ending in its separator: ``,`` after a cell inside a row,
+    ``\\r\\n`` after a row's last cell. One ``"".join`` of the flattened block
+    writes all its rows, so no string is built per row. The text of a value
+    is its ``repr``, so floats round-trip exactly, and these are the bytes
+    ``csv.writer`` writes for such plain cells. Callers pass their rows a
+    block at a time, so only one block's texts are held at once.
     """
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\r\n")
-        for columns in blocks:
-            cells = [_cells(column) for column in columns]
-            handle.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+        for block in blocks:
+            handle.write("".join(block.ravel().tolist()))
 
 
-def _cells(column):
-    """The ``repr`` of each value of a column, made once per distinct value.
+def _cell_texts(column, end: str, prefix: str = "") -> np.ndarray:
+    """The cell text ``prefix + repr(value) + end`` of each value of a column,
+    as an object array.
 
-    Floats are keyed on their bit pattern, so -0.0 and 0.0 stay apart.
+    The text of each distinct value is made once, then gathered per row by
+    fancy indexing. Floats are keyed on their bit pattern, so -0.0 and 0.0
+    stay apart.
     """
     keys = column.view(np.int64) if column.dtype == np.float64 else column
     keys, inverse = np.unique(keys, return_inverse=True)
-    text = [repr(value) for value in keys.view(column.dtype).tolist()]
-    return map(text.__getitem__, inverse.tolist())
+    texts = [f"{prefix}{value!r}{end}" for value in keys.view(column.dtype).tolist()]
+    return np.array(texts, dtype=object)[inverse]
 
 
-def _row_ranges(n_rows: int):
-    """(first, stop) ranges of at most _CSV_BLOCK_ROWS rows covering n_rows."""
-    for first in range(0, n_rows, _CSV_BLOCK_ROWS):
-        yield first, min(first + _CSV_BLOCK_ROWS, n_rows)
+def _table(*columns) -> np.ndarray:
+    """The (rows, columns) block of cell texts of equal-length columns."""
+    ends = [","] * (len(columns) - 1) + ["\r\n"]
+    return np.stack([_cell_texts(c, e) for c, e in zip(columns, ends)], axis=1)
+
+
+def _ranges(total: int, size: int):
+    """(first, stop) ranges of at most ``size`` items covering ``total``."""
+    for first in range(0, total, size):
+        yield first, min(first + size, total)
 
 
 def write_loss_database(path, losses) -> None:
@@ -383,20 +402,29 @@ def write_loss_database(path, losses) -> None:
     arr = losses.losses if isinstance(losses, LossMatrix) else np.asarray(losses)
     t, i = np.nonzero(arr)
     _write_csv(path, _DB_HEADER, (
-        (t[a:b] + 1, i[a:b] + 1, arr[t[a:b], i[a:b]].astype(np.float64))
-        for a, b in _row_ranges(t.size)
+        _table(t[a:b] + 1, i[a:b] + 1, arr[t[a:b], i[a:b]].astype(np.float64))
+        for a, b in _ranges(t.size, _CSV_BLOCK_ROWS)
     ))
 
 
 def write_series(path, values) -> None:
-    """Write a (T, N) table as the full ``t,process,value`` grid, 1-based."""
+    """Write a (T, N) table as the full ``t,process,value`` grid, 1-based.
+
+    A block is a (steps, N, 2) table: the text ``t,`` of each step, made once
+    per step, beside the text ``i,value\\r\\n`` of each process's value.
+    """
     arr = np.asarray(values, dtype=np.float64)
     n_steps, n = arr.shape
-    processes = np.arange(1, n + 1)
-    _write_csv(path, _SERIES_HEADER, (
-        (np.repeat(np.arange(a + 1, b + 1), n), np.tile(processes, b - a), arr[a:b].ravel())
-        for a, b in _row_ranges(n_steps)
-    ))
+
+    def block(a: int, b: int) -> np.ndarray:
+        table = np.empty((b - a, n, 2), dtype=object)
+        table[:, :, 0] = np.array([f"{t}," for t in range(a + 1, b + 1)], dtype=object)[:, None]
+        for i in range(n):
+            table[:, i, 1] = _cell_texts(arr[a:b, i], "\r\n", prefix=f"{i + 1},")
+        return table
+
+    steps = max(1, _CSV_BLOCK_ROWS // max(n, 1))
+    _write_csv(path, _SERIES_HEADER, (block(a, b) for a, b in _ranges(n_steps, steps)))
 
 
 def write_histogram(path, samples, n_bins: int = 60) -> None:
@@ -407,7 +435,10 @@ def write_histogram(path, samples, n_bins: int = 60) -> None:
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
     counts, edges = np.histogram(s, bins=n_bins)
-    _write_csv(path, _HIST_HEADER, [(edges[:-1], edges[1:], counts)])
+    _write_csv(path, _HIST_HEADER, (
+        _table(edges[a:b], edges[a + 1:b + 1], counts[a:b])
+        for a, b in _ranges(n_bins, _CSV_BLOCK_ROWS)
+    ))
 
 
 def read_samples(path) -> np.ndarray:

@@ -9,6 +9,7 @@ import time
 import tracemalloc
 import warnings
 from datetime import datetime, timedelta, timezone
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -662,7 +663,9 @@ class TestPassReadsWhatItNeeds:
         assert reader.bytes_read == len(self.HEAD + first)
 
     def test_numeric_file_is_read_once_in_whole_blocks(self, tmp_path, monkeypatch):
-        # the first record is read to be checked, then again in its block
+        # the first record is read to be checked, then again in its block;
+        # each read asks for a whole block but the last, which asks for the
+        # bytes left in the file and no more
         first = "1,1,0.5\n"
         path = tmp_path / "db.csv"
         path.write_text(self.HEAD + first + "2,2,0.25\n" * 500)
@@ -670,9 +673,35 @@ class TestPassReadsWhatItNeeds:
         with open(path, "rb") as handle:
             reader = CountingReader(handle)
             records = io._read_columns(reader)
+            assert handle.read() == b""
         assert len(records) == 501
-        assert set(reader.read_sizes) == {1000}
+        *whole, last = reader.read_sizes
+        assert set(whole) == {1000} and 0 < last < 1000
         assert reader.bytes_read == path.stat().st_size + len(first)
+
+    @pytest.mark.parametrize("block_bytes", [io._TEXT_BLOCK_BYTES, 2**16])
+    def test_numeric_file_peaks_at_a_few_times_its_size(self, tmp_path, monkeypatch, block_bytes):
+        # a read asks for no more than the bytes left in the file, and the
+        # columns of one block's table are views of it, not copies; parsed in
+        # blocks, the file's peak holds the tables and their joined copy
+        rng = np.random.default_rng(8300)
+        losses = np.where(rng.random((40_000, 5)) < 0.06, rng.exponential(size=(40_000, 5)), 0.0)
+        path = tmp_path / "db.csv"
+        write_loss_database(path, losses)
+        size = path.stat().st_size
+        assert size > 2 * 2**16
+        monkeypatch.setattr(io, "_TEXT_BLOCK_BYTES", block_bytes)
+        # with the row parser gone only the pass can read the file
+        monkeypatch.setattr(io, "_parse_rows", None)
+        read_loss_records(path)  # the first read also allocates what stays cached
+        tracemalloc.start()
+        try:
+            records = read_loss_records(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == np.count_nonzero(losses)
+        assert peak < 3 * size
 
     def test_declined_file_peaks_as_the_row_parser_alone(self, tmp_path, monkeypatch):
         # the pass's block of up to 1 MiB is never read for a file its first
@@ -1093,6 +1122,102 @@ class TestSeriesAndHistograms:
         with pytest.raises(errors.MalformedRecord, match="not finite") as exc:
             read_samples(path)
         assert exc.value.line_no == 3
+
+
+def oracle_csv(header, rows) -> bytes:
+    """The bytes ``csv.writer`` writes for ``header`` and the ``repr`` of
+    each cell of ``rows``: the reference the CSV writers are checked against."""
+    buffer = StringIO(newline="")
+    writer = csv.writer(buffer, lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows([repr(cell) for cell in row] for row in rows)
+    return buffer.getvalue().encode()
+
+
+# values whose text is easy to get wrong: signed zeros, subnormals, extremes,
+# NaNs of both signs, integer-valued floats; drawn with repeats
+_AWKWARD = np.array([
+    -0.0, 0.0, 5e-324, -2.225073858507201e-308, 1e-300, -1e300, 1e300, math.nan, -math.nan,
+    1.0, -2.0, 1e16, 1e22, 0.1, 123456.789,
+])
+
+
+def awkward_values(rng, shape, nan=True):
+    """Values drawn half from _AWKWARD, with repeats, and half from a wide
+    random spread of magnitudes."""
+    pool = _AWKWARD if nan else _AWKWARD[~np.isnan(_AWKWARD)]
+    spread = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    return np.where(rng.random(shape) < 0.5, rng.choice(pool, shape), spread)
+
+
+def block_sizes(rows: int, n: int):
+    """Numbers of items at 1 and around the block boundary that ``rows`` rows
+    of ``n`` processes make."""
+    size = max(1, rows // n)
+    return sorted({1, max(1, size - 1), size, size + 1})
+
+
+class TestWritersMatchCsvOracle:
+    """The CSV writers write, byte for byte, what ``csv.writer`` writes for
+    the ``repr`` of each cell, with blocks cut anywhere."""
+
+    @pytest.fixture(params=[None, 1, 7], ids=["default-block", "block-1", "block-7"])
+    def block_rows(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(io, "_CSV_BLOCK_ROWS", request.param)
+        return io._CSV_BLOCK_ROWS
+
+    @pytest.mark.parametrize("n", [1, 64])
+    def test_series_and_database(self, tmp_path, block_rows, n):
+        rng = np.random.default_rng(8400 + n + block_rows)
+        for n_steps in block_sizes(block_rows, n):
+            values = awkward_values(rng, (n_steps, n))
+            cells = values.tolist()
+            series = tmp_path / "series.csv"
+            write_series(series, values)
+            assert series.read_bytes() == oracle_csv(
+                ["t", "process", "value"],
+                [(t + 1, i + 1, cells[t][i]) for t in range(n_steps) for i in range(n)],
+            )
+            db = tmp_path / "db.csv"
+            write_loss_database(db, values)
+            assert db.read_bytes() == oracle_csv(
+                ["t", "process", "amount"],
+                [(t + 1, i + 1, cells[t][i]) for t in range(n_steps) for i in range(n)
+                 if cells[t][i] != 0.0],
+            )
+
+    def test_database_records_around_a_block(self, tmp_path, block_rows):
+        rng = np.random.default_rng(8500 + block_rows)
+        for n_records in block_sizes(block_rows, 1):
+            values = awkward_values(rng, (n_records, 1))
+            values[values == 0.0] = 0.5
+            db = tmp_path / "db.csv"
+            write_loss_database(db, values)
+            assert db.read_bytes() == oracle_csv(
+                ["t", "process", "amount"],
+                [(t + 1, 1, v) for t, v in enumerate(values[:, 0].tolist())],
+            )
+
+    def test_histogram(self, tmp_path, block_rows):
+        rng = np.random.default_rng(8600 + block_rows)
+        samples = awkward_values(rng, 500, nan=False)
+        for n_bins in block_sizes(block_rows, 1):
+            hist = tmp_path / "hist.csv"
+            write_histogram(hist, samples, n_bins)
+            counts, edges = np.histogram(samples, bins=n_bins)
+            assert hist.read_bytes() == oracle_csv(
+                ["bin_left", "bin_right", "count"],
+                zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()),
+            )
+
+    def test_empty_tables(self, tmp_path, block_rows):
+        db = tmp_path / "db.csv"
+        write_loss_database(db, np.array([[0.0, -0.0]] * 3))
+        assert db.read_bytes() == oracle_csv(["t", "process", "amount"], [])
+        series = tmp_path / "series.csv"
+        write_series(series, np.zeros((0, 3)))
+        assert series.read_bytes() == oracle_csv(["t", "process", "value"], [])
 
 
 def write_config(tmp_path, mutate=None):
