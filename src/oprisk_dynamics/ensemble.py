@@ -20,7 +20,7 @@ import numpy as np
 from . import errors
 from .estimate import EstimateSet, collapse_estimates
 from .model import LossMatrix, ModelParameters, seed_in_range, validate_parameters
-from .simulate import _evolve, _start_history
+from .simulate import _evolve, _running_sum, _start_history
 
 logger = logging.getLogger(__name__)
 
@@ -38,6 +38,15 @@ _MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
 # trajectories staged per ordered reduction of the running sums
 _SUM_GROUP = 64
+# NumPy's SeedSequence constants (numpy/random/bit_generator.pyx). NEP 19
+# keeps that algorithm stable, as every seeded NumPy stream depends on it.
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 
 def derive_seed(master_seed: int, stream: int) -> int:
@@ -55,6 +64,68 @@ def derive_seed(master_seed: int, stream: int) -> int:
     x = ((x ^ (x >> 30)) * _MIX1) & _MASK
     x = ((x ^ (x >> 27)) * _MIX2) & _MASK
     return x ^ (x >> 31)
+
+
+def _trajectory_generators(seeds) -> list:
+    """One generator per 64-bit seed, each equal to ``Generator(PCG64(seed))``.
+
+    PCG64(seed) takes its state from ``SeedSequence(seed).generate_state(4,
+    np.uint64)``. Building a SeedSequence per seed is most of the cost of a
+    generator, so this runs that algorithm for all seeds at once in uint32
+    arithmetic, which wraps as the algorithm's does: the seed's two 32-bit
+    words, zero-padded to the pool's four, are hashed into the pool, each
+    pool word is mixed into every other, and eight words are hashed out of
+    the pool and paired, low word first, into four uint64s. (A seed below
+    2**32 has one word, and the pool hashes 0 where a word is missing, so
+    two words serve every seed.)
+    """
+    # Imported and defined here, not at module level: the import loads
+    # numpy.random, about 6 MB that an estimate never uses.
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        """A seed sequence whose state is already computed: the four uint64
+        words PCG64 asks its seed sequence for."""
+
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return result ^ (result >> np.uint32(16))
+
+    zero = np.zeros(seeds.shape, dtype=np.uint32)
+    low = (seeds & np.uint64(_MASK32)).astype(np.uint32)
+    high = (seeds >> np.uint64(32)).astype(np.uint32)
+    pool = [hashmix(word) for word in (low, high, zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    hash_const = _INIT_B
+    state = []
+    for k in range(8):
+        value = pool[k % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    words = np.stack([state[k] | state[k + 1] << np.uint64(32) for k in range(0, 8, 2)], axis=1)
+    return [np.random.Generator(np.random.PCG64(StateWords(row))) for row in words]
 
 
 @dataclass(eq=False)
@@ -176,10 +247,9 @@ def run_ensemble(
 
     for first in range(0, m_trajectories, batch_size):
         bs = min(batch_size, m_trajectories - first)
-        generators = [
-            np.random.Generator(np.random.PCG64(derive_seed(master_seed, 1 + first + b)))
-            for b in range(bs)
-        ]
+        generators = _trajectory_generators(
+            [derive_seed(master_seed, 1 + m) for m in range(first, first + bs)]
+        )
         members = slice(first, first + bs)
         carry = np.zeros((n, bs))
         for start, z in _evolve(
@@ -191,14 +261,13 @@ def run_ensemble(
             n_steps,
             generators,
         ):
-            # z is (N, m, B), process-major. The carry enters before the
-            # running sum, so each sum is associated exactly as one
-            # full-length cumsum would associate it. Adding one (N, B) step
-            # slice at a time gives cumsum's bits in about half its time
-            if start:
-                z[:, 0] += carry
-            for s in range(1, z.shape[1]):
-                np.add(z[:, s - 1], z[:, s], out=z[:, s])
+            # z is (N, m, B), process-major. Each process's running sum
+            # starts from its carry, so it is associated exactly as one
+            # full-length cumsum would associate it. The first chunk's carry
+            # is +0.0, which leaves a loss as it is: a loss is never -0.0,
+            # as it is the ramp of a sum that starts from +0.0
+            for slab, base in zip(z, carry):
+                _running_sum(slab, slab, base)
             carry[:] = z[:, -1]
             stop = start + z.shape[1]
             _add_in_order(sums[:, :, start:stop], z)

@@ -69,6 +69,16 @@ _CHUNK_BUDGET = 131072
 _DRAW_MEMBERS = 64
 # trajectory-steps per tile of a process-major sweep
 _SWEEP_TILE = 16384
+# Batch width from which a running sum over steps adds one (B,) row at a
+# time instead of calling np.cumsum along the step axis. A row add costs
+# about the same at any width; cumsum along axis 0 costs 2-4 ns per element.
+# Per step row of a chunk-sized slab, float64 sums / bool into int32 counts
+# (best of 7; 2 vCPU x86-64, NumPy 2.4):
+#
+#   B              128        256        512        1000
+#   np.cumsum      0.46/0.52  0.96/1.06  2.2/2.2    3.2/3.5 us
+#   row adds       1.07/1.55  0.64/1.17  0.66/1.44  0.78/1.27 us
+_ROW_SCAN_WIDTH = 256
 
 # The scalar and pure-numpy step loops are arithmetically identical. This
 # switch selects the compiled kernel; with it off, a batch of at most
@@ -323,17 +333,18 @@ def _evolve(
 def _draw_noise(losses, draws, generators, lam) -> None:
     """Fill the (N, m, B) block with exponential noise, member b from generators[b].
 
-    Each member's uniforms are drawn in stream order into the (members, m, N)
-    staging buffer; the transpose into the process-major block rides on the
-    first step of the inverse CDF.
+    Each member's uniforms are drawn in stream order, one ``gen.random`` call
+    per member into its (m, N) row of the (members, m, N) staging buffer;
+    the transpose into the process-major block rides on the first step of
+    the inverse CDF.
     """
     m = losses.shape[1]
     size = draws.shape[0]
     for first in range(0, len(generators), size):
         group = generators[first : first + size]
         raw = draws[: len(group), :m]
-        for k, gen in enumerate(group):
-            gen.random(out=raw[k])
+        for gen, row in zip(group, raw):
+            gen.random(out=row)
         np.subtract(1.0, raw.transpose(2, 1, 0), out=losses[:, :, first : first + len(group)])
     np.log(losses, out=losses)
     # -ln(u) / lam: division rounds symmetrically, so dividing by -lam is
@@ -350,6 +361,9 @@ def _sweep(losses, prefix, w, own_row, rows, lags, coefs, theta_i, work) -> None
     from outside its cycle over a quiet stretch), so each window count is a
     difference of two prefix rows. The slab is swept in
     tiles of about _SWEEP_TILE trajectory-steps, so the work buffers stay small.
+    The interaction sum starts from its first product plus +0.0, the same
+    bits as +0.0 plus that product, and the process's own prefix counts
+    continue from the row before the tile through ``_running_sum``.
     """
     total_buf, term_buf, ind_buf = work
     for first in range(0, losses.shape[0], total_buf.shape[0]):
@@ -358,21 +372,44 @@ def _sweep(losses, prefix, w, own_row, rows, lags, coefs, theta_i, work) -> None
         now = w + first
         if coefs.shape[0]:
             total, term = total_buf[:k], term_buf[:k]
-            total.fill(0.0)
-            for r, h, coef in zip(rows, lags, coefs):
+            for t, (r, h, coef) in enumerate(zip(rows, lags, coefs)):
                 np.subtract(prefix[r, now : now + k], prefix[r, now - h : now - h + k], out=term)
-                term *= coef
-                total += term
+                if t:
+                    term *= coef
+                    total += term
+                else:
+                    np.multiply(term, coef, out=total)
+                    total += 0.0
             total += theta_i
             slab += total  # xi + (acc + theta), the same sum as (acc + theta) + xi
         else:
             slab += 0.0 + theta_i  # the empty interaction sum is +0.0
         np.maximum(slab, 0.0, out=slab)
         if own_row >= 0:
-            counts = prefix[own_row, now + 1 : now + 1 + k]
             np.greater(slab, 0.0, out=ind_buf[:k])
-            np.cumsum(ind_buf[:k], axis=0, dtype=np.int32, out=counts)
-            counts += prefix[own_row, now]
+            _running_sum(
+                ind_buf[:k], prefix[own_row, now + 1 : now + 1 + k], prefix[own_row, now]
+            )
+
+
+def _running_sum(values, out, base) -> None:
+    """Write base + values[0] + ... + values[k] into out[k], for every step k.
+
+    ``values`` and ``out`` are (m, B) with the steps first, ``base`` is
+    (B,), and ``out`` may be ``values`` itself. The adds run in step order,
+    ((base + values[0]) + values[1]) + ..., which is how np.cumsum adds, so
+    a float sum gets the same bits either way. A batch of at least
+    _ROW_SCAN_WIDTH trajectories adds one (B,) row at a time; a narrower one
+    calls np.cumsum once.
+    """
+    np.add(base, values[0], out=out[0])
+    if out.shape[1] >= _ROW_SCAN_WIDTH:
+        for prev, row, dest in zip(out, values[1:], out[1:]):
+            np.add(prev, row, out=dest)
+    else:
+        if out is not values:
+            out[1:] = values[1:]
+        np.cumsum(out, axis=0, dtype=out.dtype, out=out)
 
 
 def _cycle(c, losses, prefix, w, theta, step_loop, spare, work) -> None:
@@ -406,9 +443,8 @@ def _cycle(c, losses, prefix, w, theta, step_loop, spare, work) -> None:
         k = np.searchsorted(positive, s)
         stop = positive[k] + 1 if k < positive.size else m
         losses[members, s:stop] = swept[:, s:stop]
-        prefix[own, w + s + 1 : w + stop + 1] = prefix[own, w + s, None] + np.cumsum(
-            swept[:, s:stop] > 0.0, axis=1, dtype=np.int32
-        )
+        for row, stretch in zip(own.tolist(), swept[:, s:stop]):
+            _running_sum(stretch > 0.0, prefix[row, w + s + 1 : w + stop + 1], prefix[row, w + s])
         s, quiet = stop, 0
 
 
@@ -420,6 +456,14 @@ def _numpy_chunk(losses, prefix, w, start, quiet, reach, members, own_rows, ptr,
     Steps from ``start`` while the component is within ``reach`` steps of a
     member's loss; ``quiet`` is the number of steps since the last one.
     Returns the step at which it has gone quiet, or the chunk's end.
+
+    The loop is bound by NumPy calls on (B,) rows, so it reads its rows from
+    iterators over the steps from ``start`` rather than indexing a 2-D array
+    at each step, and starts each interaction sum with its first product
+    plus +0.0 (the same bits as +0.0 plus that product). A cyclic member
+    always has a term, the one it reads from the cycle. The iterators make
+    only the views of the steps actually taken: a narrow batch goes quiet
+    often, so it calls this many times per chunk.
     """
     n_batch = losses.shape[2]
     acc = np.empty(n_batch)
@@ -428,25 +472,34 @@ def _numpy_chunk(losses, prefix, w, start, quiet, reach, members, own_rows, ptr,
     ind = np.empty(n_batch, dtype=bool)
     procs = []
     for k, i in enumerate(members.tolist()):
-        terms = [(coefs[t], prefix[rows[t]], w - lags[t]) for t in range(ptr[k], ptr[k + 1])]
-        procs.append((losses[i], prefix[own_rows[k]], theta[i], terms))
+        window = prefix[own_rows[k]]
+        # per term, its coupling and its source's prefix rows at the step and lag steps before
+        terms = [
+            (coefs[t], zip(prefix[rows[t], w + start :], prefix[rows[t], w - lags[t] + start :]))
+            for t in range(ptr[k], ptr[k + 1])
+        ]
+        steps = zip(losses[i, start:], window[w + start :], window[w + start + 1 :])
+        procs.append((steps, theta[i], terms))
     for s in range(start, losses.shape[1]):
         if quiet >= reach:
             return s
         quiet += 1
-        for slab, window, theta_i, terms in procs:
-            acc.fill(0.0)
-            for coef, source, lag in terms:
-                np.subtract(source[w + s], source[lag + s], out=counts)
-                np.multiply(coef, counts, out=prod)
-                acc += prod
+        for steps, theta_i, terms in procs:
+            for t, (coef, sources) in enumerate(terms):
+                np.subtract(*next(sources), out=counts)
+                if t:
+                    np.multiply(coef, counts, out=prod)
+                    acc += prod
+                else:
+                    np.multiply(coef, counts, out=acc)
+                    acc += 0.0
             acc += theta_i
-            row = slab[s]
+            row, before, after = next(steps)
             row += acc  # xi + (acc + theta), the same sum as (acc + theta) + xi
             np.maximum(row, 0.0, out=row)
             np.greater(row, 0.0, out=ind)
-            np.add(window[w + s], ind, out=window[w + s + 1])
-            if ind.any():
+            np.add(before, ind, out=after)
+            if np.count_nonzero(ind):
                 quiet = 0
     return losses.shape[1]
 

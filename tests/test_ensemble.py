@@ -6,6 +6,7 @@ aggregated in trajectory order. Batch size must never change a single bit.
 """
 
 import importlib
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -15,7 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oprisk_dynamics import errors
-from oprisk_dynamics.ensemble import derive_seed, parameters_from_estimates, run_ensemble, var
+from oprisk_dynamics.ensemble import (
+    _trajectory_generators,
+    derive_seed,
+    parameters_from_estimates,
+    run_ensemble,
+    var,
+)
 from oprisk_dynamics.estimate import (
     CouplingCandidate,
     EstimateSet,
@@ -23,7 +30,9 @@ from oprisk_dynamics.estimate import (
     collapse_precision,
 )
 from oprisk_dynamics.model import LossMatrix, ModelParameters, NoiseSpec, validate_parameters
-from oprisk_dynamics.simulate import simulate
+from oprisk_dynamics.simulate import _ROW_SCAN_WIDTH, simulate
+
+from conftest import build_reference_parameters
 
 
 class TestDeriveSeed:
@@ -57,6 +66,30 @@ class TestDeriveSeed:
         assert derive_seed(2**64 - 1, 0) >= 0
         with pytest.raises(ValueError, match="master_seed"):
             derive_seed(2**64, 0)
+
+
+class TestTrajectoryGenerators:
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1] + [derive_seed(5, k) for k in range(400)]
+
+    def test_equal_to_pcg64_seeded_with_each_seed(self):
+        # the SeedSequence words are computed for the whole batch at once;
+        # each generator must still be PCG64(seed), state and stream
+        generators = _trajectory_generators(self.SEEDS)
+        assert len(generators) == len(self.SEEDS)
+        for seed, gen in zip(self.SEEDS, generators):
+            reference = np.random.Generator(np.random.PCG64(seed))
+            assert gen.bit_generator.state == reference.bit_generator.state, seed
+            assert gen.random(37).tobytes() == reference.random(37).tobytes(), seed
+            out, expected = np.empty((3, 5)), np.empty((3, 5))
+            gen.random(out=out)
+            reference.random(out=expected)
+            assert out.tobytes() == expected.tobytes(), seed
+
+    def test_one_seed_and_repeated_seeds(self):
+        a, b = _trajectory_generators([2**40 + 3, 2**40 + 3])
+        (c,) = _trajectory_generators([2**40 + 3])
+        assert a is not b
+        assert a.random(4).tobytes() == b.random(4).tobytes() == c.random(4).tobytes()
 
 
 def brute_force_var(samples, confidence):
@@ -206,6 +239,61 @@ class TestRunEnsemble:
         assert baseline.std_z.tobytes() == other.std_z.tobytes()
         assert baseline.terminal_samples.tobytes() == other.terminal_samples.tobytes()
         assert baseline.captured[1].tobytes() == other.captured[1].tobytes()
+
+    def test_wide_batch_matches_narrow_batches_and_simulate(self, monkeypatch):
+        # A batch of M >= _ROW_SCAN_WIDTH takes the row-add branch of the
+        # running sums in run_ensemble, _sweep and _cycle; batches of 7 and
+        # simulate take np.cumsum. Process 3's threshold is lowered to -1.65
+        # (spontaneous losses 0.0005 per step instead of 0.01), so that all
+        # M trajectories are sometimes quiet at once and _cycle sweeps.
+        sim = importlib.import_module("oprisk_dynamics.simulate")
+        ens = importlib.import_module("oprisk_dynamics.ensemble")
+        m_traj, n_steps, master = _ROW_SCAN_WIDTH + 44, 300, 23
+        ref = build_reference_parameters()
+        theta = ref.theta.copy()
+        theta[2] = -1.65
+        pairs = zip(*np.nonzero(ref.couplings))
+        est = EstimateSet(
+            theta_hat=theta,
+            theta_available=np.ones(5, dtype=bool),
+            j_hat={
+                (int(i), int(j)): [
+                    CouplingCandidate(1, ref.couplings[i, j], 40),
+                    CouplingCandidate(2, 1.5 * ref.couplings[i, j], 20),
+                ]
+                for i, j in pairs
+            },
+            lam=ref.lam,
+            horizons=ref.horizons,
+            diagnostics=None,
+        )
+        wide_calls = set()
+
+        def recorded(values, out, base, scan=sim._running_sum):
+            if out.shape[1] >= _ROW_SCAN_WIDTH and out.shape[0] > 1:
+                wide_calls.add(sys._getframe(1).f_code.co_name)
+            scan(values, out, base)
+
+        monkeypatch.setattr(sim, "_running_sum", recorded)
+        monkeypatch.setattr(ens, "_running_sum", recorded)
+        kwargs = dict(collapse="sample-per-run", capture_steps=(1, 150))
+        wide = run_ensemble(est, None, n_steps, m_traj, master, **kwargs)
+        assert wide_calls == {"run_ensemble", "_sweep", "_cycle"}
+        narrow = run_ensemble(est, None, n_steps, m_traj, master, batch_size=7, **kwargs)
+        for name in ("mean_z", "std_z", "terminal_samples"):
+            assert getattr(wide, name).tobytes() == getattr(narrow, name).tobytes()
+        for s in (1, 150):
+            assert wide.captured[s].tobytes() == narrow.captured[s].tobytes()
+
+        drawn = collapse_estimates(est, "sample-per-run", m_traj, derive_seed(master, 0))
+        for m in range(m_traj):
+            p = validate_parameters(
+                ModelParameters(n=5, theta=theta, lam=ref.lam, couplings=drawn[m],
+                                horizons=ref.horizons)
+            )
+            z = simulate(p, None, n_steps, NoiseSpec(rates=p.lam, seed=derive_seed(master, 1 + m)))
+            assert wide.terminal_samples[m].tobytes() == z.cumulative[-1].tobytes()
+            assert wide.captured[150][m].tobytes() == z.cumulative[149].tobytes()
 
     def test_chunk_boundaries_carry_the_running_sums(self, small_parameters, monkeypatch):
         # a batch of 7 gets 280 // 7 = 40 steps per chunk: T = 150 spans

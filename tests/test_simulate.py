@@ -21,7 +21,14 @@ from oprisk_dynamics.model import (
     validate_parameters,
 )
 from oprisk_dynamics.ensemble import derive_seed, run_ensemble
-from oprisk_dynamics.simulate import _component_order, _evolve, cumulative, simulate
+from oprisk_dynamics.simulate import (
+    _ROW_SCAN_WIDTH,
+    _component_order,
+    _evolve,
+    _running_sum,
+    cumulative,
+    simulate,
+)
 
 from conftest import build_reference_parameters
 
@@ -480,3 +487,37 @@ class TestCumulative:
     def test_matches_prefix_sum(self, rows):
         arr = np.array(rows)
         assert np.array_equal(cumulative(arr), np.add.accumulate(arr, axis=0))
+
+
+class TestRunningSum:
+    """``_running_sum`` adds row by row on wide batches and calls np.cumsum on
+    narrow ones; both must give cumsum's bits, base first."""
+
+    WIDTHS = (1, _ROW_SCAN_WIDTH - 1, _ROW_SCAN_WIDTH, _ROW_SCAN_WIDTH + 37)
+
+    @pytest.mark.parametrize("in_place", [False, True])
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_floats_match_cumsum_bit_for_bit(self, width, in_place):
+        rng = np.random.default_rng(width)
+        values = rng.standard_normal((40, width)) * 10.0 ** rng.integers(-8, 8, (40, width))
+        values[rng.random(values.shape) < 0.2] = -0.0
+        values[:2] = -0.0  # a run of -0.0 from a -0.0 base stays -0.0
+        base = rng.standard_normal(width)
+        base[::2] = -0.0
+        expected = np.cumsum(np.concatenate([base[None], values]), axis=0)[1:]
+        out = values if in_place else np.empty_like(values)
+        _running_sum(values, out, base)
+        assert out.tobytes() == expected.tobytes()
+        assert np.signbit(out[:2, ::2]).all()
+
+    @pytest.mark.parametrize("rows", [1, 2, 33])
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_counts_match_cumsum(self, width, rows):
+        rng = np.random.default_rng(rows * width)
+        values = rng.random((rows, width)) < 0.3
+        base = rng.integers(0, 1000, width).astype(np.int32)
+        out = np.full((rows, width), -1, dtype=np.int32)
+        _running_sum(values, out, base)
+        expected = base + np.cumsum(values, axis=0, dtype=np.int32)
+        assert out.dtype == np.int32
+        assert np.array_equal(out, expected)
