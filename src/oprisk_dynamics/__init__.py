@@ -9,92 +9,26 @@ frequentist inversion of zero-loss ratios, and forecasts cumulative-loss
 distributions and VaR by Monte Carlo.
 """
 
-from . import errors
-from .ensemble import (
-    EnsembleResult,
-    derive_seed,
-    parameters_from_estimates,
-    run_ensemble,
-    var,
-)
-from .estimate import (
-    CouplingCandidate,
-    EstimateSet,
-    EstimationDiagnostics,
-    EventClassCounts,
-    LossEvents,
-    classify_events,
-    collapse_estimates,
-    collapse_precision,
-    estimate_couplings,
-    estimate_from_database,
-    estimate_theta,
-    lambda_from_p,
-    lambda_from_quantile,
-)
-from .io import (
-    LossRecords,
-    RawLossRecord,
-    RunConfig,
-    ingest,
-    load_config,
-    read_loss_records,
-    read_samples,
-    reference_config_path,
-    write_histogram,
-    write_loss_database,
-    write_series,
-)
-from .model import (
-    LossMatrix,
-    ModelParameters,
-    NoiseSpec,
-    validate_parameters,
-)
-from .simulate import Trajectory, cumulative, simulate
-from .validation import ValidationReport, relative_error, run_validation
+from . import ensemble, errors, estimate, io, model, simulate, validation
 
 __version__ = "1.0.0"
 
+# Each public name is declared once, in its module's __all__. This list is
+# built before the star imports, while ``simulate`` is still the module:
+# ``from .simulate import *`` rebinds it to the function.
 __all__ = [
     "errors",
-    "CouplingCandidate",
-    "EnsembleResult",
-    "EstimateSet",
-    "EstimationDiagnostics",
-    "EventClassCounts",
-    "LossEvents",
-    "LossMatrix",
-    "LossRecords",
-    "ModelParameters",
-    "NoiseSpec",
-    "RawLossRecord",
-    "RunConfig",
-    "Trajectory",
-    "ValidationReport",
-    "classify_events",
-    "collapse_estimates",
-    "collapse_precision",
-    "cumulative",
-    "derive_seed",
-    "estimate_couplings",
-    "estimate_from_database",
-    "estimate_theta",
-    "ingest",
-    "lambda_from_p",
-    "lambda_from_quantile",
-    "load_config",
-    "parameters_from_estimates",
-    "read_loss_records",
-    "read_samples",
-    "reference_config_path",
-    "relative_error",
-    "run_ensemble",
-    "run_validation",
-    "simulate",
-    "validate_parameters",
-    "var",
-    "write_histogram",
-    "write_loss_database",
-    "write_series",
+    *ensemble.__all__,
+    *estimate.__all__,
+    *io.__all__,
+    *model.__all__,
+    *simulate.__all__,
+    *validation.__all__,
 ]
+
+from .ensemble import *
+from .estimate import *
+from .io import *
+from .model import *
+from .simulate import *
+from .validation import *

@@ -136,6 +136,12 @@ def _warn_var_resolution(m: int, confidences) -> None:
             )
 
 
+def _write_json(path: str, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
 def _cmd_simulate(args) -> int:
     config = _load_config(args)
     seed = _require_seed(config)
@@ -169,9 +175,7 @@ def _cmd_estimate(args) -> int:
     doc = estimates.to_json_dict()
     doc["fraction_used"] = config.fraction
     path = os.path.join(out_dir, "estimates.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(path, doc)
     usable = sum(len(v) for v in estimates.j_hat.values())
     print(f"estimated {int(estimates.theta_available.sum())}/{estimates.n_processes} "
           f"thresholds, {usable} coupling candidates")
@@ -233,9 +237,7 @@ def _cmd_validate(args) -> int:
     _warn_var_resolution(config.m_trajectories, config.confidences)
 
     report_path = os.path.join(out_dir, "validation_report.json")
-    with open(report_path, "w", encoding="utf-8") as handle:
-        json.dump(report.to_json_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(report_path, report.to_json_dict())
     io.write_series(os.path.join(out_dir, "z_true.csv"), report.z_true)
     io.write_series(os.path.join(out_dir, "forecast_mean_z.csv"), report.ensemble.mean_z)
     io.write_series(os.path.join(out_dir, "forecast_std_z.csv"), report.ensemble.std_z)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import errors
 from .estimate import EstimateSet, collapse_estimates
-from .model import LossMatrix, ModelParameters, seed_in_range, validate_parameters
+from .model import LossMatrix, ModelParameters, _is_integer, seed_in_range, validate_parameters
 from .simulate import _evolve, _running_sum, _start_history
 
 logger = logging.getLogger(__name__)
@@ -205,7 +205,7 @@ def run_ensemble(
         batch_size: trajectories evolved concurrently; never affects results.
             Memory is bounded by the engine's chunk, not by n_steps, so the
             default evolves a whole default-sized ensemble at once.
-        capture_steps: 1-based steps whose z cross-sections to keep for
+        capture_steps: 1-based integer steps whose z cross-sections to keep for
             interior-step percentiles.
 
     Returns:
@@ -234,7 +234,12 @@ def run_ensemble(
     n = p.n
     initial_arr = _start_history(p, initial)
 
-    capture = sorted(set(int(s) for s in capture_steps))
+    capture = set()
+    for s in capture_steps:
+        if not _is_integer(s):
+            raise ValueError(f"capture steps must be integers, got {s!r}")
+        capture.add(int(s))
+    capture = sorted(capture)
     for s in capture:
         if not 1 <= s <= n_steps:
             raise errors.HorizonOutOfRange(s, n_steps)

@@ -65,6 +65,15 @@ class LossEvents:
     steps: tuple
     n_steps: int
 
+    def __post_init__(self) -> None:
+        if self.n_steps < 0:
+            raise ValueError(f"n_steps must be >= 0, got {self.n_steps}")
+        for i, s in enumerate(self.steps):
+            if not (isinstance(s, np.ndarray) and s.dtype == np.int64 and s.ndim == 1):
+                raise ValueError(f"steps[{i}] must be a 1-D int64 array")
+            if s.size and not (s[0] >= 0 and s[-1] < self.n_steps and (s[:-1] < s[1:]).all()):
+                raise ValueError(f"steps[{i}] must increase strictly within [0, {self.n_steps})")
+
     @classmethod
     def of(cls, db) -> "LossEvents":
         """The events of a LossMatrix or (T, N) array: its entries > 0."""
@@ -78,7 +87,9 @@ class LossEvents:
         return len(self.steps)
 
     def head(self, n_steps: int) -> "LossEvents":
-        """The events of the first ``n_steps`` steps."""
+        """The events of the first ``n_steps`` steps, 0 <= n_steps <= T."""
+        if not 0 <= n_steps <= self.n_steps:
+            raise ValueError(f"head takes 0 to {self.n_steps} steps, got {n_steps}")
         return LossEvents(tuple(s[: np.searchsorted(s, n_steps)] for s in self.steps), n_steps)
 
 

@@ -78,8 +78,13 @@ def noise_rates(rates) -> np.ndarray:
 
 
 def seed_in_range(seed: int) -> bool:
-    """Whether ``seed`` is a 64-bit unsigned integer, the seeds PCG64 takes."""
-    return 0 <= seed < 2**64
+    """Whether ``seed`` is a 64-bit unsigned integer, the seeds PCG64 takes:
+    a Python or NumPy integer, never a bool or a float it would truncate."""
+    return _is_integer(seed) and 0 <= seed < 2**64
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def validate_parameters(p: ModelParameters) -> ModelParameters:
@@ -193,8 +198,8 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         rates = noise_rates(self.rates)
-        if not seed_in_range(int(self.seed)):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        if not seed_in_range(self.seed):
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "seed", int(self.seed))
 

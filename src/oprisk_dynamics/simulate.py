@@ -30,9 +30,10 @@ one, which Numba compiles when it imports and which otherwise runs as plain
 Python on narrow batches, and a NumPy one for wider batches without the
 compiled kernel. A cycle steps only while it is within reach of its own
 losses: when no member has lost anything, in any trajectory, over the last
-``reach`` steps (the largest lag of a term whose source is a member), every
-such term counts zero, and the members' losses come from the same vectorised
-pass without those terms, up to the next step with a member loss.
+``reach`` steps (the largest lag of a term whose source is a member), the
+members' counts are held from there to the end of the chunk, every term whose
+source is a member then counts zero, and the members' losses come from the
+same vectorised pass with every term, up to the next step with a member loss.
 
 Every loss gets the same arithmetic in the same order whatever the batch,
 the chunk or the component: the interaction term is accumulated from +0.0
@@ -205,8 +206,8 @@ class _Component(NamedTuple):
     steps and weighs it by ``coefs[t]``, the (B,) couplings J_ij of the
     batch. ``own_rows[k]`` is the prefix row member k writes, or -1 when no
     process depends on it. ``reach`` is the largest lag of a term whose
-    source is a member (0 on no cycle), and ``outside[k]`` holds the
-    (rows, lags, coefs) of member k's other terms.
+    source is a member (0 on no cycle). The step loop and the quiet sweeps
+    of a cycle read the same terms.
     """
 
     cyclic: bool
@@ -217,7 +218,6 @@ class _Component(NamedTuple):
     lags: np.ndarray
     coefs: np.ndarray
     reach: int
-    outside: list
 
 
 def _component(members, cyclic, live, horizons, couplings, row_of) -> _Component:
@@ -229,25 +229,16 @@ def _component(members, cyclic, live, horizons, couplings, row_of) -> _Component
             cols.append(couplings[:, i, j])
             inside.append(j in members)
         ptr.append(len(rows))
-    rows = np.array(rows, dtype=np.int64)
     lags = np.array(lags, dtype=np.int64)
-    coefs = np.array(cols, dtype=np.float64).reshape(len(cols), couplings.shape[0])
-    inside = np.array(inside, dtype=bool)
-    outside = []
-    for k in range(len(members)):
-        terms = np.arange(ptr[k], ptr[k + 1])
-        terms = terms[~inside[terms]]
-        outside.append((rows[terms], lags[terms], coefs[terms]))
     return _Component(
         cyclic=cyclic,
         members=np.array(members, dtype=np.int64),
         own_rows=row_of[members],
         ptr=np.array(ptr, dtype=np.int64),
-        rows=rows,
+        rows=np.array(rows, dtype=np.int64),
         lags=lags,
-        coefs=coefs,
-        reach=int(lags[inside].max(initial=0)),
-        outside=outside,
+        coefs=np.array(cols, dtype=np.float64).reshape(len(cols), couplings.shape[0]),
+        reach=int(lags[np.array(inside, dtype=bool)].max(initial=0)),
     )
 
 
@@ -312,8 +303,6 @@ def _evolve(
         step_loop = _scalar_chunk
     else:
         step_loop = _numpy_chunk
-    # a cyclic component's losses over its quiet stretches, swept ahead
-    spare = np.empty((max((c.members.size for c in plan if c.cyclic), default=0), chunk, n_batch))
 
     for start in range(0, n_steps, chunk):
         m = min(chunk, n_steps - start)
@@ -321,10 +310,11 @@ def _evolve(
         _draw_noise(losses, draws, generators, lam)
         for c in plan:
             if c.cyclic:
-                _cycle(c, losses, prefix, w, theta, step_loop, spare, sweep_work)
+                _cycle(c, losses, prefix, w, theta, step_loop, sweep_work)
             else:
                 i = c.members[0]
-                _sweep(losses[i], prefix, w, c.own_rows[0], *c.outside[0], theta[i], sweep_work)
+                _sweep(losses[i], prefix, w, c.own_rows[0], c.rows, c.lags, c.coefs, theta[i],
+                       sweep_work)
         # the last w rows of this chunk's window start the next one
         prefix[:, : w + 1] = prefix[:, m : m + w + 1] - prefix[:, m, None]
         yield start, losses
@@ -356,10 +346,9 @@ def _sweep(losses, prefix, w, own_row, rows, lags, coefs, theta_i, work) -> None
     """Evolve one process over a whole chunk, in place.
 
     ``losses`` is the process's (m, B) slab and holds its noise on entry.
-    The terms passed are those whose sources are already known for the
-    chunk (all of them for a process on no cycle; a cycle member's terms
-    from outside its cycle over a quiet stretch), so each window count is a
-    difference of two prefix rows. The slab is swept in
+    Every source of the terms passed is already known for the chunk (for a
+    cycle member over a quiet stretch, its cycle's counts are held), so each
+    window count is a difference of two prefix rows. The slab is swept in
     tiles of about _SWEEP_TILE trajectory-steps, so the work buffers stay small.
     The interaction sum starts from its first product plus +0.0, the same
     bits as +0.0 plus that product, and the process's own prefix counts
@@ -412,23 +401,24 @@ def _running_sum(values, out, base) -> None:
         np.cumsum(out, axis=0, dtype=out.dtype, out=out)
 
 
-def _cycle(c, losses, prefix, w, theta, step_loop, spare, work) -> None:
+def _cycle(c, losses, prefix, w, theta, step_loop, work) -> None:
     """Evolve one cyclic component over a chunk, in place.
 
     The step loop runs only while some member has lost something, in some
-    trajectory, within the last ``c.reach`` steps. At any other step every
-    term whose source is a member has a zero count, so the members' losses
-    are those of a sweep that leaves those terms out. That sweep runs once,
-    on a copy of the noise, from the first quiet step to the end of the
-    chunk; each quiet stretch is copied from it up to and including its next
-    positive step, and the step loop resumes after that step.
+    trajectory, within the last ``c.reach`` steps. From the first step s
+    where none has, the members' counts are held at their value before s, so
+    a term whose source is a member reads held rows or rows within reach
+    before s and counts 0; each member is then swept once with all its
+    terms, on a copy of the noise, to the end of the chunk. Each quiet
+    stretch is copied from that sweep up to and including its next positive
+    step, the one step that moves the counts, and the step loop resumes
+    after it.
     """
     m = losses.shape[1]
     members, own = c.members, c.own_rows
     # steps at the end of the history with no member loss, counted up to reach
     recent = prefix[own, w - c.reach : w + 1]
     quiet = int((recent == recent[:, -1:]).all(axis=(0, 2)).sum()) - 1
-    swept = spare[: members.size, :m]
     s, positive = 0, None
     while True:
         s = step_loop(losses, prefix, w, s, quiet, c.reach, members, own, c.ptr, c.rows, c.lags,
@@ -436,15 +426,18 @@ def _cycle(c, losses, prefix, w, theta, step_loop, spare, work) -> None:
         if s == m:
             return
         if positive is None:
-            swept[:, s:] = losses[members, s:]
+            prefix[own, w + s + 1 : w + m + 1] = prefix[own, w + s, None]
+            swept = losses[members]
             for k, i in enumerate(members.tolist()):
-                _sweep(swept[k, s:], prefix[:, s:], w, -1, *c.outside[k], theta[i], work)
+                a, b = c.ptr[k], c.ptr[k + 1]
+                _sweep(swept[k, s:], prefix[:, s:], w, -1, c.rows[a:b], c.lags[a:b],
+                       c.coefs[a:b], theta[i], work)
             positive = np.flatnonzero((swept[:, s:] > 0.0).any(axis=(0, 2))) + s
         k = np.searchsorted(positive, s)
         stop = positive[k] + 1 if k < positive.size else m
         losses[members, s:stop] = swept[:, s:stop]
-        for row, stretch in zip(own.tolist(), swept[:, s:stop]):
-            _running_sum(stretch > 0.0, prefix[row, w + s + 1 : w + stop + 1], prefix[row, w + s])
+        prefix[own, w + s + 1 : w + stop + 1] = prefix[own, w + s, None]
+        prefix[own, w + stop] += swept[:, stop - 1] > 0.0
         s, quiet = stop, 0
 
 

@@ -242,8 +242,9 @@ class TestRunEnsemble:
 
     def test_wide_batch_matches_narrow_batches_and_simulate(self, monkeypatch):
         # A batch of M >= _ROW_SCAN_WIDTH takes the row-add branch of the
-        # running sums in run_ensemble, _sweep and _cycle; batches of 7 and
-        # simulate take np.cumsum. Process 3's threshold is lowered to -1.65
+        # running sums in run_ensemble and _sweep; batches of 7 and simulate
+        # take np.cumsum. _cycle holds its members' counts over a quiet
+        # stretch and runs no sum. Process 3's threshold is lowered to -1.65
         # (spontaneous losses 0.0005 per step instead of 0.01), so that all
         # M trajectories are sometimes quiet at once and _cycle sweeps.
         sim = importlib.import_module("oprisk_dynamics.simulate")
@@ -278,7 +279,7 @@ class TestRunEnsemble:
         monkeypatch.setattr(ens, "_running_sum", recorded)
         kwargs = dict(collapse="sample-per-run", capture_steps=(1, 150))
         wide = run_ensemble(est, None, n_steps, m_traj, master, **kwargs)
-        assert wide_calls == {"run_ensemble", "_sweep", "_cycle"}
+        assert wide_calls == {"run_ensemble", "_sweep"}
         narrow = run_ensemble(est, None, n_steps, m_traj, master, batch_size=7, **kwargs)
         for name in ("mean_z", "std_z", "terminal_samples"):
             assert getattr(wide, name).tobytes() == getattr(narrow, name).tobytes()
@@ -359,6 +360,11 @@ class TestRunEnsemble:
             run_ensemble(small_parameters, None, 10, 2, master_seed=0, capture_steps=(11,))
         with pytest.raises(errors.HorizonOutOfRange):
             run_ensemble(small_parameters, None, 10, 2, master_seed=0, capture_steps=(0,))
+        # a capture step is an integer: 2.7 is not taken as step 2, nor True as 1
+        for bad in (2.7, 2.0, True, np.float64(3.0), "3"):
+            with pytest.raises(ValueError, match="capture steps must be integers"):
+                run_ensemble(small_parameters, None, 10, 2, master_seed=0,
+                             capture_steps=(1, bad))
         with pytest.raises(ValueError):
             run_ensemble(small_parameters, None, 10, 2, master_seed=0, collapse="sample-per-run")
 

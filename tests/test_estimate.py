@@ -186,6 +186,39 @@ class TestClassifyEvents:
         assert counts.base_total[0] == 1
 
 
+class TestLossEvents:
+    @pytest.mark.parametrize("n_steps", [11, 20, -1, -3])
+    def test_head_rejects_steps_the_database_lacks(self, n_steps):
+        # head(20) of 10 steps would classify 10 lossless steps that do not exist
+        events = LossEvents((np.array([1, 4, 9], dtype=np.int64),), 10)
+        with pytest.raises(ValueError, match="head takes 0 to 10 steps"):
+            events.head(n_steps)
+
+    @pytest.mark.parametrize("steps", [
+        [3, 1, 5],  # unsorted
+        [1, 1, 5],  # repeated
+        [-1, 2],  # before the first step
+        [2, 10],  # past the last step
+    ])
+    def test_steps_out_of_order_or_range_rejected(self, steps):
+        with pytest.raises(ValueError, match=r"increase strictly within \[0, 10\)"):
+            LossEvents((np.array([0], dtype=np.int64), np.array(steps, dtype=np.int64)), 10)
+
+    @pytest.mark.parametrize("steps", [
+        np.array([1.0, 2.0]),
+        np.array([1, 2], dtype=np.int32),
+        np.array([[1, 2]], dtype=np.int64),
+        [1, 2],
+    ])
+    def test_steps_must_be_int64_arrays(self, steps):
+        with pytest.raises(ValueError, match="1-D int64 array"):
+            LossEvents((steps,), 10)
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="n_steps must be >= 0"):
+            LossEvents((np.array([], dtype=np.int64),), -3)
+
+
 class TestEventsMatchDenseOracle:
     @given(
         n=st.integers(min_value=1, max_value=4),

@@ -126,3 +126,14 @@ class TestNoiseSpec:
             NoiseSpec(rates=np.array([1.0]), seed=-1)
         with pytest.raises(ValueError):
             NoiseSpec(rates=np.array([1.0]), seed=2**64)
+
+    @pytest.mark.parametrize("seed", [-0.5, 1.7, 3.0, True, False, np.float64(2.0), "7"])
+    def test_seed_must_be_an_integer(self, seed):
+        # int() would truncate these to a valid seed
+        with pytest.raises(ValueError, match="64-bit unsigned integer"):
+            NoiseSpec(rates=np.array([1.0]), seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, np.int64(7), np.uint64(2**64 - 1)])
+    def test_python_and_numpy_integer_seeds_accepted(self, seed):
+        noise = NoiseSpec(rates=np.array([1.0]), seed=seed)
+        assert type(noise.seed) is int and noise.seed == int(seed)

@@ -4,6 +4,7 @@ import importlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import oprisk_dynamics
@@ -19,6 +20,17 @@ def test_package_exports_exactly_its_modules_public_names():
     for module in modules:
         for name in module.__all__:
             assert getattr(oprisk_dynamics, name) is getattr(module, name)
+
+
+def test_package_binds_its_modules_and_the_simulate_function():
+    # perfbench does ``from oprisk_dynamics import io``, and the star import
+    # of the simulate module rebinds the package's ``simulate`` to the function
+    for name in ("io", "ensemble", "estimate", "model", "validation", "errors"):
+        module = getattr(oprisk_dynamics, name)
+        assert isinstance(module, types.ModuleType)
+        assert module is importlib.import_module(f"oprisk_dynamics.{name}")
+    assert oprisk_dynamics.simulate is importlib.import_module("oprisk_dynamics.simulate").simulate
+    assert isinstance(oprisk_dynamics.simulate, types.FunctionType)
 
 
 def test_importing_the_package_does_not_load_numpy_random():
