@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--database", help="estimate from this database first")
 
     add_command("validate", "synthesize, re-estimate, forecast, compare",
-                "seed", "trajectories", "fraction", "confidence", "out_dir")
+                "seed", "trajectories", "fraction", "out_dir")
 
     p = sub.add_parser("var", help="nearest-rank percentile of a samples file")
     p.add_argument("--confidence", **_OVERRIDES["confidence"][1])
@@ -234,7 +234,6 @@ def _cmd_validate(args) -> int:
     report = run_validation(
         config.parameters, config.n_steps, config.fraction, config.m_trajectories, seed
     )
-    _warn_var_resolution(config.m_trajectories, config.confidences)
 
     report_path = os.path.join(out_dir, "validation_report.json")
     _write_json(report_path, report.to_json_dict())

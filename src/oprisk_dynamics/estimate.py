@@ -11,14 +11,16 @@ diagnostic count. The counts are taken over the segments between the steps
 where some trigger count changes, so the work and memory grow with the
 number of losses, not with T.
 
-Zero-loss ratios within each class invert into estimates:
+estimate_from_counts inverts the zero-loss ratio of each class, once, into
+estimates:
 
     theta_i    = (1/lam_i) * ln(1 - base_zero/base_total)
     J_ij^(c)   = (1/c) * ( -theta_i + (1/lam_i) * ln(1 - class_zero/class_total) )
 
-A ratio of 0 or 1 admits no finite inverse; such counters yield warnings and
-availability flags instead of numbers. Noise rates are never estimated here;
-they come from spontaneous-loss probabilities or quantiles via the helpers.
+A ratio of 0 or 1 admits no finite inverse; such a class yields a warning, a
+diagnostics entry and, for theta, an availability flag instead of a number.
+Noise rates are never estimated here; they come from spontaneous-loss
+probabilities or quantiles via the helpers.
 """
 
 from __future__ import annotations
@@ -43,8 +45,7 @@ __all__ = [
     "EstimationDiagnostics",
     "EstimateSet",
     "classify_events",
-    "estimate_theta",
-    "estimate_couplings",
+    "estimate_from_counts",
     "estimate_from_database",
     "collapse_precision",
     "collapse_estimates",
@@ -316,118 +317,88 @@ _THETA_WARNINGS = {
 }
 
 
-def estimate_theta(counts: EventClassCounts, lam: np.ndarray):
-    """Invert base-class zero-ratios into threshold estimates.
+def estimate_from_counts(counts: EventClassCounts, lam) -> EstimateSet:
+    """Invert every class's zero-loss ratio, the base classes first, then the
+    (i, j, c) classes in np.argwhere order.
 
-    Returns:
-        (theta_hat, available): values and per-entry availability. Degenerate
-        ratios (no events, ratio 0, ratio 1) report the value 0.0, set the
-        flag False, and emit a DegeneracyWarning; they are data, not errors.
+    The base class of process i yields theta_hat[i]; each usable (i, j, c)
+    class yields one J_ij candidate that keeps its support, which
+    collapse_precision weighs it by. A degenerate class (no events, ratio 0,
+    ratio 1) is data, not an error: it emits a DegeneracyWarning and is
+    listed in the diagnostics. A degenerate base class leaves theta_hat[i] =
+    0.0 with its availability flag False; a degenerate (i, j, c) class yields
+    no candidate.
+
+    Raises:
+        NonPositiveLambda: a rate that is not finite and positive.
+        MissingTheta: a usable class needs theta_hat[i] but it is unavailable.
     """
     lam = noise_rates(lam)
     n = counts.n_processes
     theta_hat = np.zeros(n)
     available = np.zeros(n, dtype=bool)
+    degenerate_theta = []
     for i in range(n):
         total = int(counts.base_total[i])
         zero = int(counts.base_zero[i])
-        reason = _degeneracy(total, zero)
-        if reason:
+        if reason := _degeneracy(total, zero):
             warnings.warn(
                 f"process {i + 1}: {_THETA_WARNINGS[reason]}", DegeneracyWarning, stacklevel=2
             )
+            degenerate_theta.append((i, reason))
         else:
             theta_hat[i] = _log_lossy_ratio(total, zero) / lam[i]
             available[i] = True
-    return theta_hat, available
-
-
-def estimate_couplings(
-    counts: EventClassCounts,
-    theta_hat: np.ndarray,
-    lam: np.ndarray,
-    theta_available: np.ndarray | None = None,
-) -> dict:
-    """Invert single-active class ratios into per-class coupling candidates.
-
-    Every (i, j, c) class with events and a non-degenerate zero-ratio yields
-    one candidate; degenerate classes are skipped with a warning naming the
-    1-based (i, j, c). The candidate keeps the class support, which
-    collapse_precision weighs it by.
-
-    Raises:
-        MissingTheta: a usable class needs theta_hat[i] but it is unavailable.
-    """
-    theta_hat = np.asarray(theta_hat, dtype=np.float64)
-    lam = np.asarray(lam, dtype=np.float64)
-    if theta_available is None:
-        theta_available = np.ones(theta_hat.shape[0], dtype=bool)
 
     j_hat: dict = {}
+    skipped = []
     for i, j, k in np.argwhere(counts.class_total > 0).tolist():
         c = k + 1
         total = int(counts.class_total[i, j, k])
         zero = int(counts.class_zero[i, j, k])
-        if _degeneracy(total, zero):
+        if reason := _degeneracy(total, zero):
             warnings.warn(
                 f"class (i, j, c) = ({i + 1}, {j + 1}, {c}): zero-loss "
                 f"ratio is {zero // total}, candidate skipped",
                 DegeneracyWarning,
                 stacklevel=2,
             )
+            skipped.append((i, j, c, reason))
             continue
-        if not theta_available[i]:
+        if not available[i]:
             raise errors.MissingTheta(i)
         estimate = (-theta_hat[i] + _log_lossy_ratio(total, zero) / lam[i]) / c
         j_hat.setdefault((i, j), []).append(
             CouplingCandidate(count_class=c, estimate=float(estimate), support=total)
         )
-    return j_hat
 
-
-def estimate_from_database(db, horizons: np.ndarray, lam: np.ndarray) -> EstimateSet:
-    """Classify a database and invert both estimators in one pass.
-
-    ``db`` is LossEvents, or a LossMatrix or (T, N) array, as classify_events
-    takes it.
-    """
-    counts = classify_events(db, horizons)
-    theta_hat, available = estimate_theta(counts, lam)
-    j_hat = estimate_couplings(counts, theta_hat, lam, theta_available=available)
-
-    degenerate_theta = [
-        (i, reason)
-        for i in range(counts.n_processes)
-        if (reason := _degeneracy(counts.base_total[i], counts.base_zero[i]))
-    ]
-    skipped = [
-        (i, j, k + 1, reason)
-        for i, j, k in np.argwhere(counts.class_total > 0).tolist()
-        if (reason := _degeneracy(counts.class_total[i, j, k], counts.class_zero[i, j, k]))
-    ]
-    diagnostics = EstimationDiagnostics(
-        discarded=counts.discarded,
-        degenerate_theta=degenerate_theta,
-        skipped_classes=skipped,
-        n_steps=counts.n_steps,
-        window=counts.window,
-    )
-    n_candidates = sum(len(v) for v in j_hat.values())
     logger.info(
         "estimated %d/%d thresholds and %d coupling candidates from %d steps",
         int(available.sum()),
-        counts.n_processes,
-        n_candidates,
+        n,
+        sum(len(v) for v in j_hat.values()),
         counts.n_steps,
     )
     return EstimateSet(
         theta_hat=theta_hat,
         theta_available=available,
         j_hat=j_hat,
-        lam=np.asarray(lam, dtype=np.float64),
+        lam=lam,
         horizons=counts.horizons,
-        diagnostics=diagnostics,
+        diagnostics=EstimationDiagnostics(
+            discarded=counts.discarded,
+            degenerate_theta=degenerate_theta,
+            skipped_classes=skipped,
+            n_steps=counts.n_steps,
+            window=counts.window,
+        ),
     )
+
+
+def estimate_from_database(db, horizons: np.ndarray, lam: np.ndarray) -> EstimateSet:
+    """Classify a database and invert its counts: ``db`` is LossEvents, or a
+    LossMatrix or (T, N) array, as classify_events takes it."""
+    return estimate_from_counts(classify_events(db, horizons), lam)
 
 
 def collapse_precision(estimates: EstimateSet) -> np.ndarray:
@@ -442,7 +413,7 @@ def collapse_precision(estimates: EstimateSet) -> np.ndarray:
     Raises:
         ValueError: a candidate implies a zero-loss ratio outside (0, 1)
             (theta_hat_i + c * J >= 0), whose weight would be infinite or
-            negative; estimate_couplings never emits one.
+            negative; estimate_from_counts never emits one.
     """
     n = estimates.n_processes
     collapsed = np.zeros((n, n))

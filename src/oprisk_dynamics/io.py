@@ -596,6 +596,7 @@ def _build_parameters(model: dict) -> ModelParameters:
     lam = _noise_rates(noise_specs, theta)
 
     couplings = np.zeros((n, n))
+    first = {}  # (i, j) -> the key of the triple that set it
     for k, triple in enumerate(model.get("couplings", [])):
         where = f"model.couplings[{k + 1}]"
         if not (isinstance(triple, list) and len(triple) == 3):
@@ -605,6 +606,9 @@ def _build_parameters(model: dict) -> ModelParameters:
             raise errors.ConfigError(where, f"indices must be integers in [1, {n}]")
         if not _is_number(value):
             raise errors.ConfigError(where, "value must be a number")
+        if (i, j) in first:
+            raise errors.ConfigError(where, f"repeats the pair ({i}, {j}) of {first[i, j]}")
+        first[i, j] = where
         couplings[i - 1, j - 1] = float(value)
 
     horizons_raw = model.get("horizons", 0)
@@ -636,8 +640,8 @@ def load_config(path) -> RunConfig:
 
     * ``model``: ``theta`` (list), ``noise`` (per-process, exactly one of
       ``{"p": x}``, ``{"lambda": x}``, ``{"quantile": {"value": q,
-      "alpha": a}}``), ``couplings`` ([i, j, value] triples), ``horizons``
-      (scalar for every coupling, or an NxN matrix).
+      "alpha": a}}``), ``couplings`` ([i, j, value] triples, one per pair),
+      ``horizons`` (scalar for every coupling, or an NxN matrix).
     * ``simulation``: ``n_steps``; optional ``seed``, ``m_trajectories``.
     * ``estimation``: optional ``fraction`` (default 1.0), ``collapse``
       ("mean" or "sample-per-run", default "sample-per-run").

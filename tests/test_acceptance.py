@@ -18,9 +18,8 @@ from oprisk_dynamics.ensemble import derive_seed, run_ensemble, var
 from oprisk_dynamics.estimate import (
     classify_events,
     collapse_precision,
-    estimate_couplings,
+    estimate_from_counts,
     estimate_from_database,
-    estimate_theta,
 )
 from oprisk_dynamics.model import ModelParameters, NoiseSpec, validate_parameters
 from oprisk_dynamics.simulate import cumulative, simulate
@@ -227,11 +226,11 @@ def test_criterion_6b_inversion_identity(small_parameters):
     counts = classify_events(db.losses, p.horizons)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", errors.DegeneracyWarning)
-        theta_hat, available = estimate_theta(counts, p.lam)
-        j_hat = estimate_couplings(counts, theta_hat, p.lam, available)
+        est = estimate_from_counts(counts, p.lam)
+    theta_hat, j_hat = est.theta_hat, est.j_hat
     checked = 0
     for i in range(p.n):
-        if available[i]:
+        if est.theta_available[i]:
             ratio = counts.base_zero[i] / counts.base_total[i]
             assert abs((1.0 - np.exp(p.lam[i] * theta_hat[i])) - ratio) < 1e-12
             checked += 1
@@ -287,11 +286,10 @@ def test_criterion_7_degenerate_inputs():
     silent = np.zeros((200, 3))
     counts = classify_events(silent, horizons)
     with pytest.warns(errors.DegeneracyWarning):
-        theta_hat, available = estimate_theta(counts, lam)
-    assert np.array_equal(theta_hat, np.zeros(3))
-    assert not available.any()
-    j_hat = estimate_couplings(counts, theta_hat, lam, available)
-    assert j_hat == {}
+        est = estimate_from_counts(counts, lam)
+    assert np.array_equal(est.theta_hat, np.zeros(3))
+    assert not est.theta_available.any()
+    assert est.j_hat == {}
 
     with pytest.raises(errors.DatabaseTooShort):
         classify_events(np.zeros((3, 3)), horizons)  # T equals the window

@@ -428,6 +428,21 @@ class TestValidateCommand:
         assert report["m_trajectories"] == 4
         assert report["master_seed"] == 77
 
+    def test_no_var_resolution_warning(self, tmp_path, capsys):
+        # validate computes no VaR: 8 trajectories at confidence 0.9 warn
+        # in forecast, never here
+        config = small_config(tmp_path, **{"simulation.n_steps": 2000})
+        assert main(["validate", "--config", config, "--out-dir", str(tmp_path / "val")]) == 0
+        assert "percentile" not in capsys.readouterr().err
+
+    def test_confidence_flag_is_a_usage_error(self, tmp_path, capsys):
+        config = small_config(tmp_path)
+        out = tmp_path / "val"
+        argv = ["validate", "--config", config, "--out-dir", str(out), "--confidence", "0.9"]
+        assert main(argv) == 2
+        assert last_stderr_json(capsys)["error"] == "UsageError"
+        assert not out.exists()
+
 
 class TestFlagOverrides:
     def test_successive_calls_share_no_parsed_flags(self, tmp_path):
@@ -490,8 +505,10 @@ class TestFlagOverrides:
             ("model.horizons", 10**400),
             ("output.resolution", 10**400),
             ("model.horizons", [[1, 2], [3]]),
+            ("model.couplings", [[1, 2, 0.4], [1, 2, 0.5]]),
         ],
-        ids=["horizons-401-digits", "resolution-401-digits", "horizons-ragged"],
+        ids=["horizons-401-digits", "resolution-401-digits", "horizons-ragged",
+             "couplings-repeated-pair"],
     )
     def test_config_value_its_field_cannot_hold_is_a_config_error(
         self, tmp_path, capsys, key, value

@@ -27,9 +27,8 @@ from oprisk_dynamics.estimate import (
     classify_events,
     collapse_estimates,
     collapse_precision,
-    estimate_couplings,
+    estimate_from_counts,
     estimate_from_database,
-    estimate_theta,
     lambda_from_p,
     lambda_from_quantile,
 )
@@ -299,34 +298,34 @@ def make_counts(n=1, base_total=(100,), base_zero=(50,), window=1):
 
 class TestEstimateTheta:
     def test_closed_form_half_ratio(self):
-        theta, available = estimate_theta(make_counts(), np.array([1.0]))
-        assert theta[0] == pytest.approx(np.log(0.5), abs=1e-12)
-        assert available[0]
+        est = estimate_from_counts(make_counts(), np.array([1.0]))
+        assert est.theta_hat[0] == pytest.approx(np.log(0.5), abs=1e-12)
+        assert est.theta_available[0]
 
     def test_zero_ratio_reports_zero_with_warning(self):
         counts = make_counts(base_zero=(0,))
         with pytest.warns(DegeneracyWarning):
-            theta, available = estimate_theta(counts, np.array([2.0]))
-        assert theta[0] == 0.0
-        assert not available[0]
+            est = estimate_from_counts(counts, np.array([2.0]))
+        assert est.theta_hat[0] == 0.0
+        assert not est.theta_available[0]
 
     def test_ratio_one_unavailable(self):
         counts = make_counts(base_zero=(100,))
         with pytest.warns(DegeneracyWarning):
-            theta, available = estimate_theta(counts, np.array([1.0]))
-        assert theta[0] == 0.0
-        assert not available[0]
+            est = estimate_from_counts(counts, np.array([1.0]))
+        assert est.theta_hat[0] == 0.0
+        assert not est.theta_available[0]
 
     def test_no_base_events_unavailable(self):
         counts = make_counts(base_total=(0,), base_zero=(0,))
         with pytest.warns(DegeneracyWarning):
-            _, available = estimate_theta(counts, np.array([1.0]))
-        assert not available[0]
+            est = estimate_from_counts(counts, np.array([1.0]))
+        assert not est.theta_available[0]
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_rate_must_be_finite_and_positive(self, bad):
         with pytest.raises(errors.NonPositiveLambda) as exc:
-            estimate_theta(make_counts(), np.array([bad]))
+            estimate_from_counts(make_counts(), np.array([bad]))
         assert exc.value.index == 0
 
     @given(
@@ -338,14 +337,19 @@ class TestEstimateTheta:
     def test_inversion_identity(self, total, zero_frac, lam):
         zero = min(max(int(total * zero_frac), 1), total - 1)
         counts = make_counts(base_total=(total,), base_zero=(zero,))
-        theta, available = estimate_theta(counts, np.array([lam]))
-        assert available[0]
-        assert theta[0] <= 0
-        assert abs((1.0 - np.exp(lam * theta[0])) - zero / total) < 1e-12
+        est = estimate_from_counts(counts, np.array([lam]))
+        assert est.theta_available[0]
+        assert est.theta_hat[0] <= 0
+        assert abs((1.0 - np.exp(lam * est.theta_hat[0])) - zero / total) < 1e-12
 
 
-def counts_with_class(c, class_total, class_zero, window=3):
-    counts = make_counts(window=window)
+# a base class whose zero-loss ratio, 1 - e^-1 to 17 digits, inverts to
+# theta_hat = -1.0 at lam = 1
+THETA_MINUS_ONE = {"base_total": (10**17,), "base_zero": (round(-math.expm1(-1.0) * 10**17),)}
+
+
+def counts_with_class(c, class_total, class_zero, window=3, **base):
+    counts = make_counts(window=window, **base)
     counts.class_total[0, 0, c - 1] = class_total
     counts.class_zero[0, 0, c - 1] = class_zero
     return counts
@@ -353,60 +357,57 @@ def counts_with_class(c, class_total, class_zero, window=3):
 
 class TestEstimateCouplings:
     def test_closed_form_half_ratio_c1(self):
-        counts = counts_with_class(1, 100, 50)
-        j_hat = estimate_couplings(counts, np.array([-1.0]), np.array([1.0]))
-        (candidate,) = j_hat[(0, 0)]
+        counts = counts_with_class(1, 100, 50, **THETA_MINUS_ONE)
+        est = estimate_from_counts(counts, np.array([1.0]))
+        assert est.theta_hat[0] == -1.0
+        (candidate,) = est.j_hat[(0, 0)]
         assert candidate.count_class == 1
         assert candidate.support == 100
         assert candidate.estimate == pytest.approx(1.0 + np.log(0.5), abs=1e-12)
         assert candidate.estimate == pytest.approx(0.306853, abs=5e-7)
 
     def test_count_class_two_halves_the_estimate(self):
-        counts = counts_with_class(2, 100, 50)
-        j_hat = estimate_couplings(counts, np.array([-1.0]), np.array([1.0]))
-        (candidate,) = j_hat[(0, 0)]
+        counts = counts_with_class(2, 100, 50, **THETA_MINUS_ONE)
+        est = estimate_from_counts(counts, np.array([1.0]))
+        (candidate,) = est.j_hat[(0, 0)]
         assert candidate.estimate == pytest.approx((1.0 + np.log(0.5)) / 2, abs=1e-12)
 
     def test_degenerate_class_skipped_with_warning(self):
         counts = counts_with_class(1, 10, 0)
         with pytest.warns(DegeneracyWarning, match=r"\(1, 1, 1\)"):
-            j_hat = estimate_couplings(counts, np.array([-1.0]), np.array([1.0]))
-        assert j_hat == {}
+            est = estimate_from_counts(counts, np.array([1.0]))
+        assert est.j_hat == {}
+        assert est.diagnostics.skipped_classes == [(0, 0, 1, "zero-ratio-0")]
 
     def test_missing_theta_raised_for_usable_class(self):
-        counts = counts_with_class(1, 100, 50)
-        with pytest.raises(errors.MissingTheta):
-            estimate_couplings(
-                counts,
-                np.array([0.0]),
-                np.array([1.0]),
-                theta_available=np.array([False]),
-            )
+        # the base class's ratio of 1 leaves theta unavailable
+        counts = counts_with_class(1, 100, 50, base_zero=(100,))
+        with pytest.warns(DegeneracyWarning, match="theta unavailable"):
+            with pytest.raises(errors.MissingTheta):
+                estimate_from_counts(counts, np.array([1.0]))
 
     def test_missing_theta_not_raised_when_only_degenerate_classes(self):
-        counts = counts_with_class(1, 10, 10)
+        counts = counts_with_class(1, 10, 10, base_zero=(100,))
         with pytest.warns(DegeneracyWarning):
-            j_hat = estimate_couplings(
-                counts,
-                np.array([0.0]),
-                np.array([1.0]),
-                theta_available=np.array([False]),
-            )
-        assert j_hat == {}
+            est = estimate_from_counts(counts, np.array([1.0]))
+        assert not est.theta_available[0]
+        assert est.j_hat == {}
 
     @given(
         total=st.integers(min_value=2, max_value=10**5),
         zero_frac=st.floats(min_value=1e-6, max_value=1 - 1e-6),
         lam=st.floats(min_value=0.05, max_value=20.0),
-        theta=st.floats(min_value=-5.0, max_value=-0.01),
+        base_frac=st.floats(min_value=1e-6, max_value=1 - 1e-6),
         c=st.integers(min_value=1, max_value=3),
     )
     @settings(max_examples=200, deadline=None)
-    def test_inversion_identity(self, total, zero_frac, lam, theta, c):
+    def test_inversion_identity(self, total, zero_frac, lam, base_frac, c):
         zero = min(max(int(total * zero_frac), 1), total - 1)
-        counts = counts_with_class(c, total, zero)
-        j_hat = estimate_couplings(counts, np.array([theta]), np.array([lam]))
-        (candidate,) = j_hat[(0, 0)]
+        base_zero = min(max(int(10**6 * base_frac), 1), 10**6 - 1)
+        counts = counts_with_class(c, total, zero, base_total=(10**6,), base_zero=(base_zero,))
+        est = estimate_from_counts(counts, np.array([lam]))
+        theta = est.theta_hat[0]
+        (candidate,) = est.j_hat[(0, 0)]
         reproduced = 1.0 - np.exp(lam * (c * candidate.estimate + theta))
         assert abs(reproduced - zero / total) < 1e-12
 

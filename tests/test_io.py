@@ -595,6 +595,23 @@ class TestNumpyPassMatchesRowParser:
         assert not caught
         assert (columns is not None) == takes_pass
 
+    def test_interpreter_without_an_int_digit_limit(self, tmp_path, monkeypatch):
+        # Python before 3.10.7 has no sys.get_int_max_str_digits and parses an
+        # int of any length, so only the csv field limit bounds a line
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            monkeypatch.delattr(sys, "get_int_max_str_digits")
+            path = tmp_path / "db.csv"
+            path.write_text("t,process,amount\n1," + "0" * 4999 + "1,1\n")
+            columns = assert_declines_or_matches(path)
+            assert columns is not None
+            assert columns.process_ids.tolist() == [1]
+            path.write_text("t,process,amount\n1,1," + "0" * self.LIMIT + "1\n")
+            assert assert_declines_or_matches(path) is None
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_header_only_file_without_a_line_end_takes_the_pass(self, tmp_path):
         path = tmp_path / "db.csv"
         path.write_bytes(b"t,process,amount")
@@ -1445,6 +1462,14 @@ class TestLoadConfig:
         with pytest.raises(errors.ConfigError) as exc:
             load_config(path)
         assert key_part in str(exc.value)
+
+    def test_repeated_coupling_pair_names_both_triples(self, tmp_path):
+        # a later triple for a pair would silently overwrite the earlier one
+        path = write_config(tmp_path, lambda d: d["model"]["couplings"].append([3, 3, 0.2]))
+        with pytest.raises(errors.ConfigError) as exc:
+            load_config(path)
+        assert exc.value.key == "model.couplings[7]"
+        assert "repeats the pair (3, 3) of model.couplings[2]" in str(exc.value)
 
     def test_theta_zero_with_p_spec_is_a_config_error(self, tmp_path):
         def mutate(doc):
