@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 from . import errors, io
 from .ensemble import run_ensemble, var
@@ -134,6 +135,12 @@ def _warn_var_resolution(m: int, confidences) -> None:
                 f"use at least {needed}",
                 file=sys.stderr,
             )
+
+
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    """A warning as one line, like the CLI's own: where in the package it
+    was raised says nothing to a user."""
+    return f"warning: {message}\n"
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -290,6 +297,8 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return _CONFIG_EXIT
         return 0
+    # each warning prints as one line when it is raised, before any error line
+    format_warning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return _COMMANDS[args.command](args)
     except errors.ConfigError as exc:
@@ -307,6 +316,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - last-resort stable exit code
         _emit_error(exc)
         return 1
+    finally:
+        warnings.formatwarning = format_warning
 
 
 if __name__ == "__main__":

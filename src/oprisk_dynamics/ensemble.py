@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import errors
 from .estimate import EstimateSet, collapse_estimates
-from .model import LossMatrix, ModelParameters, _is_integer, seed_in_range, validate_parameters
+from .model import LossMatrix, ModelParameters, seed_in_range, validate_parameters
 from .simulate import _evolve, _running_sum, _start_history
 
 logger = logging.getLogger(__name__)
@@ -138,8 +138,6 @@ class EnsembleResult:
         terminal_samples: (M, N) z_i(T) per trajectory, trajectory order.
         m_trajectories: M.
         master_seed: seed all trajectory streams were derived from.
-        captured: 1-based step -> (M, N) z cross-section, for steps requested
-            at run time; percentiles at interior steps need these.
     """
 
     mean_z: np.ndarray
@@ -147,7 +145,6 @@ class EnsembleResult:
     terminal_samples: np.ndarray
     m_trajectories: int
     master_seed: int
-    captured: dict = field(default_factory=dict)
 
     @property
     def n_steps(self) -> int:
@@ -189,7 +186,6 @@ def run_ensemble(
     master_seed: int,
     collapse: str = "mean",
     batch_size: int = 1024,
-    capture_steps=(),
 ) -> EnsembleResult:
     """Simulate M independent trajectories and aggregate their z paths.
 
@@ -205,8 +201,6 @@ def run_ensemble(
         batch_size: trajectories evolved concurrently; never affects results.
             Memory is bounded by the engine's chunk, not by n_steps, so the
             default evolves a whole default-sized ensemble at once.
-        capture_steps: 1-based integer steps whose z cross-sections to keep for
-            interior-step percentiles.
 
     Returns:
         EnsembleResult with unbiased (M - 1) standard deviations.
@@ -234,21 +228,10 @@ def run_ensemble(
     n = p.n
     initial_arr = _start_history(p, initial)
 
-    capture = set()
-    for s in capture_steps:
-        if not _is_integer(s):
-            raise ValueError(f"capture steps must be integers, got {s!r}")
-        capture.add(int(s))
-    capture = sorted(capture)
-    for s in capture:
-        if not 1 <= s <= n_steps:
-            raise errors.HorizonOutOfRange(s, n_steps)
-
     # process-major like the engine's blocks: sums[0] runs over z and
     # sums[1] over z * z
     sums = np.zeros((2, n, n_steps))
     terminal = np.empty((m_trajectories, n))
-    captured = {s: np.empty((m_trajectories, n)) for s in capture}
 
     for first in range(0, m_trajectories, batch_size):
         bs = min(batch_size, m_trajectories - first)
@@ -274,11 +257,7 @@ def run_ensemble(
             for slab, base in zip(z, carry):
                 _running_sum(slab, slab, base)
             carry[:] = z[:, -1]
-            stop = start + z.shape[1]
-            _add_in_order(sums[:, :, start:stop], z)
-            for s in capture:
-                if start < s <= stop:
-                    captured[s][members] = z[:, s - 1 - start].T
+            _add_in_order(sums[:, :, start : start + z.shape[1]], z)
         terminal[members] = carry.T
         logger.debug("ensemble batch %d..%d of %d done", first, first + bs, m_trajectories)
 
@@ -293,7 +272,6 @@ def run_ensemble(
         terminal_samples=terminal,
         m_trajectories=m_trajectories,
         master_seed=master_seed,
-        captured=captured,
     )
 
 

@@ -123,15 +123,6 @@ class EmptySample(OpriskError):
     """A sample vector is empty."""
 
 
-class HorizonOutOfRange(OpriskError):
-    """A report step lies outside the simulated horizon."""
-
-    def __init__(self, step: int, n_steps: int) -> None:
-        self.step = step
-        self.n_steps = n_steps
-        super().__init__(f"step {step} outside the simulated range [1, {n_steps}]")
-
-
 class ZeroTrueValue(OpriskError):
     """A relative error was requested against a true value of zero."""
 

@@ -168,7 +168,7 @@ class EstimateSet:
     j_hat: dict
     lam: np.ndarray
     horizons: np.ndarray
-    diagnostics: EstimationDiagnostics | None
+    diagnostics: EstimationDiagnostics
 
     def __post_init__(self) -> None:
         bad = self.theta_available & (self.theta_hat > 0)
@@ -198,24 +198,23 @@ class EstimateSet:
                 for (i, j), candidates in sorted(self.j_hat.items())
             },
         }
-        if self.diagnostics is not None:
-            diag = self.diagnostics
-            doc["diagnostics"] = {
-                "discarded": [int(d) for d in diag.discarded],
-                "degenerate_theta": [
-                    {"process": i + 1, "reason": reason} for i, reason in diag.degenerate_theta
-                ],
-                "skipped_classes": [
-                    {"i": i + 1, "j": j + 1, "count_class": c, "reason": reason}
-                    for i, j, c, reason in diag.skipped_classes
-                ],
-                "window": diag.window,
-                "estimation_steps": diag.n_steps,
-            }
+        diag = self.diagnostics
+        doc["diagnostics"] = {
+            "discarded": [int(d) for d in diag.discarded],
+            "degenerate_theta": [
+                {"process": i + 1, "reason": reason} for i, reason in diag.degenerate_theta
+            ],
+            "skipped_classes": [
+                {"i": i + 1, "j": j + 1, "count_class": c, "reason": reason}
+                for i, j, c, reason in diag.skipped_classes
+            ],
+            "window": diag.window,
+            "estimation_steps": diag.n_steps,
+        }
         return doc
 
 
-def classify_events(db, horizons: np.ndarray) -> EventClassCounts:
+def classify_events(events: LossEvents, horizons: np.ndarray) -> EventClassCounts:
     """Count a database's events into per-class event counters.
 
     Counting starts at t = max horizon so every trigger count sees a full
@@ -228,14 +227,11 @@ def classify_events(db, horizons: np.ndarray) -> EventClassCounts:
     array of the database's length is built.
 
     Args:
-        db: LossEvents, or a LossMatrix or (T, N) array (read through
-            LossEvents.of).
         horizons: (N, N) nonnegative integer matrix.
 
     Raises:
         DatabaseTooShort: fewer than max horizon + 1 steps.
     """
-    events = db if isinstance(db, LossEvents) else LossEvents.of(db)
     n_steps, n = events.n_steps, events.n_processes
     horizons = np.asarray(horizons)
     if horizons.shape != (n, n):
@@ -395,10 +391,9 @@ def estimate_from_counts(counts: EventClassCounts, lam) -> EstimateSet:
     )
 
 
-def estimate_from_database(db, horizons: np.ndarray, lam: np.ndarray) -> EstimateSet:
-    """Classify a database and invert its counts: ``db`` is LossEvents, or a
-    LossMatrix or (T, N) array, as classify_events takes it."""
-    return estimate_from_counts(classify_events(db, horizons), lam)
+def estimate_from_database(events: LossEvents, horizons: np.ndarray, lam) -> EstimateSet:
+    """Classify a database's events and invert their counts."""
+    return estimate_from_counts(classify_events(events, horizons), lam)
 
 
 def collapse_precision(estimates: EstimateSet) -> np.ndarray:

@@ -80,11 +80,7 @@ def noise_rates(rates) -> np.ndarray:
 def seed_in_range(seed: int) -> bool:
     """Whether ``seed`` is a 64-bit unsigned integer, the seeds PCG64 takes:
     a Python or NumPy integer, never a bool or a float it would truncate."""
-    return _is_integer(seed) and 0 <= seed < 2**64
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and 0 <= seed < 2**64
 
 
 def validate_parameters(p: ModelParameters) -> ModelParameters:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oprisk_dynamics.estimate import EstimationDiagnostics
 from oprisk_dynamics.model import ModelParameters, validate_parameters
 
 
@@ -29,6 +30,15 @@ def build_reference_parameters() -> ModelParameters:
     horizons = np.where(couplings != 0.0, 5, 0)
     return validate_parameters(
         ModelParameters(n=5, theta=theta, lam=lam, couplings=couplings, horizons=horizons)
+    )
+
+
+def clean_diagnostics(n: int) -> EstimationDiagnostics:
+    """Diagnostics of an estimate that skipped nothing, for an EstimateSet
+    built by hand."""
+    return EstimationDiagnostics(
+        discarded=np.zeros(n, dtype=np.int64), degenerate_theta=[], skipped_classes=[],
+        n_steps=0, window=0,
     )
 
 

@@ -16,6 +16,7 @@ import pytest
 from oprisk_dynamics import errors
 from oprisk_dynamics.ensemble import derive_seed, run_ensemble, var
 from oprisk_dynamics.estimate import (
+    LossEvents,
     classify_events,
     collapse_precision,
     estimate_from_counts,
@@ -90,7 +91,7 @@ def test_criterion_2_three_quarter_database_recovery(reference_parameters):
             db = simulate(p, None, T_REF, NoiseSpec(rates=p.lam, seed=derive_seed(seed, 0)))
             est_steps = int(0.75 * T_REF)
             estimates = estimate_from_database(
-                db.losses.losses[:est_steps], p.horizons, p.lam
+                LossEvents.of(db.losses.losses[:est_steps]), p.horizons, p.lam
             )
             delta_theta = np.array(
                 [relative_error(p.theta[i], estimates.theta_hat[i]) for i in range(p.n)]
@@ -209,7 +210,7 @@ def test_criterion_6a_classification_matches_brute_force():
         if horizons.max() == 0:
             horizons[0, 1] = 3
         losses = np.where(rng.random((n_steps, 3)) < 0.35, rng.exponential(1.0, (n_steps, 3)), 0.0)
-        counts = classify_events(losses, horizons)
+        counts = classify_events(LossEvents.of(losses), horizons)
         bt, bz, ct, cz, disc = brute_force_classify(losses, horizons)
         assert np.array_equal(counts.base_total, bt)
         assert np.array_equal(counts.base_zero, bz)
@@ -223,7 +224,7 @@ def test_criterion_6b_inversion_identity(small_parameters):
     must reproduce the observed ratios to 1e-12."""
     p = small_parameters
     db = simulate(p, None, 30000, NoiseSpec(rates=p.lam, seed=606))
-    counts = classify_events(db.losses, p.horizons)
+    counts = classify_events(LossEvents.of(db.losses), p.horizons)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", errors.DegeneracyWarning)
         est = estimate_from_counts(counts, p.lam)
@@ -284,7 +285,7 @@ def test_criterion_7_degenerate_inputs():
     horizons = np.array([[0, 2, 0], [0, 0, 3], [1, 0, 0]])
     lam = np.array([1.0, 2.0, 3.0])
     silent = np.zeros((200, 3))
-    counts = classify_events(silent, horizons)
+    counts = classify_events(LossEvents.of(silent), horizons)
     with pytest.warns(errors.DegeneracyWarning):
         est = estimate_from_counts(counts, lam)
     assert np.array_equal(est.theta_hat, np.zeros(3))
@@ -292,4 +293,4 @@ def test_criterion_7_degenerate_inputs():
     assert est.j_hat == {}
 
     with pytest.raises(errors.DatabaseTooShort):
-        classify_events(np.zeros((3, 3)), horizons)  # T equals the window
+        classify_events(LossEvents.of(np.zeros((3, 3))), horizons)  # T equals the window

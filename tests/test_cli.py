@@ -1,11 +1,15 @@
 """Command-line behavior: exit codes, file outputs, determinism.
 
-All invocations run in-process through main(argv) so exit codes and stderr
-can be asserted without spawning interpreters.
+Invocations run in-process through main(argv) so exit codes and stderr can
+be asserted without spawning interpreters. Only the form of a warning on
+stderr needs an interpreter of its own, as pytest records warnings instead.
 """
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -45,6 +49,20 @@ def small_config(tmp_path, **overrides):
     return str(path)
 
 
+def degenerate_database(tmp_path):
+    """A config and a database in which process 1 loses at every step: its
+    base zero-loss ratio is 0, so its theta is unavailable."""
+    doc = {
+        "model": {"theta": [-1.0], "noise": [{"p": 0.2}], "couplings": [], "horizons": 0},
+        "simulation": {"n_steps": 50, "seed": 2, "m_trajectories": 4},
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    db = tmp_path / "db.csv"
+    db.write_text("t,process,amount\n" + "".join(f"{t},1,1.0\n" for t in range(1, 51)))
+    return str(config), str(db)
+
+
 def reject_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
@@ -73,9 +91,9 @@ class TestVarCommand:
         path = tmp_path / "samples.txt"
         path.write_text("1.0\n2.0\n3.0\n")
         assert main(["var", str(path)]) == 0
-        captured = capsys.readouterr()
-        assert captured.out.strip() == "3.0"
-        assert "warning" in captured.err
+        out, err = capsys.readouterr()
+        assert out.strip() == "3.0"
+        assert "warning" in err
 
     def test_missing_file_is_a_data_error(self, tmp_path, capsys):
         assert main(["var", str(tmp_path / "absent.txt")]) == 3
@@ -388,15 +406,8 @@ class TestForecastCommand:
         assert (out / "var_table.csv").exists()
 
     def test_degenerate_database_exit_code(self, tmp_path, capsys):
-        doc = {
-            "model": {"theta": [-1.0], "noise": [{"p": 0.2}], "couplings": [], "horizons": 0},
-            "simulation": {"n_steps": 50, "seed": 2, "m_trajectories": 4},
-        }
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(doc))
-        db = tmp_path / "db.csv"
-        db.write_text("t,process,amount\n" + "".join(f"{t},1,1.0\n" for t in range(1, 51)))
-        code = main(["forecast", "--config", str(config), "--database", str(db),
+        config, db = degenerate_database(tmp_path)
+        code = main(["forecast", "--config", config, "--database", db,
                      "--out-dir", str(tmp_path / "fc")])
         assert code == 4
         assert last_stderr_json(capsys)["error"] == "EstimationDegenerate"
@@ -543,3 +554,30 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "simulate" in capsys.readouterr().out
+
+
+class TestWarningLines:
+    @pytest.mark.parametrize(("command", "exit_code"), [("estimate", 0), ("forecast", 4)])
+    def test_degeneracy_warning_is_one_line_without_a_source_location(
+        self, tmp_path, command, exit_code
+    ):
+        config, db = degenerate_database(tmp_path)
+        src = str(Path(io.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-m", "oprisk_dynamics.cli", command, "--config", config,
+             "--database", db, "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        assert done.returncode == exit_code
+        lines = done.stderr.splitlines()
+        warning = "warning: process 1: base zero-loss ratio is 0, theta degenerate at 0"
+        assert lines[0] == warning
+        assert ".py:" not in done.stderr
+        if exit_code:
+            # the warning printed as it was raised, before the error line
+            assert lines[1:] == [
+                '{"error": "EstimationDegenerate", "message": '
+                '"no usable theta estimate for process(es): 1"}'
+            ]
+        else:
+            assert lines == [warning]

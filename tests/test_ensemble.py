@@ -30,9 +30,9 @@ from oprisk_dynamics.estimate import (
     collapse_precision,
 )
 from oprisk_dynamics.model import LossMatrix, ModelParameters, NoiseSpec, validate_parameters
-from oprisk_dynamics.simulate import _ROW_SCAN_WIDTH, simulate
+from oprisk_dynamics.simulate import _ROW_SCAN_WIDTH, _SCALAR_BATCH, simulate
 
-from conftest import build_reference_parameters
+from conftest import build_reference_parameters, clean_diagnostics
 
 
 class TestDeriveSeed:
@@ -161,6 +161,27 @@ def manual_ensemble(p, initial, n_steps, m_trajectories, master_seed):
     return np.stack(paths)  # (M, T, N)
 
 
+def reference_candidates(theta) -> EstimateSet:
+    """The reference model's couplings as two candidates per pair, the second
+    1.5 times the first, with thresholds ``theta``."""
+    ref = build_reference_parameters()
+    pairs = zip(*np.nonzero(ref.couplings))
+    return EstimateSet(
+        theta_hat=theta,
+        theta_available=np.ones(5, dtype=bool),
+        j_hat={
+            (int(i), int(j)): [
+                CouplingCandidate(1, ref.couplings[i, j], 40),
+                CouplingCandidate(2, 1.5 * ref.couplings[i, j], 20),
+            ]
+            for i, j in pairs
+        },
+        lam=ref.lam,
+        horizons=ref.horizons,
+        diagnostics=clean_diagnostics(5),
+    )
+
+
 class TestRunEnsemble:
     @pytest.mark.parametrize("with_initial", [False, True])
     def test_matches_per_trajectory_simulation(self, small_parameters, with_initial):
@@ -168,13 +189,12 @@ class TestRunEnsemble:
         initial = None
         if with_initial:
             initial = LossMatrix(np.array([[0.0, 1.5], [2.0, 0.0], [0.0, 0.3]]))
-        result = run_ensemble(p, initial, n_steps=240, m_trajectories=5, master_seed=99,
-                              capture_steps=(7, 240))
+        result = run_ensemble(p, initial, n_steps=240, m_trajectories=5, master_seed=99)
+        cut = run_ensemble(p, initial, n_steps=7, m_trajectories=5, master_seed=99)
         stack = manual_ensemble(p, initial, 240, 5, master_seed=99)
 
         assert np.array_equal(result.terminal_samples, stack[:, -1, :])
-        assert np.array_equal(result.captured[7], stack[:, 6, :])
-        assert np.array_equal(result.captured[240], stack[:, -1, :])
+        assert np.array_equal(cut.terminal_samples, stack[:, 6, :])
         np.testing.assert_allclose(result.mean_z, stack.mean(axis=0), rtol=1e-12, atol=0)
         np.testing.assert_allclose(
             result.std_z, stack.std(axis=0, ddof=1), rtol=1e-7, atol=1e-10
@@ -193,17 +213,14 @@ class TestRunEnsemble:
 
     @pytest.mark.parametrize("batch_size", [1, 2, 3, 64])
     def test_batch_size_never_changes_results(self, small_parameters, batch_size):
-        baseline = run_ensemble(
-            small_parameters, None, 150, 7, master_seed=11, batch_size=7, capture_steps=(33,)
-        )
-        other = run_ensemble(
-            small_parameters, None, 150, 7, master_seed=11, batch_size=batch_size,
-            capture_steps=(33,),
-        )
+        baseline = run_ensemble(small_parameters, None, 150, 7, master_seed=11, batch_size=7)
+        other = run_ensemble(small_parameters, None, 150, 7, master_seed=11, batch_size=batch_size)
         assert np.array_equal(baseline.mean_z, other.mean_z)
         assert np.array_equal(baseline.std_z, other.std_z)
         assert np.array_equal(baseline.terminal_samples, other.terminal_samples)
-        assert np.array_equal(baseline.captured[33], other.captured[33])
+        cut = [run_ensemble(small_parameters, None, 33, 7, master_seed=11, batch_size=b)
+               for b in (7, batch_size)]
+        assert np.array_equal(cut[0].terminal_samples, cut[1].terminal_samples)
 
     @pytest.mark.parametrize("batch_size", [1, 2, 3])
     def test_batch_size_never_changes_one_process_results(self, batch_size):
@@ -232,13 +249,13 @@ class TestRunEnsemble:
                 ModelParameters(n=1, theta=[0.5], lam=[1.5], couplings=[[0.0]], horizons=[[0]])
             )
             n_steps = 1
-        kwargs = dict(master_seed=17, capture_steps=(1,))
-        baseline = run_ensemble(p, None, n_steps, 130, batch_size=130, **kwargs)
-        other = run_ensemble(p, None, n_steps, 130, batch_size=batch_size, **kwargs)
+        baseline = run_ensemble(p, None, n_steps, 130, 17, batch_size=130)
+        other = run_ensemble(p, None, n_steps, 130, 17, batch_size=batch_size)
         assert baseline.mean_z.tobytes() == other.mean_z.tobytes()
         assert baseline.std_z.tobytes() == other.std_z.tobytes()
         assert baseline.terminal_samples.tobytes() == other.terminal_samples.tobytes()
-        assert baseline.captured[1].tobytes() == other.captured[1].tobytes()
+        cut = [run_ensemble(p, None, 1, 130, 17, batch_size=b) for b in (130, batch_size)]
+        assert cut[0].terminal_samples.tobytes() == cut[1].terminal_samples.tobytes()
 
     def test_wide_batch_matches_narrow_batches_and_simulate(self, monkeypatch):
         # A batch of M >= _ROW_SCAN_WIDTH takes the row-add branch of the
@@ -253,21 +270,7 @@ class TestRunEnsemble:
         ref = build_reference_parameters()
         theta = ref.theta.copy()
         theta[2] = -1.65
-        pairs = zip(*np.nonzero(ref.couplings))
-        est = EstimateSet(
-            theta_hat=theta,
-            theta_available=np.ones(5, dtype=bool),
-            j_hat={
-                (int(i), int(j)): [
-                    CouplingCandidate(1, ref.couplings[i, j], 40),
-                    CouplingCandidate(2, 1.5 * ref.couplings[i, j], 20),
-                ]
-                for i, j in pairs
-            },
-            lam=ref.lam,
-            horizons=ref.horizons,
-            diagnostics=None,
-        )
+        est = reference_candidates(theta)
         wide_calls = set()
 
         def recorded(values, out, base, scan=sim._running_sum):
@@ -277,14 +280,17 @@ class TestRunEnsemble:
 
         monkeypatch.setattr(sim, "_running_sum", recorded)
         monkeypatch.setattr(ens, "_running_sum", recorded)
-        kwargs = dict(collapse="sample-per-run", capture_steps=(1, 150))
+        kwargs = dict(collapse="sample-per-run")
         wide = run_ensemble(est, None, n_steps, m_traj, master, **kwargs)
         assert wide_calls == {"run_ensemble", "_sweep"}
         narrow = run_ensemble(est, None, n_steps, m_traj, master, batch_size=7, **kwargs)
         for name in ("mean_z", "std_z", "terminal_samples"):
             assert getattr(wide, name).tobytes() == getattr(narrow, name).tobytes()
+        wide_cut = {}
         for s in (1, 150):
-            assert wide.captured[s].tobytes() == narrow.captured[s].tobytes()
+            wide_cut[s] = run_ensemble(est, None, s, m_traj, master, **kwargs)
+            narrow_cut = run_ensemble(est, None, s, m_traj, master, batch_size=7, **kwargs)
+            assert wide_cut[s].terminal_samples.tobytes() == narrow_cut.terminal_samples.tobytes()
 
         drawn = collapse_estimates(est, "sample-per-run", m_traj, derive_seed(master, 0))
         for m in range(m_traj):
@@ -294,25 +300,45 @@ class TestRunEnsemble:
             )
             z = simulate(p, None, n_steps, NoiseSpec(rates=p.lam, seed=derive_seed(master, 1 + m)))
             assert wide.terminal_samples[m].tobytes() == z.cumulative[-1].tobytes()
-            assert wide.captured[150][m].tobytes() == z.cumulative[149].tobytes()
+            assert wide_cut[150].terminal_samples[m].tobytes() == z.cumulative[149].tobytes()
 
     def test_chunk_boundaries_carry_the_running_sums(self, small_parameters, monkeypatch):
         # a batch of 7 gets 280 // 7 = 40 steps per chunk: T = 150 spans
         # chunks starting at steps 1, 41, 81 and 121
         sim = importlib.import_module("oprisk_dynamics.simulate")
         p = small_parameters
-        capture = (1, 40, 41, 80, 121, 150)
         whole = run_ensemble(p, None, 150, 7, master_seed=11, batch_size=7)
         monkeypatch.setattr(sim, "_CHUNK_BUDGET", 280)
-        chunked = run_ensemble(
-            p, None, 150, 7, master_seed=11, batch_size=7, capture_steps=capture
-        )
+        chunked = run_ensemble(p, None, 150, 7, master_seed=11, batch_size=7)
         stack = manual_ensemble(p, None, 150, 7, master_seed=11)
         assert np.array_equal(chunked.terminal_samples, stack[:, -1, :])
-        for s in capture:
-            assert np.array_equal(chunked.captured[s], stack[:, s - 1, :])
+        for s in (1, 40, 41, 80, 121):
+            cut = run_ensemble(p, None, s, 7, master_seed=11, batch_size=7)
+            assert np.array_equal(cut.terminal_samples, stack[:, s - 1, :])
         assert np.array_equal(chunked.mean_z, whole.mean_z)
         assert np.array_equal(chunked.std_z, whole.std_z)
+
+    @pytest.mark.parametrize("source", ["parameters", "sample-per-run"])
+    @pytest.mark.parametrize(
+        "width", [_SCALAR_BATCH, _SCALAR_BATCH + 1, _ROW_SCAN_WIDTH - 1, _ROW_SCAN_WIDTH]
+    )
+    def test_a_cut_run_reproduces_the_longer_runs_statistics(self, monkeypatch, source, width):
+        # a run of s steps has the bits of a longer run's first s steps, so
+        # its terminal samples are that run's cross-section at step s.
+        # Chunks of 40 steps put s = 40 and 80 on a boundary, between s = 39
+        # and 41 and between s = 79 and 81
+        sim = importlib.import_module("oprisk_dynamics.simulate")
+        monkeypatch.setattr(sim, "_CHUNK_BUDGET", 40 * width)
+        if source == "parameters":
+            src, collapse = build_reference_parameters(), "mean"
+        else:
+            src, collapse = reference_candidates(build_reference_parameters().theta), source
+        kwargs = dict(master_seed=31, batch_size=width, collapse=collapse)
+        longer = run_ensemble(src, None, 120, width, **kwargs)
+        for s in (1, 39, 40, 41, 79, 80, 81):
+            cut = run_ensemble(src, None, s, width, **kwargs)
+            assert cut.mean_z.tobytes() == longer.mean_z[:s].tobytes()
+            assert cut.std_z.tobytes() == longer.std_z[:s].tobytes()
 
     def test_memory_is_bounded_by_the_chunk_not_the_length(self, small_parameters):
         # a (T, batch, N) float64 buffer alone would take 20 000 x 256 x 2 x 8
@@ -356,15 +382,6 @@ class TestRunEnsemble:
             run_ensemble(small_parameters, None, 0, 2, master_seed=0)
         with pytest.raises(ValueError):
             run_ensemble(small_parameters, None, 10, 2, master_seed=0, batch_size=0)
-        with pytest.raises(errors.HorizonOutOfRange):
-            run_ensemble(small_parameters, None, 10, 2, master_seed=0, capture_steps=(11,))
-        with pytest.raises(errors.HorizonOutOfRange):
-            run_ensemble(small_parameters, None, 10, 2, master_seed=0, capture_steps=(0,))
-        # a capture step is an integer: 2.7 is not taken as step 2, nor True as 1
-        for bad in (2.7, 2.0, True, np.float64(3.0), "3"):
-            with pytest.raises(ValueError, match="capture steps must be integers"):
-                run_ensemble(small_parameters, None, 10, 2, master_seed=0,
-                             capture_steps=(1, bad))
         with pytest.raises(ValueError):
             run_ensemble(small_parameters, None, 10, 2, master_seed=0, collapse="sample-per-run")
 
@@ -417,7 +434,7 @@ def two_candidate_estimates():
         j_hat=j_hat,
         lam=np.array([1.0, 2.0]),
         horizons=np.array([[0, 3], [0, 0]]),
-        diagnostics=None,
+        diagnostics=clean_diagnostics(2),
     )
 
 
@@ -491,16 +508,18 @@ class TestEstimateSetSources:
             },
             lam=np.array([1.5, 2.0]),
             horizons=np.array([[0, 3], [0, 2]]),
-            diagnostics=None,
+            diagnostics=clean_diagnostics(2),
         )
         master, m_traj = 17, 7
-        kwargs = dict(master_seed=master, collapse="sample-per-run", capture_steps=(60,))
+        kwargs = dict(master_seed=master, collapse="sample-per-run")
         baseline = run_ensemble(est, None, 150, m_traj, batch_size=7, **kwargs)
         result = run_ensemble(est, None, 150, m_traj, batch_size=batch_size, **kwargs)
         assert np.array_equal(result.mean_z, baseline.mean_z)
         assert np.array_equal(result.std_z, baseline.std_z)
         assert np.array_equal(result.terminal_samples, baseline.terminal_samples)
-        assert np.array_equal(result.captured[60], baseline.captured[60])
+        cut = [run_ensemble(est, None, 60, m_traj, batch_size=b, **kwargs)
+               for b in (7, batch_size)]
+        assert np.array_equal(cut[1].terminal_samples, cut[0].terminal_samples)
 
         stack = collapse_estimates(est, "sample-per-run", m_traj, derive_seed(master, 0))
         drawn = []

@@ -35,6 +35,8 @@ from oprisk_dynamics.estimate import (
 from oprisk_dynamics.model import LossMatrix, ModelParameters, NoiseSpec, validate_parameters
 from oprisk_dynamics.simulate import simulate
 
+from conftest import clean_diagnostics
+
 
 def brute_force_classify(losses: np.ndarray, horizons: np.ndarray):
     """Naive recount of every conditioning class, one window scan per event."""
@@ -129,7 +131,7 @@ class TestClassifyEvents:
         # losses (0, 5, 0, 0) with a one-step self horizon:
         # t=1 base with loss, t=2 class c=1 with zero loss, t=3 base with zero loss
         counts = classify_events(
-            LossMatrix(np.array([[0.0], [5.0], [0.0], [0.0]])), np.array([[1]])
+            LossEvents.of(LossMatrix(np.array([[0.0], [5.0], [0.0], [0.0]]))), np.array([[1]])
         )
         assert counts.base_total[0] == 2
         assert counts.base_zero[0] == 1
@@ -139,7 +141,7 @@ class TestClassifyEvents:
 
     def test_all_zero_database(self):
         horizons = np.array([[0, 3], [0, 2]])
-        counts = classify_events(np.zeros((10, 2)), horizons)
+        counts = classify_events(LossEvents.of(np.zeros((10, 2))), horizons)
         assert np.array_equal(counts.base_total, [7, 7])  # T - W events per process
         assert np.array_equal(counts.base_zero, [7, 7])
         assert not counts.class_total.any()
@@ -153,7 +155,7 @@ class TestClassifyEvents:
         dead_row = horizons.copy()
         dead_row[0] = 0
         for h in (horizons, np.zeros_like(horizons), dead_row):
-            counts = classify_events(losses, h)
+            counts = classify_events(LossEvents.of(losses), h)
             bt, bz, ct, cz, disc = brute_force_classify(losses, h)
             assert np.array_equal(counts.base_total, bt)
             assert np.array_equal(counts.base_zero, bz)
@@ -168,7 +170,7 @@ class TestClassifyEvents:
     def test_event_partition_is_complete(self, case_seed):
         rng = np.random.default_rng(4400 + case_seed)
         losses, horizons = random_database(rng)
-        counts = classify_events(losses, horizons)
+        counts = classify_events(LossEvents.of(losses), horizons)
         per_process = (
             counts.base_total
             + counts.class_total.sum(axis=(1, 2))
@@ -179,9 +181,9 @@ class TestClassifyEvents:
 
     def test_database_shorter_than_window_rejected(self):
         with pytest.raises(errors.DatabaseTooShort):
-            classify_events(np.zeros((5, 1)), np.array([[5]]))
+            classify_events(LossEvents.of(np.zeros((5, 1))), np.array([[5]]))
         # exactly window + 1 steps is enough
-        counts = classify_events(np.zeros((6, 1)), np.array([[5]]))
+        counts = classify_events(LossEvents.of(np.zeros((6, 1))), np.array([[5]]))
         assert counts.base_total[0] == 1
 
 
@@ -421,7 +423,7 @@ class TestEstimateFromDatabase:
         horizons = np.array([[0, 1], [0, 0]])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            est = estimate_from_database(losses, horizons, np.array([1.0, 1.0]))
+            est = estimate_from_database(LossEvents.of(losses), horizons, np.array([1.0, 1.0]))
 
         assert est.diagnostics.degenerate_theta == [(0, "zero-ratio-1")]
         assert est.diagnostics.skipped_classes == [(0, 1, 1, "zero-ratio-0")]
@@ -459,7 +461,7 @@ class TestCollapse:
             j_hat=j_hat,
             lam=np.array([1.0, 1.0]),
             horizons=np.array([[0, 3], [0, 3]]),
-            diagnostics=None,
+            diagnostics=clean_diagnostics(2),
         )
 
     def test_mean_stack_repeats_the_precision_mean(self):
@@ -521,7 +523,7 @@ class TestCollapse:
         traj = simulate(p, None, 20000, NoiseSpec(rates=p.lam, seed=5))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no degeneracy expected
-            est = estimate_from_database(traj.losses, p.horizons, p.lam)
+            est = estimate_from_database(LossEvents.of(traj.losses), p.horizons, p.lam)
         assert set(est.j_hat) == {(0, 1)}
         values = [cand.estimate for cand in est.j_hat[(0, 1)]]
         assert len(values) == 3
@@ -560,7 +562,8 @@ class TestCollapse:
         }
         est = EstimateSet(
             theta_hat=-np.ones(n), theta_available=np.ones(n, dtype=bool), j_hat=j_hat,
-            lam=np.ones(n), horizons=np.ones((n, n), dtype=np.int64), diagnostics=None,
+            lam=np.ones(n), horizons=np.ones((n, n), dtype=np.int64),
+            diagnostics=clean_diagnostics(n),
         )
         m, seed = int(rng.integers(1, 301)), int(rng.integers(2**63))
         stack = collapse_estimates(est, "sample-per-run", m, seed=seed)
@@ -632,7 +635,7 @@ class TestRoundTrip:
         traj = simulate(p, None, 60000, NoiseSpec(rates=p.lam, seed=314))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no degeneracy expected
-            est = estimate_from_database(traj.losses, p.horizons, p.lam)
+            est = estimate_from_database(LossEvents.of(traj.losses), p.horizons, p.lam)
         assert est.theta_available.all()
         assert np.allclose(est.theta_hat, p.theta, rtol=0.06)
         assert est.j_hat == {}
@@ -643,7 +646,7 @@ class TestRoundTrip:
             small_parameters, None, 80000, NoiseSpec(rates=small_parameters.lam, seed=11)
         )
         est = estimate_from_database(
-            traj.losses, small_parameters.horizons, small_parameters.lam
+            LossEvents.of(traj.losses), small_parameters.horizons, small_parameters.lam
         )
         assert np.allclose(est.theta_hat, small_parameters.theta, rtol=0.05)
         collapsed = collapse_estimates(est, "mean", 2)[0]

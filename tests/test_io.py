@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import re
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -541,7 +542,10 @@ class TestNumpyPassMatchesRowParser:
         assert assert_declines_or_matches(path) is not None
 
     LIMIT = csv.field_size_limit()
-    DIGITS = sys.get_int_max_str_digits()
+    # 0 where the interpreter puts no limit on int's digits: Python before
+    # 3.10.7 has no sys.get_int_max_str_digits, and 0 switches the limit off
+    DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    AT_DIGIT_LIMIT = pytest.mark.skipif(not DIGITS, reason="the interpreter has no int digit limit")
 
     @pytest.mark.parametrize(
         "body,takes_pass",
@@ -553,9 +557,12 @@ class TestNumpyPassMatchesRowParser:
                          id="ids-at-int64-edges"),
             pytest.param("1,1," + "0" * (LIMIT - 1) + "1\n", False, id="field-at-csv-limit"),
             pytest.param("1,1," + "0" * LIMIT + "1\n", False, id="field-over-csv-limit"),
-            pytest.param("1," + "0" * (DIGITS - 1) + "1,1\n", False, id="id-at-int-digit-limit"),
-            pytest.param("1," + "0" * DIGITS + "1,1\n", False, id="id-over-int-digit-limit"),
-            pytest.param("1," + "0" * (DIGITS - 6) + "1,1\n", True, id="id-on-longest-line"),
+            pytest.param("1," + "0" * (DIGITS - 1) + "1,1\n", False, id="id-at-int-digit-limit",
+                         marks=AT_DIGIT_LIMIT),
+            pytest.param("1," + "0" * DIGITS + "1,1\n", False, id="id-over-int-digit-limit",
+                         marks=AT_DIGIT_LIMIT),
+            pytest.param("1," + "0" * (DIGITS - 6) + "1,1\n", True, id="id-on-longest-line",
+                         marks=AT_DIGIT_LIMIT),
             pytest.param("1,1,1\n \n", False, id="space-only-line"),
             pytest.param("1,1,1\n\t\r\n", False, id="tab-only-line"),
             pytest.param("\n\r\n1,1,1\n\n2,1,1\r\n\r\n", True, id="blank-lines"),
@@ -597,11 +604,14 @@ class TestNumpyPassMatchesRowParser:
 
     def test_interpreter_without_an_int_digit_limit(self, tmp_path, monkeypatch):
         # Python before 3.10.7 has no sys.get_int_max_str_digits and parses an
-        # int of any length, so only the csv field limit bounds a line
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
+        # int of any length, so only the csv field limit bounds a line; on
+        # an interpreter with a limit, the limit is lifted and the function
+        # deleted for the test
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
             monkeypatch.delattr(sys, "get_int_max_str_digits")
+        try:
             path = tmp_path / "db.csv"
             path.write_text("t,process,amount\n1," + "0" * 4999 + "1,1\n")
             columns = assert_declines_or_matches(path)
@@ -610,7 +620,21 @@ class TestNumpyPassMatchesRowParser:
             path.write_text("t,process,amount\n1,1," + "0" * self.LIMIT + "1\n")
             assert assert_declines_or_matches(path) is None
         finally:
-            sys.set_int_max_str_digits(limit)
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+
+    def test_module_collects_on_an_interpreter_without_an_int_digit_limit(self):
+        # the class body reads the limit, so a read that fails there fails
+        # the collection of every test in this module
+        code = (
+            "import sys, pytest; vars(sys).pop('get_int_max_str_digits', None); "
+            "sys.exit(pytest.main(['--co', '-q', '-p', 'no:cacheprovider', sys.argv[1]]))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code, __file__], cwd=Path(__file__).resolve().parent.parent,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
 
     def test_header_only_file_without_a_line_end_takes_the_pass(self, tmp_path):
         path = tmp_path / "db.csv"

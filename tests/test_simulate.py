@@ -284,8 +284,9 @@ class TestSimulate:
         while p.max_horizon == 0 or not initial.any():
             p, initial = random_model(rng)
         history = LossMatrix(initial)
-        kwargs = dict(master_seed=3, batch_size=3, capture_steps=(20,))
+        kwargs = dict(master_seed=3, batch_size=3)
         whole = run_ensemble(p, history, 50, 5, **kwargs)
+        whole_cut = run_ensemble(p, history, 20, 5, **kwargs)
         monkeypatch.setattr(sim, "_CHUNK_STEPS", 7)
         traj = simulate(p, history, 50, NoiseSpec(rates=p.lam, seed=21))
         assert np.array_equal(traj.losses.losses, naive_simulate(p, initial, 50, 21))
@@ -293,7 +294,8 @@ class TestSimulate:
         assert chunked.mean_z.tobytes() == whole.mean_z.tobytes()
         assert chunked.std_z.tobytes() == whole.std_z.tobytes()
         assert chunked.terminal_samples.tobytes() == whole.terminal_samples.tobytes()
-        assert chunked.captured[20].tobytes() == whole.captured[20].tobytes()
+        chunked_cut = run_ensemble(p, history, 20, 5, **kwargs)
+        assert chunked_cut.terminal_samples.tobytes() == whole_cut.terminal_samples.tobytes()
 
     def test_memoryless_model_runs_from_empty_history(self):
         p = validate_parameters(
@@ -338,10 +340,12 @@ class TestSimulate:
             runs = {}
             for loop in ("compiled", "scalar", "numpy"):
                 force_step_loop(monkeypatch, sim, loop)
-                result = run_ensemble(p, window, 200, 2 * batch, master_seed=5, batch_size=batch,
-                                      capture_steps=(50,))
+                result, cut = (
+                    run_ensemble(p, window, n_steps, 2 * batch, master_seed=5, batch_size=batch)
+                    for n_steps in (200, 50)
+                )
                 runs[loop] = [result.mean_z.tobytes(), result.std_z.tobytes(),
-                              result.terminal_samples.tobytes(), result.captured[50].tobytes()]
+                              result.terminal_samples.tobytes(), cut.terminal_samples.tobytes()]
             assert runs["compiled"] == runs["scalar"] == runs["numpy"]
 
     @pytest.mark.parametrize("compiled", [True, False])
@@ -412,17 +416,13 @@ class TestDependencyOrder:
         n_steps = 90
         traj = simulate(p, LossMatrix(initial), n_steps, NoiseSpec(rates=p.lam, seed=13))
         assert np.array_equal(traj.losses.losses, naive_simulate(p, initial, n_steps, 13))
-        result = run_ensemble(
-            p, LossMatrix(initial), n_steps, 4, master_seed=29, batch_size=3,
-            capture_steps=(1, 45),
-        )
         paths = np.stack([
             np.cumsum(naive_simulate(p, initial, n_steps, derive_seed(29, 1 + m)), axis=0)
             for m in range(4)
         ])
-        assert np.array_equal(result.terminal_samples, paths[:, -1])
-        assert np.array_equal(result.captured[1], paths[:, 0])
-        assert np.array_equal(result.captured[45], paths[:, 44])
+        for s in (1, 45, n_steps):
+            result = run_ensemble(p, LossMatrix(initial), s, 4, master_seed=29, batch_size=3)
+            assert np.array_equal(result.terminal_samples, paths[:, s - 1])
 
     @pytest.mark.parametrize("budget", [None, 7])
     @pytest.mark.parametrize("loop", ["compiled", "scalar", "numpy"])

@@ -13,7 +13,7 @@ import pytest
 
 from oprisk_dynamics import errors
 from oprisk_dynamics.ensemble import derive_seed, run_ensemble
-from oprisk_dynamics.estimate import collapse_precision, estimate_from_database
+from oprisk_dynamics.estimate import LossEvents, collapse_precision, estimate_from_database
 from oprisk_dynamics.model import ModelParameters, NoiseSpec, validate_parameters
 from oprisk_dynamics.simulate import simulate
 from oprisk_dynamics.validation import ValidationReport, relative_error, run_validation
@@ -44,7 +44,7 @@ class TestRunValidation:
         truth = simulate(p, None, T, NoiseSpec(rates=p.lam, seed=derive_seed(master, 0)))
         assert np.array_equal(report.z_true, truth.cumulative)
 
-        estimates = estimate_from_database(truth.losses.losses, p.horizons, p.lam)
+        estimates = estimate_from_database(LossEvents.of(truth.losses), p.horizons, p.lam)
         assert np.array_equal(report.estimates.theta_hat, estimates.theta_hat)
         assert report.estimates.j_hat == estimates.j_hat
 
@@ -77,7 +77,9 @@ class TestRunValidation:
         master, T = 271, 4000
         report = run_validation(p, T, 0.5, 4, master)
         truth = simulate(p, None, T, NoiseSpec(rates=p.lam, seed=derive_seed(master, 0)))
-        partial = estimate_from_database(truth.losses.losses[:2000], p.horizons, p.lam)
+        partial = estimate_from_database(
+            LossEvents.of(truth.losses.losses[:2000]), p.horizons, p.lam
+        )
         assert np.array_equal(report.estimates.theta_hat, partial.theta_hat)
         assert report.estimates.diagnostics.n_steps == 2000
         assert report.fraction_used == 0.5
