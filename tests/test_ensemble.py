@@ -6,7 +6,10 @@ aggregated in trajectory order. Batch size must never change a single bit.
 """
 
 import importlib
+import logging
+import os
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -280,9 +283,11 @@ class TestRunEnsemble:
 
         monkeypatch.setattr(sim, "_running_sum", recorded)
         monkeypatch.setattr(ens, "_running_sum", recorded)
+        # one process, so the whole batch is one part and its calls are seen
+        monkeypatch.setattr(ens, "_part_count", lambda width: 1)
         kwargs = dict(collapse="sample-per-run")
         wide = run_ensemble(est, None, n_steps, m_traj, master, **kwargs)
-        assert wide_calls == {"run_ensemble", "_sweep"}
+        assert wide_calls == {"_evolve_part", "_sweep"}
         narrow = run_ensemble(est, None, n_steps, m_traj, master, batch_size=7, **kwargs)
         for name in ("mean_z", "std_z", "terminal_samples"):
             assert getattr(wide, name).tobytes() == getattr(narrow, name).tobytes()
@@ -340,10 +345,15 @@ class TestRunEnsemble:
             assert cut.mean_z.tobytes() == longer.mean_z[:s].tobytes()
             assert cut.std_z.tobytes() == longer.std_z[:s].tobytes()
 
-    def test_memory_is_bounded_by_the_chunk_not_the_length(self, small_parameters):
+    def test_memory_is_bounded_by_the_chunk_not_the_length(self, small_parameters,
+                                                           monkeypatch):
         # a (T, batch, N) float64 buffer alone would take 20 000 x 256 x 2 x 8
         # bytes = 82 MB; the chunk's noise and loss blocks take 2 x 2**17 x 2 x 8
-        # bytes = 4.2 MB, and the (T, N) aggregates 0.6 MB
+        # bytes = 4.2 MB, and the (T, N) aggregates 0.6 MB. It runs in one
+        # process: tracemalloc sees neither a forked part's allocations nor
+        # the mapping the parts share
+        ens = importlib.import_module("oprisk_dynamics.ensemble")
+        monkeypatch.setattr(ens, "_part_count", lambda width: 1)
         tracemalloc.start()
         try:
             run_ensemble(small_parameters, None, 20_000, 256, master_seed=6)
@@ -421,6 +431,117 @@ class TestRunEnsemble:
         ss_tot = float(((y - y.mean()) ** 2).sum())
         assert 1.0 - ss_res / ss_tot > 0.99
         assert slope == pytest.approx(p_loss / lam, rel=0.1)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkerProcesses:
+    """A batch cut into parts, each past the first in a forked child, adds
+    its sums in trajectory order through the shared mapping."""
+
+    @pytest.mark.parametrize("case", ["parameters", "sample-per-run", "initial", "short-chunks"])
+    def test_part_count_never_changes_results(self, monkeypatch, case):
+        # parts of unequal widths take chunks of unequal lengths, and a
+        # batch of M = 11 in batches of 4 has a last batch of 3
+        ens = importlib.import_module("oprisk_dynamics.ensemble")
+        sim = importlib.import_module("oprisk_dynamics.simulate")
+        ref = build_reference_parameters()
+        src, collapse, initial = ref, "mean", None
+        if case == "sample-per-run":
+            src, collapse = reference_candidates(ref.theta), case
+        elif case == "initial":
+            history = np.zeros((6, 5))
+            history[[0, 2, 3, 5], [2, 2, 0, 4]] = [0.7, 1.2, 0.4, 2.5]
+            initial = LossMatrix(history)
+        elif case == "short-chunks":
+            monkeypatch.setattr(sim, "_CHUNK_BUDGET", 97)
+        for m_traj, batch_size in [(7, 7), (11, 4), (130, 64), (300, 1024)]:
+            results = []
+            for parts in (1, 2, 3):
+                monkeypatch.setattr(ens, "_part_count",
+                                    lambda width, parts=parts: min(parts, width))
+                results.append(run_ensemble(src, initial, 90, m_traj, 29, collapse=collapse,
+                                            batch_size=batch_size))
+            for other in results[1:]:
+                for name in ("mean_z", "std_z", "terminal_samples"):
+                    assert getattr(other, name).tobytes() == getattr(results[0], name).tobytes()
+        assert_no_child_left()
+
+    def test_a_failing_child_fails_the_run_and_leaves_no_child(self, monkeypatch,
+                                                               small_parameters):
+        ens = importlib.import_module("oprisk_dynamics.ensemble")
+        caller, add = os.getpid(), ens._add_in_order
+
+        def failing(sums, z):
+            if os.getpid() != caller:
+                raise ValueError("a part fails")
+            add(sums, z)
+
+        monkeypatch.setattr(ens, "_add_in_order", failing)
+        monkeypatch.setattr(ens, "_part_count", lambda width: min(3, width))
+        with pytest.raises(RuntimeError, match="worker processes failed"):
+            run_ensemble(small_parameters, None, 200, 30, master_seed=5)
+        assert_no_child_left()
+
+    def test_an_interrupted_caller_leaves_no_child(self, monkeypatch, small_parameters):
+        ens = importlib.import_module("oprisk_dynamics.ensemble")
+        caller, add, calls = os.getpid(), ens._add_in_order, []
+
+        def interrupted(sums, z):
+            if os.getpid() == caller:
+                calls.append(z.shape)
+                if len(calls) == 2:
+                    raise KeyboardInterrupt
+            add(sums, z)
+
+        monkeypatch.setattr(ens, "_add_in_order", interrupted)
+        monkeypatch.setattr(ens, "_part_count", lambda width: min(3, width))
+        monkeypatch.setattr(importlib.import_module("oprisk_dynamics.simulate"),
+                            "_CHUNK_BUDGET", 100)
+        with pytest.raises(KeyboardInterrupt):
+            run_ensemble(small_parameters, None, 200, 30, master_seed=5)
+        assert_no_child_left()
+
+    def test_the_part_rule(self, monkeypatch):
+        ens = importlib.import_module("oprisk_dynamics.ensemble")
+        least = ens._MIN_PART
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        widths = [1, 2 * least - 1, 2 * least, 3 * least, 100 * least]
+        assert [ens._part_count(w) for w in widths] == [1, 1, 2, 3, 3]
+        assert ens._part_bounds(10, 10 + 3 * least + 2) == [
+            10, 10 + least, 10 + 2 * least + 1, 10 + 3 * least + 2
+        ]
+        with monkeypatch.context() as patch:
+            patch.delattr(os, "sched_getaffinity")
+            patch.setattr(os, "cpu_count", lambda: 2)
+            assert ens._part_count(100 * least) == 2
+            patch.setattr(os, "cpu_count", lambda: None)
+            assert ens._part_count(100 * least) == 1
+        with monkeypatch.context() as patch:
+            patch.delattr(os, "fork")
+            assert ens._part_count(100 * least) == 1
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert ens._part_count(100 * least) == 1
+        finally:
+            release.set()
+            other.join()
+        assert ens._part_count(100 * least) == 3
+
+    def test_each_batch_logs_its_processes(self, monkeypatch, caplog, small_parameters):
+        ens = importlib.import_module("oprisk_dynamics.ensemble")
+        monkeypatch.setattr(ens, "_part_count", lambda width: min(2, width))
+        with caplog.at_level(logging.DEBUG, logger="oprisk_dynamics.ensemble"):
+            run_ensemble(small_parameters, None, 20, 9, master_seed=3, batch_size=5)
+        assert [r.getMessage() for r in caplog.records] == [
+            "ensemble batch 0..5 of 9: 2 process(es) of widths [2, 3]",
+            "ensemble batch 5..9 of 9: 2 process(es) of widths [2, 2]",
+        ]
 
 
 def two_candidate_estimates():
