@@ -184,6 +184,37 @@ def count_steps(monkeypatch, sim):
     return stepped
 
 
+def record_sweeps(monkeypatch, sim):
+    """Wrap the sweep and every step loop; returns the list of events in the
+    order they ran: "sweep" for a ``_sweep`` call, "quiet" for a step loop
+    call that stopped before the end of its chunk."""
+    events = []
+    sweep = sim._sweep
+
+    def swept(*args):
+        events.append("sweep")
+        sweep(*args)
+
+    monkeypatch.setattr(sim, "_sweep", swept)
+    for name in STEP_LOOPS:
+        def counted(losses, *rest, loop=getattr(sim, name)):
+            stop = loop(losses, *rest)
+            if stop < losses.shape[1]:
+                events.append("quiet")
+            return stop
+
+        monkeypatch.setattr(sim, name, counted)
+    return events
+
+
+def subcritical_steps(monkeypatch, sim):
+    """Steps the step loops take in a 20k-step reference simulate, seed 1."""
+    stepped = count_steps(monkeypatch, sim)
+    p = build_reference_parameters()
+    simulate(p, None, 20_000, NoiseSpec(rates=p.lam, seed=1))
+    return sum(map(sum, stepped.values()))
+
+
 def force_step_loop(monkeypatch, sim, loop):
     """Make the engine step every cycle with ``loop`` ("compiled", "scalar" or
     "numpy") at any batch width; returns the name the engine calls it by.
@@ -332,11 +363,13 @@ class TestSimulate:
         assert runs["compiled"] == runs["scalar"] == runs["numpy"]
 
     def test_compiled_and_numpy_paths_agree_on_a_batch(self, monkeypatch):
-        # batches of 3, and of 5, wider than the scalar body's default width
+        # batches of 3, of 5, wider than the scalar body's default width, and
+        # of one more than the widest that settles quiet stretches by rounds,
+        # which steps every busy stretch
         sim = importlib.import_module("oprisk_dynamics.simulate")
         p, initial = random_model(np.random.default_rng(45))
         window = LossMatrix(initial)
-        for batch in (3, 5):
+        for batch in (3, 5, sim._SETTLE_WIDTH + 1):
             runs = {}
             for loop in ("compiled", "scalar", "numpy"):
                 force_step_loop(monkeypatch, sim, loop)
@@ -443,23 +476,79 @@ class TestDependencyOrder:
         n_steps, seeds = 150, [derive_seed(41, m) for m in range(7)]
         expected = np.stack([naive_simulate(p, initial, n_steps, seed) for seed in seeds], axis=1)
         stepped = count_steps(monkeypatch, sim)
+        events = record_sweeps(monkeypatch, sim)
         for batch in (1, 2, 3, 7):
             for first in range(0, 7, batch):
                 got = engine_losses(p, initial, n_steps, seeds[first : first + batch])
                 assert np.array_equal(got, expected[:, first : first + batch])
             if batch == 1:
-                # one trajectory at a time, each run both steps and skips
-                assert 0 < sum(stepped[selected]) < 7 * n_steps
+                single_steps, single_sweeps = sum(stepped[selected]), events.count("sweep")
         assert [name for name in STEP_LOOPS if stepped[name]] == [selected]
+        # one trajectory at a time, the rounds ran: the same runs without
+        # them sweep only for the held sweeps
+        monkeypatch.setattr(sim, "_SETTLE_ROUNDS", 0)
+        events.clear()
+        for seed in seeds:
+            engine_losses(p, initial, n_steps, [seed])
+        assert single_sweeps > events.count("sweep")
+        # a member loss at the end of the start history, or a run of losses
+        # that outlasts the rounds, is still stepped
+        if history == "ends_in_member_loss" or name == "self_excited_lock_in":
+            assert single_steps > 0
 
     def test_step_loop_runs_on_few_steps_of_a_subcritical_run(self, monkeypatch):
         # the reference model's process 3 loses on about 1% of its steps, so
-        # it is within reach (5 steps) of its own losses on few of them
+        # it is within reach (5 steps) of its own losses on few of them, and
+        # the rounds settle nearly all of those without the step loop
         sim = importlib.import_module("oprisk_dynamics.simulate")
-        stepped = count_steps(monkeypatch, sim)
-        p = build_reference_parameters()
-        simulate(p, None, 20_000, NoiseSpec(rates=p.lam, seed=1))
-        assert 0 < sum(map(sum, stepped.values())) < 0.25 * 20_000
+        assert subcritical_steps(monkeypatch, sim) < 0.01 * 20_000
+
+    def test_without_rounds_the_step_loop_takes_every_busy_step(self, monkeypatch):
+        # the same run steps wherever the cycle is within reach of a loss
+        sim = importlib.import_module("oprisk_dynamics.simulate")
+        monkeypatch.setattr(sim, "_SETTLE_ROUNDS", 0)
+        assert 0 < subcritical_steps(monkeypatch, sim) < 0.25 * 20_000
+
+    @pytest.mark.parametrize("budget", [None, 7])
+    @pytest.mark.parametrize("history", ["ends_in_member_loss", "quiet"])
+    @pytest.mark.parametrize("name", sorted(QUIET_MODELS))
+    def test_settling_rounds_change_no_loss(self, monkeypatch, name, history, budget):
+        # the rounds decide only which steps the step loop takes, so without
+        # them every batch gets the same bytes, on both sides of the width
+        # above which they do not run; a budget of 7 with 5-step tiles makes
+        # the rounds cross chunk and tile boundaries
+        sim = importlib.import_module("oprisk_dynamics.simulate")
+        if budget is not None:
+            monkeypatch.setattr(sim, "_CHUNK_BUDGET", budget)
+            monkeypatch.setattr(sim, "_SWEEP_TILE", 5)
+        p = QUIET_MODELS[name]()
+        initial = start_history(p, history)
+        width = sim._SETTLE_WIDTH
+        seeds = [derive_seed(43, m) for m in range(width + 1)]
+        default, runs = sim._SETTLE_ROUNDS, {}
+        for rounds in (default, 0):
+            monkeypatch.setattr(sim, "_SETTLE_ROUNDS", rounds)
+            runs[rounds] = [engine_losses(p, initial, 150, seeds[:batch]).tobytes()
+                            for batch in (1, 3, width, width + 1)]
+        assert runs[default] == runs[0]
+
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_rounds_per_quiet_entry_are_capped(self, monkeypatch, batch):
+        # once self_excited_lock_in has lost on three steps in a row it loses
+        # on every step, a run that outlasts any number of rounds; a quiet
+        # entry sweeps its one member at most once for the held sweep and
+        # once per round
+        sim = importlib.import_module("oprisk_dynamics.simulate")
+        events = record_sweeps(monkeypatch, sim)
+        p = QUIET_MODELS["self_excited_lock_in"]()
+        initial = start_history(p, "quiet")
+        seeds = [derive_seed(41, m) for m in range(7)]
+        for first in range(0, 7, batch):
+            engine_losses(p, initial, 150, seeds[first : first + batch])
+        first_entry, *entries = " ".join(events).split("quiet")
+        sweeps = [entry.split().count("sweep") for entry in entries]
+        assert first_entry.split() == []
+        assert max(sweeps) == sim._SETTLE_ROUNDS + 1
 
 
 class TestCumulative:
