@@ -2,12 +2,12 @@
 
 Subcommands: simulate, estimate, forecast, validate, var. Every run is fully
 determined by the config file plus flags; there is no hidden entropy. Errors
-leave one JSON line on stderr and map to stable exit codes:
+leave one JSON line on stderr, and an error's category is its exit code:
 
     0  success
-    2  configuration or usage problem
-    3  data problem (database, samples, file formats)
-    4  estimation too degenerate to proceed
+    2  UsageError: a configuration, argument or model parameter is invalid
+    3  DataError or OSError: a database, sample or other file is unusable
+    4  DegenerateEstimate: the data admit no estimate the run needs
     1  anything unexpected
 """
 
@@ -23,27 +23,20 @@ import sys
 import warnings
 
 from . import errors, io
-from .ensemble import run_ensemble, var
+from .ensemble import EnsembleResult, run_ensemble, var
 from .estimate import EstimateSet, estimate_from_database
 from .model import NoiseSpec
 from .simulate import simulate
 from .validation import run_validation
 
-_CONFIG_EXIT = 2
-_DATA_EXIT = 3
-_DEGENERATE_EXIT = 4
-
-_DATA_ERRORS = (
-    errors.MalformedRecord,
-    errors.EmptyDatabase,
-    errors.EmptySample,
-    errors.UnknownProcess,
-    errors.NonPositiveAmount,
-    errors.DatabaseTooShort,
-    errors.TimestampSpanOverflow,
-    OSError,
+# An error exits with the code of the first entry it is an instance of;
+# anything else exits 1.
+_EXIT_CODES = (
+    (errors.UsageError, 2),
+    (errors.DataError, 3),
+    (OSError, 3),
+    (errors.DegenerateEstimate, 4),
 )
-_DEGENERATE_ERRORS = (errors.EstimationDegenerate, errors.MissingTheta)
 
 
 # Flags that override a config key: the RunConfig field each replaces, and its
@@ -149,6 +142,19 @@ def _write_json(path: str, doc: dict) -> None:
         handle.write("\n")
 
 
+def _write_ensemble(out_dir: str, ensemble: EnsembleResult, n_bins: int) -> list[str]:
+    """Write an ensemble's mean and std series and each process's terminal
+    histogram, and return their paths in that order."""
+    paths = [os.path.join(out_dir, "forecast_mean_z.csv"),
+             os.path.join(out_dir, "forecast_std_z.csv")]
+    io.write_series(paths[0], ensemble.mean_z)
+    io.write_series(paths[1], ensemble.std_z)
+    for i in range(ensemble.n_processes):
+        paths.append(os.path.join(out_dir, f"histogram_p{i + 1}.csv"))
+        io.write_histogram(paths[-1], ensemble.terminal_samples[:, i], n_bins)
+    return paths
+
+
 def _cmd_simulate(args) -> int:
     config = _load_config(args)
     seed = _require_seed(config)
@@ -205,25 +211,19 @@ def _cmd_forecast(args) -> int:
     )
     _warn_var_resolution(config.m_trajectories, config.confidences)
 
-    mean_path = os.path.join(out_dir, "forecast_mean_z.csv")
-    std_path = os.path.join(out_dir, "forecast_std_z.csv")
-    io.write_series(mean_path, ensemble.mean_z)
-    io.write_series(std_path, ensemble.std_z)
+    mean_path, std_path, *hist_paths = _write_ensemble(out_dir, ensemble, config.histogram_bins)
     written = [mean_path, std_path]
-    n = ensemble.n_processes
-    for i in range(n):
+    for i, hist_path in enumerate(hist_paths):
         sample_path = os.path.join(out_dir, f"terminal_p{i + 1}.txt")
         with open(sample_path, "w", encoding="utf-8") as handle:
             for value in ensemble.terminal_samples[:, i]:
                 handle.write(f"{float(value)!r}\n")
-        hist_path = os.path.join(out_dir, f"histogram_p{i + 1}.csv")
-        io.write_histogram(hist_path, ensemble.terminal_samples[:, i], config.histogram_bins)
         written += [sample_path, hist_path]
 
     table_path = os.path.join(out_dir, "var_table.csv")
     with open(table_path, "w", encoding="utf-8") as handle:
         handle.write("process,confidence,var\n")
-        for i in range(n):
+        for i in range(ensemble.n_processes):
             for c in config.confidences:
                 value = var(ensemble.terminal_samples[:, i], c)
                 handle.write(f"{i + 1},{c:g},{value!r}\n")
@@ -245,14 +245,7 @@ def _cmd_validate(args) -> int:
     report_path = os.path.join(out_dir, "validation_report.json")
     _write_json(report_path, report.to_json_dict())
     io.write_series(os.path.join(out_dir, "z_true.csv"), report.z_true)
-    io.write_series(os.path.join(out_dir, "forecast_mean_z.csv"), report.ensemble.mean_z)
-    io.write_series(os.path.join(out_dir, "forecast_std_z.csv"), report.ensemble.std_z)
-    for i in range(config.parameters.n):
-        io.write_histogram(
-            os.path.join(out_dir, f"histogram_p{i + 1}.csv"),
-            report.ensemble.terminal_samples[:, i],
-            config.histogram_bins,
-        )
+    _write_ensemble(out_dir, report.ensemble, config.histogram_bins)
 
     for i in range(config.parameters.n):
         print(
@@ -287,35 +280,20 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse already printed usage; keep a machine-readable line too
-        if exc.code:
-            print(json.dumps({"error": "UsageError", "message": "invalid arguments"}),
-                  file=sys.stderr)
-            return _CONFIG_EXIT
-        return 0
     # each warning prints as one line when it is raised, before any error line
     format_warning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse already printed usage, or help (exit 0)
+            if not exc.code:
+                return 0
+            raise errors.UsageError("invalid arguments") from None
         return _COMMANDS[args.command](args)
-    except errors.ConfigError as exc:
+    except Exception as exc:  # noqa: BLE001 - every error gets a stable exit code
         _emit_error(exc)
-        return _CONFIG_EXIT
-    except _DATA_ERRORS as exc:
-        _emit_error(exc)
-        return _DATA_EXIT
-    except _DEGENERATE_ERRORS as exc:
-        _emit_error(exc)
-        return _DEGENERATE_EXIT
-    except errors.InvalidOrder as exc:
-        _emit_error(exc)
-        return _CONFIG_EXIT
-    except Exception as exc:  # noqa: BLE001 - last-resort stable exit code
-        _emit_error(exc)
-        return 1
+        return next((code for kind, code in _EXIT_CODES if isinstance(exc, kind)), 1)
     finally:
         warnings.formatwarning = format_warning
 

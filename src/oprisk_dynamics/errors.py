@@ -2,6 +2,12 @@
 
 Error messages use 1-based process numbering to match configuration files and
 reports; structured attributes keep the raw values they were raised with.
+
+Every error derives from exactly one of three categories, and the command
+line exits with its category's code: ``UsageError`` (2) for a configuration,
+argument or model parameter that is invalid, ``DataError`` (3) for input data
+that are malformed, empty or too short, and ``DegenerateEstimate`` (4) for
+data that admit no estimate a later step needs.
 """
 
 from __future__ import annotations
@@ -11,7 +17,19 @@ class OpriskError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DimensionMismatch(OpriskError):
+class UsageError(OpriskError):
+    """A configuration, argument or model parameter is invalid (exit 2)."""
+
+
+class DataError(OpriskError):
+    """Input data are malformed, empty or too short (exit 3)."""
+
+
+class DegenerateEstimate(OpriskError):
+    """The data admit no estimate that a later step needs (exit 4)."""
+
+
+class DimensionMismatch(UsageError):
     """A vector or matrix has the wrong shape for the declared process count."""
 
     def __init__(self, field: str, expected, got) -> None:
@@ -21,7 +39,7 @@ class DimensionMismatch(OpriskError):
         super().__init__(f"{field}: expected shape {expected}, got {got}")
 
 
-class NonPositiveLambda(OpriskError):
+class NonPositiveLambda(UsageError):
     """A noise rate is zero, negative, or not a number."""
 
     def __init__(self, index: int, value: float) -> None:
@@ -30,7 +48,7 @@ class NonPositiveLambda(OpriskError):
         super().__init__(f"lambda[{index + 1}] = {value!r} must be finite and > 0")
 
 
-class NegativeHorizon(OpriskError):
+class NegativeHorizon(UsageError):
     """A memory horizon is negative or not an integer."""
 
     def __init__(self, row: int, col: int, value) -> None:
@@ -42,7 +60,7 @@ class NegativeHorizon(OpriskError):
         )
 
 
-class ZeroHorizonWithCoupling(OpriskError):
+class ZeroHorizonWithCoupling(UsageError):
     """A nonzero coupling has a zero horizon and could never fire."""
 
     def __init__(self, row: int, col: int, coupling: float) -> None:
@@ -55,7 +73,7 @@ class ZeroHorizonWithCoupling(OpriskError):
         )
 
 
-class NonFiniteParameter(OpriskError):
+class NonFiniteParameter(UsageError):
     """A model parameter is NaN or infinite."""
 
     def __init__(self, field: str, index) -> None:
@@ -64,7 +82,7 @@ class NonFiniteParameter(OpriskError):
         super().__init__(f"{field}{list(index)} is not finite")
 
 
-class HorizonExceedsHistory(OpriskError):
+class HorizonExceedsHistory(UsageError):
     """A trigger count was requested over more steps than the history holds."""
 
     def __init__(self, horizon: int, depth: int) -> None:
@@ -73,7 +91,7 @@ class HorizonExceedsHistory(OpriskError):
         super().__init__(f"horizon {horizon} exceeds history depth {depth}")
 
 
-class DatabaseTooShort(OpriskError):
+class DatabaseTooShort(DataError):
     """The loss database does not cover one full memory window plus one step."""
 
     def __init__(self, n_steps: int, required: int) -> None:
@@ -84,7 +102,7 @@ class DatabaseTooShort(OpriskError):
         )
 
 
-class MissingTheta(OpriskError):
+class MissingTheta(DegenerateEstimate):
     """A coupling inversion needs a threshold estimate that is unavailable."""
 
     def __init__(self, index: int) -> None:
@@ -94,7 +112,7 @@ class MissingTheta(OpriskError):
         )
 
 
-class EstimationDegenerate(OpriskError):
+class EstimationDegenerate(DegenerateEstimate):
     """Estimates required downstream are unavailable (degenerate data)."""
 
     def __init__(self, indices) -> None:
@@ -103,31 +121,31 @@ class EstimationDegenerate(OpriskError):
         super().__init__(f"no usable theta estimate for process(es): {pretty}")
 
 
-class InvalidProbability(OpriskError):
+class InvalidProbability(UsageError):
     """A probability argument is outside the open interval (0, 1)."""
 
 
-class NonNegativeTheta(OpriskError):
+class NonNegativeTheta(UsageError):
     """A threshold argument must be strictly negative."""
 
 
-class InvalidQuantile(OpriskError):
+class InvalidQuantile(UsageError):
     """A quantile argument must be finite and strictly positive."""
 
 
-class InvalidOrder(OpriskError):
+class InvalidOrder(UsageError):
     """A quantile/percentile order must lie in the open interval (0, 1)."""
 
 
-class EmptySample(OpriskError):
+class EmptySample(DataError):
     """A sample vector is empty."""
 
 
-class ZeroTrueValue(OpriskError):
+class ZeroTrueValue(UsageError):
     """A relative error was requested against a true value of zero."""
 
 
-class UnknownProcess(OpriskError):
+class UnknownProcess(DataError):
     """A loss record names a process id outside [1, N]."""
 
     def __init__(self, process_id, n: int) -> None:
@@ -136,7 +154,7 @@ class UnknownProcess(OpriskError):
         super().__init__(f"process id {process_id!r} outside [1, {n}]")
 
 
-class NonPositiveAmount(OpriskError):
+class NonPositiveAmount(DataError):
     """A loss record carries a zero, negative, or non-finite amount."""
 
     def __init__(self, amount, context: str = "") -> None:
@@ -145,11 +163,11 @@ class NonPositiveAmount(OpriskError):
         super().__init__(f"loss amount {amount!r} must be finite and > 0{where}")
 
 
-class EmptyDatabase(OpriskError):
+class EmptyDatabase(DataError):
     """No loss records were supplied."""
 
 
-class MalformedRecord(OpriskError):
+class MalformedRecord(DataError):
     """A loss-database line could not be parsed."""
 
     def __init__(self, line_no: int, reason: str) -> None:
@@ -158,11 +176,11 @@ class MalformedRecord(OpriskError):
         super().__init__(f"line {line_no}: {reason}")
 
 
-class TimestampSpanOverflow(OpriskError):
+class TimestampSpanOverflow(DataError):
     """Two loss timestamps lie too far apart to count the steps between them."""
 
 
-class ConfigError(OpriskError):
+class ConfigError(UsageError):
     """A configuration document is missing or violates the schema."""
 
     def __init__(self, key: str, reason: str) -> None:

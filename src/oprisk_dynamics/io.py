@@ -281,23 +281,16 @@ def _utf8_lines(lines):
         yield line
 
 
-def ingest(
-    records: LossRecords,
-    resolution: float,
-    n: int,
-    origin: float | None = None,
-    n_steps: int | None = None,
-) -> LossEvents:
+def ingest(records: LossRecords, resolution: float, n: int) -> LossEvents:
     """Bin loss records onto the step grid: the occupied (step, process)
     bins, as the estimator reads them.
 
     A record lands in step floor((timestamp - origin) / resolution), in
-    float64 arithmetic. By default the origin is the earliest timestamp and
-    T = last occupied step + 1; pinning ``origin`` and ``n_steps`` keeps
-    loss-free leading or trailing steps, making export -> ingest lossless.
-    Each bin's amounts are summed from 0.0 in record order, which only a
-    sum that overflows shows. No (T, N) matrix is built, so a span of any
-    length bins, as long as every step * N + process fits int64.
+    float64 arithmetic, where the origin is the earliest timestamp, and
+    T = last occupied step + 1. Each bin's amounts are summed from 0.0 in
+    record order, which only a sum that overflows shows. No (T, N) matrix
+    is built, so a span of any length bins, as long as every
+    step * N + process fits int64.
 
     Raises:
         EmptyDatabase, UnknownProcess, NonPositiveAmount: the first faulty
@@ -305,7 +298,7 @@ def ingest(
         TimestampSpanOverflow: a record's distance from the origin
             overflows or is NaN, or the steps it spans are too many to
             number in int64 (as step * N + process).
-        ValueError: resolution <= 0, or a record falls outside a pinned range.
+        ValueError: resolution <= 0.
     """
     if not resolution > 0:
         raise ValueError(f"resolution must be > 0, got {resolution!r}")
@@ -324,24 +317,17 @@ def ingest(
     # a NaN timestamp is both extremes, as argmin and argmax take the first NaN
     stamps = records.timestamps
     lo, hi = stamps.item(stamps.argmin()), stamps.item(stamps.argmax())
-    t_min = lo if origin is None else origin
     # the step of a record is monotone in its timestamp, so the extremes bound it
     for ts in (lo, hi):
-        if not math.isfinite((ts - t_min) / resolution):
+        if not math.isfinite((ts - lo) / resolution):
             raise errors.TimestampSpanOverflow(
-                f"timestamps {t_min!r} and {ts!r} are too far apart to bin at {resolution!r}"
+                f"timestamps {lo!r} and {ts!r} are too far apart to bin at {resolution!r}"
             )
-    steps = np.floor((stamps - t_min) / resolution)
-    first, last = int(steps.min()), int(steps.max())
-    if first < 0:
-        raise ValueError(f"record at {first} steps before the origin {t_min}")
-    if n_steps is None:
-        n_steps = last + 1
-    elif last >= n_steps:
-        raise ValueError(f"record in step {last + 1} beyond the pinned {n_steps} steps")
+    steps = np.floor((stamps - lo) / resolution)
+    n_steps = int(steps.max()) + 1
     if n_steps * n - 1 > _INT64_MAX:
         raise errors.TimestampSpanOverflow(
-            f"timestamps {t_min!r} and {hi!r} span {n_steps:.4g} steps at {resolution!r}, "
+            f"timestamps {lo!r} and {hi!r} span {n_steps:.4g} steps at {resolution!r}, "
             "too many to number in int64"
         )
     keys = steps.astype(np.int64) * n + np.asarray(ids, np.int64) - 1
@@ -577,8 +563,7 @@ def _noise_rates(noise_specs, theta: np.ndarray) -> np.ndarray:
                 lam[i] = float(spec["lambda"])
             else:
                 lam[i] = lambda_from_quantile(float(q["value"]), float(q["alpha"]))
-        except (errors.InvalidProbability, errors.NonNegativeTheta,
-                errors.InvalidQuantile, errors.InvalidOrder) as exc:
+        except errors.UsageError as exc:
             raise errors.ConfigError(where, str(exc)) from exc
     return lam
 

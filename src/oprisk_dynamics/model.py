@@ -117,7 +117,7 @@ def validate_parameters(p: ModelParameters) -> ModelParameters:
     if not integral.all() or (horizons < 0).any():
         bad = np.argwhere(~(integral & (horizons >= 0)))[0]
         i, j = int(bad[0]), int(bad[1])
-        raise errors.NegativeHorizon(i, j, horizons[i, j])
+        raise errors.NegativeHorizon(i, j, horizons[i, j].item())
     horizons = horizons.astype(np.int64)
 
     starved = (p.couplings != 0.0) & (horizons < 1)

@@ -37,7 +37,7 @@ def relative_error(true_value: float, estimate: float) -> float:
     """|estimate - true| / |true|; the true value must be nonzero."""
     if true_value == 0 or not np.isfinite(true_value):
         raise errors.ZeroTrueValue(
-            f"relative error needs a nonzero finite true value, got {true_value!r}"
+            f"relative error needs a nonzero finite true value, got {float(true_value)!r}"
         )
     return abs(estimate - true_value) / abs(true_value)
 
@@ -108,6 +108,8 @@ def run_validation(
 
     Raises:
         ValueError: fraction outside (0, 1].
+        ZeroTrueValue: a true threshold is zero, so its relative error is
+            undefined; raised before anything is simulated.
         DatabaseTooShort: floor(fraction * T) leaves less than one full
             memory window plus one step.
         EstimationDegenerate: a threshold needed for forecasting has no
@@ -116,6 +118,12 @@ def run_validation(
     p_true = validate_parameters(p_true)
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must lie in (0, 1], got {fraction!r}")
+    for i, theta in enumerate(p_true.theta):
+        if theta == 0.0:
+            raise errors.ZeroTrueValue(
+                f"theta[{i + 1}] = {float(theta)!r} has no relative error; "
+                "validation needs nonzero true thresholds"
+            )
 
     db_seed = derive_seed(master_seed, 0)
     ensemble_master = derive_seed(master_seed, 1)

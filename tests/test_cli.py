@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oprisk_dynamics import io
+from oprisk_dynamics import cli, errors, io
 from oprisk_dynamics.cli import main
 from oprisk_dynamics.errors import DegeneracyWarning
 from oprisk_dynamics.ensemble import parameters_from_estimates, run_ensemble
@@ -61,6 +61,14 @@ def degenerate_database(tmp_path):
     db = tmp_path / "db.csv"
     db.write_text("t,process,amount\n" + "".join(f"{t},1,1.0\n" for t in range(1, 51)))
     return str(config), str(db)
+
+
+CATEGORY_CODES = {errors.UsageError: 2, errors.DataError: 3, errors.DegenerateEstimate: 4}
+ERROR_CLASSES = [
+    value for value in vars(errors).values()
+    if isinstance(value, type) and issubclass(value, errors.OpriskError)
+    and value is not errors.OpriskError and value not in CATEGORY_CODES
+]
 
 
 def reject_constant(name):
@@ -414,6 +422,22 @@ class TestForecastCommand:
 
 
 class TestValidateCommand:
+    def test_zero_true_threshold_is_a_usage_error_before_any_work(self, tmp_path, capsys):
+        doc = json.loads(Path(io.reference_config_path()).read_text())
+        doc["model"]["theta"][3] = 0.0
+        doc["model"]["noise"][3] = {"lambda": 2}
+        doc["simulation"]["n_steps"] = 2000
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "val"
+        assert main(["validate", "--config", str(config), "--out-dir", str(out)]) == 2
+        assert not any(out.glob("*"))
+        assert last_stderr_json(capsys) == {
+            "error": "ZeroTrueValue",
+            "message": "theta[4] = 0.0 has no relative error; "
+                       "validation needs nonzero true thresholds",
+        }
+
     def test_writes_report_and_series(self, tmp_path, capsys):
         config = small_config(tmp_path, **{"simulation.n_steps": 2000})
         out = tmp_path / "val"
@@ -540,6 +564,30 @@ class TestFlagOverrides:
         err = last_stderr_json(capsys)
         assert err["error"] == "ConfigError"
         assert "'estimation'" in err["message"]
+
+
+class TestExitCodes:
+    def test_every_error_has_exactly_one_category(self):
+        assert len(ERROR_CLASSES) == 21
+        for cls in ERROR_CLASSES:
+            assert sum(issubclass(cls, base) for base in CATEGORY_CODES) == 1, cls
+
+    @pytest.mark.parametrize(
+        ("cls", "code"),
+        [(cls, code) for cls in ERROR_CLASSES for base, code in CATEGORY_CODES.items()
+         if issubclass(cls, base)]
+        + list(CATEGORY_CODES.items())
+        + [(OSError, 3), (errors.OpriskError, 1), (ValueError, 1), (RuntimeError, 1)],
+        ids=lambda value: value.__name__ if isinstance(value, type) else str(value),
+    )
+    def test_an_error_exits_with_its_category_code(self, monkeypatch, capsys, cls, code):
+        def command(args):
+            # built without __init__, whose arguments differ from class to class
+            raise cls.__new__(cls)
+
+        monkeypatch.setitem(cli._COMMANDS, "var", command)
+        assert main(["var", "samples.txt"]) == code
+        assert last_stderr_json(capsys)["error"] == cls.__name__
 
 
 class TestUsageErrors:

@@ -84,7 +84,7 @@ def naive_read(lines):
         records.append(RawLossRecord(ts, process_id, amount))
 
 
-def naive_ingest(records, resolution, n, origin=None, n_steps=None):
+def naive_ingest(records, resolution, n):
     """One record at a time, in Python arithmetic, into a dense (T, N) loss
     matrix: the reference ``ingest`` is checked against, through
     LossEvents.of, for spans of steps small enough to hold."""
@@ -100,21 +100,13 @@ def naive_ingest(records, resolution, n, origin=None, n_steps=None):
             raise errors.NonPositiveAmount(r.amount, f"timestamp {r.timestamp}")
     lo = min(r.timestamp for r in records)
     hi = max(r.timestamp for r in records)
-    t_min = lo if origin is None else origin
     for ts in (lo, hi):
-        if not math.isfinite((ts - t_min) / resolution):
+        if not math.isfinite((ts - lo) / resolution):
             raise errors.TimestampSpanOverflow(
-                f"timestamps {t_min!r} and {ts!r} are too far apart to bin at {resolution!r}"
+                f"timestamps {lo!r} and {ts!r} are too far apart to bin at {resolution!r}"
             )
-    steps = [math.floor((r.timestamp - t_min) / resolution) for r in records]
-    last = max(steps)
-    if min(steps) < 0:
-        raise ValueError(f"record at {min(steps)} steps before the origin {t_min}")
-    if n_steps is None:
-        n_steps = last + 1
-    elif last >= n_steps:
-        raise ValueError(f"record in step {last + 1} beyond the pinned {n_steps} steps")
-    losses = np.zeros((n_steps, n))
+    steps = [math.floor((r.timestamp - lo) / resolution) for r in records]
+    losses = np.zeros((max(steps) + 1, n))
     with np.errstate(over="ignore"):
         for r, step in zip(records, steps):
             losses[step, r.process_id - 1] += r.amount
@@ -125,16 +117,25 @@ def naive_ingest(records, resolution, n, origin=None, n_steps=None):
     return losses
 
 
+def written_losses(records, n_steps, n):
+    """The (T, N) loss matrix that ``write_loss_database`` wrote as
+    ``records``, whose timestamps are its 1-based steps."""
+    losses = np.zeros((n_steps, n))
+    for r in records:
+        losses[int(r.timestamp) - 1, r.process_id - 1] += r.amount
+    return losses
+
+
 def plain(events):
     """LossEvents as Python lists, with the dtype of each step array."""
     return [(s.dtype.str, s.tolist()) for s in events.steps], events.n_steps
 
 
-def events_outcomes(records, resolution, n, **pin):
+def events_outcomes(records, resolution, n):
     """The outcomes of ``ingest`` and of its oracle, ``naive_ingest`` then
     LossEvents.of."""
-    got = outcome(lambda: plain(ingest(records, resolution, n, **pin)))
-    want = outcome(lambda: plain(LossEvents.of(naive_ingest(records, resolution, n, **pin))))
+    got = outcome(lambda: plain(ingest(records, resolution, n)))
+    want = outcome(lambda: plain(LossEvents.of(naive_ingest(records, resolution, n))))
     return got, want
 
 
@@ -227,19 +228,12 @@ class TestReadPathsMatchRowOracle:
         with open(path, newline="", encoding="utf-8") as handle:
             expected = naive_read(handle)
         resolution = float(rng.choice([1.0, 2.5, 0.5, 3600.0]))
-        pins = [{}]
-        if case_seed % 4 == 0:
-            lo = min(r.timestamp for r in expected)
-            pins += [{"origin": lo - 2 * resolution, "n_steps": 40}, {"origin": lo + resolution}]
         records = read_loss_records(path)
         assert isinstance(records, LossRecords)
         assert repr(list(records)) == repr(expected)
-        for pin in pins:
-            want = outcome(
-                lambda: plain(LossEvents.of(naive_ingest(expected, resolution, 3, **pin)))
-            )
-            got = outcome(lambda: plain(ingest(records, resolution, 3, **pin)))
-            assert same(got, want), pin
+        want = outcome(lambda: plain(LossEvents.of(naive_ingest(expected, resolution, 3))))
+        got = outcome(lambda: plain(ingest(records, resolution, 3)))
+        assert same(got, want)
 
     # one fault per entry, each in the field the row loop checks it in
     FAULTS = [
@@ -305,11 +299,8 @@ class TestReadPathsMatchRowOracle:
         for resolution in (1.0, 2.5, 3600.0):
             if (hi - lo) / resolution > 1e6:
                 continue
-            pins = [{}, {"origin": lo - 2 * resolution, "n_steps": 40},
-                    {"origin": lo + resolution}]
-            for pin in pins:
-                got, want = events_outcomes(records, resolution, 3, **pin)
-                assert same(got, want), (resolution, pin)
+            got, want = events_outcomes(records, resolution, 3)
+            assert same(got, want), resolution
 
     def test_first_faulty_line_is_reported(self, tmp_path):
         path = tmp_path / "db.csv"
@@ -419,9 +410,7 @@ class TestReadPathsMatchRowOracle:
         ],
     )
     def test_records_no_column_holds_exactly_bin_or_fail_alike(self, columns):
-        records = LossRecords.of(*columns)
-        for pin in ({}, {"origin": 0, "n_steps": 10}, {"origin": -0.0}):
-            assert same(*events_outcomes(records, 1.0, 2, **pin)), pin
+        assert same(*events_outcomes(LossRecords.of(*columns), 1.0, 2))
 
     def test_listed_timestamps_bin_as_float64_like_a_file(self, tmp_path):
         # LossRecords.of takes a list's 2**53 + 1 as float64, as a file's
@@ -443,9 +432,8 @@ class TestReadPathsMatchRowOracle:
         for nan_stamps in ([0.0, math.nan], [math.nan]):
             ones = [1] * len(nan_stamps)
             records = LossRecords.of(nan_stamps, ones, [1.0] * len(nan_stamps))
-            for pin in ({}, {"origin": 0.0, "n_steps": 10}):
-                with pytest.raises(errors.TimestampSpanOverflow, match="nan"):
-                    ingest(records, 1.0, 1, **pin)
+            with pytest.raises(errors.TimestampSpanOverflow, match="nan"):
+                ingest(records, 1.0, 1)
 
     def test_process_id_beyond_int64_is_unknown(self, tmp_path):
         path = tmp_path / "db.csv"
@@ -664,7 +652,7 @@ class TestNumpyPassMatchesRowParser:
             with pytest.raises(AssertionError, match="row parser"):
                 read_loss_records(path)
             return
-        back = naive_ingest(list(read_loss_records(path)), 1.0, 3, origin=1, n_steps=500)
+        back = written_losses(read_loss_records(path), 500, 3)
         assert np.array_equal(back, losses)
 
 
@@ -908,14 +896,6 @@ class TestIngest:
         events = ingest(LossRecords.of(stamps, [1, 1], [1.0, 2.0]), 1.0, 1)
         assert plain(events) == ([("<i8", [0, 5])], 6)
 
-    def test_pinned_origin_and_length(self):
-        events = ingest(LossRecords.of([5], [1], [1.0]), 1.0, 1, origin=1, n_steps=10)
-        assert plain(events) == ([("<i8", [4])], 10)
-        with pytest.raises(ValueError):
-            ingest(LossRecords.of([5], [1], [1.0]), 1.0, 1, origin=1, n_steps=4)
-        with pytest.raises(ValueError):
-            ingest(LossRecords.of([0], [1], [1.0]), 1.0, 1, origin=1)
-
     def test_rejections(self):
         with pytest.raises(errors.EmptyDatabase):
             ingest(LossRecords.of([], [], []), 1.0, 1)
@@ -948,10 +928,14 @@ class TestIngest:
         message = re.escape("0.0 and 1e+300 span 1e+300 steps at 1.0, too many to number in int64")
         with pytest.raises(errors.TimestampSpanOverflow, match=message):
             ingest(LossRecords.of([0.0, 1e300], [1, 2], [0.5, 0.3]), 1.0, 2)
-        # the last step number of 2**62 steps of 2 processes is 2**63 - 1
-        ingest(LossRecords.of([0.0], [1], [0.5]), 1.0, 2, origin=0.0, n_steps=2**62)
+        # the last bin of 2**53 steps of 1024 processes, step 2**53 - 1 of
+        # process 1024, is bin number 2**63 - 1; a 1025th process overflows
+        records = LossRecords.of([0.0, 2.0**53 - 1], [1, 1024], [0.5, 0.3])
+        events = ingest(records, 1.0, 1024)
+        assert events.n_steps == 2**53
+        assert events.steps[1023].tolist() == [2**53 - 1]
         with pytest.raises(errors.TimestampSpanOverflow, match="int64"):
-            ingest(LossRecords.of([0.0], [1], [0.5]), 1.0, 3, origin=0.0, n_steps=2**62)
+            ingest(records, 1.0, 1025)
 
     def test_span_too_large_for_a_matrix_is_no_error(self):
         records = LossRecords.of([0.0, 1e17], [1, 2], [0.5, 0.3])
@@ -968,7 +952,7 @@ class TestDatabaseFiles:
         traj = simulate(p, None, 64, NoiseSpec(rates=p.lam, seed=9))
         path = tmp_path / "db.csv"
         write_loss_database(path, traj.losses)
-        back = naive_ingest(list(read_loss_records(path)), 1.0, p.n, origin=1, n_steps=64)
+        back = written_losses(read_loss_records(path), 64, p.n)
         assert np.array_equal(back, traj.losses.losses)
 
     def test_round_trip_preserves_silent_edges(self, tmp_path):
@@ -976,7 +960,7 @@ class TestDatabaseFiles:
         losses[2, 1] = 1.25
         path = tmp_path / "db.csv"
         write_loss_database(path, LossMatrix(losses))
-        back = naive_ingest(list(read_loss_records(path)), 1.0, 2, origin=1, n_steps=5)
+        back = written_losses(read_loss_records(path), 5, 2)
         assert np.array_equal(back, losses)
 
     def test_database_file_shape(self, tmp_path):
@@ -1510,6 +1494,17 @@ class TestLoadConfig:
         with pytest.raises(errors.ConfigError) as exc:
             load_config(write_config(tmp_path, mutate))
         assert "model" in str(exc.value)
+
+    def test_fractional_horizon_message_shows_a_plain_number(self, tmp_path):
+        def mutate(doc):
+            doc["model"]["horizons"] = [[5.0] * 5 for _ in range(5)]
+            doc["model"]["horizons"][0][1] = 1.5
+
+        with pytest.raises(errors.ConfigError) as exc:
+            load_config(write_config(tmp_path, mutate))
+        assert str(exc.value) == (
+            "config key 'model': horizons[1][2] = 1.5 must be an integer >= 0"
+        )
 
     def test_invalid_json_and_missing_file(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oprisk_dynamics import errors
+from oprisk_dynamics import errors, validation
 from oprisk_dynamics.ensemble import derive_seed, run_ensemble
 from oprisk_dynamics.estimate import LossEvents, collapse_precision, estimate_from_database
 from oprisk_dynamics.model import ModelParameters, NoiseSpec, validate_parameters
@@ -33,6 +33,11 @@ class TestRelativeError:
         for bad in (0.0, np.nan, np.inf):
             with pytest.raises(errors.ZeroTrueValue):
                 relative_error(bad, 1.0)
+
+    def test_rejection_message_shows_a_plain_number(self):
+        with pytest.raises(errors.ZeroTrueValue) as exc:
+            relative_error(np.float64(0.0), 1.0)
+        assert str(exc.value) == "relative error needs a nonzero finite true value, got 0.0"
 
 
 class TestRunValidation:
@@ -100,6 +105,21 @@ class TestRunValidation:
         with pytest.raises(errors.DatabaseTooShort):
             # floor(0.001 * 1000) = 1 step < window 3 + 1
             run_validation(small_parameters, 1000, 0.001, 4, 0)
+
+    def test_zero_true_threshold_is_rejected_before_simulating(self, small_parameters, monkeypatch):
+        def simulate_never(*args, **kwargs):
+            raise AssertionError("simulated")
+
+        monkeypatch.setattr(validation, "simulate", simulate_never)
+        p = small_parameters
+        zero = ModelParameters(
+            n=p.n, theta=[p.theta[0], -0.0], lam=p.lam, couplings=p.couplings, horizons=p.horizons
+        )
+        with pytest.raises(errors.ZeroTrueValue) as exc:
+            run_validation(zero, 1000, 1.0, 4, 0)
+        assert str(exc.value) == (
+            "theta[2] = -0.0 has no relative error; validation needs nonzero true thresholds"
+        )
 
     def test_degenerate_database_propagates(self):
         silent = validate_parameters(
