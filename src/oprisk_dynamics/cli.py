@@ -115,6 +115,8 @@ def _require_seed(config: io.RunConfig) -> int:
 
 
 def _prepare_out_dir(config: io.RunConfig) -> str:
+    """Create the output directory. Called just before a command's first
+    write, so a run that fails earlier leaves no directory behind."""
     os.makedirs(config.out_dir, exist_ok=True)
     return config.out_dir
 
@@ -158,9 +160,9 @@ def _write_ensemble(out_dir: str, ensemble: EnsembleResult, n_bins: int) -> list
 def _cmd_simulate(args) -> int:
     config = _load_config(args)
     seed = _require_seed(config)
-    out_dir = _prepare_out_dir(config)
     p = config.parameters
     traj = simulate(p, None, config.n_steps, NoiseSpec(rates=p.lam, seed=seed))
+    out_dir = _prepare_out_dir(config)
     db_path = os.path.join(out_dir, "database.csv")
     z_path = os.path.join(out_dir, "cumulative.csv")
     io.write_loss_database(db_path, traj.losses)
@@ -183,10 +185,10 @@ def _estimates_from_file(config: io.RunConfig, database: str) -> EstimateSet:
 
 def _cmd_estimate(args) -> int:
     config = _load_config(args)
-    out_dir = _prepare_out_dir(config)
     estimates = _estimates_from_file(config, args.database)
     doc = estimates.to_json_dict()
     doc["fraction_used"] = config.fraction
+    out_dir = _prepare_out_dir(config)
     path = os.path.join(out_dir, "estimates.json")
     _write_json(path, doc)
     usable = sum(len(v) for v in estimates.j_hat.values())
@@ -199,7 +201,6 @@ def _cmd_estimate(args) -> int:
 def _cmd_forecast(args) -> int:
     config = _load_config(args)
     seed = _require_seed(config)
-    out_dir = _prepare_out_dir(config)
     if args.database is not None:
         source = _estimates_from_file(config, args.database)
         collapse = config.collapse
@@ -211,6 +212,7 @@ def _cmd_forecast(args) -> int:
     )
     _warn_var_resolution(config.m_trajectories, config.confidences)
 
+    out_dir = _prepare_out_dir(config)
     mean_path, std_path, *hist_paths = _write_ensemble(out_dir, ensemble, config.histogram_bins)
     written = [mean_path, std_path]
     for i, hist_path in enumerate(hist_paths):
@@ -237,10 +239,10 @@ def _cmd_forecast(args) -> int:
 def _cmd_validate(args) -> int:
     config = _load_config(args, default_reference=True)
     seed = _require_seed(config)
-    out_dir = _prepare_out_dir(config)
     report = run_validation(
         config.parameters, config.n_steps, config.fraction, config.m_trajectories, seed
     )
+    out_dir = _prepare_out_dir(config)
 
     report_path = os.path.join(out_dir, "validation_report.json")
     _write_json(report_path, report.to_json_dict())

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import errors
 from .estimate import EstimateSet, collapse_estimates
-from .model import LossMatrix, ModelParameters, seed_in_range, validate_parameters
+from .model import LossMatrix, ModelParameters, seed_in_range
 from .simulate import _evolve, _running_sum, _start_history
 
 logger = logging.getLogger(__name__)
@@ -86,7 +86,8 @@ def derive_seed(master_seed: int, stream: int) -> int:
         raise ValueError(f"master_seed must lie in [0, 2**64), got {master_seed}")
     if stream < 0:
         raise ValueError(f"stream must be >= 0, got {stream}")
-    x = (master_seed + (stream + 1) * _GOLDEN) & _MASK
+    # a NumPy integer would overflow in the arithmetic below
+    x = (int(master_seed) + (stream + 1) * _GOLDEN) & _MASK
     x = ((x ^ (x >> 30)) * _MIX1) & _MASK
     x = ((x ^ (x >> 27)) * _MIX2) & _MASK
     return x ^ (x >> 31)
@@ -162,15 +163,18 @@ class EnsembleResult:
         mean_z: (T, N) ensemble average of z_i(t).
         std_z: (T, N) ensemble standard deviation, (M - 1) denominator.
         terminal_samples: (M, N) z_i(T) per trajectory, trajectory order.
-        m_trajectories: M.
         master_seed: seed all trajectory streams were derived from.
     """
 
     mean_z: np.ndarray
     std_z: np.ndarray
     terminal_samples: np.ndarray
-    m_trajectories: int
     master_seed: int
+
+    @property
+    def m_trajectories(self) -> int:
+        """M, the number of trajectories."""
+        return self.terminal_samples.shape[0]
 
     @property
     def n_steps(self) -> int:
@@ -193,14 +197,11 @@ def parameters_from_estimates(estimates: EstimateSet, couplings: np.ndarray) -> 
     missing = np.nonzero(~estimates.theta_available)[0]
     if missing.size:
         raise errors.EstimationDegenerate(missing.tolist())
-    return validate_parameters(
-        ModelParameters(
-            n=estimates.n_processes,
-            theta=estimates.theta_hat,
-            lam=estimates.lam,
-            couplings=couplings,
-            horizons=estimates.horizons,
-        )
+    return ModelParameters(
+        theta=estimates.theta_hat,
+        lam=estimates.lam,
+        couplings=couplings,
+        horizons=estimates.horizons,
     )
 
 
@@ -248,7 +249,7 @@ def run_ensemble(
     else:
         if collapse != "mean":
             raise ValueError("sample-per-run collapse requires an EstimateSet")
-        p = validate_parameters(source)
+        p = source
         couplings = np.broadcast_to(p.couplings, (m_trajectories, p.n, p.n))
 
     initial_arr = _start_history(p, initial)
@@ -285,8 +286,8 @@ def run_ensemble(
         mean_z=mean_z,
         std_z=std_z,
         terminal_samples=terminal,
-        m_trajectories=m_trajectories,
-        master_seed=master_seed,
+        # every trajectory's seed was derived from it, so it is in range
+        master_seed=int(master_seed),
     )
 
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import errors
 from .estimate import LossEvents, lambda_from_p, lambda_from_quantile
-from .model import LossMatrix, ModelParameters, seed_in_range, validate_parameters
+from .model import LossMatrix, ModelParameters, seed_in_range
 
 __all__ = [
     "RawLossRecord",
@@ -598,7 +598,7 @@ def _build_parameters(model: dict) -> ModelParameters:
 
     horizons_raw = model.get("horizons", 0)
     if _is_number(horizons_raw, np.int64):
-        # scalar applies to every declared coupling; validation rejects a fraction
+        # scalar applies to every declared coupling; ModelParameters rejects a fraction
         horizons = np.where(couplings != 0.0, horizons_raw, 0)
     elif (
         isinstance(horizons_raw, list)
@@ -611,9 +611,7 @@ def _build_parameters(model: dict) -> ModelParameters:
         raise errors.ConfigError("model.horizons", f"must be a number or a {n}x{n} matrix")
 
     try:
-        return validate_parameters(
-            ModelParameters(n=n, theta=theta, lam=lam, couplings=couplings, horizons=horizons)
-        )
+        return ModelParameters(theta=theta, lam=lam, couplings=couplings, horizons=horizons)
     except errors.OpriskError as exc:
         raise errors.ConfigError("model", str(exc)) from exc
 

@@ -18,44 +18,88 @@ __all__ = [
     "ModelParameters",
     "LossMatrix",
     "NoiseSpec",
-    "validate_parameters",
 ]
 
 
 @dataclass(frozen=True, eq=False)
 class ModelParameters:
-    """All model constants.
+    """All model constants, checked when the object is built.
+
+    Each array is stored as a read-only copy: float64, and int64 for the
+    horizons. The number of processes N is ``len(theta)``.
 
     Attributes:
-        n: number of processes N.
-        theta: shape (n,) thresholds. Negative values model per-step loss
+        theta: shape (N,) thresholds. Negative values model per-step loss
             avoidance; positive values a pathological drift.
-        lam: shape (n,) exponential noise rates, strictly positive. Units are
+        lam: shape (N,) exponential noise rates, strictly positive. Units are
             inverse monetary units.
-        couplings: shape (n, n) matrix J. Entry [i, j] is the loss induced in
+        couplings: shape (N, N) matrix J. Entry [i, j] is the loss induced in
             process i by each recent nonzero loss of process j.
-        horizons: shape (n, n) integer matrix. Entry [i, j] is the number of
+        horizons: shape (N, N) integer matrix. Entry [i, j] is the number of
             past steps over which losses of j can still influence i.
+
+    Raises:
+        DimensionMismatch: theta is empty or not 1-D, or another array's
+            shape disagrees with N.
+        NonFiniteParameter: a threshold or coupling is NaN or infinite.
+        NonPositiveLambda: a noise rate is not finite and positive.
+        NegativeHorizon: a horizon is negative or fractional.
+        ZeroHorizonWithCoupling: a nonzero coupling could never fire.
     """
 
-    n: int
     theta: np.ndarray
     lam: np.ndarray
     couplings: np.ndarray
     horizons: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", np.asarray(self.theta, dtype=np.float64))
-        object.__setattr__(self, "lam", np.asarray(self.lam, dtype=np.float64))
-        object.__setattr__(
-            self, "couplings", np.asarray(self.couplings, dtype=np.float64)
-        )
-        object.__setattr__(self, "horizons", np.asarray(self.horizons))
+        theta = np.array(self.theta, dtype=np.float64)
+        if theta.ndim != 1 or theta.size == 0:
+            raise errors.DimensionMismatch("theta", "(N,) with N >= 1", theta.shape)
+        n = theta.size
+        lam = np.array(self.lam, dtype=np.float64)
+        couplings = np.array(self.couplings, dtype=np.float64)
+        horizons = np.asarray(self.horizons)
+        _require_shape("lambda", lam, (n,))
+        _require_shape("couplings", couplings, (n, n))
+        _require_shape("horizons", horizons, (n, n))
+
+        for name, arr in (("theta", theta), ("couplings", couplings)):
+            bad = np.argwhere(~np.isfinite(arr))
+            if bad.size:
+                raise errors.NonFiniteParameter(name, tuple(int(k) for k in bad[0]))
+
+        noise_rates(lam)
+
+        # a fraction, NaN, or a value beyond int64 does not survive the cast
+        with np.errstate(invalid="ignore"):
+            as_int = horizons.astype(np.int64)
+        ok = (horizons >= 0) & (as_int == horizons)
+        if not ok.all():
+            i, j = (int(k) for k in np.argwhere(~ok)[0])
+            raise errors.NegativeHorizon(i, j, horizons[i, j].item())
+        horizons = as_int
+
+        starved = (couplings != 0.0) & (horizons < 1)
+        if starved.any():
+            i, j = (int(k) for k in np.argwhere(starved)[0])
+            raise errors.ZeroHorizonWithCoupling(i, j, float(couplings[i, j]))
+
+        for name, arr in (
+            ("theta", theta), ("lam", lam), ("couplings", couplings), ("horizons", horizons)
+        ):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def n(self) -> int:
+        """Number of processes N."""
+        return len(self.theta)
 
     @property
     def max_horizon(self) -> int:
         """Depth of history a simulation or estimation window needs."""
-        return int(np.max(self.horizons)) if self.horizons.size else 0
+        return int(np.max(self.horizons))
 
 
 def _require_shape(name: str, value: np.ndarray, expected: tuple) -> None:
@@ -81,69 +125,6 @@ def seed_in_range(seed: int) -> bool:
     """Whether ``seed`` is a 64-bit unsigned integer, the seeds PCG64 takes:
     a Python or NumPy integer, never a bool or a float it would truncate."""
     return isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and 0 <= seed < 2**64
-
-
-def validate_parameters(p: ModelParameters) -> ModelParameters:
-    """Check every invariant of a parameter set.
-
-    Returns a canonical copy (float64/int64 dtypes, read-only arrays) with the
-    same content. Validating an already validated object is a no-op.
-
-    Raises:
-        DimensionMismatch: an array shape disagrees with ``p.n``.
-        NonPositiveLambda: a noise rate is not finite and positive.
-        NegativeHorizon: a horizon is negative or fractional.
-        ZeroHorizonWithCoupling: a nonzero coupling could never fire.
-        NonFiniteParameter: a threshold or coupling is NaN or infinite.
-    """
-    if not isinstance(p.n, (int, np.integer)) or p.n < 1:
-        raise errors.DimensionMismatch("n", "positive integer", p.n)
-    n = int(p.n)
-    _require_shape("theta", p.theta, (n,))
-    _require_shape("lambda", p.lam, (n,))
-    _require_shape("couplings", p.couplings, (n, n))
-    _require_shape("horizons", p.horizons, (n, n))
-
-    for name, arr in (("theta", p.theta), ("couplings", p.couplings)):
-        bad = np.argwhere(~np.isfinite(arr))
-        if bad.size:
-            raise errors.NonFiniteParameter(name, tuple(int(k) for k in bad[0]))
-
-    noise_rates(p.lam)
-
-    horizons = np.asarray(p.horizons)
-    as_int = np.floor(horizons).astype(np.int64, copy=False)
-    integral = np.isfinite(horizons) & (horizons == as_int)
-    if not integral.all() or (horizons < 0).any():
-        bad = np.argwhere(~(integral & (horizons >= 0)))[0]
-        i, j = int(bad[0]), int(bad[1])
-        raise errors.NegativeHorizon(i, j, horizons[i, j].item())
-    horizons = horizons.astype(np.int64)
-
-    starved = (p.couplings != 0.0) & (horizons < 1)
-    if starved.any():
-        i, j = (int(k) for k in np.argwhere(starved)[0])
-        raise errors.ZeroHorizonWithCoupling(i, j, float(p.couplings[i, j]))
-
-    already_canonical = (
-        p.horizons.dtype == np.int64
-        and not any(
-            arr.flags.writeable for arr in (p.theta, p.lam, p.couplings, p.horizons)
-        )
-    )
-    if already_canonical:
-        return p
-
-    out = ModelParameters(
-        n=n,
-        theta=p.theta.copy(),
-        lam=p.lam.copy(),
-        couplings=p.couplings.copy(),
-        horizons=horizons.copy(),
-    )
-    for arr in (out.theta, out.lam, out.couplings, out.horizons):
-        arr.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import errors
-from .model import LossMatrix, ModelParameters, NoiseSpec, validate_parameters
+from .model import LossMatrix, ModelParameters, NoiseSpec
 
 try:
     import numba
@@ -142,14 +142,13 @@ def simulate(
     same arguments return bit-identical trajectories.
 
     Args:
-        p: model parameters (validated here if not already).
+        p: model parameters.
         initial: loss history whose last max-horizon rows start the run, so
             a run continues another's ``Trajectory.losses``; None means the
             all-zero history (no process has lost anything yet).
         n_steps: number of steps T >= 1.
         noise: rates and seed; rates must equal ``p.lam``.
     """
-    p = validate_parameters(p)
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if not np.array_equal(noise.rates, p.lam):

@@ -25,7 +25,7 @@ import numpy as np
 from . import errors
 from .ensemble import EnsembleResult, derive_seed, run_ensemble
 from .estimate import EstimateSet, LossEvents, collapse_precision, estimate_from_database
-from .model import ModelParameters, NoiseSpec, validate_parameters
+from .model import ModelParameters, NoiseSpec
 from .simulate import simulate
 
 logger = logging.getLogger(__name__)
@@ -56,7 +56,8 @@ class ValidationReport:
         estimates: the full estimate set.
         z_true: (T, N) cumulative losses of the synthesized database.
         ensemble: the forecast ensemble aggregates.
-        master_seed, n_steps, m_trajectories: reproduction coordinates.
+        master_seed: seed of the run; with ``n_steps`` and
+            ``m_trajectories`` it reproduces the report.
     """
 
     delta_theta: np.ndarray
@@ -67,8 +68,16 @@ class ValidationReport:
     z_true: np.ndarray
     ensemble: EnsembleResult
     master_seed: int
-    n_steps: int
-    m_trajectories: int
+
+    @property
+    def n_steps(self) -> int:
+        """T, the length of the database and of the forecast."""
+        return self.z_true.shape[0]
+
+    @property
+    def m_trajectories(self) -> int:
+        """M, the number of forecast trajectories."""
+        return self.ensemble.m_trajectories
 
     def to_json_dict(self) -> dict:
         """Summary as plain JSON types; bulky series stay out (file exports
@@ -115,7 +124,6 @@ def run_validation(
         EstimationDegenerate: a threshold needed for forecasting has no
             usable estimate.
     """
-    p_true = validate_parameters(p_true)
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must lie in (0, 1], got {fraction!r}")
     for i, theta in enumerate(p_true.theta):
@@ -131,7 +139,6 @@ def run_validation(
     truth = simulate(p_true, None, n_steps, NoiseSpec(rates=p_true.lam, seed=db_seed))
     z_true = truth.cumulative
 
-    n = p_true.n
     estimates = estimate_from_database(
         LossEvents.of(truth.losses).head(int(fraction * n_steps)), p_true.horizons, p_true.lam
     )
@@ -153,8 +160,8 @@ def run_validation(
     logger.info(
         "validation seed %d: max delta_theta %.4g, max coverage %.4g",
         master_seed,
-        float(delta_theta.max()) if n else 0.0,
-        float(coverage.max()) if n else 0.0,
+        float(delta_theta.max()),
+        float(coverage.max()),
     )
     return ValidationReport(
         delta_theta=delta_theta,
@@ -164,7 +171,6 @@ def run_validation(
         estimates=estimates,
         z_true=z_true,
         ensemble=ensemble,
-        master_seed=master_seed,
-        n_steps=n_steps,
-        m_trajectories=m_trajectories,
+        # derive_seed has checked it; a NumPy integer would not serialize
+        master_seed=int(master_seed),
     )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oprisk_dynamics.estimate import EstimationDiagnostics
-from oprisk_dynamics.model import ModelParameters, validate_parameters
+from oprisk_dynamics.model import ModelParameters
 
 
 def build_reference_parameters() -> ModelParameters:
@@ -28,9 +28,7 @@ def build_reference_parameters() -> ModelParameters:
     ]:
         couplings[i - 1, j - 1] = value
     horizons = np.where(couplings != 0.0, 5, 0)
-    return validate_parameters(
-        ModelParameters(n=5, theta=theta, lam=lam, couplings=couplings, horizons=horizons)
-    )
+    return ModelParameters(theta=theta, lam=lam, couplings=couplings, horizons=horizons)
 
 
 def clean_diagnostics(n: int) -> EstimationDiagnostics:
@@ -50,12 +48,9 @@ def reference_parameters() -> ModelParameters:
 @pytest.fixture()
 def small_parameters() -> ModelParameters:
     """Two-process model with one coupling, cheap enough for tight loops."""
-    return validate_parameters(
-        ModelParameters(
-            n=2,
-            theta=np.array([-1.0, -1.0]),
-            lam=np.array([1.0, 2.0]),
-            couplings=np.array([[0.0, 0.5], [0.0, 0.0]]),
-            horizons=np.array([[0, 3], [0, 0]]),
-        )
+    return ModelParameters(
+        theta=np.array([-1.0, -1.0]),
+        lam=np.array([1.0, 2.0]),
+        couplings=np.array([[0.0, 0.5], [0.0, 0.0]]),
+        horizons=np.array([[0, 3], [0, 0]]),
     )

@@ -22,7 +22,7 @@ from oprisk_dynamics.estimate import (
     estimate_from_counts,
     estimate_from_database,
 )
-from oprisk_dynamics.model import ModelParameters, NoiseSpec, validate_parameters
+from oprisk_dynamics.model import NoiseSpec
 from oprisk_dynamics.simulate import cumulative, simulate
 from oprisk_dynamics.validation import relative_error, run_validation
 

@@ -431,7 +431,7 @@ class TestValidateCommand:
         config.write_text(json.dumps(doc))
         out = tmp_path / "val"
         assert main(["validate", "--config", str(config), "--out-dir", str(out)]) == 2
-        assert not any(out.glob("*"))
+        assert not out.exists()
         assert last_stderr_json(capsys) == {
             "error": "ZeroTrueValue",
             "message": "theta[4] = 0.0 has no relative error; "
@@ -477,6 +477,29 @@ class TestValidateCommand:
         assert main(argv) == 2
         assert last_stderr_json(capsys)["error"] == "UsageError"
         assert not out.exists()
+
+
+class TestOutDir:
+    @pytest.mark.parametrize("command", ["estimate", "forecast"])
+    def test_failed_run_leaves_no_out_dir(self, tmp_path, command, capsys):
+        out = tmp_path / "out"
+        argv = [command, "--config", small_config(tmp_path),
+                "--database", str(tmp_path / "missing.csv"), "--out-dir", str(out)]
+        assert main(argv) == 3
+        assert last_stderr_json(capsys)["error"] == "FileNotFoundError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "forecast", "validate"])
+    def test_successful_run_creates_a_nested_out_dir(self, tmp_path, command):
+        config = small_config(tmp_path, **{"simulation.n_steps": 2000})
+        argv = [command, "--config", config]
+        if command == "estimate":
+            db = tmp_path / "sim"
+            assert main(["simulate", "--config", config, "--out-dir", str(db)]) == 0
+            argv += ["--database", str(db / "database.csv")]
+        out = tmp_path / "a" / "b" / "out"
+        assert main(argv + ["--out-dir", str(out)]) == 0
+        assert any(out.iterdir())
 
 
 class TestFlagOverrides:

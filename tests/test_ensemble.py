@@ -32,7 +32,7 @@ from oprisk_dynamics.estimate import (
     collapse_estimates,
     collapse_precision,
 )
-from oprisk_dynamics.model import LossMatrix, ModelParameters, NoiseSpec, validate_parameters
+from oprisk_dynamics.model import LossMatrix, ModelParameters, NoiseSpec
 from oprisk_dynamics.simulate import _ROW_SCAN_WIDTH, _SCALAR_BATCH, simulate
 
 from conftest import build_reference_parameters, clean_diagnostics
@@ -63,6 +63,12 @@ class TestDeriveSeed:
             derive_seed(-1, 0)
         with pytest.raises(ValueError):
             derive_seed(0, -1)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7), np.uint64(2**64 - 1)])
+    def test_numpy_integer_master_seeds_match_the_int(self, seed):
+        for stream in (0, 3, 2**40):
+            assert derive_seed(seed, stream) == derive_seed(int(seed), stream)
+            assert type(derive_seed(seed, stream)) is int
 
     def test_rejects_master_seeds_beyond_64_bits(self):
         # the derivation works modulo 2**64, so 2**64 + k would alias k
@@ -229,9 +235,7 @@ class TestRunEnsemble:
     def test_batch_size_never_changes_one_process_results(self, batch_size):
         # with N = 1 the trajectory axis of a chunk is contiguous, where a
         # reduction across it could take NumPy's pairwise summation
-        p = validate_parameters(
-            ModelParameters(n=1, theta=[-0.5], lam=[1.5], couplings=[[0.3]], horizons=[[4]])
-        )
+        p = ModelParameters(theta=[-0.5], lam=[1.5], couplings=[[0.3]], horizons=[[4]])
         baseline = run_ensemble(p, None, 150, 7, master_seed=4, batch_size=7)
         other = run_ensemble(p, None, 150, 7, master_seed=4, batch_size=batch_size)
         assert np.array_equal(baseline.mean_z, other.mean_z)
@@ -248,9 +252,7 @@ class TestRunEnsemble:
         if case == "reference":
             p, n_steps = reference_parameters, 40
         else:
-            p = validate_parameters(
-                ModelParameters(n=1, theta=[0.5], lam=[1.5], couplings=[[0.0]], horizons=[[0]])
-            )
+            p = ModelParameters(theta=[0.5], lam=[1.5], couplings=[[0.0]], horizons=[[0]])
             n_steps = 1
         baseline = run_ensemble(p, None, n_steps, 130, 17, batch_size=130)
         other = run_ensemble(p, None, n_steps, 130, 17, batch_size=batch_size)
@@ -299,10 +301,7 @@ class TestRunEnsemble:
 
         drawn = collapse_estimates(est, "sample-per-run", m_traj, derive_seed(master, 0))
         for m in range(m_traj):
-            p = validate_parameters(
-                ModelParameters(n=5, theta=theta, lam=ref.lam, couplings=drawn[m],
-                                horizons=ref.horizons)
-            )
+            p = ModelParameters(theta=theta, lam=ref.lam, couplings=drawn[m], horizons=ref.horizons)
             z = simulate(p, None, n_steps, NoiseSpec(rates=p.lam, seed=derive_seed(master, 1 + m)))
             assert wide.terminal_samples[m].tobytes() == z.cumulative[-1].tobytes()
             assert wide_cut[150].terminal_samples[m].tobytes() == z.cumulative[149].tobytes()
@@ -370,15 +369,20 @@ class TestRunEnsemble:
         assert result.m_trajectories == 24
         assert result.master_seed == 8
 
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7)])
+    def test_numpy_integer_master_seed_gives_the_int_seeds_bits(self, small_parameters, seed):
+        expected = run_ensemble(small_parameters, None, 10, 4, 7)
+        result = run_ensemble(small_parameters, None, 10, 4, seed)
+        assert result.terminal_samples.tobytes() == expected.terminal_samples.tobytes()
+        assert result.mean_z.tobytes() == expected.mean_z.tobytes()
+        assert type(result.master_seed) is int and result.master_seed == 7
+
     def test_deeply_subcritical_model_is_identically_zero(self):
-        p = validate_parameters(
-            ModelParameters(
-                n=2,
-                theta=np.array([-60.0, -60.0]),
-                lam=np.array([1.0, 1.0]),
-                couplings=np.zeros((2, 2)),
-                horizons=np.zeros((2, 2), dtype=int),
-            )
+        p = ModelParameters(
+            theta=np.array([-60.0, -60.0]),
+            lam=np.array([1.0, 1.0]),
+            couplings=np.zeros((2, 2)),
+            horizons=np.zeros((2, 2), dtype=int),
         )
         result = run_ensemble(p, None, 200, 6, master_seed=1)
         assert not result.mean_z.any()
@@ -413,14 +417,11 @@ class TestRunEnsemble:
         # isolated process: mean z(t) ~ t * p / lambda
         p_loss = 0.05
         lam = np.log(p_loss) / -1.0
-        p = validate_parameters(
-            ModelParameters(
-                n=1,
-                theta=np.array([-1.0]),
-                lam=np.array([lam]),
-                couplings=np.zeros((1, 1)),
-                horizons=np.zeros((1, 1), dtype=int),
-            )
+        p = ModelParameters(
+            theta=np.array([-1.0]),
+            lam=np.array([lam]),
+            couplings=np.zeros((1, 1)),
+            horizons=np.zeros((1, 1), dtype=int),
         )
         result = run_ensemble(p, None, 4000, 300, master_seed=17)
         t = np.arange(2000, 4000, dtype=float)
@@ -602,11 +603,9 @@ class TestEstimateSetSources:
         paths = []
         for m in range(m_traj):
             couplings = drawn[m]
-            p = validate_parameters(
-                ModelParameters(
-                    n=2, theta=est.theta_hat, lam=est.lam,
-                    couplings=couplings, horizons=est.horizons,
-                )
+            p = ModelParameters(
+                theta=est.theta_hat, lam=est.lam,
+                couplings=couplings, horizons=est.horizons,
             )
             seed = derive_seed(master, 1 + m)
             traj = simulate(p, None, 120, NoiseSpec(rates=p.lam, seed=seed))
@@ -647,11 +646,9 @@ class TestEstimateSetSources:
         for m in range(m_traj):
             couplings = stack[m]
             drawn.append(couplings[0, 1])
-            p = validate_parameters(
-                ModelParameters(
-                    n=2, theta=est.theta_hat, lam=est.lam,
-                    couplings=couplings, horizons=est.horizons,
-                )
+            p = ModelParameters(
+                theta=est.theta_hat, lam=est.lam,
+                couplings=couplings, horizons=est.horizons,
             )
             traj = simulate(p, None, 150, NoiseSpec(rates=p.lam, seed=derive_seed(master, 1 + m)))
             assert np.array_equal(result.terminal_samples[m], traj.cumulative[-1])

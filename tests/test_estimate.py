@@ -32,7 +32,7 @@ from oprisk_dynamics.estimate import (
     lambda_from_p,
     lambda_from_quantile,
 )
-from oprisk_dynamics.model import LossMatrix, ModelParameters, NoiseSpec, validate_parameters
+from oprisk_dynamics.model import LossMatrix, ModelParameters, NoiseSpec
 from oprisk_dynamics.simulate import simulate
 
 from conftest import clean_diagnostics
@@ -511,14 +511,11 @@ class TestCollapse:
 
     def test_precision_stays_within_estimated_candidates(self):
         # a weak coupling keeps every count class c = 1..3 non-degenerate
-        p = validate_parameters(
-            ModelParameters(
-                n=2,
-                theta=np.array([-1.0, -1.0]),
-                lam=np.array([1.0, 2.0]),
-                couplings=np.array([[0.0, 0.2], [0.0, 0.0]]),
-                horizons=np.array([[0, 3], [0, 0]]),
-            )
+        p = ModelParameters(
+            theta=np.array([-1.0, -1.0]),
+            lam=np.array([1.0, 2.0]),
+            couplings=np.array([[0.0, 0.2], [0.0, 0.0]]),
+            horizons=np.array([[0, 3], [0, 0]]),
         )
         traj = simulate(p, None, 20000, NoiseSpec(rates=p.lam, seed=5))
         with warnings.catch_warnings():
@@ -623,14 +620,11 @@ class TestLambdaHelpers:
 
 class TestRoundTrip:
     def test_noninteracting_recovery(self):
-        p = validate_parameters(
-            ModelParameters(
-                n=2,
-                theta=np.array([-1.0, -0.5]),
-                lam=np.array([1.0, 3.0]),
-                couplings=np.zeros((2, 2)),
-                horizons=np.zeros((2, 2), dtype=int),
-            )
+        p = ModelParameters(
+            theta=np.array([-1.0, -0.5]),
+            lam=np.array([1.0, 3.0]),
+            couplings=np.zeros((2, 2)),
+            horizons=np.zeros((2, 2), dtype=int),
         )
         traj = simulate(p, None, 60000, NoiseSpec(rates=p.lam, seed=314))
         with warnings.catch_warnings():

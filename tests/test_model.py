@@ -1,21 +1,17 @@
 """Contract tests for the core parameter and history types."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from oprisk_dynamics import errors
-from oprisk_dynamics.model import (
-    LossMatrix,
-    ModelParameters,
-    NoiseSpec,
-    validate_parameters,
-)
+from oprisk_dynamics.model import LossMatrix, ModelParameters, NoiseSpec
 
 
 def make_params(**overrides):
     """Two-process parameter set with one active coupling, valid by default."""
     fields = dict(
-        n=2,
         theta=[-1.0, -1.0],
         lam=[1.0, 2.0],
         couplings=[[0.0, 0.1], [0.0, 0.0]],
@@ -25,66 +21,131 @@ def make_params(**overrides):
     return ModelParameters(**fields)
 
 
-class TestValidateParameters:
+class TestModelParameters:
     def test_reference_shape_parameters_are_valid(self, reference_parameters):
-        validated = validate_parameters(reference_parameters)
-        assert validated.n == 5
-        assert np.array_equal(validated.theta, -np.ones(5))
-        assert validated.horizons[0, 1] == 5
-        assert validated.horizons[1, 0] == 0
+        assert reference_parameters.n == 5
+        assert np.array_equal(reference_parameters.theta, -np.ones(5))
+        assert reference_parameters.horizons[0, 1] == 5
+        assert reference_parameters.horizons[1, 0] == 0
 
-    def test_idempotent_and_content_preserving(self):
-        p = validate_parameters(make_params())
-        q = validate_parameters(p)
-        assert q.n == p.n
+    def test_fields_are_the_four_constant_sets(self):
+        names = [f.name for f in dataclasses.fields(ModelParameters)]
+        assert names == ["theta", "lam", "couplings", "horizons"]
+
+    @pytest.mark.parametrize("theta", [[-1.0], [-1.0, -1.0, -1.0], np.full(7, -2.0)])
+    def test_n_is_the_length_of_theta(self, theta):
+        n = len(theta)
+        p = ModelParameters(
+            theta=theta, lam=np.ones(n), couplings=np.zeros((n, n)), horizons=np.zeros((n, n))
+        )
+        assert p.n == len(theta)
+        assert type(p.n) is int
+
+    def test_arrays_are_canonical(self):
+        p = make_params(horizons=[[0.0, 5.0], [0.0, 0.0]])
+        for field in ("theta", "lam", "couplings"):
+            assert getattr(p, field).dtype == np.float64
+        assert p.horizons.dtype == np.int64
+        assert p.max_horizon == 5
+
+    def test_arrays_are_read_only(self):
+        p = make_params()
         for field in ("theta", "lam", "couplings", "horizons"):
-            assert np.array_equal(getattr(q, field), getattr(p, field))
+            with pytest.raises(ValueError):
+                getattr(p, field)[0] = 5
 
-    def test_validated_arrays_are_read_only(self):
-        p = validate_parameters(make_params())
-        with pytest.raises(ValueError):
-            p.theta[0] = 5.0
+    def test_arrays_are_copies_of_the_callers(self):
+        theta = np.array([-1.0, -1.0])
+        lam = np.array([1.0, 2.0])
+        couplings = np.array([[0.0, 0.1], [0.0, 0.0]])
+        horizons = np.array([[0, 5], [0, 0]], dtype=np.int64)
+        p = ModelParameters(theta=theta, lam=lam, couplings=couplings, horizons=horizons)
+        for arr in (theta, lam, couplings, horizons):
+            arr[...] = 9
+        assert np.array_equal(p.theta, [-1.0, -1.0])
+        assert np.array_equal(p.lam, [1.0, 2.0])
+        assert np.array_equal(p.couplings, [[0.0, 0.1], [0.0, 0.0]])
+        assert np.array_equal(p.horizons, [[0, 5], [0, 0]])
+
+    def test_replace_checks_again(self):
+        p = make_params()
+        with pytest.raises(errors.NonFiniteParameter) as exc:
+            dataclasses.replace(p, couplings=[[0.0, np.nan], [0.0, 0.0]])
+        assert exc.value.index == (0, 1)
+        q = dataclasses.replace(p, theta=[0.5, -1.0])
+        assert q.theta[0] == 0.5 and not q.theta.flags.writeable
+
+    @pytest.mark.parametrize("theta", [[], np.zeros((0,)), [[-1.0, -1.0]], -1.0])
+    def test_empty_or_not_one_dimensional_theta_rejected(self, theta):
+        with pytest.raises(errors.DimensionMismatch) as exc:
+            make_params(theta=theta)
+        assert exc.value.field == "theta"
 
     def test_zero_lambda_rejected_with_index(self):
         with pytest.raises(errors.NonPositiveLambda) as exc:
-            validate_parameters(make_params(lam=[0.0, 1.0]))
+            make_params(lam=[0.0, 1.0])
         assert exc.value.index == 0
 
     def test_nan_lambda_rejected(self):
         with pytest.raises(errors.NonPositiveLambda):
-            validate_parameters(make_params(lam=[np.nan, 1.0]))
+            make_params(lam=[np.nan, 1.0])
 
     def test_negative_horizon_rejected(self):
         with pytest.raises(errors.NegativeHorizon) as exc:
-            validate_parameters(make_params(horizons=[[0, 5], [-1, 0]]))
+            make_params(horizons=[[0, 5], [-1, 0]])
         assert (exc.value.row, exc.value.col) == (1, 0)
 
     def test_fractional_horizon_rejected(self):
         with pytest.raises(errors.NegativeHorizon):
-            validate_parameters(make_params(horizons=[[0.0, 2.5], [0.0, 0.0]]))
+            make_params(horizons=[[0.0, 2.5], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2.0**63, 1e300])
+    def test_non_finite_or_beyond_int64_horizon_rejected(self, value):
+        with pytest.raises(errors.NegativeHorizon) as exc:
+            make_params(horizons=[[0.0, 5.0], [value, 0.0]])
+        assert (exc.value.row, exc.value.col) == (1, 0)
 
     def test_coupling_with_zero_horizon_rejected(self):
         with pytest.raises(errors.ZeroHorizonWithCoupling) as exc:
-            validate_parameters(make_params(horizons=[[0, 0], [0, 0]]))
+            make_params(horizons=[[0, 0], [0, 0]])
         assert (exc.value.row, exc.value.col) == (0, 1)
         assert "[1][2]" in str(exc.value)
 
     def test_shape_mismatch_rejected(self):
+        for field, value in (
+            ("lambda", dict(lam=[1.0, 2.0, 3.0])),
+            ("couplings", dict(couplings=[[0.0, 0.1]])),
+            ("horizons", dict(horizons=[[0, 5]])),
+        ):
+            with pytest.raises(errors.DimensionMismatch) as exc:
+                make_params(**value)
+            assert exc.value.field == field
+        with pytest.raises(errors.DimensionMismatch) as exc:
+            make_params(theta=[-1.0, -1.0, -1.0])
+        assert exc.value.field == "lambda"
+
+    def test_checks_run_in_a_fixed_order(self):
+        # a shape error comes before a non-finite entry, which comes before a
+        # bad rate, a bad horizon and a starved coupling
         with pytest.raises(errors.DimensionMismatch):
-            validate_parameters(make_params(theta=[-1.0, -1.0, -1.0]))
-        with pytest.raises(errors.DimensionMismatch):
-            validate_parameters(make_params(couplings=[[0.0, 0.1]]))
+            make_params(theta=[np.nan, -1.0], lam=[0.0], horizons=[[-1, 0], [0, 0]])
+        with pytest.raises(errors.NonFiniteParameter):
+            make_params(theta=[np.nan, -1.0], lam=[0.0, 1.0], horizons=[[-1, 0], [0, 0]])
+        with pytest.raises(errors.NonPositiveLambda):
+            make_params(lam=[0.0, 1.0], horizons=[[-1, 0], [0, 0]])
+        with pytest.raises(errors.NegativeHorizon):
+            make_params(horizons=[[-1, 0], [0, 0]])
 
     def test_non_finite_theta_rejected(self):
         with pytest.raises(errors.NonFiniteParameter):
-            validate_parameters(make_params(theta=[-1.0, np.inf]))
+            make_params(theta=[-1.0, np.inf])
 
     def test_non_finite_coupling_rejected(self):
         with pytest.raises(errors.NonFiniteParameter):
-            validate_parameters(make_params(couplings=[[0.0, np.nan], [0.0, 0.0]]))
+            make_params(couplings=[[0.0, np.nan], [0.0, 0.0]])
 
     def test_positive_theta_allowed(self):
-        p = validate_parameters(make_params(theta=[0.5, -1.0]))
+        p = make_params(theta=[0.5, -1.0])
         assert p.theta[0] == 0.5
 
 

@@ -14,12 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oprisk_dynamics import errors
-from oprisk_dynamics.model import (
-    LossMatrix,
-    ModelParameters,
-    NoiseSpec,
-    validate_parameters,
-)
+from oprisk_dynamics.model import LossMatrix, ModelParameters, NoiseSpec
 from oprisk_dynamics.ensemble import derive_seed, run_ensemble
 from oprisk_dynamics.simulate import (
     _ROW_SCAN_WIDTH,
@@ -65,9 +60,7 @@ def random_model(rng: np.random.Generator, allow_negative_j: bool = True):
         0.0, 0.4, size=(n, n)
     )
     couplings = np.where(horizons > 0, scale, 0.0)
-    p = validate_parameters(
-        ModelParameters(n=n, theta=theta, lam=lam, couplings=couplings, horizons=horizons)
-    )
+    p = ModelParameters(theta=theta, lam=lam, couplings=couplings, horizons=horizons)
     w = p.max_horizon
     initial = np.where(rng.random((w, n)) < 0.4, rng.uniform(0.1, 2.0, (w, n)), 0.0)
     return p, initial
@@ -80,10 +73,8 @@ def linked_model(n, edges, theta=-0.6, lam=1.5):
     for i, j, value, h in edges:
         couplings[i, j] = value
         horizons[i, j] = h
-    return validate_parameters(
-        ModelParameters(n=n, theta=np.full(n, theta), lam=np.full(n, lam),
-                        couplings=couplings, horizons=horizons)
-    )
+    return ModelParameters(theta=np.full(n, theta), lam=np.full(n, lam),
+                           couplings=couplings, horizons=horizons)
 
 
 # dependency graphs that exercise each path of the engine: process-major
@@ -226,14 +217,11 @@ def force_step_loop(monkeypatch, sim, loop):
 
 class TestSimulate:
     def test_frozen_threshold_never_crossed(self, small_parameters):
-        p = validate_parameters(
-            ModelParameters(
-                n=2,
-                theta=[-1e6, -1e6],
-                lam=[1.0, 1.0],
-                couplings=small_parameters.couplings,
-                horizons=small_parameters.horizons,
-            )
+        p = ModelParameters(
+            theta=[-1e6, -1e6],
+            lam=[1.0, 1.0],
+            couplings=small_parameters.couplings,
+            horizons=small_parameters.horizons,
         )
         traj = simulate(p, None, 500, NoiseSpec(rates=p.lam, seed=7))
         assert not traj.losses.losses.any()
@@ -263,14 +251,11 @@ class TestSimulate:
         base, initial = random_model(rng, allow_negative_j=False)
         raised_j = base.couplings.copy()
         raised_j[base.horizons > 0] += 0.2
-        raised = validate_parameters(
-            ModelParameters(
-                n=base.n,
-                theta=base.theta,
-                lam=base.lam,
-                couplings=raised_j,
-                horizons=base.horizons,
-            )
+        raised = ModelParameters(
+            theta=base.theta,
+            lam=base.lam,
+            couplings=raised_j,
+            horizons=base.horizons,
         )
         noise = NoiseSpec(rates=base.lam, seed=77)
         low = simulate(base, LossMatrix(initial), 300, noise)
@@ -329,10 +314,8 @@ class TestSimulate:
         assert chunked_cut.terminal_samples.tobytes() == whole_cut.terminal_samples.tobytes()
 
     def test_memoryless_model_runs_from_empty_history(self):
-        p = validate_parameters(
-            ModelParameters(n=2, theta=[-1.0, -0.5], lam=[1.0, 2.0],
+        p = ModelParameters(theta=[-1.0, -0.5], lam=[1.0, 2.0],
                             couplings=np.zeros((2, 2)), horizons=np.zeros((2, 2), int))
-        )
         noise = NoiseSpec(rates=p.lam, seed=5)
         traj = simulate(p, LossMatrix(np.zeros((0, 2))), 40, noise)
         assert np.array_equal(traj.losses.losses, simulate(p, None, 40, noise).losses.losses)
@@ -402,9 +385,7 @@ class TestSimulate:
     def test_noninteracting_marginal_law(self):
         # frequency of nonzero losses ~ exp(lambda * theta); nonzero sizes ~ Exp(lambda)
         lam, theta, n_steps = 2.0, -1.0, 40000
-        p = validate_parameters(
-            ModelParameters(n=1, theta=[theta], lam=[lam], couplings=[[0.0]], horizons=[[0]])
-        )
+        p = ModelParameters(theta=[theta], lam=[lam], couplings=[[0.0]], horizons=[[0]])
         traj = simulate(p, None, n_steps, NoiseSpec(rates=p.lam, seed=2024))
         losses = traj.losses.losses.ravel()
         nonzero = losses[losses > 0]

@@ -14,7 +14,7 @@ import pytest
 from oprisk_dynamics import errors, validation
 from oprisk_dynamics.ensemble import derive_seed, run_ensemble
 from oprisk_dynamics.estimate import LossEvents, collapse_precision, estimate_from_database
-from oprisk_dynamics.model import ModelParameters, NoiseSpec, validate_parameters
+from oprisk_dynamics.model import ModelParameters, NoiseSpec
 from oprisk_dynamics.simulate import simulate
 from oprisk_dynamics.validation import ValidationReport, relative_error, run_validation
 
@@ -77,6 +77,16 @@ class TestRunValidation:
         assert np.array_equal(a.coverage, b.coverage)
         assert np.array_equal(a.ensemble.terminal_samples, b.ensemble.terminal_samples)
 
+    @pytest.mark.parametrize("seed", [np.int64(9), np.uint64(9)])
+    def test_numpy_integer_seed_gives_the_int_seeds_report(self, small_parameters, seed):
+        expected = run_validation(small_parameters, 1500, 1.0, 4, 9)
+        report = run_validation(small_parameters, 1500, 1.0, 4, seed)
+        assert report.z_true.tobytes() == expected.z_true.tobytes()
+        assert report.ensemble.terminal_samples.tobytes() == (
+            expected.ensemble.terminal_samples.tobytes()
+        )
+        assert json.dumps(report.to_json_dict()) == json.dumps(expected.to_json_dict())
+
     def test_fraction_limits_estimation_data(self, small_parameters):
         p = small_parameters
         master, T = 271, 4000
@@ -97,6 +107,7 @@ class TestRunValidation:
         assert all(d >= 0.0 for d in report.delta_j.values())
         assert np.all(report.coverage >= 0.0)
         assert report.m_trajectories == 6
+        assert report.n_steps == 3000
 
     def test_fraction_validation(self, small_parameters):
         for bad in (0.0, -0.5, 1.0001):
@@ -113,7 +124,7 @@ class TestRunValidation:
         monkeypatch.setattr(validation, "simulate", simulate_never)
         p = small_parameters
         zero = ModelParameters(
-            n=p.n, theta=[p.theta[0], -0.0], lam=p.lam, couplings=p.couplings, horizons=p.horizons
+            theta=[p.theta[0], -0.0], lam=p.lam, couplings=p.couplings, horizons=p.horizons
         )
         with pytest.raises(errors.ZeroTrueValue) as exc:
             run_validation(zero, 1000, 1.0, 4, 0)
@@ -122,14 +133,11 @@ class TestRunValidation:
         )
 
     def test_degenerate_database_propagates(self):
-        silent = validate_parameters(
-            ModelParameters(
-                n=1,
-                theta=np.array([-80.0]),
-                lam=np.array([1.0]),
-                couplings=np.zeros((1, 1)),
-                horizons=np.zeros((1, 1), dtype=int),
-            )
+        silent = ModelParameters(
+            theta=np.array([-80.0]),
+            lam=np.array([1.0]),
+            couplings=np.zeros((1, 1)),
+            horizons=np.zeros((1, 1), dtype=int),
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", errors.DegeneracyWarning)
@@ -137,14 +145,11 @@ class TestRunValidation:
                 run_validation(silent, 500, 1.0, 4, 12)
 
     def test_noninteracting_round_trip(self):
-        p = validate_parameters(
-            ModelParameters(
-                n=2,
-                theta=np.array([-1.0, -1.0]),
-                lam=np.array([np.log(5.0), np.log(5.0)]),  # loss probability 0.2
-                couplings=np.zeros((2, 2)),
-                horizons=np.zeros((2, 2), dtype=int),
-            )
+        p = ModelParameters(
+            theta=np.array([-1.0, -1.0]),
+            lam=np.array([np.log(5.0), np.log(5.0)]),  # loss probability 0.2
+            couplings=np.zeros((2, 2)),
+            horizons=np.zeros((2, 2), dtype=int),
         )
         report = run_validation(p, 30000, 1.0, 6, 101)
         assert report.delta_theta.max() < 0.05
