@@ -176,11 +176,7 @@ def _cmd_simulate(args) -> int:
 def _estimates_from_file(config: io.RunConfig, database: str) -> EstimateSet:
     p = config.parameters
     events = io.ingest(io.read_loss_records(database), config.resolution, p.n)
-    # past 2**53 steps the float product drops steps, so the whole database
-    # is cut at its own length; other fractions keep the float cut, which
-    # takes 0.7 of 10 steps as 7 where an exact one would take 6
-    steps = events.n_steps if config.fraction == 1.0 else int(config.fraction * events.n_steps)
-    return estimate_from_database(events.head(steps), p.horizons, p.lam)
+    return estimate_from_database(events.head_fraction(config.fraction), p.horizons, p.lam)
 
 
 def _cmd_estimate(args) -> int:
@@ -217,9 +213,7 @@ def _cmd_forecast(args) -> int:
     written = [mean_path, std_path]
     for i, hist_path in enumerate(hist_paths):
         sample_path = os.path.join(out_dir, f"terminal_p{i + 1}.txt")
-        with open(sample_path, "w", encoding="utf-8") as handle:
-            for value in ensemble.terminal_samples[:, i]:
-                handle.write(f"{float(value)!r}\n")
+        io.write_samples(sample_path, ensemble.terminal_samples[:, i])
         written += [sample_path, hist_path]
 
     table_path = os.path.join(out_dir, "var_table.csv")
@@ -261,11 +255,11 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_var(args) -> int:
-    samples = io.read_samples(args.samples)
     confidences = args.confidence or [0.999]
     for c in confidences:
         if not 0.0 < c < 1.0:
             raise errors.ConfigError("--confidence", "must lie in (0, 1)")
+    samples = io.read_samples(args.samples)
     _warn_var_resolution(samples.shape[0], confidences)
     for c in confidences:
         print(repr(var(samples, c)))

@@ -238,13 +238,13 @@ def run_ensemble(
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    # deriving stream 0 checks the master seed before any batch forks
+    collapse_seed = derive_seed(master_seed, 0)
 
     if isinstance(source, EstimateSet):
         # the whole stack up front: trajectory m's matrix is the same however
         # the batches are cut
-        couplings = collapse_estimates(
-            source, collapse, m_trajectories, derive_seed(master_seed, 0)
-        )
+        couplings = collapse_estimates(source, collapse, m_trajectories, collapse_seed)
         p = parameters_from_estimates(source, couplings[0])
     else:
         if collapse != "mean":
@@ -354,7 +354,7 @@ def _evolve_part(p, couplings, initial, n_steps, master_seed, sums, terminal, fi
         # starts from its carry, so it is associated exactly as one
         # full-length cumsum would associate it. The first chunk's carry
         # is +0.0, which leaves a loss as it is: a loss is never -0.0,
-        # as it is the ramp of a sum that starts from +0.0
+        # because the engine's acc + theta never is (see simulate)
         for slab, base in zip(z, carry):
             _running_sum(slab, slab, base)
         carry[:] = z[:, -1]

@@ -93,6 +93,15 @@ class LossEvents:
             raise ValueError(f"head takes 0 to {self.n_steps} steps, got {n_steps}")
         return LossEvents(tuple(s[: np.searchsorted(s, n_steps)] for s in self.steps), n_steps)
 
+    def head_fraction(self, fraction: float) -> "LossEvents":
+        """The events of the first ``int(fraction * T)`` steps; all T at 1.0.
+
+        Past 2**53 steps the float product drops steps, so the whole database
+        is cut at its own length; other fractions keep the float cut, which
+        takes 0.7 of 10 steps as 7 where an exact one would take 6.
+        """
+        return self.head(self.n_steps if fraction == 1.0 else int(fraction * self.n_steps))
+
 
 @dataclass(eq=False)
 class EventClassCounts:

@@ -17,6 +17,9 @@ fault on an earlier line:
   the LossEvents the estimator reads.
 * series tables: header ``t,process,value``, full (step, process) grid.
 * histograms: header ``bin_left,bin_right,count``.
+* samples: one float per line, no header. ``write_samples`` writes each
+  value's ``repr``; ``read_samples`` reads them back bit for bit, and skips
+  blank lines and ``#`` comments.
 * configuration: one JSON document; see ``load_config``. A byte that is
   not UTF-8 is a ConfigError.
 """
@@ -52,6 +55,7 @@ __all__ = [
     "write_loss_database",
     "write_series",
     "write_histogram",
+    "write_samples",
     "read_samples",
     "RunConfig",
     "load_config",
@@ -425,6 +429,14 @@ def write_histogram(path, samples, n_bins: int = 60) -> None:
         _table(edges[a:b], edges[a + 1:b + 1], counts[a:b])
         for a, b in _ranges(n_bins, _CSV_BLOCK_ROWS)
     ))
+
+
+def write_samples(path, samples) -> None:
+    """Write one sample per line as its ``repr``, which ``read_samples`` reads
+    back bit for bit."""
+    texts = [f"{value!r}\n" for value in np.asarray(samples, dtype=np.float64).ravel().tolist()]
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("".join(texts))
 
 
 def read_samples(path) -> np.ndarray:

@@ -42,11 +42,13 @@ first unsettled step on, their counts and losses are exact; each round
 settles at least one step, and rounds that agree to the end settle the chunk.
 
 Every loss gets the same arithmetic in the same order whatever the batch,
-the chunk or the component: the interaction term is accumulated from +0.0
-over the live j in ascending order, then theta is added, then the noise,
-then the ramp. A term that is left out has a zero coupling or a zero count,
-so it is a signed zero, and adding one to an accumulator that is never -0.0
-changes nothing. Results are therefore identical for any batch size.
+the chunk or the component: theta enters the engine as theta + 0.0, never
+-0.0; the terms J_ij * C_ij are summed over the live j in ascending order,
+then theta is added, then the noise, then the ramp. A term that is left out
+has a zero coupling or a zero count, so it is a signed zero, which can
+change only the sign of a zero sum; adding theta erases that sign, so
+acc + theta, and hence a loss, is never -0.0. Results are therefore
+identical for any batch size.
 """
 
 from __future__ import annotations
@@ -292,6 +294,7 @@ def _evolve(
     No reduction ever crosses the trajectory axis, so batch size never
     changes results.
     """
+    theta = theta + 0.0  # the one place a zero threshold's sign is settled
     n = theta.shape[0]
     n_batch = couplings.shape[0]
     w = initial.shape[0]
@@ -372,9 +375,10 @@ def _sweep(losses, prefix, w, own_row, rows, lags, coefs, theta_i, work) -> None
     cycle member over a quiet stretch, its cycle's counts are held), so each
     window count is a difference of two prefix rows. The slab is swept in
     tiles of about _SWEEP_TILE trajectory-steps, so the work buffers stay small.
-    The interaction sum starts from its first product plus +0.0, the same
-    bits as +0.0 plus that product, and the process's own prefix counts
-    continue from the row before the tile through ``_running_sum``.
+    The terms are summed in ascending j from the first product, then theta
+    (never -0.0, see ``_evolve``) is added, then the noise, then the ramp, as
+    the module docstring states. The process's own prefix counts continue
+    from the row before the tile through ``_running_sum``.
     """
     total_buf, term_buf, ind_buf = work
     for first in range(0, losses.shape[0], total_buf.shape[0]):
@@ -390,11 +394,10 @@ def _sweep(losses, prefix, w, own_row, rows, lags, coefs, theta_i, work) -> None
                     total += term
                 else:
                     np.multiply(term, coef, out=total)
-                    total += 0.0
             total += theta_i
             slab += total  # xi + (acc + theta), the same sum as (acc + theta) + xi
         else:
-            slab += 0.0 + theta_i  # the empty interaction sum is +0.0
+            slab += theta_i  # no terms: xi + theta
         np.maximum(slab, 0.0, out=slab)
         if own_row >= 0:
             np.greater(slab, 0.0, out=ind_buf[:k])
@@ -518,11 +521,12 @@ def _numpy_chunk(losses, prefix, w, start, quiet, reach, members, own_rows, ptr,
 
     The loop is bound by NumPy calls on (B,) rows, so it reads its rows from
     iterators over the steps from ``start`` rather than indexing a 2-D array
-    at each step, and starts each interaction sum with its first product
-    plus +0.0 (the same bits as +0.0 plus that product). A cyclic member
-    always has a term, the one it reads from the cycle. The iterators make
-    only the views of the steps actually taken: a narrow batch goes quiet
-    often, so it calls this many times per chunk.
+    at each step. It sums the terms in ascending j from the first product,
+    then adds theta (never -0.0, see ``_evolve``), the noise and the ramp, as
+    the module docstring states. A cyclic member always has a term, the one
+    it reads from the cycle. The iterators make only the views of the steps
+    actually taken: a narrow batch goes quiet often, so it calls this many
+    times per chunk.
     """
     n_batch = losses.shape[2]
     acc = np.empty(n_batch)
@@ -551,7 +555,6 @@ def _numpy_chunk(losses, prefix, w, start, quiet, reach, members, own_rows, ptr,
                     acc += prod
                 else:
                     np.multiply(coef, counts, out=acc)
-                    acc += 0.0
             acc += theta_i
             row, before, after = next(steps)
             row += acc  # xi + (acc + theta), the same sum as (acc + theta) + xi

@@ -140,7 +140,7 @@ def run_validation(
     z_true = truth.cumulative
 
     estimates = estimate_from_database(
-        LossEvents.of(truth.losses).head(int(fraction * n_steps)), p_true.horizons, p_true.lam
+        LossEvents.of(truth.losses).head_fraction(fraction), p_true.horizons, p_true.lam
     )
     delta_theta = np.array(list(map(relative_error, p_true.theta, estimates.theta_hat)))
     collapsed = collapse_precision(estimates)

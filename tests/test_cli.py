@@ -131,6 +131,10 @@ class TestVarCommand:
         assert main(["var", str(path), "--confidence", "1.5"]) == 2
         assert last_stderr_json(capsys)["error"] == "ConfigError"
 
+    def test_bad_confidence_is_reported_before_the_file_is_read(self, tmp_path, capsys):
+        assert main(["var", "--confidence", "2", str(tmp_path / "absent.txt")]) == 2
+        assert last_stderr_json(capsys)["error"] == "ConfigError"
+
 
 class TestSimulateCommand:
     def test_writes_database_and_cumulative(self, tmp_path, capsys):

@@ -534,6 +534,19 @@ class TestWorkerProcesses:
             other.join()
         assert ens._part_count(100 * least) == 3
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, True, 1.5])
+    def test_a_bad_master_seed_is_rejected_before_the_batch_forks(self, monkeypatch, seed):
+        ens = importlib.import_module("oprisk_dynamics.ensemble")
+        monkeypatch.setattr(ens, "_part_count", lambda width: 2)
+
+        def too_early(*args):
+            raise AssertionError("shared memory mapped or parts forked before the seed check")
+
+        monkeypatch.setattr(ens, "_shared_zeros", too_early)
+        monkeypatch.setattr(ens, "_fork_parts", too_early)
+        with pytest.raises(ValueError, match=r"master_seed must lie in \[0, 2\*\*64\)"):
+            run_ensemble(build_reference_parameters(), None, 10, 300, seed)
+
     def test_each_batch_logs_its_processes(self, monkeypatch, caplog, small_parameters):
         ens = importlib.import_module("oprisk_dynamics.ensemble")
         monkeypatch.setattr(ens, "_part_count", lambda width: min(2, width))

@@ -219,6 +219,19 @@ class TestLossEvents:
         with pytest.raises(ValueError, match="n_steps must be >= 0"):
             LossEvents((np.array([], dtype=np.int64),), -3)
 
+    @pytest.mark.parametrize(("n_steps", "fraction", "kept"), [
+        (10, 1.0, 10),
+        (10, 0.7, 7),  # the float cut: an exact floor of 0.7 * 10 would keep 6
+        (10, 0.25, 2),
+        # past 2**53 the float product drops steps, but 1.0 keeps all T
+        (2**53 + 1, 1.0, 2**53 + 1),
+    ])
+    def test_head_fraction(self, n_steps, fraction, kept):
+        events = LossEvents((np.array([0, 6, 7, n_steps - 1], dtype=np.int64),), n_steps)
+        head = events.head_fraction(fraction)
+        assert head.n_steps == kept
+        assert head.steps[0].tolist() == [t for t in (0, 6, 7, n_steps - 1) if t < kept]
+
 
 class TestEventsMatchDenseOracle:
     @given(

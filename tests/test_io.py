@@ -29,6 +29,7 @@ from oprisk_dynamics.io import (
     reference_config_path,
     write_histogram,
     write_loss_database,
+    write_samples,
     write_series,
 )
 from oprisk_dynamics.estimate import LossEvents
@@ -1134,6 +1135,18 @@ class TestSeriesAndHistograms:
         empty.write_text("\n")
         with pytest.raises(errors.EmptySample):
             read_samples(empty)
+
+    def test_write_samples_round_trips_bit_for_bit(self, tmp_path):
+        values = np.array([5e-324, 1e-310, 1e300, 0.1, -0.0, 0.0, 2.5, -7.125])
+        path = tmp_path / "samples.txt"
+        write_samples(path, values)
+        assert read_samples(path).tobytes() == values.tobytes()
+        # the bytes of the loop that wrote a forecast's terminal samples before
+        loop = tmp_path / "loop.txt"
+        with open(loop, "w", encoding="utf-8") as handle:
+            for value in values:
+                handle.write(f"{float(value)!r}\n")
+        assert path.read_bytes() == loop.read_bytes()
 
     def test_read_samples_ignores_a_byte_order_mark(self, tmp_path):
         path = tmp_path / "samples.txt"

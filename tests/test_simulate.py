@@ -18,6 +18,7 @@ from oprisk_dynamics.model import LossMatrix, ModelParameters, NoiseSpec
 from oprisk_dynamics.ensemble import derive_seed, run_ensemble
 from oprisk_dynamics.simulate import (
     _ROW_SCAN_WIDTH,
+    _SCALAR_BATCH,
     _component_order,
     _evolve,
     _running_sum,
@@ -64,6 +65,53 @@ def random_model(rng: np.random.Generator, allow_negative_j: bool = True):
     w = p.max_horizon
     initial = np.where(rng.random((w, n)) < 0.4, rng.uniform(0.1, 2.0, (w, n)), 0.0)
     return p, initial
+
+
+def signed_zero_model(rng: np.random.Generator):
+    """A random model whose thresholds are +0.0, -0.0 or negative, at least one
+    of them zero, and whose couplings are negative, +0.0 or -0.0."""
+    n = int(rng.integers(1, 5))
+    # kind 0 is +0.0, kind 1 is -0.0, kind 2 is negative
+    theta_kind = rng.integers(0, 3, size=n)
+    theta_kind[rng.integers(n)] = rng.integers(0, 2)
+    negative = -rng.uniform(0.2, 1.5, n)
+    theta = np.where(theta_kind == 0, 0.0, np.where(theta_kind == 1, -0.0, negative))
+    lam = rng.uniform(0.5, 4.0, size=n)
+    horizons = rng.integers(0, 5, size=(n, n))
+    coupling_kind = rng.integers(0, 3, size=(n, n))
+    negative = -rng.uniform(0.05, 0.4, (n, n))
+    couplings = np.where(coupling_kind == 0, 0.0, np.where(coupling_kind == 1, -0.0, negative))
+    couplings = np.where(horizons > 0, couplings, -0.0)
+    p = ModelParameters(theta=theta, lam=lam, couplings=couplings, horizons=horizons)
+    w = p.max_horizon
+    initial = np.where(rng.random((w, n)) < 0.4, rng.uniform(0.1, 2.0, (w, n)), 0.0)
+    return p, initial
+
+
+class ZeroDrawGenerator(np.random.Generator):
+    """A NumPy generator whose uniform draws below 0.3 read as 0.0, so that
+    the noise -ln(1 - r) / lam of those steps is -0.0."""
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        r = super().random(size, dtype, out)
+        r[r < 0.3] = 0.0
+        return r
+
+
+class RampKeepsFirstOnTies:
+    """The numpy module, but with a maximum that returns its first operand on
+    a tie, so that max(-0.0, 0.0) is -0.0."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def maximum(a, b, out=None):
+        result = np.where(b > a, b, a)
+        if out is None:
+            return result
+        out[...] = result
+        return out
 
 
 def linked_model(n, edges, theta=-0.6, lam=1.5):
@@ -392,6 +440,64 @@ class TestSimulate:
         expected_freq = np.exp(lam * theta)
         assert abs(nonzero.size / n_steps - expected_freq) < 0.009  # ~5 sigma
         assert abs(nonzero.mean() - 1.0 / lam) < 0.04
+
+
+@pytest.fixture
+def negative_zero_noise(monkeypatch):
+    """Let a -0.0 before the engine's ramp show in its losses; returns the
+    simulate module.
+
+    Every generator reads its draws below 0.3 as 0.0, whose noise is -0.0,
+    and the engine's ramp keeps its first operand on a tie, as a host's
+    maximum may (NumPy's here returns the second). A loss is then -0.0
+    exactly where the engine's acc + theta is -0.0; the oracle's never is.
+    """
+    monkeypatch.setattr(np.random, "Generator", ZeroDrawGenerator)
+    sim = importlib.import_module("oprisk_dynamics.simulate")
+    monkeypatch.setattr(sim, "np", RampKeepsFirstOnTies())
+    return sim
+
+
+# a single trajectory, the narrowest batch the NumPy step loop takes, and the
+# narrowest whose running sums add one row at a time
+SIGNED_ZERO_WIDTHS = (1, _SCALAR_BATCH + 1, _ROW_SCAN_WIDTH)
+
+
+class TestSignedZeros:
+    """Thresholds of +0.0 and -0.0 and couplings that are negative or +-0.0
+    give the oracle's losses bit for bit, with noise of -0.0 on many steps,
+    whatever the step loop or the batch."""
+
+    @pytest.mark.parametrize("width", SIGNED_ZERO_WIDTHS)
+    @pytest.mark.parametrize("case_seed", range(5))
+    def test_every_step_loop_matches_naive_reference(self, monkeypatch, negative_zero_noise,
+                                                     case_seed, width):
+        sim = negative_zero_noise
+        p, initial = signed_zero_model(np.random.default_rng(7700 + case_seed))
+        n_steps, seeds = 40, [derive_seed(case_seed, m) for m in range(width)]
+        expected = np.stack([naive_simulate(p, initial, n_steps, s) for s in seeds], axis=1)
+        for loop in ("compiled", "scalar", "numpy"):
+            force_step_loop(monkeypatch, sim, loop)
+            got = engine_losses(p, initial, n_steps, seeds)
+            assert got.tobytes() == expected.tobytes(), loop
+        traj = simulate(p, LossMatrix(initial), n_steps, NoiseSpec(rates=p.lam, seed=seeds[0]))
+        assert traj.losses.losses.tobytes() == expected[:, 0].tobytes()
+
+    @pytest.mark.parametrize("case_seed", range(5))
+    def test_batch_size_never_changes_an_ensemble(self, negative_zero_noise, case_seed):
+        p, initial = signed_zero_model(np.random.default_rng(7700 + case_seed))
+        n_steps, m_traj, master = 40, _ROW_SCAN_WIDTH, 100 + case_seed
+        runs = [
+            run_ensemble(p, LossMatrix(initial), n_steps, m_traj, master, batch_size=batch)
+            for batch in SIGNED_ZERO_WIDTHS
+        ]
+        for other in runs[1:]:
+            for name in ("mean_z", "std_z", "terminal_samples"):
+                assert getattr(other, name).tobytes() == getattr(runs[0], name).tobytes()
+        paths = [naive_simulate(p, initial, n_steps, derive_seed(master, 1 + m))
+                 for m in range(m_traj)]
+        terminal = np.stack([np.cumsum(path, axis=0)[-1] for path in paths])
+        assert runs[0].terminal_samples.tobytes() == terminal.tobytes()
 
 
 class TestDependencyOrder:
