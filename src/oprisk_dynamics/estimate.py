@@ -17,8 +17,8 @@ estimates:
     theta_i    = (1/lam_i) * ln(1 - base_zero/base_total)
     J_ij^(c)   = (1/c) * ( -theta_i + (1/lam_i) * ln(1 - class_zero/class_total) )
 
-A ratio of 0 or 1 admits no finite inverse; such a class yields a warning, a
-diagnostics entry and, for theta, an availability flag instead of a number.
+A ratio of 0 or 1 admits no finite inverse; such a class yields a warning and
+a listed reason instead of a number.
 Noise rates are never estimated here; they come from spontaneous-loss
 probabilities or quantiles via the helpers.
 """
@@ -42,7 +42,6 @@ __all__ = [
     "LossEvents",
     "EventClassCounts",
     "CouplingCandidate",
-    "EstimationDiagnostics",
     "EstimateSet",
     "classify_events",
     "estimate_from_counts",
@@ -77,8 +76,9 @@ class LossEvents:
 
     @classmethod
     def of(cls, db) -> "LossEvents":
-        """The events of a LossMatrix or (T, N) array: its entries > 0."""
-        losses = db.losses if isinstance(db, LossMatrix) else np.asarray(db, dtype=np.float64)
+        """The events of a LossMatrix, or of a (T, N) array that passes its
+        rules: the entries > 0."""
+        losses = (db if isinstance(db, LossMatrix) else LossMatrix(db)).losses
         n_steps, n = losses.shape
         t, i = np.nonzero(losses > 0.0)
         return cls(tuple(t[i == k] for k in range(n)), n_steps)
@@ -116,7 +116,6 @@ class EventClassCounts:
         discarded: per process, events with two or more active influencers,
             excluded from every class.
         n_steps: length of the counted database.
-        window: number of leading steps skipped (the maximum horizon).
         horizons: the (N, N) horizon matrix the classes were built with.
     """
 
@@ -126,7 +125,6 @@ class EventClassCounts:
     class_zero: np.ndarray
     discarded: np.ndarray
     n_steps: int
-    window: int
     horizons: np.ndarray
 
     def __post_init__(self) -> None:
@@ -139,6 +137,11 @@ class EventClassCounts:
     def n_processes(self) -> int:
         return self.base_total.shape[0]
 
+    @property
+    def window(self) -> int:
+        """Number of leading steps skipped: the maximum horizon."""
+        return int(self.horizons.max(initial=0))
+
 
 class CouplingCandidate(NamedTuple):
     """One J_ij estimate from one count class, with its evidence size."""
@@ -149,44 +152,44 @@ class CouplingCandidate(NamedTuple):
 
 
 @dataclass(eq=False)
-class EstimationDiagnostics:
-    """What the estimator had to skip or flag.
-
-    ``degenerate_theta`` lists (process index, reason); ``skipped_classes``
-    lists (i, j, c, reason) for classes whose zero-ratio was 0 or 1. Indices
-    are 0-based; serialization converts to 1-based.
-    """
-
-    discarded: np.ndarray
-    degenerate_theta: list
-    skipped_classes: list
-    n_steps: int
-    window: int
-
-
-@dataclass(eq=False)
 class EstimateSet:
-    """Everything estimation produced, sufficient to re-simulate.
+    """The counts an estimate was inverted from, and what was inverted from
+    them; sufficient to re-simulate.
 
     ``j_hat`` maps (i, j) pairs to candidate lists, one candidate per usable
     count class; pairs without usable classes are absent and collapse to 0.
+    ``degenerate_theta`` lists (process index, reason) for the base classes
+    with no finite inverse, whose ``theta_hat`` stays 0.0;
+    ``skipped_classes`` lists (i, j, c, reason) for the (i, j, c) classes
+    whose zero-ratio was 0 or 1. Indices are 0-based; serialization converts
+    to 1-based.
     """
 
     theta_hat: np.ndarray
-    theta_available: np.ndarray
     j_hat: dict
     lam: np.ndarray
-    horizons: np.ndarray
-    diagnostics: EstimationDiagnostics
+    counts: EventClassCounts
+    degenerate_theta: list
+    skipped_classes: list
 
     def __post_init__(self) -> None:
-        bad = self.theta_available & (self.theta_hat > 0)
-        if bad.any():
+        if (self.theta_available & (self.theta_hat > 0)).any():
             raise ValueError("available theta estimates must be <= 0")
 
     @property
     def n_processes(self) -> int:
         return self.theta_hat.shape[0]
+
+    @property
+    def horizons(self) -> np.ndarray:
+        return self.counts.horizons
+
+    @property
+    def theta_available(self) -> np.ndarray:
+        """False exactly at the processes listed in ``degenerate_theta``."""
+        available = np.ones(self.n_processes, dtype=bool)
+        available[[i for i, _ in self.degenerate_theta]] = False
+        return available
 
     def to_json_dict(self) -> dict:
         """Plain JSON types, 1-based indices, all candidates with their
@@ -207,18 +210,17 @@ class EstimateSet:
                 for (i, j), candidates in sorted(self.j_hat.items())
             },
         }
-        diag = self.diagnostics
         doc["diagnostics"] = {
-            "discarded": [int(d) for d in diag.discarded],
+            "discarded": [int(d) for d in self.counts.discarded],
             "degenerate_theta": [
-                {"process": i + 1, "reason": reason} for i, reason in diag.degenerate_theta
+                {"process": i + 1, "reason": reason} for i, reason in self.degenerate_theta
             ],
             "skipped_classes": [
                 {"i": i + 1, "j": j + 1, "count_class": c, "reason": reason}
-                for i, j, c, reason in diag.skipped_classes
+                for i, j, c, reason in self.skipped_classes
             ],
-            "window": diag.window,
-            "estimation_steps": diag.n_steps,
+            "window": self.counts.window,
+            "estimation_steps": self.counts.n_steps,
         }
         return doc
 
@@ -290,7 +292,6 @@ def classify_events(events: LossEvents, horizons: np.ndarray) -> EventClassCount
         class_zero=class_zero,
         discarded=discarded,
         n_steps=n_steps,
-        window=w,
         horizons=horizons.astype(np.int64),
     )
 
@@ -330,9 +331,9 @@ def estimate_from_counts(counts: EventClassCounts, lam) -> EstimateSet:
     class yields one J_ij candidate that keeps its support, which
     collapse_precision weighs it by. A degenerate class (no events, ratio 0,
     ratio 1) is data, not an error: it emits a DegeneracyWarning and is
-    listed in the diagnostics. A degenerate base class leaves theta_hat[i] =
-    0.0 with its availability flag False; a degenerate (i, j, c) class yields
-    no candidate.
+    listed in the EstimateSet. A degenerate base class leaves theta_hat[i] =
+    0.0 and is listed in degenerate_theta; a degenerate (i, j, c) class
+    yields no candidate and is listed in skipped_classes.
 
     Raises:
         NonPositiveLambda: a rate that is not finite and positive.
@@ -341,7 +342,6 @@ def estimate_from_counts(counts: EventClassCounts, lam) -> EstimateSet:
     lam = noise_rates(lam)
     n = counts.n_processes
     theta_hat = np.zeros(n)
-    available = np.zeros(n, dtype=bool)
     degenerate_theta = []
     for i in range(n):
         total = int(counts.base_total[i])
@@ -353,8 +353,8 @@ def estimate_from_counts(counts: EventClassCounts, lam) -> EstimateSet:
             degenerate_theta.append((i, reason))
         else:
             theta_hat[i] = _log_lossy_ratio(total, zero) / lam[i]
-            available[i] = True
 
+    unavailable = {i for i, _ in degenerate_theta}
     j_hat: dict = {}
     skipped = []
     for i, j, k in np.argwhere(counts.class_total > 0).tolist():
@@ -370,7 +370,7 @@ def estimate_from_counts(counts: EventClassCounts, lam) -> EstimateSet:
             )
             skipped.append((i, j, c, reason))
             continue
-        if not available[i]:
+        if i in unavailable:
             raise errors.MissingTheta(i)
         estimate = (-theta_hat[i] + _log_lossy_ratio(total, zero) / lam[i]) / c
         j_hat.setdefault((i, j), []).append(
@@ -379,24 +379,18 @@ def estimate_from_counts(counts: EventClassCounts, lam) -> EstimateSet:
 
     logger.info(
         "estimated %d/%d thresholds and %d coupling candidates from %d steps",
-        int(available.sum()),
+        n - len(unavailable),
         n,
         sum(len(v) for v in j_hat.values()),
         counts.n_steps,
     )
     return EstimateSet(
         theta_hat=theta_hat,
-        theta_available=available,
         j_hat=j_hat,
         lam=lam,
-        horizons=counts.horizons,
-        diagnostics=EstimationDiagnostics(
-            discarded=counts.discarded,
-            degenerate_theta=degenerate_theta,
-            skipped_classes=skipped,
-            n_steps=counts.n_steps,
-            window=counts.window,
-        ),
+        counts=counts,
+        degenerate_theta=degenerate_theta,
+        skipped_classes=skipped,
     )
 
 

@@ -388,11 +388,12 @@ def _ranges(total: int, size: int):
 
 
 def write_loss_database(path, losses) -> None:
-    """Write nonzero losses as ``t,process,amount`` records, steps 1-based."""
-    arr = losses.losses if isinstance(losses, LossMatrix) else np.asarray(losses)
+    """Write nonzero losses as ``t,process,amount`` records, steps 1-based,
+    from a LossMatrix or a (T, N) array that passes its rules."""
+    arr = (losses if isinstance(losses, LossMatrix) else LossMatrix(losses)).losses
     t, i = np.nonzero(arr)
     _write_csv(path, _DB_HEADER, (
-        _table(t[a:b] + 1, i[a:b] + 1, arr[t[a:b], i[a:b]].astype(np.float64))
+        _table(t[a:b] + 1, i[a:b] + 1, arr[t[a:b], i[a:b]])
         for a, b in _ranges(t.size, _CSV_BLOCK_ROWS)
     ))
 
@@ -506,8 +507,8 @@ class RunConfig:
             raise errors.ConfigError("output.resolution", "must be > 0")
         if not (_is_number(self.histogram_bins, kind=int) and self.histogram_bins >= 1):
             raise errors.ConfigError("output.histogram_bins", "must be an integer >= 1")
-        if not isinstance(self.out_dir, str):
-            raise errors.ConfigError("output.out_dir", "must be a string path")
+        if not (isinstance(self.out_dir, str) and self.out_dir):
+            raise errors.ConfigError("output.out_dir", "must be a nonempty string path")
         object.__setattr__(self, "fraction", float(self.fraction))
         object.__setattr__(self, "confidences", tuple(float(c) for c in confidences))
         object.__setattr__(self, "resolution", float(self.resolution))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oprisk_dynamics.estimate import EstimationDiagnostics
+from oprisk_dynamics.estimate import EventClassCounts
 from oprisk_dynamics.model import ModelParameters
 
 
@@ -31,12 +31,16 @@ def build_reference_parameters() -> ModelParameters:
     return ModelParameters(theta=theta, lam=lam, couplings=couplings, horizons=horizons)
 
 
-def clean_diagnostics(n: int) -> EstimationDiagnostics:
-    """Diagnostics of an estimate that skipped nothing, for an EstimateSet
-    built by hand."""
-    return EstimationDiagnostics(
-        discarded=np.zeros(n, dtype=np.int64), degenerate_theta=[], skipped_classes=[],
-        n_steps=0, window=0,
+def empty_counts(horizons) -> EventClassCounts:
+    """The counts of no events over ``horizons``, for an EstimateSet built by
+    hand."""
+    horizons = np.asarray(horizons, dtype=np.int64)
+    n, w = horizons.shape[0], int(horizons.max(initial=0))
+    return EventClassCounts(
+        base_total=np.zeros(n, dtype=np.int64), base_zero=np.zeros(n, dtype=np.int64),
+        class_total=np.zeros((n, n, w), dtype=np.int64),
+        class_zero=np.zeros((n, n, w), dtype=np.int64),
+        discarded=np.zeros(n, dtype=np.int64), n_steps=0, horizons=horizons,
     )
 
 

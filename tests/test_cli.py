@@ -442,6 +442,12 @@ class TestValidateCommand:
                        "validation needs nonzero true thresholds",
         }
 
+    def test_without_config_runs_the_bundled_reference(self, tmp_path):
+        out = tmp_path / "val"
+        assert main(["validate", "--trajectories", "2", "--out-dir", str(out)]) == 0
+        report = json.loads((out / "validation_report.json").read_text())
+        assert (report["n_steps"], report["m_trajectories"]) == (200_000, 2)
+
     def test_writes_report_and_series(self, tmp_path, capsys):
         config = small_config(tmp_path, **{"simulation.n_steps": 2000})
         out = tmp_path / "val"
@@ -492,6 +498,25 @@ class TestOutDir:
         assert main(argv) == 3
         assert last_stderr_json(capsys)["error"] == "FileNotFoundError"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config_value,flag",
+        [(None, [""]), ("", []), (5, [])],
+        ids=["empty-flag", "empty-config", "number-config"],
+    )
+    def test_bad_out_dir_is_a_config_error_before_any_work(
+        self, tmp_path, capsys, monkeypatch, config_value, flag
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("simulate ran")
+
+        monkeypatch.setattr(cli, "simulate", fail)
+        config = small_config(tmp_path, **{"output.out_dir": config_value})
+        argv = ["simulate", "--config", config] + (["--out-dir"] + flag if flag else [])
+        assert main(argv) == 2
+        err = last_stderr_json(capsys)
+        assert err["error"] == "ConfigError"
+        assert "output.out_dir" in err["message"]
 
     @pytest.mark.parametrize("command", ["simulate", "estimate", "forecast", "validate"])
     def test_successful_run_creates_a_nested_out_dir(self, tmp_path, command):

@@ -35,7 +35,7 @@ from oprisk_dynamics.estimate import (
 from oprisk_dynamics.model import LossMatrix, ModelParameters, NoiseSpec
 from oprisk_dynamics.simulate import _ROW_SCAN_WIDTH, _SCALAR_BATCH, simulate
 
-from conftest import build_reference_parameters, clean_diagnostics
+from conftest import build_reference_parameters, empty_counts
 
 
 class TestDeriveSeed:
@@ -177,7 +177,6 @@ def reference_candidates(theta) -> EstimateSet:
     pairs = zip(*np.nonzero(ref.couplings))
     return EstimateSet(
         theta_hat=theta,
-        theta_available=np.ones(5, dtype=bool),
         j_hat={
             (int(i), int(j)): [
                 CouplingCandidate(1, ref.couplings[i, j], 40),
@@ -186,8 +185,9 @@ def reference_candidates(theta) -> EstimateSet:
             for i, j in pairs
         },
         lam=ref.lam,
-        horizons=ref.horizons,
-        diagnostics=clean_diagnostics(5),
+        counts=empty_counts(ref.horizons),
+        degenerate_theta=[],
+        skipped_classes=[],
     )
 
 
@@ -565,11 +565,11 @@ def two_candidate_estimates():
     }
     return EstimateSet(
         theta_hat=np.array([-1.0, -0.8]),
-        theta_available=np.array([True, True]),
         j_hat=j_hat,
         lam=np.array([1.0, 2.0]),
-        horizons=np.array([[0, 3], [0, 0]]),
-        diagnostics=clean_diagnostics(2),
+        counts=empty_counts([[0, 3], [0, 0]]),
+        degenerate_theta=[],
+        skipped_classes=[],
     )
 
 
@@ -585,7 +585,7 @@ class TestEstimateSetSources:
 
     def test_degenerate_theta_blocks_simulation(self):
         est = two_candidate_estimates()
-        est.theta_available = np.array([True, False])
+        est.degenerate_theta = [(1, "zero-ratio-1")]
         est.theta_hat = np.array([-1.0, 0.0])
         with pytest.raises(errors.EstimationDegenerate) as exc:
             parameters_from_estimates(est, collapse_precision(est))
@@ -634,14 +634,14 @@ class TestEstimateSetSources:
         # self-coupled, so it always runs in the step loop
         est = EstimateSet(
             theta_hat=np.array([-0.7, -0.6]),
-            theta_available=np.array([True, True]),
             j_hat={
                 (0, 1): [CouplingCandidate(1, 0.0, 40), CouplingCandidate(2, 0.3, 20)],
                 (1, 1): [CouplingCandidate(1, 0.2, 30)],
             },
             lam=np.array([1.5, 2.0]),
-            horizons=np.array([[0, 3], [0, 2]]),
-            diagnostics=clean_diagnostics(2),
+            counts=empty_counts([[0, 3], [0, 2]]),
+            degenerate_theta=[],
+            skipped_classes=[],
         )
         master, m_traj = 17, 7
         kwargs = dict(master_seed=master, collapse="sample-per-run")

@@ -35,7 +35,7 @@ from oprisk_dynamics.estimate import (
 from oprisk_dynamics.model import LossMatrix, ModelParameters, NoiseSpec
 from oprisk_dynamics.simulate import simulate
 
-from conftest import clean_diagnostics
+from conftest import empty_counts
 
 
 def brute_force_classify(losses: np.ndarray, horizons: np.ndarray):
@@ -179,6 +179,10 @@ class TestClassifyEvents:
         expected = losses.shape[0] - int(horizons.max())
         assert (per_process == expected).all()
 
+    def test_horizons_of_another_shape_rejected(self):
+        with pytest.raises(errors.DimensionMismatch, match="horizons"):
+            classify_events(LossEvents.of(np.zeros((6, 2))), np.array([[1]]))
+
     def test_database_shorter_than_window_rejected(self):
         with pytest.raises(errors.DatabaseTooShort):
             classify_events(LossEvents.of(np.zeros((5, 1))), np.array([[5]]))
@@ -214,6 +218,17 @@ class TestLossEvents:
     def test_steps_must_be_int64_arrays(self, steps):
         with pytest.raises(ValueError, match="1-D int64 array"):
             LossEvents((steps,), 10)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan])
+    def test_of_rejects_what_is_no_loss_matrix(self, bad):
+        losses = np.zeros((5, 2))
+        losses[3, 1] = bad
+        with pytest.raises(ValueError, match=r"at \(t, process\) = \(3, 1\)"):
+            LossEvents.of(losses)
+
+    def test_of_reads_negative_zero_as_no_loss(self):
+        events = LossEvents.of(np.array([[-0.0, 2.0], [0.0, -0.0]]))
+        assert [s.tolist() for s in events.steps] == [[], [0]]
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError, match="n_steps must be >= 0"):
@@ -306,9 +321,41 @@ def make_counts(n=1, base_total=(100,), base_zero=(50,), window=1):
         class_zero=np.zeros((n, n, window), dtype=np.int64),
         discarded=np.zeros(n, dtype=np.int64),
         n_steps=window + int(base_total[0]),
-        window=window,
         horizons=horizons,
     )
+
+
+class TestEstimateTypes:
+    @pytest.mark.parametrize("field", ["base_zero", "class_zero"])
+    def test_counts_reject_more_zeros_than_events(self, field):
+        counts = make_counts(window=2)
+        counts.class_total[0, 0, 1] = 5
+        zero = getattr(counts, field)
+        zero.flat[-1] = zero.flat[-1] + 101
+        with pytest.raises(ValueError, match=f"{field} must lie in"):
+            EventClassCounts(**vars(counts))
+
+    def test_window_is_the_largest_horizon(self):
+        assert make_counts(window=3).window == 3
+        assert empty_counts(np.array([[0, 4], [2, 0]])).window == 4
+        assert empty_counts(np.zeros((0, 0))).window == 0
+
+    def test_theta_available_is_false_exactly_at_degenerate_thresholds(self):
+        est = EstimateSet(
+            theta_hat=np.array([-1.0, 0.0, -2.0]), j_hat={}, lam=np.ones(3),
+            counts=empty_counts(np.zeros((3, 3))), degenerate_theta=[(1, "zero-ratio-0")],
+            skipped_classes=[],
+        )
+        assert est.theta_available.tolist() == [True, False, True]
+        assert est.to_json_dict()["theta_available"] == [True, False, True]
+        assert est.horizons is est.counts.horizons
+
+    def test_an_available_positive_theta_rejected(self):
+        fields = dict(theta_hat=np.array([-1.0, 0.5]), j_hat={}, lam=np.ones(2),
+                      counts=empty_counts(np.zeros((2, 2))), skipped_classes=[])
+        with pytest.raises(ValueError, match="available theta estimates must be <= 0"):
+            EstimateSet(degenerate_theta=[], **fields)
+        EstimateSet(degenerate_theta=[(1, "no-base-events")], **fields)
 
 
 class TestEstimateTheta:
@@ -392,7 +439,7 @@ class TestEstimateCouplings:
         with pytest.warns(DegeneracyWarning, match=r"\(1, 1, 1\)"):
             est = estimate_from_counts(counts, np.array([1.0]))
         assert est.j_hat == {}
-        assert est.diagnostics.skipped_classes == [(0, 0, 1, "zero-ratio-0")]
+        assert est.skipped_classes == [(0, 0, 1, "zero-ratio-0")]
 
     def test_missing_theta_raised_for_usable_class(self):
         # the base class's ratio of 1 leaves theta unavailable
@@ -438,8 +485,8 @@ class TestEstimateFromDatabase:
             warnings.simplefilter("always")
             est = estimate_from_database(LossEvents.of(losses), horizons, np.array([1.0, 1.0]))
 
-        assert est.diagnostics.degenerate_theta == [(0, "zero-ratio-1")]
-        assert est.diagnostics.skipped_classes == [(0, 1, 1, "zero-ratio-0")]
+        assert est.degenerate_theta == [(0, "zero-ratio-1")]
+        assert est.skipped_classes == [(0, 1, 1, "zero-ratio-0")]
         assert list(est.theta_available) == [False, True]
         assert est.j_hat == {}
         doc = est.to_json_dict()["diagnostics"]
@@ -470,11 +517,11 @@ class TestCollapse:
         # theta_hat = -1 and lam = 1 for both processes
         return EstimateSet(
             theta_hat=np.array([-1.0, -1.0]),
-            theta_available=np.array([True, True]),
             j_hat=j_hat,
             lam=np.array([1.0, 1.0]),
-            horizons=np.array([[0, 3], [0, 3]]),
-            diagnostics=clean_diagnostics(2),
+            counts=empty_counts([[0, 3], [0, 3]]),
+            degenerate_theta=[],
+            skipped_classes=[],
         )
 
     def test_mean_stack_repeats_the_precision_mean(self):
@@ -571,9 +618,8 @@ class TestCollapse:
             for pair in pairs
         }
         est = EstimateSet(
-            theta_hat=-np.ones(n), theta_available=np.ones(n, dtype=bool), j_hat=j_hat,
-            lam=np.ones(n), horizons=np.ones((n, n), dtype=np.int64),
-            diagnostics=clean_diagnostics(n),
+            theta_hat=-np.ones(n), j_hat=j_hat, lam=np.ones(n),
+            counts=empty_counts(np.ones((n, n))), degenerate_theta=[], skipped_classes=[],
         )
         m, seed = int(rng.integers(1, 301)), int(rng.integers(2**63))
         stack = collapse_estimates(est, "sample-per-run", m, seed=seed)

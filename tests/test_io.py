@@ -964,6 +964,16 @@ class TestDatabaseFiles:
         back = written_losses(read_loss_records(path), 5, 2)
         assert np.array_equal(back, losses)
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_an_amount_its_reader_would_reject_is_not_written(self, tmp_path, bad):
+        losses = np.zeros((4, 3))
+        losses[0, 0] = 1.0
+        losses[2, 1] = bad
+        path = tmp_path / "db.csv"
+        with pytest.raises(ValueError, match=r"at \(t, process\) = \(2, 1\)"):
+            write_loss_database(path, losses)
+        assert not path.exists()
+
     def test_database_file_shape(self, tmp_path):
         losses = np.array([[0.0, 2.5], [1.5, 0.0]])
         path = tmp_path / "db.csv"
@@ -1122,6 +1132,11 @@ class TestSeriesAndHistograms:
         with pytest.raises(errors.EmptySample):
             write_histogram(tmp_path / "h.csv", [])
 
+    def test_histogram_rejects_no_bins(self, tmp_path):
+        with pytest.raises(ValueError, match="n_bins must be >= 1, got 0"):
+            write_histogram(tmp_path / "h.csv", [1.0, 2.0], n_bins=0)
+        assert not (tmp_path / "h.csv").exists()
+
     def test_read_samples(self, tmp_path):
         path = tmp_path / "samples.txt"
         path.write_text("# terminal z\n1.5\n\n2.5\n-3.0\n")
@@ -1217,18 +1232,21 @@ class TestWritersMatchCsvOracle:
                 ["t", "process", "value"],
                 [(t + 1, i + 1, cells[t][i]) for t in range(n_steps) for i in range(n)],
             )
+            # a loss database holds only finite, nonnegative amounts
+            losses = np.abs(np.where(np.isnan(values), 0.0, values))
+            amounts = losses.tolist()
             db = tmp_path / "db.csv"
-            write_loss_database(db, values)
+            write_loss_database(db, losses)
             assert db.read_bytes() == oracle_csv(
                 ["t", "process", "amount"],
-                [(t + 1, i + 1, cells[t][i]) for t in range(n_steps) for i in range(n)
-                 if cells[t][i] != 0.0],
+                [(t + 1, i + 1, amounts[t][i]) for t in range(n_steps) for i in range(n)
+                 if amounts[t][i] != 0.0],
             )
 
     def test_database_records_around_a_block(self, tmp_path, block_rows):
         rng = np.random.default_rng(8500 + block_rows)
         for n_records in block_sizes(block_rows, 1):
-            values = awkward_values(rng, (n_records, 1))
+            values = np.abs(awkward_values(rng, (n_records, 1), nan=False))
             values[values == 0.0] = 0.5
             db = tmp_path / "db.csv"
             write_loss_database(db, values)
@@ -1324,6 +1342,22 @@ class TestLoadConfig:
             ("model.theta", lambda d: d["model"].update(theta=[])),
             ("model.noise", lambda d: d["model"].update(noise=[{"p": 0.5}])),
             ("model.noise[2]", lambda d: d["model"]["noise"].__setitem__(1, {})),
+            ("model.noise[2]': must be an object",
+             lambda d: d["model"]["noise"].__setitem__(1, 0.1)),
+            (
+                "model.noise[2].quantile",
+                lambda d: d["model"]["noise"].__setitem__(1, {"quantile": {"value": 2.0}}),
+            ),
+            (
+                "model.noise[2].quantile",
+                lambda d: d["model"]["noise"].__setitem__(
+                    1, {"quantile": {"value": 2.0, "alpha": 0.5, "beta": 1.0}}
+                ),
+            ),
+            (
+                "model.noise[2].quantile",
+                lambda d: d["model"]["noise"].__setitem__(1, {"quantile": 2.0}),
+            ),
             (
                 "model.noise[1]",
                 lambda d: d["model"]["noise"].__setitem__(0, {"p": 0.1, "lambda": 1.0}),
@@ -1518,6 +1552,13 @@ class TestLoadConfig:
         assert str(exc.value) == (
             "config key 'model': horizons[1][2] = 1.5 must be an integer >= 0"
         )
+
+    def test_top_level_must_be_an_object(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("[1]")
+        with pytest.raises(errors.ConfigError) as exc:
+            load_config(path)
+        assert (exc.value.key, exc.value.reason) == (str(path), "top level must be an object")
 
     def test_invalid_json_and_missing_file(self, tmp_path):
         path = tmp_path / "broken.json"

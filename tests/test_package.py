@@ -42,3 +42,17 @@ def test_importing_the_package_does_not_load_numpy_random():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_the_workflows_kernel_report_runs():
+    # ``import oprisk_dynamics.simulate as s`` binds the package's
+    # ``simulate``, the function, so the report imports the switch by name
+    code = ("from oprisk_dynamics.simulate import use_compiled_kernel; "
+            "print('compiled kernel:', use_compiled_kernel)")
+    root = Path(oprisk_dynamics.__file__).resolve().parent.parent.parent
+    workflow = root / ".github" / "workflows" / "tests.yml"
+    assert f'PYTHONPATH=src python -c "{code}"' in workflow.read_text(encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() in ("compiled kernel: True", "compiled kernel: False")

@@ -374,6 +374,17 @@ class TestSimulate:
         with pytest.raises(errors.HorizonExceedsHistory):
             simulate(small_parameters, window, 10, NoiseSpec(rates=small_parameters.lam, seed=0))
 
+    @pytest.mark.parametrize("n_steps", [0, -1])
+    def test_no_steps_rejected(self, small_parameters, n_steps):
+        noise = NoiseSpec(rates=small_parameters.lam, seed=0)
+        with pytest.raises(ValueError, match="n_steps must be >= 1"):
+            simulate(small_parameters, None, n_steps, noise)
+
+    def test_noise_rates_other_than_lambda_rejected(self, small_parameters):
+        noise = NoiseSpec(rates=small_parameters.lam * 2.0, seed=0)
+        with pytest.raises(ValueError, match="noise rates must equal the model lambda"):
+            simulate(small_parameters, None, 10, noise)
+
     @pytest.mark.parametrize("case_seed", [0, 1, 2, 3, 4, 5, "two_cycle"])
     def test_compiled_and_numpy_paths_agree_exactly(self, monkeypatch, case_seed):
         # the package re-exports the simulate() function under the same name,

@@ -96,7 +96,7 @@ class TestRunValidation:
             LossEvents.of(truth.losses.losses[:2000]), p.horizons, p.lam
         )
         assert np.array_equal(report.estimates.theta_hat, partial.theta_hat)
-        assert report.estimates.diagnostics.n_steps == 2000
+        assert report.estimates.counts.n_steps == 2000
         assert report.fraction_used == 0.5
         # the forecast still spans the full horizon
         assert report.ensemble.mean_z.shape == (T, p.n)
