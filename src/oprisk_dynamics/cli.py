@@ -187,7 +187,7 @@ def _cmd_estimate(args) -> int:
     out_dir = _prepare_out_dir(config)
     path = os.path.join(out_dir, "estimates.json")
     _write_json(path, doc)
-    usable = sum(len(v) for v in estimates.j_hat.values())
+    usable = sum(map(len, estimates.candidates.values()))
     print(f"estimated {int(estimates.theta_available.sum())}/{estimates.n_processes} "
           f"thresholds, {usable} coupling candidates")
     print(f"wrote {path}")
@@ -222,8 +222,8 @@ def _cmd_forecast(args) -> int:
         for i in range(ensemble.n_processes):
             for c in config.confidences:
                 value = var(ensemble.terminal_samples[:, i], c)
-                handle.write(f"{i + 1},{c:g},{value!r}\n")
-                print(f"process {i + 1} VaR({c:g}) = {value:.6g}")
+                handle.write(f"{i + 1},{c!r},{value!r}\n")
+                print(f"process {i + 1} VaR({c!r}) = {value:.6g}")
     written.append(table_path)
     for path in written:
         print(f"wrote {path}")

@@ -177,10 +177,6 @@ class EnsembleResult:
         return self.terminal_samples.shape[0]
 
     @property
-    def n_steps(self) -> int:
-        return self.mean_z.shape[0]
-
-    @property
     def n_processes(self) -> int:
         return self.mean_z.shape[1]
 
@@ -194,9 +190,8 @@ def parameters_from_estimates(estimates: EstimateSet, couplings: np.ndarray) -> 
     Raises:
         EstimationDegenerate: some process has no usable threshold estimate.
     """
-    missing = np.nonzero(~estimates.theta_available)[0]
-    if missing.size:
-        raise errors.EstimationDegenerate(missing.tolist())
+    if estimates.degenerate_theta:
+        raise errors.EstimationDegenerate([i for i, _ in estimates.degenerate_theta])
     return ModelParameters(
         theta=estimates.theta_hat,
         lam=estimates.lam,

@@ -28,20 +28,19 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
 from . import errors
 from .errors import DegeneracyWarning
-from .model import LossMatrix, noise_rates
+from .model import LossMatrix, horizon_matrix, noise_rates, store_read_only
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
     "LossEvents",
     "EventClassCounts",
-    "CouplingCandidate",
     "EstimateSet",
     "classify_events",
     "estimate_from_counts",
@@ -103,9 +102,9 @@ class LossEvents:
         return self.head(self.n_steps if fraction == 1.0 else int(fraction * self.n_steps))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class EventClassCounts:
-    """Event counters per conditioning class.
+    """Event counters per conditioning class, as read-only int64 copies.
 
     Attributes:
         base_total: per process i, events with every trigger count zero.
@@ -128,6 +127,8 @@ class EventClassCounts:
     horizons: np.ndarray
 
     def __post_init__(self) -> None:
+        store_read_only(self, np.int64, "base_total", "base_zero", "class_total",
+                         "class_zero", "discarded", "horizons")
         if (self.base_zero > self.base_total).any() or (self.base_zero < 0).any():
             raise ValueError("base_zero must lie in [0, base_total]")
         if (self.class_zero > self.class_total).any() or (self.class_zero < 0).any():
@@ -143,36 +144,29 @@ class EventClassCounts:
         return int(self.horizons.max(initial=0))
 
 
-class CouplingCandidate(NamedTuple):
-    """One J_ij estimate from one count class, with its evidence size."""
-
-    count_class: int
-    estimate: float
-    support: int
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class EstimateSet:
     """The counts an estimate was inverted from, and what was inverted from
-    them; sufficient to re-simulate.
+    them, as read-only float64 copies; sufficient to re-simulate.
 
-    ``j_hat`` maps (i, j) pairs to candidate lists, one candidate per usable
-    count class; pairs without usable classes are absent and collapse to 0.
-    ``degenerate_theta`` lists (process index, reason) for the base classes
-    with no finite inverse, whose ``theta_hat`` stays 0.0;
-    ``skipped_classes`` lists (i, j, c, reason) for the (i, j, c) classes
-    whose zero-ratio was 0 or 1. Indices are 0-based; serialization converts
-    to 1-based.
+    ``j_hat`` is shaped like ``counts.class_total``: entry [i, j, c - 1]
+    holds the J_ij candidate of class (i, j, c), 0.0 where it yields none.
+    The degenerate classes are read from the counts: ``degenerate_theta``
+    lists (i, reason) for the base classes, whose ``theta_hat`` stays 0.0,
+    and ``skipped_classes`` (i, j, c, reason) for the non-empty (i, j, c)
+    ones. Indices are 0-based; serialization converts to 1-based.
     """
 
     theta_hat: np.ndarray
-    j_hat: dict
+    j_hat: np.ndarray
     lam: np.ndarray
     counts: EventClassCounts
-    degenerate_theta: list
-    skipped_classes: list
 
     def __post_init__(self) -> None:
+        store_read_only(self, np.float64, "theta_hat", "j_hat", "lam")
+        shape = self.counts.class_total.shape
+        if self.j_hat.shape != shape:
+            raise errors.DimensionMismatch("j_hat", shape, self.j_hat.shape)
         if (self.theta_available & (self.theta_hat > 0)).any():
             raise ValueError("available theta estimates must be <= 0")
 
@@ -184,12 +178,33 @@ class EstimateSet:
     def horizons(self) -> np.ndarray:
         return self.counts.horizons
 
-    @property
+    @cached_property
+    def degenerate_theta(self) -> list:
+        base = enumerate(zip(self.counts.base_total.tolist(), self.counts.base_zero.tolist()))
+        return [(i, reason) for i, (total, zero) in base if (reason := _degeneracy(total, zero))]
+
+    @cached_property
+    def skipped_classes(self) -> list:
+        return [(i, j, k + 1, why) for i, j, k, _, _, why in _filled_classes(self.counts) if why]
+
+    @cached_property
     def theta_available(self) -> np.ndarray:
         """False exactly at the processes listed in ``degenerate_theta``."""
         available = np.ones(self.n_processes, dtype=bool)
         available[[i for i, _ in self.degenerate_theta]] = False
+        available.setflags(write=False)
         return available
+
+    @cached_property
+    def candidates(self) -> dict:
+        """(i, j) -> [(c, J_ij candidate, support), ...] for each pair with a
+        usable class, pairs in sorted order and classes by c; a class's
+        support is its events in ``class_total``."""
+        pairs: dict = {}
+        for i, j, k, total, _, reason in _filled_classes(self.counts):
+            if not reason:
+                pairs.setdefault((i, j), []).append((k + 1, float(self.j_hat[i, j, k]), total))
+        return pairs
 
     def to_json_dict(self) -> dict:
         """Plain JSON types, 1-based indices, all candidates with their
@@ -199,15 +214,9 @@ class EstimateSet:
             "theta_available": [bool(a) for a in self.theta_available],
             "lambda": [float(v) for v in self.lam],
             "coupling_candidates": {
-                f"{i + 1},{j + 1}": [
-                    {
-                        "count_class": cand.count_class,
-                        "estimate": cand.estimate,
-                        "support": cand.support,
-                    }
-                    for cand in candidates
-                ]
-                for (i, j), candidates in sorted(self.j_hat.items())
+                f"{i + 1},{j + 1}": [{"count_class": c, "estimate": value, "support": support}
+                                     for c, value, support in found]
+                for (i, j), found in self.candidates.items()
             },
         }
         doc["diagnostics"] = {
@@ -241,13 +250,12 @@ def classify_events(events: LossEvents, horizons: np.ndarray) -> EventClassCount
         horizons: (N, N) nonnegative integer matrix.
 
     Raises:
+        DimensionMismatch, NegativeHorizon: as ``horizon_matrix`` raises them.
         DatabaseTooShort: fewer than max horizon + 1 steps.
     """
     n_steps, n = events.n_steps, events.n_processes
-    horizons = np.asarray(horizons)
-    if horizons.shape != (n, n):
-        raise errors.DimensionMismatch("horizons", (n, n), horizons.shape)
-    w = int(horizons.max()) if horizons.size else 0
+    horizons = horizon_matrix(horizons, n)
+    w = int(horizons.max(initial=0))
     if n_steps < w + 1:
         raise errors.DatabaseTooShort(n_steps, w + 1)
 
@@ -292,7 +300,7 @@ def classify_events(events: LossEvents, horizons: np.ndarray) -> EventClassCount
         class_zero=class_zero,
         discarded=discarded,
         n_steps=n_steps,
-        horizons=horizons.astype(np.int64),
+        horizons=horizons,
     )
 
 
@@ -306,6 +314,15 @@ def _degeneracy(total: int, zero: int) -> str | None:
     if zero == total:
         return "zero-ratio-1"
     return None
+
+
+def _filled_classes(counts: EventClassCounts) -> list:
+    """Each non-empty (i, j, c) class in np.argwhere order, as (i, j, c - 1,
+    total, zero, why it has no finite inverse or None)."""
+    filled = counts.class_total > 0
+    cells = zip(*(index.tolist() for index in np.nonzero(filled)),
+                counts.class_total[filled].tolist(), counts.class_zero[filled].tolist())
+    return [(i, j, k, total, zero, _degeneracy(total, zero)) for i, j, k, total, zero in cells]
 
 
 def _log_lossy_ratio(total: int, zero: int):
@@ -328,12 +345,12 @@ def estimate_from_counts(counts: EventClassCounts, lam) -> EstimateSet:
     (i, j, c) classes in np.argwhere order.
 
     The base class of process i yields theta_hat[i]; each usable (i, j, c)
-    class yields one J_ij candidate that keeps its support, which
-    collapse_precision weighs it by. A degenerate class (no events, ratio 0,
-    ratio 1) is data, not an error: it emits a DegeneracyWarning and is
-    listed in the EstimateSet. A degenerate base class leaves theta_hat[i] =
-    0.0 and is listed in degenerate_theta; a degenerate (i, j, c) class
-    yields no candidate and is listed in skipped_classes.
+    class yields the J_ij candidate j_hat[i, j, c - 1], which
+    collapse_precision weighs by the class's support. A degenerate class (no
+    events, ratio 0, ratio 1) is data, not an error: it emits a
+    DegeneracyWarning, and the EstimateSet lists it, read from the counts. A
+    degenerate base class leaves theta_hat[i] = 0.0; a degenerate (i, j, c)
+    class leaves its j_hat entry 0.0.
 
     Raises:
         NonPositiveLambda: a rate that is not finite and positive.
@@ -342,56 +359,35 @@ def estimate_from_counts(counts: EventClassCounts, lam) -> EstimateSet:
     lam = noise_rates(lam)
     n = counts.n_processes
     theta_hat = np.zeros(n)
-    degenerate_theta = []
-    for i in range(n):
-        total = int(counts.base_total[i])
-        zero = int(counts.base_zero[i])
+    unavailable = set()
+    for i, (total, zero) in enumerate(zip(counts.base_total.tolist(), counts.base_zero.tolist())):
         if reason := _degeneracy(total, zero):
             warnings.warn(
                 f"process {i + 1}: {_THETA_WARNINGS[reason]}", DegeneracyWarning, stacklevel=2
             )
-            degenerate_theta.append((i, reason))
+            unavailable.add(i)
         else:
             theta_hat[i] = _log_lossy_ratio(total, zero) / lam[i]
 
-    unavailable = {i for i, _ in degenerate_theta}
-    j_hat: dict = {}
-    skipped = []
-    for i, j, k in np.argwhere(counts.class_total > 0).tolist():
-        c = k + 1
-        total = int(counts.class_total[i, j, k])
-        zero = int(counts.class_zero[i, j, k])
-        if reason := _degeneracy(total, zero):
+    j_hat = np.zeros(counts.class_total.shape)
+    usable = 0
+    for i, j, k, total, zero, reason in _filled_classes(counts):
+        if reason:
             warnings.warn(
-                f"class (i, j, c) = ({i + 1}, {j + 1}, {c}): zero-loss "
+                f"class (i, j, c) = ({i + 1}, {j + 1}, {k + 1}): zero-loss "
                 f"ratio is {zero // total}, candidate skipped",
                 DegeneracyWarning,
                 stacklevel=2,
             )
-            skipped.append((i, j, c, reason))
             continue
         if i in unavailable:
             raise errors.MissingTheta(i)
-        estimate = (-theta_hat[i] + _log_lossy_ratio(total, zero) / lam[i]) / c
-        j_hat.setdefault((i, j), []).append(
-            CouplingCandidate(count_class=c, estimate=float(estimate), support=total)
-        )
+        j_hat[i, j, k] = (-theta_hat[i] + _log_lossy_ratio(total, zero) / lam[i]) / (k + 1)
+        usable += 1
 
-    logger.info(
-        "estimated %d/%d thresholds and %d coupling candidates from %d steps",
-        n - len(unavailable),
-        n,
-        sum(len(v) for v in j_hat.values()),
-        counts.n_steps,
-    )
-    return EstimateSet(
-        theta_hat=theta_hat,
-        j_hat=j_hat,
-        lam=lam,
-        counts=counts,
-        degenerate_theta=degenerate_theta,
-        skipped_classes=skipped,
-    )
+    logger.info("estimated %d/%d thresholds and %d coupling candidates from %d steps",
+                n - len(unavailable), n, usable, counts.n_steps)
+    return EstimateSet(theta_hat=theta_hat, j_hat=j_hat, lam=lam, counts=counts)
 
 
 def estimate_from_database(events: LossEvents, horizons: np.ndarray, lam) -> EstimateSet:
@@ -415,10 +411,8 @@ def collapse_precision(estimates: EstimateSet) -> np.ndarray:
     """
     n = estimates.n_processes
     collapsed = np.zeros((n, n))
-    for (i, j), candidates in estimates.j_hat.items():
-        c = np.array([cand.count_class for cand in candidates], dtype=np.float64)
-        values = np.array([cand.estimate for cand in candidates])
-        support = np.array([cand.support for cand in candidates], dtype=np.float64)
+    for (i, j), found in estimates.candidates.items():
+        c, values, support = (np.array(column, dtype=np.float64) for column in zip(*found))
         lam = estimates.lam[i]
         ratio = -np.expm1(lam * (estimates.theta_hat[i] + c * values))
         if not ((ratio > 0.0) & (ratio < 1.0)).all():
@@ -453,17 +447,17 @@ def collapse_estimates(
         raise ValueError(f"unknown collapse strategy {strategy!r}")
     if seed is None:
         raise ValueError("sample-per-run collapse requires a seed")
-    pairs = sorted(estimates.j_hat.items())
+    pairs = list(estimates.candidates.items())
     stack = np.zeros((m_trajectories, n, n))
     if not pairs:
         return stack
     gen = np.random.Generator(np.random.PCG64(seed))
     # one bounded draw per (trajectory, pair), in the order a loop over
     # trajectories, then pairs, would make them
-    sizes = np.array([len(candidates) for _, candidates in pairs])
+    sizes = np.array([len(found) for _, found in pairs])
     picks = gen.integers(np.tile(sizes, m_trajectories)).reshape(m_trajectories, len(pairs))
-    for p, ((i, j), candidates) in enumerate(pairs):
-        stack[:, i, j] = np.array([cand.estimate for cand in candidates])[picks[:, p]]
+    for p, ((i, j), found) in enumerate(pairs):
+        stack[:, i, j] = np.array([value for _, value, _ in found])[picks[:, p]]
     return stack
 
 

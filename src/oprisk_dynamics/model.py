@@ -53,16 +53,14 @@ class ModelParameters:
     horizons: np.ndarray
 
     def __post_init__(self) -> None:
-        theta = np.array(self.theta, dtype=np.float64)
+        store_read_only(self, np.float64, "theta", "lam", "couplings")
+        theta, lam, couplings = self.theta, self.lam, self.couplings
         if theta.ndim != 1 or theta.size == 0:
             raise errors.DimensionMismatch("theta", "(N,) with N >= 1", theta.shape)
         n = theta.size
-        lam = np.array(self.lam, dtype=np.float64)
-        couplings = np.array(self.couplings, dtype=np.float64)
-        horizons = np.asarray(self.horizons)
         _require_shape("lambda", lam, (n,))
         _require_shape("couplings", couplings, (n, n))
-        _require_shape("horizons", horizons, (n, n))
+        _require_shape("horizons", np.asarray(self.horizons), (n, n))
 
         for name, arr in (("theta", theta), ("couplings", couplings)):
             bad = np.argwhere(~np.isfinite(arr))
@@ -70,26 +68,12 @@ class ModelParameters:
                 raise errors.NonFiniteParameter(name, tuple(int(k) for k in bad[0]))
 
         noise_rates(lam)
+        object.__setattr__(self, "horizons", horizon_matrix(self.horizons, n))
 
-        # a fraction, NaN, or a value beyond int64 does not survive the cast
-        with np.errstate(invalid="ignore"):
-            as_int = horizons.astype(np.int64)
-        ok = (horizons >= 0) & (as_int == horizons)
-        if not ok.all():
-            i, j = (int(k) for k in np.argwhere(~ok)[0])
-            raise errors.NegativeHorizon(i, j, horizons[i, j].item())
-        horizons = as_int
-
-        starved = (couplings != 0.0) & (horizons < 1)
+        starved = (couplings != 0.0) & (self.horizons < 1)
         if starved.any():
             i, j = (int(k) for k in np.argwhere(starved)[0])
             raise errors.ZeroHorizonWithCoupling(i, j, float(couplings[i, j]))
-
-        for name, arr in (
-            ("theta", theta), ("lam", lam), ("couplings", couplings), ("horizons", horizons)
-        ):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -105,6 +89,33 @@ class ModelParameters:
 def _require_shape(name: str, value: np.ndarray, expected: tuple) -> None:
     if value.shape != expected:
         raise errors.DimensionMismatch(name, expected, value.shape)
+
+
+def store_read_only(record, dtype, *names) -> None:
+    """Replace each named field of a frozen record with a read-only copy."""
+    for name in names:
+        arr = np.array(getattr(record, name), dtype=dtype)
+        arr.setflags(write=False)
+        object.__setattr__(record, name, arr)
+
+
+def horizon_matrix(horizons, n: int) -> np.ndarray:
+    """``horizons`` as a read-only (n, n) int64 matrix of whole steps >= 0.
+
+    Raises DimensionMismatch for another shape, and NegativeHorizon naming
+    the first entry that is negative, fractional, NaN or beyond int64.
+    """
+    horizons = np.asarray(horizons)
+    _require_shape("horizons", horizons, (n, n))
+    # a fraction, NaN, or a value beyond int64 does not survive the cast
+    with np.errstate(invalid="ignore"):
+        as_int = horizons.astype(np.int64)
+    ok = (horizons >= 0) & (as_int == horizons)
+    if not ok.all():
+        i, j = (int(k) for k in np.argwhere(~ok)[0])
+        raise errors.NegativeHorizon(i, j, horizons[i, j].item())
+    as_int.setflags(write=False)
+    return as_int
 
 
 def noise_rates(rates) -> np.ndarray:

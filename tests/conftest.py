@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oprisk_dynamics.estimate import EventClassCounts
+from oprisk_dynamics.estimate import EstimateSet, EventClassCounts
 from oprisk_dynamics.model import ModelParameters
 
 
@@ -31,17 +31,41 @@ def build_reference_parameters() -> ModelParameters:
     return ModelParameters(theta=theta, lam=lam, couplings=couplings, horizons=horizons)
 
 
-def empty_counts(horizons) -> EventClassCounts:
-    """The counts of no events over ``horizons``, for an EstimateSet built by
-    hand."""
+def hand_counts(horizons, classes=None, base_total=100, base_zero=50) -> EventClassCounts:
+    """Counts over ``horizons`` built by hand.
+
+    Each process's base class holds ``base_total`` events, ``base_zero`` of
+    them lossless (a scalar or one value per process; usable by default).
+    ``classes`` maps (i, j, c), with 0-based i and j, to the class's (total,
+    zero); every other class is empty. The database is as long as the window
+    plus the largest base class.
+    """
     horizons = np.asarray(horizons, dtype=np.int64)
     n, w = horizons.shape[0], int(horizons.max(initial=0))
+    class_total = np.zeros((n, n, w), dtype=np.int64)
+    class_zero = np.zeros((n, n, w), dtype=np.int64)
+    for (i, j, c), (total, zero) in (classes or {}).items():
+        class_total[i, j, c - 1], class_zero[i, j, c - 1] = total, zero
+    base_total = np.broadcast_to(np.asarray(base_total, dtype=np.int64), (n,))
     return EventClassCounts(
-        base_total=np.zeros(n, dtype=np.int64), base_zero=np.zeros(n, dtype=np.int64),
-        class_total=np.zeros((n, n, w), dtype=np.int64),
-        class_zero=np.zeros((n, n, w), dtype=np.int64),
-        discarded=np.zeros(n, dtype=np.int64), n_steps=0, horizons=horizons,
+        base_total=base_total, base_zero=np.broadcast_to(base_zero, (n,)),
+        class_total=class_total, class_zero=class_zero, discarded=np.zeros(n, dtype=np.int64),
+        n_steps=w + int(base_total.max(initial=0)), horizons=horizons,
     )
+
+
+def hand_estimates(theta_hat, lam, horizons, candidates, **base) -> EstimateSet:
+    """An EstimateSet whose usable classes are exactly ``candidates``, a map
+    from (i, j, c) to (estimate, support): each of those classes holds
+    ``support`` events, half of them lossless (rounded down, so a support
+    of at least 2). ``base`` goes to hand_counts."""
+    counts = hand_counts(
+        horizons, {key: (n, n // 2) for key, (_, n) in candidates.items()}, **base
+    )
+    j_hat = np.zeros(counts.class_total.shape)
+    for (i, j, c), (value, _) in candidates.items():
+        j_hat[i, j, c - 1] = value
+    return EstimateSet(theta_hat=theta_hat, j_hat=j_hat, lam=lam, counts=counts)
 
 
 @pytest.fixture(scope="session")

@@ -228,18 +228,17 @@ def test_criterion_6b_inversion_identity(small_parameters):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", errors.DegeneracyWarning)
         est = estimate_from_counts(counts, p.lam)
-    theta_hat, j_hat = est.theta_hat, est.j_hat
+    theta_hat = est.theta_hat
     checked = 0
     for i in range(p.n):
         if est.theta_available[i]:
             ratio = counts.base_zero[i] / counts.base_total[i]
             assert abs((1.0 - np.exp(p.lam[i] * theta_hat[i])) - ratio) < 1e-12
             checked += 1
-    for (i, j), candidates in j_hat.items():
-        for cand in candidates:
-            c = cand.count_class
+    for (i, j), found in est.candidates.items():
+        for c, estimate, _ in found:
             ratio = counts.class_zero[i, j, c - 1] / counts.class_total[i, j, c - 1]
-            reproduced = 1.0 - np.exp(p.lam[i] * (c * cand.estimate + theta_hat[i]))
+            reproduced = 1.0 - np.exp(p.lam[i] * (c * estimate + theta_hat[i]))
             assert abs(reproduced - ratio) < 1e-12
             checked += 1
     assert checked >= 3
@@ -290,7 +289,8 @@ def test_criterion_7_degenerate_inputs():
         est = estimate_from_counts(counts, lam)
     assert np.array_equal(est.theta_hat, np.zeros(3))
     assert not est.theta_available.any()
-    assert est.j_hat == {}
+    assert est.candidates == {}
+    assert not est.j_hat.any()
 
     with pytest.raises(errors.DatabaseTooShort):
         classify_events(LossEvents.of(np.zeros((3, 3))), horizons)  # T equals the window

@@ -366,6 +366,20 @@ class TestForecastCommand:
             samples = read_samples(out / f"terminal_p{i}.txt")
             assert table[(str(i), "0.9")] == var_fn(samples, 0.9)
 
+    def test_confidence_levels_are_written_exactly(self, tmp_path, capsys):
+        # both levels round to 1 at six significant digits
+        config = small_config(tmp_path)
+        out = tmp_path / "fc"
+        assert main(["forecast", "--config", config, "--out-dir", str(out),
+                     "--confidence", "0.9999995", "--confidence", "0.9999999"]) == 0
+        rows = list(csv.reader((out / "var_table.csv").read_text().splitlines()))
+        assert [row[:2] for row in rows[1:]] == [
+            ["1", "0.9999995"], ["1", "0.9999999"], ["2", "0.9999995"], ["2", "0.9999999"]
+        ]
+        printed = capsys.readouterr().out
+        assert "process 1 VaR(0.9999995) = " in printed
+        assert "process 1 VaR(0.9999999) = " in printed
+
     def test_trajectories_flag_overrides(self, tmp_path):
         config = small_config(tmp_path)
         out = tmp_path / "fc"
@@ -395,7 +409,7 @@ class TestForecastCommand:
         run = load_config(config)
         p = run.parameters
         est = estimate_from_database(ingest(read_loss_records(db), 1.0, p.n), p.horizons, p.lam)
-        assert any(len(candidates) > 1 for candidates in est.j_hat.values())
+        assert any(len(found) > 1 for found in est.candidates.values())
         expected = run_ensemble(
             parameters_from_estimates(est, collapse_precision(est)),
             None, run.n_steps, run.m_trajectories, run.master_seed,

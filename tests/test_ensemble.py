@@ -11,6 +11,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -26,16 +27,11 @@ from oprisk_dynamics.ensemble import (
     run_ensemble,
     var,
 )
-from oprisk_dynamics.estimate import (
-    CouplingCandidate,
-    EstimateSet,
-    collapse_estimates,
-    collapse_precision,
-)
+from oprisk_dynamics.estimate import EstimateSet, collapse_estimates, collapse_precision
 from oprisk_dynamics.model import LossMatrix, ModelParameters, NoiseSpec
 from oprisk_dynamics.simulate import _ROW_SCAN_WIDTH, _SCALAR_BATCH, simulate
 
-from conftest import build_reference_parameters, empty_counts
+from conftest import build_reference_parameters, hand_estimates
 
 
 class TestDeriveSeed:
@@ -174,21 +170,11 @@ def reference_candidates(theta) -> EstimateSet:
     """The reference model's couplings as two candidates per pair, the second
     1.5 times the first, with thresholds ``theta``."""
     ref = build_reference_parameters()
-    pairs = zip(*np.nonzero(ref.couplings))
-    return EstimateSet(
-        theta_hat=theta,
-        j_hat={
-            (int(i), int(j)): [
-                CouplingCandidate(1, ref.couplings[i, j], 40),
-                CouplingCandidate(2, 1.5 * ref.couplings[i, j], 20),
-            ]
-            for i, j in pairs
-        },
-        lam=ref.lam,
-        counts=empty_counts(ref.horizons),
-        degenerate_theta=[],
-        skipped_classes=[],
-    )
+    candidates = {}
+    for i, j in zip(*np.nonzero(ref.couplings)):
+        candidates[i, j, 1] = (ref.couplings[i, j], 40)
+        candidates[i, j, 2] = (1.5 * ref.couplings[i, j], 20)
+    return hand_estimates(theta, ref.lam, ref.horizons, candidates)
 
 
 class TestRunEnsemble:
@@ -547,6 +533,26 @@ class TestWorkerProcesses:
         with pytest.raises(ValueError, match=r"master_seed must lie in \[0, 2\*\*64\)"):
             run_ensemble(build_reference_parameters(), None, 10, 300, seed)
 
+    @pytest.mark.skipif(sys.version_info < (3, 12), reason="os.fork warns from Python 3.12")
+    def test_forking_a_batch_raises_no_thread_warning(self, monkeypatch, small_parameters):
+        # from 3.12, os.fork warns when the process has another OS thread;
+        # NumPy's OpenBLAS threads are stopped by its own fork handler
+        ens = importlib.import_module("oprisk_dynamics.ensemble")
+        forks, fork = [], os.fork
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(ens, "_part_count", lambda width: min(2, width))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_ensemble(small_parameters, None, 50, 8, master_seed=3)
+        assert forks
+        assert [str(w.message) for w in caught if "multi-threaded" in str(w.message)] == []
+        assert_no_child_left()
+
     def test_each_batch_logs_its_processes(self, monkeypatch, caplog, small_parameters):
         ens = importlib.import_module("oprisk_dynamics.ensemble")
         monkeypatch.setattr(ens, "_part_count", lambda width: min(2, width))
@@ -558,18 +564,11 @@ class TestWorkerProcesses:
         ]
 
 
-def two_candidate_estimates():
+def two_candidate_estimates(theta_hat=(-1.0, -0.8), **base):
     # each candidate inverts a zero-loss ratio inside (0, 1): theta + c J < 0
-    j_hat = {
-        (0, 1): [CouplingCandidate(1, 0.3, 50), CouplingCandidate(2, 0.4, 20)],
-    }
-    return EstimateSet(
-        theta_hat=np.array([-1.0, -0.8]),
-        j_hat=j_hat,
-        lam=np.array([1.0, 2.0]),
-        counts=empty_counts([[0, 3], [0, 0]]),
-        degenerate_theta=[],
-        skipped_classes=[],
+    return hand_estimates(
+        theta_hat, [1.0, 2.0], [[0, 3], [0, 0]], {(0, 1, 1): (0.3, 50), (0, 1, 2): (0.4, 20)},
+        **base,
     )
 
 
@@ -584,9 +583,9 @@ class TestEstimateSetSources:
         assert 0.3 < p.couplings[0, 1] < 0.4
 
     def test_degenerate_theta_blocks_simulation(self):
-        est = two_candidate_estimates()
-        est.degenerate_theta = [(1, "zero-ratio-1")]
-        est.theta_hat = np.array([-1.0, 0.0])
+        # process 2's base events are all lossless: a zero-loss ratio of 1
+        est = two_candidate_estimates([-1.0, 0.0], base_zero=[50, 100])
+        assert est.degenerate_theta == [(1, "zero-ratio-1")]
         with pytest.raises(errors.EstimationDegenerate) as exc:
             parameters_from_estimates(est, collapse_precision(est))
         assert exc.value.indices == [1]
@@ -632,16 +631,9 @@ class TestEstimateSetSources:
         # pair (0, 1) draws 0.0 or 0.3, so some batches have the edge 0 <- 1
         # and others evolve process 0 with no inputs; process 1 is
         # self-coupled, so it always runs in the step loop
-        est = EstimateSet(
-            theta_hat=np.array([-0.7, -0.6]),
-            j_hat={
-                (0, 1): [CouplingCandidate(1, 0.0, 40), CouplingCandidate(2, 0.3, 20)],
-                (1, 1): [CouplingCandidate(1, 0.2, 30)],
-            },
-            lam=np.array([1.5, 2.0]),
-            counts=empty_counts([[0, 3], [0, 2]]),
-            degenerate_theta=[],
-            skipped_classes=[],
+        est = hand_estimates(
+            [-0.7, -0.6], [1.5, 2.0], [[0, 3], [0, 2]],
+            {(0, 1, 1): (0.0, 40), (0, 1, 2): (0.3, 20), (1, 1, 1): (0.2, 30)},
         )
         master, m_traj = 17, 7
         kwargs = dict(master_seed=master, collapse="sample-per-run")

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from oprisk_dynamics import errors
 from oprisk_dynamics.errors import DegeneracyWarning
 from oprisk_dynamics.estimate import (
-    CouplingCandidate,
     EstimateSet,
     EventClassCounts,
     LossEvents,
@@ -35,7 +34,7 @@ from oprisk_dynamics.estimate import (
 from oprisk_dynamics.model import LossMatrix, ModelParameters, NoiseSpec
 from oprisk_dynamics.simulate import simulate
 
-from conftest import empty_counts
+from conftest import build_reference_parameters, hand_counts, hand_estimates
 
 
 def brute_force_classify(losses: np.ndarray, horizons: np.ndarray):
@@ -183,6 +182,17 @@ class TestClassifyEvents:
         with pytest.raises(errors.DimensionMismatch, match="horizons"):
             classify_events(LossEvents.of(np.zeros((6, 2))), np.array([[1]]))
 
+    @pytest.mark.parametrize("bad", [-1, 1.5, np.nan])
+    def test_horizons_follow_the_model_rule(self, bad):
+        horizons = np.array([[0, bad], [0, 0]])
+        with pytest.raises(errors.NegativeHorizon) as from_model:
+            ModelParameters(theta=-np.ones(2), lam=np.ones(2), couplings=np.zeros((2, 2)),
+                            horizons=horizons)
+        with pytest.raises(errors.NegativeHorizon) as from_events:
+            classify_events(LossEvents.of(np.ones((4, 2))), horizons)
+        assert (from_events.value.row, from_events.value.col) == (0, 1)
+        assert str(from_events.value) == str(from_model.value)
+
     def test_database_shorter_than_window_rejected(self):
         with pytest.raises(errors.DatabaseTooShort):
             classify_events(LossEvents.of(np.zeros((5, 1))), np.array([[5]]))
@@ -312,74 +322,96 @@ class TestEventsMatchDenseOracle:
         assert int(counts.base_zero[0]) == n_steps - 3 - 4 - 1  # t = 2**60 loses
 
 
-def make_counts(n=1, base_total=(100,), base_zero=(50,), window=1):
-    horizons = np.full((n, n), window, dtype=np.int64)
-    return EventClassCounts(
-        base_total=np.array(base_total, dtype=np.int64),
-        base_zero=np.array(base_zero, dtype=np.int64),
-        class_total=np.zeros((n, n, window), dtype=np.int64),
-        class_zero=np.zeros((n, n, window), dtype=np.int64),
-        discarded=np.zeros(n, dtype=np.int64),
-        n_steps=window + int(base_total[0]),
-        horizons=horizons,
-    )
-
-
 class TestEstimateTypes:
     @pytest.mark.parametrize("field", ["base_zero", "class_zero"])
     def test_counts_reject_more_zeros_than_events(self, field):
-        counts = make_counts(window=2)
-        counts.class_total[0, 0, 1] = 5
-        zero = getattr(counts, field)
-        zero.flat[-1] = zero.flat[-1] + 101
+        fields = dict(vars(hand_counts([[2]], {(0, 0, 2): (5, 0)})))
+        zero = fields[field].copy()
+        zero.flat[-1] += 101
+        fields[field] = zero
         with pytest.raises(ValueError, match=f"{field} must lie in"):
-            EventClassCounts(**vars(counts))
+            EventClassCounts(**fields)
 
     def test_window_is_the_largest_horizon(self):
-        assert make_counts(window=3).window == 3
-        assert empty_counts(np.array([[0, 4], [2, 0]])).window == 4
-        assert empty_counts(np.zeros((0, 0))).window == 0
+        assert hand_counts([[3]]).window == 3
+        assert hand_counts(np.array([[0, 4], [2, 0]])).window == 4
+        assert hand_counts(np.zeros((0, 0))).window == 0
 
     def test_theta_available_is_false_exactly_at_degenerate_thresholds(self):
         est = EstimateSet(
-            theta_hat=np.array([-1.0, 0.0, -2.0]), j_hat={}, lam=np.ones(3),
-            counts=empty_counts(np.zeros((3, 3))), degenerate_theta=[(1, "zero-ratio-0")],
-            skipped_classes=[],
+            theta_hat=np.array([-1.0, 0.0, -2.0]), j_hat=np.zeros((3, 3, 0)), lam=np.ones(3),
+            counts=hand_counts(np.zeros((3, 3)), base_zero=[50, 0, 50]),
         )
+        assert est.degenerate_theta == [(1, "zero-ratio-0")]
         assert est.theta_available.tolist() == [True, False, True]
         assert est.to_json_dict()["theta_available"] == [True, False, True]
         assert est.horizons is est.counts.horizons
 
     def test_an_available_positive_theta_rejected(self):
-        fields = dict(theta_hat=np.array([-1.0, 0.5]), j_hat={}, lam=np.ones(2),
-                      counts=empty_counts(np.zeros((2, 2))), skipped_classes=[])
+        fields = dict(theta_hat=np.array([-1.0, 0.5]), j_hat=np.zeros((2, 2, 0)), lam=np.ones(2))
         with pytest.raises(ValueError, match="available theta estimates must be <= 0"):
-            EstimateSet(degenerate_theta=[], **fields)
-        EstimateSet(degenerate_theta=[(1, "no-base-events")], **fields)
+            EstimateSet(counts=hand_counts(np.zeros((2, 2))), **fields)
+        EstimateSet(counts=hand_counts(np.zeros((2, 2)), base_total=[100, 0], base_zero=0),
+                    **fields)
+
+    def test_j_hat_is_shaped_like_the_class_counts(self):
+        with pytest.raises(errors.DimensionMismatch, match=r"j_hat: expected shape \(2, 2, 3\)"):
+            EstimateSet(theta_hat=-np.ones(2), j_hat=np.zeros((2, 2, 2)), lam=np.ones(2),
+                        counts=hand_counts([[0, 3], [0, 0]]))
+
+    def test_records_are_read_only(self):
+        counts = hand_counts([[0, 2], [0, 0]], {(0, 1, 1): (10, 5)})
+        est = estimate_from_counts(counts, np.ones(2))
+        for record, fields in (
+            (counts, ["base_total", "base_zero", "class_total", "class_zero", "discarded",
+                      "horizons"]),
+            (est, ["theta_hat", "j_hat", "lam"]),
+        ):
+            for name in fields:
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(record, name).flat[0] = 1
+                with pytest.raises(AttributeError):
+                    setattr(record, name, getattr(record, name).copy())
+        with pytest.raises(ValueError, match="read-only"):
+            est.theta_available[0] = False
+        for name in ("counts", "degenerate_theta", "skipped_classes", "theta_available",
+                     "candidates"):
+            with pytest.raises(AttributeError):
+                setattr(est, name, [])
+        with pytest.raises(AttributeError):
+            counts.n_steps = 0
+
+    def test_stored_arrays_are_copies(self):
+        theta_hat, j_hat, lam = -np.ones(2), np.zeros((2, 2, 2)), np.ones(2)
+        est = EstimateSet(theta_hat=theta_hat, j_hat=j_hat, lam=lam,
+                          counts=hand_counts([[0, 2], [0, 0]]))
+        assert theta_hat.flags.writeable and j_hat.flags.writeable and lam.flags.writeable
+        theta_hat[0] = 5.0
+        assert est.theta_hat[0] == -1.0
 
 
 class TestEstimateTheta:
     def test_closed_form_half_ratio(self):
-        est = estimate_from_counts(make_counts(), np.array([1.0]))
+        est = estimate_from_counts(hand_counts([[1]]), np.array([1.0]))
         assert est.theta_hat[0] == pytest.approx(np.log(0.5), abs=1e-12)
         assert est.theta_available[0]
 
     def test_zero_ratio_reports_zero_with_warning(self):
-        counts = make_counts(base_zero=(0,))
+        counts = hand_counts([[1]], base_zero=0)
         with pytest.warns(DegeneracyWarning):
             est = estimate_from_counts(counts, np.array([2.0]))
         assert est.theta_hat[0] == 0.0
         assert not est.theta_available[0]
 
     def test_ratio_one_unavailable(self):
-        counts = make_counts(base_zero=(100,))
+        counts = hand_counts([[1]], base_zero=100)
         with pytest.warns(DegeneracyWarning):
             est = estimate_from_counts(counts, np.array([1.0]))
         assert est.theta_hat[0] == 0.0
         assert not est.theta_available[0]
 
     def test_no_base_events_unavailable(self):
-        counts = make_counts(base_total=(0,), base_zero=(0,))
+        counts = hand_counts([[1]], base_total=0, base_zero=0)
         with pytest.warns(DegeneracyWarning):
             est = estimate_from_counts(counts, np.array([1.0]))
         assert not est.theta_available[0]
@@ -387,7 +419,7 @@ class TestEstimateTheta:
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_rate_must_be_finite_and_positive(self, bad):
         with pytest.raises(errors.NonPositiveLambda) as exc:
-            estimate_from_counts(make_counts(), np.array([bad]))
+            estimate_from_counts(hand_counts([[1]]), np.array([bad]))
         assert exc.value.index == 0
 
     @given(
@@ -398,7 +430,7 @@ class TestEstimateTheta:
     @settings(max_examples=200, deadline=None)
     def test_inversion_identity(self, total, zero_frac, lam):
         zero = min(max(int(total * zero_frac), 1), total - 1)
-        counts = make_counts(base_total=(total,), base_zero=(zero,))
+        counts = hand_counts([[1]], base_total=total, base_zero=zero)
         est = estimate_from_counts(counts, np.array([lam]))
         assert est.theta_available[0]
         assert est.theta_hat[0] <= 0
@@ -407,14 +439,12 @@ class TestEstimateTheta:
 
 # a base class whose zero-loss ratio, 1 - e^-1 to 17 digits, inverts to
 # theta_hat = -1.0 at lam = 1
-THETA_MINUS_ONE = {"base_total": (10**17,), "base_zero": (round(-math.expm1(-1.0) * 10**17),)}
+THETA_MINUS_ONE = {"base_total": 10**17, "base_zero": round(-math.expm1(-1.0) * 10**17)}
 
 
-def counts_with_class(c, class_total, class_zero, window=3, **base):
-    counts = make_counts(window=window, **base)
-    counts.class_total[0, 0, c - 1] = class_total
-    counts.class_zero[0, 0, c - 1] = class_zero
-    return counts
+def counts_with_class(c, class_total, class_zero, **base):
+    """One process with horizon 3 and one non-empty class, (1, 1, c)."""
+    return hand_counts([[3]], {(0, 0, c): (class_total, class_zero)}, **base)
 
 
 class TestEstimateCouplings:
@@ -422,23 +452,24 @@ class TestEstimateCouplings:
         counts = counts_with_class(1, 100, 50, **THETA_MINUS_ONE)
         est = estimate_from_counts(counts, np.array([1.0]))
         assert est.theta_hat[0] == -1.0
-        (candidate,) = est.j_hat[(0, 0)]
-        assert candidate.count_class == 1
-        assert candidate.support == 100
-        assert candidate.estimate == pytest.approx(1.0 + np.log(0.5), abs=1e-12)
-        assert candidate.estimate == pytest.approx(0.306853, abs=5e-7)
+        estimate = est.j_hat[0, 0, 0]
+        assert est.candidates == {(0, 0): [(1, estimate, 100)]}
+        assert estimate == pytest.approx(1.0 + np.log(0.5), abs=1e-12)
+        assert estimate == pytest.approx(0.306853, abs=5e-7)
+        assert est.j_hat[0, 0, 1:].tolist() == [0.0, 0.0]
 
     def test_count_class_two_halves_the_estimate(self):
         counts = counts_with_class(2, 100, 50, **THETA_MINUS_ONE)
         est = estimate_from_counts(counts, np.array([1.0]))
-        (candidate,) = est.j_hat[(0, 0)]
-        assert candidate.estimate == pytest.approx((1.0 + np.log(0.5)) / 2, abs=1e-12)
+        assert est.candidates == {(0, 0): [(2, est.j_hat[0, 0, 1], 100)]}
+        assert est.j_hat[0, 0, 1] == pytest.approx((1.0 + np.log(0.5)) / 2, abs=1e-12)
 
     def test_degenerate_class_skipped_with_warning(self):
         counts = counts_with_class(1, 10, 0)
         with pytest.warns(DegeneracyWarning, match=r"\(1, 1, 1\)"):
             est = estimate_from_counts(counts, np.array([1.0]))
-        assert est.j_hat == {}
+        assert est.candidates == {}
+        assert not est.j_hat.any()
         assert est.skipped_classes == [(0, 0, 1, "zero-ratio-0")]
 
     def test_missing_theta_raised_for_usable_class(self):
@@ -453,7 +484,7 @@ class TestEstimateCouplings:
         with pytest.warns(DegeneracyWarning):
             est = estimate_from_counts(counts, np.array([1.0]))
         assert not est.theta_available[0]
-        assert est.j_hat == {}
+        assert est.candidates == {}
 
     @given(
         total=st.integers(min_value=2, max_value=10**5),
@@ -469,8 +500,10 @@ class TestEstimateCouplings:
         counts = counts_with_class(c, total, zero, base_total=(10**6,), base_zero=(base_zero,))
         est = estimate_from_counts(counts, np.array([lam]))
         theta = est.theta_hat[0]
-        (candidate,) = est.j_hat[(0, 0)]
-        reproduced = 1.0 - np.exp(lam * (c * candidate.estimate + theta))
+        assert {pair: [k for k, _, _ in found] for pair, found in est.candidates.items()} == {
+            (0, 0): [c]
+        }
+        reproduced = 1.0 - np.exp(lam * (c * est.j_hat[0, 0, c - 1] + theta))
         assert abs(reproduced - zero / total) < 1e-12
 
 
@@ -488,7 +521,7 @@ class TestEstimateFromDatabase:
         assert est.degenerate_theta == [(0, "zero-ratio-1")]
         assert est.skipped_classes == [(0, 1, 1, "zero-ratio-0")]
         assert list(est.theta_available) == [False, True]
-        assert est.j_hat == {}
+        assert est.candidates == {}
         doc = est.to_json_dict()["diagnostics"]
         assert doc["degenerate_theta"] == [{"process": 1, "reason": "zero-ratio-1"}]
         assert doc["skipped_classes"] == [
@@ -502,27 +535,56 @@ class TestEstimateFromDatabase:
             "process 1: base zero-loss ratio is 1, theta unavailable"
         ]
 
+    @pytest.mark.parametrize("fraction, n_skipped", [(1.0, 6), (0.25, 4)])
+    def test_candidates_and_diagnostics_follow_the_counts(
+        self, reference_events, fraction, n_skipped
+    ):
+        p = build_reference_parameters()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegeneracyWarning)
+            est = estimate_from_database(reference_events.head_fraction(fraction), p.horizons, p.lam)
+        counts = est.counts
+        candidates, skipped = {}, []
+        for i, j, k in np.argwhere(counts.class_total > 0).tolist():
+            total, zero = int(counts.class_total[i, j, k]), int(counts.class_zero[i, j, k])
+            if 0 < zero < total:
+                candidates.setdefault(f"{i + 1},{j + 1}", []).append(
+                    {"count_class": k + 1, "estimate": float(est.j_hat[i, j, k]), "support": total}
+                )
+            else:
+                reason = "zero-ratio-0" if zero == 0 else "zero-ratio-1"
+                skipped.append({"i": i + 1, "j": j + 1, "count_class": k + 1, "reason": reason})
+        doc = est.to_json_dict()
+        assert list(doc["coupling_candidates"].items()) == list(candidates.items())
+        assert doc["diagnostics"]["skipped_classes"] == skipped
+        # every base class of this database is usable
+        assert all(0 < zero < total for total, zero in zip(counts.base_total, counts.base_zero))
+        assert doc["diagnostics"]["degenerate_theta"] == []
+        assert len(skipped) == n_skipped
+        # j_hat holds an estimate only where a class yields one
+        usable = (counts.class_zero > 0) & (counts.class_zero < counts.class_total)
+        assert not est.j_hat[~usable].any()
+
+
+@pytest.fixture(scope="module")
+def reference_events() -> LossEvents:
+    """The events of a 100k-step reference-model database (seed 604), whose
+    estimates skip degenerate classes at every fraction."""
+    p = build_reference_parameters()
+    return LossEvents.of(simulate(p, None, 100_000, NoiseSpec(rates=p.lam, seed=604)).losses)
+
 
 class TestCollapse:
     def _estimates(self, mapping):
-        # build the EstimateSet directly; only j_hat matters for collapsing
+        # pair -> candidates of count classes 1, 2, ..., each of support 10
         return self._with_candidates(
-            {
-                pair: [CouplingCandidate(k + 1, v, 10) for k, v in enumerate(values)]
-                for pair, values in mapping.items()
-            }
+            {(i, j, k + 1): (v, 10) for (i, j), values in mapping.items()
+             for k, v in enumerate(values)}
         )
 
-    def _with_candidates(self, j_hat):
+    def _with_candidates(self, candidates):
         # theta_hat = -1 and lam = 1 for both processes
-        return EstimateSet(
-            theta_hat=np.array([-1.0, -1.0]),
-            j_hat=j_hat,
-            lam=np.array([1.0, 1.0]),
-            counts=empty_counts([[0, 3], [0, 3]]),
-            degenerate_theta=[],
-            skipped_classes=[],
-        )
+        return hand_estimates([-1.0, -1.0], [1.0, 1.0], [[0, 3], [0, 3]], candidates)
 
     def test_mean_stack_repeats_the_precision_mean(self):
         est = self._estimates({(0, 1): [0.10, 0.12]})
@@ -542,7 +604,7 @@ class TestCollapse:
 
     def test_precision_weights_match_hand_computation(self):
         est = self._with_candidates(
-            {(0, 1): [CouplingCandidate(1, 0.2, 100), CouplingCandidate(2, 0.3, 50)]}
+            {(0, 1, 1): (0.2, 100), (0, 1, 2): (0.3, 50)}
         )
         # weight (1 - r) n (lam c)^2 / r with 1 - r = exp(lam (theta + c J))
         keep_1 = math.exp(-1.0 + 1 * 0.2)
@@ -555,17 +617,15 @@ class TestCollapse:
         assert collapsed[1, 0] == 0.0  # no candidates -> absent interaction
 
     def test_precision_tiny_class_barely_moves_a_large_one(self):
-        est = self._with_candidates(
-            {(0, 1): [CouplingCandidate(1, 0.10, 10000), CouplingCandidate(1, 0.25, 3)]}
-        )
+        # the large class is c = 2, so the tiny one (c = 1) weighs (lam c)^2
+        # less per event; a pair has one candidate per count class
+        est = self._with_candidates({(0, 1, 1): (0.25, 3), (0, 1, 2): (0.10, 10000)})
         assert abs(collapse_precision(est)[0, 1] - 0.10) < 1e-4
 
     def test_precision_rejects_ratio_outside_unit_interval(self):
         # theta + c J = 0 (ratio 0) and > 0 (ratio negative)
         for c, value in ((2, 0.5), (2, 0.6)):
-            est = self._with_candidates(
-                {(1, 0): [CouplingCandidate(1, 0.1, 10), CouplingCandidate(c, value, 10)]}
-            )
+            est = self._with_candidates({(1, 0, 1): (0.1, 10), (1, 0, c): (value, 10)})
             with pytest.raises(ValueError, match=r"\(2, 1\)"):
                 collapse_precision(est)
 
@@ -581,9 +641,9 @@ class TestCollapse:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no degeneracy expected
             est = estimate_from_database(LossEvents.of(traj.losses), p.horizons, p.lam)
-        assert set(est.j_hat) == {(0, 1)}
-        values = [cand.estimate for cand in est.j_hat[(0, 1)]]
-        assert len(values) == 3
+        assert list(est.candidates) == [(0, 1)]
+        classes, values, _ = zip(*est.candidates[0, 1])
+        assert classes == (1, 2, 3)
         collapsed = collapse_precision(est)
         assert min(values) <= collapsed[0, 1] <= max(values)
         assert np.count_nonzero(collapsed) == 1
@@ -612,22 +672,22 @@ class TestCollapse:
         rng = np.random.default_rng(9100 + case_seed)
         n = int(rng.integers(1, 5))
         pairs = [(i, j) for i in range(n) for j in range(n) if rng.random() < 0.7]
-        j_hat = {
-            pair: [CouplingCandidate(c + 1, float(v), 10)
-                   for c, v in enumerate(rng.uniform(-0.3, 0.3, int(rng.integers(1, 13))))]
+        mapping = {
+            pair: [float(v) for v in rng.uniform(-0.3, 0.3, int(rng.integers(1, 13)))]
             for pair in pairs
         }
-        est = EstimateSet(
-            theta_hat=-np.ones(n), j_hat=j_hat, lam=np.ones(n),
-            counts=empty_counts(np.ones((n, n))), degenerate_theta=[], skipped_classes=[],
+        est = hand_estimates(
+            -np.ones(n), np.ones(n), np.full((n, n), 12),
+            {(i, j, k + 1): (v, 10) for (i, j), values in mapping.items()
+             for k, v in enumerate(values)},
         )
         m, seed = int(rng.integers(1, 301)), int(rng.integers(2**63))
         stack = collapse_estimates(est, "sample-per-run", m, seed=seed)
         gen = np.random.Generator(np.random.PCG64(seed))
         expected = np.zeros((m, n, n))
         for matrix in expected:
-            for (i, j), candidates in sorted(j_hat.items()):
-                matrix[i, j] = candidates[gen.integers(len(candidates))].estimate
+            for (i, j), values in sorted(mapping.items()):
+                matrix[i, j] = values[gen.integers(len(values))]
         assert stack.tobytes() == expected.tobytes()
 
     def test_dispatcher_validates_strategy(self):
@@ -691,7 +751,7 @@ class TestRoundTrip:
             est = estimate_from_database(LossEvents.of(traj.losses), p.horizons, p.lam)
         assert est.theta_available.all()
         assert np.allclose(est.theta_hat, p.theta, rtol=0.06)
-        assert est.j_hat == {}
+        assert est.candidates == {}
         assert not collapse_estimates(est, "mean", 2).any()
 
     def test_interacting_recovery_within_sampling_noise(self, small_parameters):
