@@ -126,7 +126,7 @@ def _warn_var_resolution(m: int, confidences) -> None:
         needed = math.ceil(10.0 / (1.0 - c))
         if m < needed:
             print(
-                f"warning: {m} samples resolve the {c:g} percentile poorly; "
+                f"warning: {m} samples resolve the confidence level {c!r} poorly; "
                 f"use at least {needed}",
                 file=sys.stderr,
             )

@@ -351,9 +351,10 @@ def _write_csv(path, header, blocks) -> None:
     each text ending in its separator: ``,`` after a cell inside a row,
     ``\\r\\n`` after a row's last cell. One ``"".join`` of the flattened block
     writes all its rows, so no string is built per row. The text of a value
-    is its ``repr``, so floats round-trip exactly, and these are the bytes
-    ``csv.writer`` writes for such plain cells. Callers pass their rows a
-    block at a time, so only one block's texts are held at once.
+    is its ``repr``, as ``_cell_texts`` spells it, so floats round-trip
+    exactly, and these are the bytes ``csv.writer`` writes for such plain
+    cells. Callers pass their rows a block at a time, so only one block's
+    texts are held at once.
     """
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\r\n")
@@ -362,17 +363,43 @@ def _write_csv(path, header, blocks) -> None:
 
 
 def _cell_texts(column, end: str, prefix: str = "") -> np.ndarray:
-    """The cell text ``prefix + repr(value) + end`` of each value of a column,
-    as an object array.
+    """The cell text ``prefix + repr(value) + end`` of each value of a float64
+    or nonnegative integer column, as an object array.
 
-    The text of each distinct value is made once, then gathered per row by
-    fancy indexing. Floats are keyed on their bit pattern, so -0.0 and 0.0
-    stay apart.
+    A float is spelt once per run of equal values, then repeated along the
+    run. A run ends where the bit pattern changes, so -0.0 and 0.0 stay apart,
+    and no sort is made. An integer is spelt from its decimal digits, with no
+    ``str`` per value: the k values of d digits fill one (k, d) byte matrix,
+    framed by the bytes of ``prefix`` and of ``end`` and a NUL per row, which
+    is decoded once and split once at the NULs.
     """
-    keys = column.view(np.int64) if column.dtype == np.float64 else column
-    keys, inverse = np.unique(keys, return_inverse=True)
-    texts = [f"{prefix}{value!r}{end}" for value in keys.view(column.dtype).tolist()]
-    return np.array(texts, dtype=object)[inverse]
+    if column.dtype == np.float64:
+        bits = column.view(np.int64)
+        new_run = np.empty(column.size, dtype=bool)
+        new_run[:1] = True
+        np.not_equal(bits[1:], bits[:-1], out=new_run[1:])
+        starts = np.flatnonzero(new_run)
+        texts = [f"{prefix}{value!r}{end}" for value in column[starts].tolist()]
+        return np.repeat(np.array(texts, dtype=object), np.diff(starts, append=column.size))
+    values = np.asarray(column, dtype=np.int64)
+    head, tail = (np.frombuffer(text.encode(), dtype=np.uint8) for text in (prefix, f"{end}\0"))
+    # a value has one digit more than the powers 10, 100, ..., 10**18 it reaches
+    powers = 10 ** np.arange(1, 19, dtype=np.int64)
+    n_digits = 1 + np.searchsorted(powers[powers <= values.max(initial=0)], values, side="right")
+    texts = np.empty(values.size, dtype=object)
+    for d in np.flatnonzero(np.bincount(n_digits)).tolist():
+        rows = n_digits == d
+        k = np.count_nonzero(rows)
+        cells = np.empty((k, head.size + d + tail.size), dtype=np.uint8)
+        cells[:, :head.size] = head
+        cells[:, head.size + d:] = tail
+        rest = values[rows]
+        for j in reversed(range(head.size, head.size + d)):
+            quotient = rest // 10
+            cells[:, j] = rest - quotient * 10 + ord("0")
+            rest = quotient
+        texts[rows] = np.fromiter(cells.tobytes().decode()[:-1].split("\0"), dtype=object, count=k)
+    return texts
 
 
 def _table(*columns) -> np.ndarray:
@@ -409,7 +436,7 @@ def write_series(path, values) -> None:
 
     def block(a: int, b: int) -> np.ndarray:
         table = np.empty((b - a, n, 2), dtype=object)
-        table[:, :, 0] = np.array([f"{t}," for t in range(a + 1, b + 1)], dtype=object)[:, None]
+        table[:, :, 0] = _cell_texts(np.arange(a + 1, b + 1), ",")[:, None]
         for i in range(n):
             table[:, i, 1] = _cell_texts(arr[a:b, i], "\r\n", prefix=f"{i + 1},")
         return table

@@ -380,6 +380,16 @@ class TestForecastCommand:
         assert "process 1 VaR(0.9999995) = " in printed
         assert "process 1 VaR(0.9999999) = " in printed
 
+    def test_resolution_warning_names_the_confidence_level_exactly(self, tmp_path, capsys):
+        # 0.9999995 is no percentile, and rounds to 1 at six significant digits
+        config = small_config(tmp_path)
+        assert main(["forecast", "--config", config, "--out-dir", str(tmp_path / "fc"),
+                     "--confidence", "0.9999995"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: 8 samples resolve the confidence level 0.9999995 poorly; "
+            "use at least 20000001"
+        ]
+
     def test_trajectories_flag_overrides(self, tmp_path):
         config = small_config(tmp_path)
         out = tmp_path / "fc"
@@ -492,7 +502,7 @@ class TestValidateCommand:
         # in forecast, never here
         config = small_config(tmp_path, **{"simulation.n_steps": 2000})
         assert main(["validate", "--config", config, "--out-dir", str(tmp_path / "val")]) == 0
-        assert "percentile" not in capsys.readouterr().err
+        assert "confidence level" not in capsys.readouterr().err
 
     def test_confidence_flag_is_a_usage_error(self, tmp_path, capsys):
         config = small_config(tmp_path)

@@ -1275,6 +1275,67 @@ class TestWritersMatchCsvOracle:
         write_series(series, np.zeros((0, 3)))
         assert series.read_bytes() == oracle_csv(["t", "process", "value"], [])
 
+    @pytest.mark.parametrize("end,prefix", [(",", ""), ("\r\n", ""), ("\r\n", "7,")])
+    def test_integers_at_every_digit_count(self, end, prefix):
+        # each digit count is spelt as a group of its own: shuffled, the
+        # groups interleave, and each text must land back on its own row
+        values = [0, 2**63 - 1] + [v for k in range(1, 19) for v in (10**k - 1, 10**k)]
+        for order in (values, np.random.default_rng(8700).permutation(values).tolist()):
+            got = io._cell_texts(np.array(order, dtype=np.int64), end, prefix=prefix)
+            assert got.tolist() == [f"{prefix}{v!r}{end}" for v in order]
+
+    def test_histogram_with_zero_counts(self, tmp_path, block_rows):
+        # counts of 0, 3 and 12 000 in one column
+        samples = np.concatenate([np.zeros(12_000), np.ones(3)])
+        for n_bins in sorted({3, *block_sizes(block_rows, 1)}):
+            hist = tmp_path / "hist.csv"
+            write_histogram(hist, samples, n_bins)
+            counts, edges = np.histogram(samples, bins=n_bins)
+            assert hist.read_bytes() == oracle_csv(
+                ["bin_left", "bin_right", "count"],
+                zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()),
+            )
+
+    def test_database_steps_across_digit_counts(self, tmp_path, block_rows):
+        # steps 9 999 -> 10 000 and 99 999 -> 100 000, in and out of one block
+        losses = np.zeros((100_001, 2))
+        for t in (1, 9, 10, 99, 100, 999, 1000, 9998, 9999, 10_000, 99_999, 100_000, 100_001):
+            losses[t - 1, t % 2] = 0.5
+            losses[t - 1, 1 - t % 2] = 0.25 if t % 3 else 0.0
+        db = tmp_path / "db.csv"
+        write_loss_database(db, losses)
+        amounts = losses.tolist()
+        assert db.read_bytes() == oracle_csv(
+            ["t", "process", "amount"],
+            [(t + 1, i + 1, amounts[t][i]) for t, i in zip(*(a.tolist() for a in np.nonzero(losses)))],
+        )
+
+    def test_equal_values_apart(self, tmp_path, block_rows):
+        # equal values that are not neighbours, each pattern in a column of
+        # its own: no run may be merged with a value of other bits
+        nan_a, nan_b = np.array([0x7FF8000000000001, 0x7FF8000000000002]).view(np.float64).tolist()
+        patterns = [[0.1, 2.5], [-0.0, 0.0], [nan_a, nan_b], [1e300, 5e-324]]
+        for n_steps in block_sizes(block_rows, len(patterns)):
+            values = np.array([[p[t % 2] for p in patterns] for t in range(n_steps)])
+            # both payloads survive into the array
+            assert len(set(values[:2, 2].view(np.int64).tolist())) == min(n_steps, 2)
+            cells = values.tolist()
+            series = tmp_path / "series.csv"
+            write_series(series, values)
+            assert series.read_bytes() == oracle_csv(
+                ["t", "process", "value"],
+                [(t + 1, i + 1, cells[t][i]) for t in range(n_steps) for i in range(len(patterns))],
+            )
+            # the positive, finite patterns as loss amounts, one column each
+            losses = values[:, [0, 3]]
+            amounts = losses.tolist()
+            db = tmp_path / "db.csv"
+            write_loss_database(db, losses)
+            assert db.read_bytes() == oracle_csv(
+                ["t", "process", "amount"],
+                [(t + 1, i + 1, amounts[t][i]) for t in range(n_steps) for i in range(2)],
+            )
+
 
 def write_config(tmp_path, mutate=None):
     doc = json.loads(Path(reference_config_path()).read_text())
