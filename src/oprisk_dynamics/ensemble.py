@@ -336,15 +336,7 @@ def _evolve_part(p, couplings, initial, n_steps, master_seed, sums, terminal, fi
     )
     carry = np.zeros((p.n, stop - first))
     reached = 0 if after is not None else n_steps
-    for start, z in _evolve(
-        p.theta,
-        p.lam,
-        couplings[first:stop],
-        p.horizons,
-        initial,
-        n_steps,
-        generators,
-    ):
+    for start, z in _evolve(p, couplings[first:stop], initial, n_steps, generators):
         # z is (N, m, B), process-major. Each process's running sum
         # starts from its carry, so it is associated exactly as one
         # full-length cumsum would associate it. The first chunk's carry

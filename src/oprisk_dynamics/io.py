@@ -1,10 +1,11 @@
 """File formats, database ingestion with time binning, and configuration.
 
 Formats (UTF-8, comma-separated, `.` decimal separator, 1-based indices).
-The database and samples readers ignore a leading UTF-8 byte-order mark,
-which spreadsheet tools write. They check each line for UTF-8 as they read
-it, so a byte that is not UTF-8 is a MalformedRecord on its line, after any
-fault on an earlier line:
+Every text reader (database, samples, config) ignores a leading UTF-8
+byte-order mark, which spreadsheet tools and editors write. The database
+and samples readers check each line for UTF-8 as they read it, so a byte
+that is not UTF-8 is a MalformedRecord on its line, after any fault on an
+earlier line:
 
 * loss database: header ``t,process,amount``, one positive-amount record per
   line; ``t`` is an integer step or an ISO-8601 timestamp. A timestamp
@@ -344,8 +345,9 @@ def ingest(records: LossRecords, resolution: float, n: int) -> LossEvents:
     return LossEvents(tuple(step[process == i] for i in range(n)), n_steps)
 
 
-def _write_csv(path, header, blocks) -> None:
-    """Write a header line, then each block of cell texts with one join.
+def _write_csv(path, header, n_rows: int, rows: int, block) -> None:
+    """Write a header line, then rows 0 .. n_rows - 1 in blocks of ``rows``,
+    each ``block(a, b)`` of rows a .. b - 1 with one join.
 
     A block is an object array of the texts of its cells in row-major order,
     each text ending in its separator: ``,`` after a cell inside a row,
@@ -353,13 +355,12 @@ def _write_csv(path, header, blocks) -> None:
     writes all its rows, so no string is built per row. The text of a value
     is its ``repr``, as ``_cell_texts`` spells it, so floats round-trip
     exactly, and these are the bytes ``csv.writer`` writes for such plain
-    cells. Callers pass their rows a block at a time, so only one block's
-    texts are held at once.
+    cells. Only one block's texts are held at once.
     """
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\r\n")
-        for block in blocks:
-            handle.write("".join(block.ravel().tolist()))
+        for a in range(0, n_rows, rows):
+            handle.write("".join(block(a, min(a + rows, n_rows)).ravel().tolist()))
 
 
 def _cell_texts(column, end: str, prefix: str = "") -> np.ndarray:
@@ -408,21 +409,13 @@ def _table(*columns) -> np.ndarray:
     return np.stack([_cell_texts(c, e) for c, e in zip(columns, ends)], axis=1)
 
 
-def _ranges(total: int, size: int):
-    """(first, stop) ranges of at most ``size`` items covering ``total``."""
-    for first in range(0, total, size):
-        yield first, min(first + size, total)
-
-
 def write_loss_database(path, losses) -> None:
     """Write nonzero losses as ``t,process,amount`` records, steps 1-based,
     from a LossMatrix or a (T, N) array that passes its rules."""
     arr = (losses if isinstance(losses, LossMatrix) else LossMatrix(losses)).losses
     t, i = np.nonzero(arr)
-    _write_csv(path, _DB_HEADER, (
-        _table(t[a:b] + 1, i[a:b] + 1, arr[t[a:b], i[a:b]])
-        for a, b in _ranges(t.size, _CSV_BLOCK_ROWS)
-    ))
+    _write_csv(path, _DB_HEADER, t.size, _CSV_BLOCK_ROWS,
+               lambda a, b: _table(t[a:b] + 1, i[a:b] + 1, arr[t[a:b], i[a:b]]))
 
 
 def write_series(path, values) -> None:
@@ -441,8 +434,7 @@ def write_series(path, values) -> None:
             table[:, i, 1] = _cell_texts(arr[a:b, i], "\r\n", prefix=f"{i + 1},")
         return table
 
-    steps = max(1, _CSV_BLOCK_ROWS // max(n, 1))
-    _write_csv(path, _SERIES_HEADER, (block(a, b) for a, b in _ranges(n_steps, steps)))
+    _write_csv(path, _SERIES_HEADER, n_steps, max(1, _CSV_BLOCK_ROWS // max(n, 1)), block)
 
 
 def write_histogram(path, samples, n_bins: int = 60) -> None:
@@ -453,10 +445,8 @@ def write_histogram(path, samples, n_bins: int = 60) -> None:
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
     counts, edges = np.histogram(s, bins=n_bins)
-    _write_csv(path, _HIST_HEADER, (
-        _table(edges[a:b], edges[a + 1:b + 1], counts[a:b])
-        for a, b in _ranges(n_bins, _CSV_BLOCK_ROWS)
-    ))
+    _write_csv(path, _HIST_HEADER, n_bins, _CSV_BLOCK_ROWS,
+               lambda a, b: _table(edges[a:b], edges[a + 1:b + 1], counts[a:b]))
 
 
 def write_samples(path, samples) -> None:
@@ -676,7 +666,7 @@ def load_config(path) -> RunConfig:
             unreadable, not UTF-8 or not JSON.
     """
     try:
-        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
             doc = json.loads("".join(_utf8_lines(handle)))
     except OSError as exc:
         raise errors.ConfigError(str(path), f"cannot read config: {exc}") from exc

@@ -150,7 +150,8 @@ class LossMatrix:
     losses: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.losses, dtype=np.float64)
+        store_read_only(self, np.float64, "losses")
+        arr = self.losses
         if arr.ndim != 2:
             raise errors.DimensionMismatch("losses", "(T, N)", arr.shape)
         bad = np.argwhere(~(np.isfinite(arr) & (arr >= 0)))
@@ -160,9 +161,6 @@ class LossMatrix:
                 f"losses contain a negative or non-finite entry {arr[t, i]} "
                 f"at (t, process) = ({t}, {i})"
             )
-        arr = arr.copy() if arr is self.losses or arr.flags.writeable else arr
-        arr.setflags(write=False)
-        object.__setattr__(self, "losses", arr)
 
     @property
     def n_steps(self) -> int:

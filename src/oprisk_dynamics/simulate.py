@@ -158,13 +158,7 @@ def simulate(
 
     out = np.empty((n_steps, p.n))
     for start, block in _evolve(
-        p.theta,
-        p.lam,
-        p.couplings[None, :, :],
-        p.horizons,
-        _start_history(p, initial),
-        n_steps,
-        [noise.generator()],
+        p, p.couplings[None, :, :], _start_history(p, initial), n_steps, [noise.generator()]
     ):
         out[start : start + block.shape[1]] = block[:, :, 0].T
     losses = LossMatrix(out)
@@ -267,10 +261,8 @@ def _component(members, cyclic, live, horizons, couplings, row_of) -> _Component
 
 
 def _evolve(
-    theta: np.ndarray,
-    lam: np.ndarray,
+    p: ModelParameters,
     couplings: np.ndarray,
-    horizons: np.ndarray,
     initial: np.ndarray,
     n_steps: int,
     generators: list,
@@ -278,9 +270,10 @@ def _evolve(
     """Batched engine yielding the losses of ``n_steps`` steps chunk by chunk.
 
     Args:
-        theta, lam: shared (N,) parameter vectors.
-        couplings: (B, N, N), one matrix per trajectory.
-        horizons: shared (N, N) integer matrix.
+        p: model parameters; every trajectory shares their theta, lambda
+            and horizons.
+        couplings: (B, N, N), one matrix per trajectory, in place of
+            ``p.couplings``.
         initial: (W, N) history from ``_start_history``, oldest first; W is the largest horizon.
         generators: B independent noise generators, consumed chunk-wise; each
             trajectory's stream is identical to per-step sequential draws.
@@ -294,18 +287,18 @@ def _evolve(
     No reduction ever crosses the trajectory axis, so batch size never
     changes results.
     """
-    theta = theta + 0.0  # the one place a zero threshold's sign is settled
-    n = theta.shape[0]
+    theta = p.theta + 0.0  # the one place a zero threshold's sign is settled
+    n = p.n
     n_batch = couplings.shape[0]
     w = initial.shape[0]
-    live = (horizons > 0) & (couplings != 0.0).any(axis=0)
+    live = (p.horizons > 0) & (couplings != 0.0).any(axis=0)
     # only processes that some process depends on need prefix counts
     sources = np.flatnonzero(live.any(axis=0))
     row_of = np.full(n, -1, dtype=np.int64)
     row_of[sources] = np.arange(sources.size)
 
     plan = [
-        _component(members, cyclic, live, horizons, couplings, row_of)
+        _component(members, cyclic, live, p.horizons, couplings, row_of)
         for members, cyclic in _component_order(live)
     ]
 
@@ -332,7 +325,7 @@ def _evolve(
     for start in range(0, n_steps, chunk):
         m = min(chunk, n_steps - start)
         losses = block[:, :m]
-        _draw_noise(losses, draws, generators, lam)
+        _draw_noise(losses, draws, generators, p.lam)
         for c in plan:
             if c.cyclic:
                 _cycle(c, losses, prefix, w, theta, step_loop, sweep_work)

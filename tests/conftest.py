@@ -1,4 +1,7 @@
-"""Shared fixtures: the bundled reference scenario and a small fast variant."""
+"""Shared fixtures: the bundled reference scenario and a small fast variant,
+and the brute-force oracles of event classification and VaR."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -66,6 +69,47 @@ def hand_estimates(theta_hat, lam, horizons, candidates, **base) -> EstimateSet:
     for (i, j, c), (value, _) in candidates.items():
         j_hat[i, j, c - 1] = value
     return EstimateSet(theta_hat=theta_hat, j_hat=j_hat, lam=lam, counts=counts)
+
+
+def brute_force_classify(losses: np.ndarray, horizons: np.ndarray):
+    """Naive recount of every conditioning class, one window scan per event."""
+    n_steps, n = losses.shape
+    w = int(horizons.max()) if horizons.size else 0
+    cmax = w
+    base_total = np.zeros(n, dtype=int)
+    base_zero = np.zeros(n, dtype=int)
+    class_total = np.zeros((n, n, cmax), dtype=int)
+    class_zero = np.zeros((n, n, cmax), dtype=int)
+    discarded = np.zeros(n, dtype=int)
+    for t in range(w, n_steps):
+        for i in range(n):
+            counts = []
+            for j in range(n):
+                h = int(horizons[i, j])
+                counts.append(int((losses[t - h : t, j] > 0).sum()) if h else 0)
+            active = [j for j, c in enumerate(counts) if c > 0]
+            if not active:
+                base_total[i] += 1
+                base_zero[i] += losses[t, i] == 0
+            elif len(active) == 1:
+                j = active[0]
+                c = counts[j]
+                class_total[i, j, c - 1] += 1
+                class_zero[i, j, c - 1] += losses[t, i] == 0
+            else:
+                discarded[i] += 1
+    return base_total, base_zero, class_total, class_zero, discarded
+
+
+def brute_force_var(samples, confidence):
+    """Smallest observed value with >= confidence fraction of samples <= it."""
+    ordered = sorted(samples)
+    n = len(ordered)
+    target = Fraction(confidence) * n
+    for rank, value in enumerate(ordered, start=1):
+        if rank >= target:
+            return value
+    return ordered[-1]
 
 
 @pytest.fixture(scope="session")

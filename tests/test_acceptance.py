@@ -8,7 +8,6 @@ it.
 """
 
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +24,8 @@ from oprisk_dynamics.estimate import (
 from oprisk_dynamics.model import NoiseSpec
 from oprisk_dynamics.simulate import cumulative, simulate
 from oprisk_dynamics.validation import relative_error, run_validation
+
+from conftest import brute_force_classify, brute_force_var
 
 SEEDS = (1, 2, 3, 4, 5)
 T_REF = 200000
@@ -162,46 +163,6 @@ def test_criterion_5_mean_cumulative_loss_is_linear(reference_validations):
         assert r_squared > 0.99
 
 
-def brute_force_trigger_recount(losses, horizons):
-    """Literal window recount of every trigger count, no prefix sums."""
-    n_steps, n = losses.shape
-    w = int(horizons.max())
-    counts = np.zeros((n_steps - w, n, n), dtype=int)
-    for t in range(w, n_steps):
-        for i in range(n):
-            for j in range(n):
-                h = int(horizons[i, j])
-                for back in range(1, h + 1):
-                    if losses[t - back, j] > 0:
-                        counts[t - w, i, j] += 1
-    return counts
-
-
-def brute_force_classify(losses, horizons):
-    counts = brute_force_trigger_recount(losses, horizons)
-    n_steps, n = losses.shape
-    w = int(horizons.max())
-    base_total = np.zeros(n, dtype=int)
-    base_zero = np.zeros(n, dtype=int)
-    class_total = np.zeros((n, n, w), dtype=int)
-    class_zero = np.zeros((n, n, w), dtype=int)
-    discarded = np.zeros(n, dtype=int)
-    for t in range(w, n_steps):
-        for i in range(n):
-            active = [j for j in range(n) if counts[t - w, i, j] > 0]
-            if not active:
-                base_total[i] += 1
-                base_zero[i] += losses[t, i] == 0
-            elif len(active) == 1:
-                j = active[0]
-                c = counts[t - w, i, j]
-                class_total[i, j, c - 1] += 1
-                class_zero[i, j, c - 1] += losses[t, i] == 0
-            else:
-                discarded[i] += 1
-    return base_total, base_zero, class_total, class_zero, discarded
-
-
 def test_criterion_6a_classification_matches_brute_force():
     rng = np.random.default_rng(60)
     for _ in range(6):
@@ -250,10 +211,7 @@ def test_criterion_6c_var_matches_brute_force_on_1000_sets():
         size = int(rng.integers(1, 50))
         samples = rng.normal(scale=100.0, size=size)
         confidence = float(rng.uniform(0.001, 0.999))
-        ordered = sorted(samples)
-        target = Fraction(confidence) * size
-        expected = next(v for rank, v in enumerate(ordered, 1) if rank >= target)
-        assert var(samples, confidence) == expected
+        assert var(samples, confidence) == brute_force_var(samples, confidence)
 
 
 def test_criterion_6d_cumulative_equals_prefix_sums():

@@ -12,7 +12,6 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ from oprisk_dynamics.estimate import EstimateSet, collapse_estimates, collapse_p
 from oprisk_dynamics.model import LossMatrix, ModelParameters, NoiseSpec
 from oprisk_dynamics.simulate import _ROW_SCAN_WIDTH, _SCALAR_BATCH, simulate
 
-from conftest import build_reference_parameters, hand_estimates
+from conftest import brute_force_var, build_reference_parameters, hand_estimates
 
 
 class TestDeriveSeed:
@@ -95,17 +94,6 @@ class TestTrajectoryGenerators:
         (c,) = _trajectory_generators([2**40 + 3])
         assert a is not b
         assert a.random(4).tobytes() == b.random(4).tobytes() == c.random(4).tobytes()
-
-
-def brute_force_var(samples, confidence):
-    """Smallest observed value with >= confidence fraction of samples <= it."""
-    ordered = sorted(samples)
-    n = len(ordered)
-    target = Fraction(confidence) * n
-    for rank, value in enumerate(ordered, start=1):
-        if rank >= target:
-            return value
-    return ordered[-1]
 
 
 class TestVar:

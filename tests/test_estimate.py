@@ -34,37 +34,7 @@ from oprisk_dynamics.estimate import (
 from oprisk_dynamics.model import LossMatrix, ModelParameters, NoiseSpec
 from oprisk_dynamics.simulate import simulate
 
-from conftest import build_reference_parameters, hand_counts, hand_estimates
-
-
-def brute_force_classify(losses: np.ndarray, horizons: np.ndarray):
-    """Naive recount of every conditioning class, one window scan per event."""
-    n_steps, n = losses.shape
-    w = int(horizons.max()) if horizons.size else 0
-    cmax = w
-    base_total = np.zeros(n, dtype=int)
-    base_zero = np.zeros(n, dtype=int)
-    class_total = np.zeros((n, n, cmax), dtype=int)
-    class_zero = np.zeros((n, n, cmax), dtype=int)
-    discarded = np.zeros(n, dtype=int)
-    for t in range(w, n_steps):
-        for i in range(n):
-            counts = []
-            for j in range(n):
-                h = int(horizons[i, j])
-                counts.append(int((losses[t - h : t, j] > 0).sum()) if h else 0)
-            active = [j for j, c in enumerate(counts) if c > 0]
-            if not active:
-                base_total[i] += 1
-                base_zero[i] += losses[t, i] == 0
-            elif len(active) == 1:
-                j = active[0]
-                c = counts[j]
-                class_total[i, j, c - 1] += 1
-                class_zero[i, j, c - 1] += losses[t, i] == 0
-            else:
-                discarded[i] += 1
-    return base_total, base_zero, class_total, class_zero, discarded
+from conftest import brute_force_classify, build_reference_parameters, hand_counts, hand_estimates
 
 
 def dense_classify(losses: np.ndarray, horizons: np.ndarray):

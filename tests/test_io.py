@@ -1275,6 +1275,41 @@ class TestWritersMatchCsvOracle:
         write_series(series, np.zeros((0, 3)))
         assert series.read_bytes() == oracle_csv(["t", "process", "value"], [])
 
+    @pytest.mark.parametrize("size", [1, 7])
+    def test_blocks_follow_the_block_size_at_call_time(self, tmp_path, monkeypatch, size):
+        # every write after the header is one block; a block size bound at
+        # import would write each table in one block of the default size
+        monkeypatch.setattr(io, "_CSV_BLOCK_ROWS", size)
+        writes = []
+
+        class Counting:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.handle.__exit__(*exc)
+
+            def write(self, text):
+                writes.append(text)
+                return self.handle.write(text)
+
+        monkeypatch.setattr(io, "open", lambda *a, **k: Counting(open(*a, **k)), raising=False)
+
+        def blocks_written(write, *args):
+            writes.clear()
+            write(tmp_path / "table.csv", *args)
+            return len(writes) - 1
+
+        rng = np.random.default_rng(8800 + size)
+        losses = np.where(rng.random((25, 3)) < 0.6, 0.5, 0.0)
+        rows = np.count_nonzero(losses)
+        assert blocks_written(write_loss_database, losses) == -(-rows // size)
+        assert blocks_written(write_histogram, rng.random(100), 20) == -(-20 // size)
+        assert blocks_written(write_series, losses) == -(-25 // max(1, size // 3))
+
     @pytest.mark.parametrize("end,prefix", [(",", ""), ("\r\n", ""), ("\r\n", "7,")])
     def test_integers_at_every_digit_count(self, end, prefix):
         # each digit count is spelt as a group of its own: shuffled, the
@@ -1628,6 +1663,17 @@ class TestLoadConfig:
             load_config(path)
         with pytest.raises(errors.ConfigError):
             load_config(tmp_path / "absent.json")
+
+    def test_a_byte_order_mark_is_ignored(self, tmp_path):
+        # editors on Windows save JSON with a leading UTF-8 BOM
+        path = write_config(tmp_path)
+        plain = load_config(path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        marked = load_config(path)
+        for name in ("theta", "lam", "couplings", "horizons"):
+            got, want = getattr(marked.parameters, name), getattr(plain.parameters, name)
+            assert got.tobytes() == want.tobytes()
+        assert (marked.n_steps, marked.master_seed) == (plain.n_steps, plain.master_seed)
 
     def test_seed_may_be_omitted(self, tmp_path):
         def mutate(doc):

@@ -196,8 +196,7 @@ def engine_losses(p, initial, n_steps, seeds):
     out = np.empty((n_steps, len(seeds), p.n))
     generators = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
     couplings = np.broadcast_to(p.couplings, (len(seeds), p.n, p.n))
-    for start, block in _evolve(p.theta, p.lam, couplings, p.horizons, initial, n_steps,
-                                generators):
+    for start, block in _evolve(p, couplings, initial, n_steps, generators):
         out[start : start + block.shape[1]] = block.transpose(1, 2, 0)
     return out
 
