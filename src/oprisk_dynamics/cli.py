@@ -138,12 +138,6 @@ def _format_warning(message, category, filename, lineno, line=None) -> str:
     return f"warning: {message}\n"
 
 
-def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 def _write_ensemble(out_dir: str, ensemble: EnsembleResult, n_bins: int) -> list[str]:
     """Write an ensemble's mean and std series and each process's terminal
     histogram, and return their paths in that order."""
@@ -186,7 +180,7 @@ def _cmd_estimate(args) -> int:
     doc["fraction_used"] = config.fraction
     out_dir = _prepare_out_dir(config)
     path = os.path.join(out_dir, "estimates.json")
-    _write_json(path, doc)
+    io.write_json(path, doc)
     usable = sum(map(len, estimates.candidates.values()))
     print(f"estimated {int(estimates.theta_available.sum())}/{estimates.n_processes} "
           f"thresholds, {usable} coupling candidates")
@@ -216,14 +210,12 @@ def _cmd_forecast(args) -> int:
         io.write_samples(sample_path, ensemble.terminal_samples[:, i])
         written += [sample_path, hist_path]
 
+    rows = [(i + 1, c, var(ensemble.terminal_samples[:, i], c))
+            for i in range(ensemble.n_processes) for c in config.confidences]
     table_path = os.path.join(out_dir, "var_table.csv")
-    with open(table_path, "w", encoding="utf-8") as handle:
-        handle.write("process,confidence,var\n")
-        for i in range(ensemble.n_processes):
-            for c in config.confidences:
-                value = var(ensemble.terminal_samples[:, i], c)
-                handle.write(f"{i + 1},{c!r},{value!r}\n")
-                print(f"process {i + 1} VaR({c!r}) = {value:.6g}")
+    io.write_table(table_path, ["process", "confidence", "var"], *zip(*rows))
+    for i, c, value in rows:
+        print(f"process {i} VaR({c!r}) = {value:.6g}")
     written.append(table_path)
     for path in written:
         print(f"wrote {path}")
@@ -239,7 +231,7 @@ def _cmd_validate(args) -> int:
     out_dir = _prepare_out_dir(config)
 
     report_path = os.path.join(out_dir, "validation_report.json")
-    _write_json(report_path, report.to_json_dict())
+    io.write_json(report_path, report.to_json_dict())
     io.write_series(os.path.join(out_dir, "z_true.csv"), report.z_true)
     _write_ensemble(out_dir, report.ensemble, config.histogram_bins)
 

@@ -1,11 +1,13 @@
 """File formats, database ingestion with time binning, and configuration.
 
 Formats (UTF-8, comma-separated, `.` decimal separator, 1-based indices).
-Every text reader (database, samples, config) ignores a leading UTF-8
-byte-order mark, which spreadsheet tools and editors write. The database
-and samples readers check each line for UTF-8 as they read it, so a byte
-that is not UTF-8 is a MalformedRecord on its line, after any fault on an
-earlier line:
+This module opens every output file, with no newline translation, so the
+bytes are the same on every OS: a CSV row ends in CR LF, as ``csv.writer``
+ends it, and a samples or JSON line in LF. Every text reader (database,
+samples, config) ignores a leading UTF-8 byte-order mark, which spreadsheet
+tools and editors write. The database and samples readers check each line
+for UTF-8 as they read it, so a byte that is not UTF-8 is a MalformedRecord
+on its line, after any fault on an earlier line:
 
 * loss database: header ``t,process,amount``, one positive-amount record per
   line; ``t`` is an integer step or an ISO-8601 timestamp. A timestamp
@@ -18,9 +20,14 @@ earlier line:
   the LossEvents the estimator reads.
 * series tables: header ``t,process,value``, full (step, process) grid.
 * histograms: header ``bin_left,bin_right,count``.
+* VaR table: header ``process,confidence,var``, one row per process and
+  confidence level. ``write_table`` writes it, the database and the
+  histograms.
 * samples: one float per line, no header. ``write_samples`` writes each
   value's ``repr``; ``read_samples`` reads them back bit for bit, and skips
   blank lines and ``#`` comments.
+* JSON documents (estimates, validation report): ``write_json`` writes one
+  document, keys sorted, indented by 2, ending in LF.
 * configuration: one JSON document; see ``load_config``. A byte that is
   not UTF-8 is a ConfigError.
 """
@@ -56,8 +63,10 @@ __all__ = [
     "write_loss_database",
     "write_series",
     "write_histogram",
+    "write_table",
     "write_samples",
     "read_samples",
+    "write_json",
     "RunConfig",
     "load_config",
     "reference_config_path",
@@ -403,10 +412,26 @@ def _cell_texts(column, end: str, prefix: str = "") -> np.ndarray:
     return texts
 
 
-def _table(*columns) -> np.ndarray:
-    """The (rows, columns) block of cell texts of equal-length columns."""
+def write_table(path, header, *columns) -> None:
+    """Write equal-length columns under ``header``, one CSV row per index.
+
+    A column is float64 or nonnegative integers, and each cell is its value's
+    ``repr``. Every line ends in CR LF, as ``csv.writer`` ends it.
+    """
+    columns = [np.asarray(c) for c in columns]
+    if not columns or len(header) != len(columns) or not all(
+        c.shape == columns[0].shape and c.ndim == 1
+        and (c.dtype == np.float64 or (c.dtype.kind in "iu" and c.min(initial=0) >= 0))
+        for c in columns
+    ):
+        raise ValueError("write_table takes one column per header field, all of one length, "
+                         "each float64 or nonnegative integers")
     ends = [","] * (len(columns) - 1) + ["\r\n"]
-    return np.stack([_cell_texts(c, e) for c, e in zip(columns, ends)], axis=1)
+
+    def block(a: int, b: int) -> np.ndarray:
+        return np.stack([_cell_texts(c[a:b], e) for c, e in zip(columns, ends)], axis=1)
+
+    _write_csv(path, header, columns[0].size, _CSV_BLOCK_ROWS, block)
 
 
 def write_loss_database(path, losses) -> None:
@@ -414,8 +439,7 @@ def write_loss_database(path, losses) -> None:
     from a LossMatrix or a (T, N) array that passes its rules."""
     arr = (losses if isinstance(losses, LossMatrix) else LossMatrix(losses)).losses
     t, i = np.nonzero(arr)
-    _write_csv(path, _DB_HEADER, t.size, _CSV_BLOCK_ROWS,
-               lambda a, b: _table(t[a:b] + 1, i[a:b] + 1, arr[t[a:b], i[a:b]]))
+    write_table(path, _DB_HEADER, t + 1, i + 1, arr[t, i])
 
 
 def write_series(path, values) -> None:
@@ -445,16 +469,22 @@ def write_histogram(path, samples, n_bins: int = 60) -> None:
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
     counts, edges = np.histogram(s, bins=n_bins)
-    _write_csv(path, _HIST_HEADER, n_bins, _CSV_BLOCK_ROWS,
-               lambda a, b: _table(edges[a:b], edges[a + 1:b + 1], counts[a:b]))
+    write_table(path, _HIST_HEADER, edges[:-1], edges[1:], counts)
 
 
 def write_samples(path, samples) -> None:
     """Write one sample per line as its ``repr``, which ``read_samples`` reads
     back bit for bit."""
     texts = [f"{value!r}\n" for value in np.asarray(samples, dtype=np.float64).ravel().tolist()]
-    with open(path, "w", encoding="utf-8") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write("".join(texts))
+
+
+def write_json(path, doc: dict) -> None:
+    """Write a JSON document with sorted keys, indented by 2, and a final LF."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        json.dump(doc, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def read_samples(path) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Shared fixtures: the bundled reference scenario and a small fast variant,
-and the brute-force oracles of event classification and VaR."""
+the brute-force oracles of event classification and VaR, and the exact mean
+cumulative loss of a model's loss-window Markov chain."""
 
 from fractions import Fraction
 
@@ -110,6 +111,58 @@ def brute_force_var(samples, confidence):
         if rank >= target:
             return value
     return ordered[-1]
+
+
+def exact_mean_z(p: ModelParameters, n_steps: int) -> np.ndarray:
+    """Exact E z_i(n_steps) of every process i, from a start with no losses.
+
+    Reads only the equation of motion. A source is a process that some
+    process depends on (a nonzero coupling with a positive horizon). The
+    state is each source's loss indicators over its longest such horizon,
+    bit d of its field for step t - 1 - d: a Markov chain. Given the state,
+    the noises are independent, and process i has the drive
+    a = theta_i + sum_j J_ij C_ij. It loses with probability min(1, e^{lam a}),
+    and its expected loss is e^{lam a} / lam when a <= 0, a + 1 / lam
+    otherwise. The distribution over states moves one step with one
+    ``np.bincount`` over every state's successors.
+
+    Raises:
+        ValueError: the chain has more than 2**16 states.
+    """
+    live = (p.horizons > 0) & (p.couplings != 0.0)
+    sources = np.flatnonzero(live.any(axis=0))
+    widths = [int(p.horizons[live[:, j], j].max()) for j in sources]
+    offsets = np.cumsum([0] + widths)
+    if offsets[-1] > 16:
+        raise ValueError(f"the loss-window chain needs 2**{offsets[-1]} states, over 2**16")
+    states = np.arange(2 ** int(offsets[-1]))
+    drive = np.tile(p.theta, (states.size, 1))
+    shifted = np.zeros_like(states)
+    for j, width, offset in zip(sources, widths, offsets):
+        window = (states >> offset) & ((1 << width) - 1)
+        shifted |= ((window << 1) & ((1 << width) - 1)) << offset
+        for i in np.flatnonzero(live[:, j]):
+            count = sum((window >> d) & 1 for d in range(p.horizons[i, j]))
+            drive[:, i] += p.couplings[i, j] * count
+    rate = np.exp(p.lam * np.minimum(drive, 0.0))
+    mean_loss = np.where(drive <= 0.0, rate / p.lam, drive + 1.0 / p.lam)
+    # successors[o, s], and its probability, for outcome o: source k lost
+    # this step where bit k of o is set
+    outcomes = np.arange(2 ** sources.size)[:, None]
+    successors = shifted[None, :].repeat(outcomes.size, axis=0)
+    chance = np.ones(successors.shape)
+    for k, (j, offset) in enumerate(zip(sources, offsets)):
+        lost = (outcomes >> k) & 1 == 1
+        successors |= np.where(lost, 1 << offset, 0)
+        chance *= np.where(lost, rate[:, j], 1.0 - rate[:, j])
+    successors = successors.ravel()
+    occupation = np.zeros(states.size)
+    law = np.zeros(states.size)
+    law[0] = 1.0
+    for _ in range(n_steps):
+        occupation += law
+        law = np.bincount(successors, weights=(chance * law).ravel(), minlength=states.size)
+    return occupation @ mean_loss
 
 
 @pytest.fixture(scope="session")

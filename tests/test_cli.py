@@ -513,6 +513,58 @@ class TestValidateCommand:
         assert not out.exists()
 
 
+class TestLineEndings:
+    """One line ending per format, on every OS: CSV rows end in CR LF, as
+    csv.writer ends them, and samples and JSON lines end in LF."""
+
+    @staticmethod
+    def run_every_writer(tmp_path) -> list:
+        config = small_config(tmp_path)
+        out = tmp_path / "out"
+        database = str(out / "sim" / "database.csv")
+        for argv in (
+            ["simulate", "--out-dir", str(out / "sim")],
+            ["estimate", "--database", database, "--out-dir", str(out / "est")],
+            ["forecast", "--database", database, "--out-dir", str(out / "fc")],
+            ["validate", "--trajectories", "4", "--out-dir", str(out / "val")],
+        ):
+            assert main([argv[0], "--config", config, *argv[1:]]) == 0, argv[0]
+        return sorted(path for path in out.rglob("*") if path.is_file())
+
+    def test_each_format_has_one_line_ending(self, tmp_path):
+        files = self.run_every_writer(tmp_path)
+        assert {path.suffix for path in files} == {".csv", ".txt", ".json"}
+        assert {"var_table.csv", "database.csv", "terminal_p1.txt",
+                "estimates.json"} <= {path.name for path in files}
+        for path in files:
+            data = path.read_bytes()
+            if path.suffix == ".csv":
+                assert data.count(b"\n") == data.count(b"\r\n") > 0, path.name
+            else:
+                assert data.endswith(b"\n") and b"\r" not in data, path.name
+
+    def test_io_opens_every_output_without_newline_translation(self, tmp_path, monkeypatch):
+        # Linux writes LF with or without newline="", so this checks the
+        # argument that keeps other platforms from writing CR LF
+        opened, cli_opened = [], []
+
+        def io_open(file, mode="r", *args, **kwargs):
+            if "b" not in mode and set(mode) & set("wax+"):
+                opened.append((Path(file), kwargs.get("newline")))
+            return open(file, mode, *args, **kwargs)
+
+        def cli_open(file, *args, **kwargs):
+            cli_opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", io_open, raising=False)
+        monkeypatch.setattr(cli, "open", cli_open, raising=False)
+        files = self.run_every_writer(tmp_path)
+        assert cli_opened == []
+        assert sorted(path for path, _ in opened) == files
+        assert [path.name for path, newline in opened if newline != ""] == []
+
+
 class TestOutDir:
     @pytest.mark.parametrize("command", ["estimate", "forecast"])
     def test_failed_run_leaves_no_out_dir(self, tmp_path, command, capsys):

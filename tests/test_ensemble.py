@@ -30,7 +30,7 @@ from oprisk_dynamics.estimate import EstimateSet, collapse_estimates, collapse_p
 from oprisk_dynamics.model import LossMatrix, ModelParameters, NoiseSpec
 from oprisk_dynamics.simulate import _ROW_SCAN_WIDTH, _SCALAR_BATCH, simulate
 
-from conftest import brute_force_var, build_reference_parameters, hand_estimates
+from conftest import brute_force_var, build_reference_parameters, exact_mean_z, hand_estimates
 
 
 class TestDeriveSeed:
@@ -651,3 +651,44 @@ class TestEstimateSetSources:
         est = two_candidate_estimates()
         with pytest.raises(ValueError):
             run_ensemble(est, None, 10, 2, master_seed=0, collapse="median")
+
+
+@pytest.fixture(scope="module")
+def exact_reference_mean_z():
+    return exact_mean_z(build_reference_parameters(), 2000)
+
+
+class TestExactLaw:
+    """The ensemble's law against the exact mean of the loss-window Markov
+    chain, which reads the equation of motion and nothing of the engine: an
+    engine whose windows are one step too long, or too short, fails. Every
+    step loop gives the same bits at any batch width, so one width covers
+    them all."""
+
+    def test_oracle_on_the_reference_model(self, exact_reference_mean_z):
+        np.testing.assert_allclose(
+            exact_reference_mean_z, [5.015, 33.381, 4.581, 15.741, 14.466], atol=5e-4
+        )
+
+    def test_oracle_without_couplings(self):
+        # every step is the same: e^{lam theta} / lam per step
+        p = ModelParameters(theta=np.array([-1.0, 0.5]), lam=np.array([2.0, 3.0]),
+                            couplings=np.zeros((2, 2)), horizons=np.zeros((2, 2), dtype=int))
+        per_step = [np.exp(-2.0) / 2.0, 0.5 + 1.0 / 3.0]
+        np.testing.assert_allclose(exact_mean_z(p, 7), 7 * np.array(per_step))
+
+    def test_oracle_refuses_a_chain_over_2_16_states(self):
+        p = ModelParameters(theta=-np.ones(2), lam=np.ones(2),
+                            couplings=np.array([[0.0, 0.1], [0.1, 0.0]]),
+                            horizons=np.array([[0, 9], [8, 0]]))
+        with pytest.raises(ValueError, match="2\\*\\*17 states"):
+            exact_mean_z(p, 1)
+
+    # seeds fixed before any run of the engine against the oracle
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_mean_z_within_4_standard_errors(self, reference_parameters, exact_reference_mean_z,
+                                             seed):
+        m = 4000
+        result = run_ensemble(reference_parameters, None, 2000, m, seed)
+        z_scores = (result.mean_z[-1] - exact_reference_mean_z) / (result.std_z[-1] / np.sqrt(m))
+        assert np.all(np.abs(z_scores) < 4.0), z_scores

@@ -31,6 +31,7 @@ from oprisk_dynamics.io import (
     write_loss_database,
     write_samples,
     write_series,
+    write_table,
 )
 from oprisk_dynamics.estimate import LossEvents
 from oprisk_dynamics.model import LossMatrix, NoiseSpec
@@ -1266,6 +1267,31 @@ class TestWritersMatchCsvOracle:
                 ["bin_left", "bin_right", "count"],
                 zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()),
             )
+
+    def test_table_of_mixed_columns(self, tmp_path, block_rows):
+        # the VaR table's kinds of column: integers, floats, and Python lists
+        rng = np.random.default_rng(8450 + block_rows)
+        for n_rows in sorted({0, *block_sizes(block_rows, 1)}):
+            ids = rng.integers(0, 2**40, n_rows)
+            a, b = awkward_values(rng, n_rows), awkward_values(rng, n_rows)
+            table = tmp_path / "table.csv"
+            write_table(table, ["id", "a", "b"], ids, a.tolist(), b)
+            assert table.read_bytes() == oracle_csv(
+                ["id", "a", "b"], zip(ids.tolist(), a.tolist(), b.tolist())
+            )
+
+    @pytest.mark.parametrize("header,columns", [
+        (["a", "b"], [np.arange(3), np.zeros(2)]),
+        (["a", "b"], [np.arange(3), np.zeros(3, dtype=np.float32)]),
+        (["a", "b"], [np.arange(3) - 1, np.zeros(3)]),
+        (["a", "b"], [np.zeros((3, 1)), np.zeros((3, 1))]),
+        (["a", "b"], [np.zeros(3)]),
+        ([], []),
+    ], ids=["lengths", "float32", "negative", "2-d", "header", "none"])
+    def test_table_rejects_what_it_cannot_spell(self, tmp_path, header, columns):
+        with pytest.raises(ValueError):
+            write_table(tmp_path / "table.csv", header, *columns)
+        assert not (tmp_path / "table.csv").exists()
 
     def test_empty_tables(self, tmp_path, block_rows):
         db = tmp_path / "db.csv"
