@@ -23,8 +23,8 @@ import sys
 import warnings
 
 from . import errors, io
-from .ensemble import EnsembleResult, run_ensemble, var
-from .estimate import EstimateSet, estimate_from_database
+from .ensemble import EnsembleResult, parameters_from_estimates, run_ensemble, var
+from .estimate import EstimateSet, collapse_precision, estimate_from_database
 from .model import NoiseSpec
 from .simulate import simulate
 from .validation import run_validation
@@ -191,15 +191,13 @@ def _cmd_estimate(args) -> int:
 def _cmd_forecast(args) -> int:
     config = _load_config(args)
     seed = _require_seed(config)
+    source = config.parameters
     if args.database is not None:
+        # an estimate set draws each trajectory's couplings from its candidates
         source = _estimates_from_file(config, args.database)
-        collapse = config.collapse
-    else:
-        source = config.parameters
-        collapse = "mean"
-    ensemble = run_ensemble(
-        source, None, config.n_steps, config.m_trajectories, seed, collapse=collapse
-    )
+        if config.collapse == "mean":
+            source = parameters_from_estimates(source, collapse_precision(source))
+    ensemble = run_ensemble(source, None, config.n_steps, config.m_trajectories, seed)
     _warn_var_resolution(config.m_trajectories, config.confidences)
 
     out_dir = _prepare_out_dir(config)

@@ -14,8 +14,8 @@ tells the next, through a pipe, the step it has reached. So the sums are
 still added in trajectory-index order, and only those progress messages pass
 between processes.
 
-Seed layout: stream 0 seeds the candidate draws of a sample-per-run
-collapse, stream 1 + m feeds trajectory m.
+Seed layout: stream 0 seeds the candidate draws of an EstimateSet source,
+stream 1 + m feeds trajectory m.
 """
 
 from __future__ import annotations
@@ -185,7 +185,8 @@ def parameters_from_estimates(estimates: EstimateSet, couplings: np.ndarray) -> 
     """Assemble simulation parameters from an estimate set.
 
     Args:
-        couplings: the candidates collapsed, as ``collapse_estimates`` does.
+        couplings: the candidates collapsed into one matrix, such as
+            ``collapse_precision`` gives or ``collapse_estimates`` draws.
 
     Raises:
         EstimationDegenerate: some process has no usable threshold estimate.
@@ -206,16 +207,14 @@ def run_ensemble(
     n_steps: int,
     m_trajectories: int,
     master_seed: int,
-    collapse: str = "mean",
     batch_size: int = 1024,
 ) -> EnsembleResult:
     """Simulate M independent trajectories and aggregate their z paths.
 
     Args:
-        source: ModelParameters, or an EstimateSet that collapse_estimates
-            turns into one couplings matrix per trajectory: "mean" repeats
-            collapse_precision; "sample-per-run" draws each trajectory's
-            matrix from the candidates, seeded with derived stream 0.
+        source: ModelParameters, whose couplings every trajectory shares, or
+            an EstimateSet, from whose candidates collapse_estimates draws
+            each trajectory's matrix, seeded with derived stream 0.
         initial: starting history shared by every trajectory, as in simulate.
         n_steps: trajectory length T.
         m_trajectories: M >= 2.
@@ -239,11 +238,9 @@ def run_ensemble(
     if isinstance(source, EstimateSet):
         # the whole stack up front: trajectory m's matrix is the same however
         # the batches are cut
-        couplings = collapse_estimates(source, collapse, m_trajectories, collapse_seed)
+        couplings = collapse_estimates(source, m_trajectories, collapse_seed)
         p = parameters_from_estimates(source, couplings[0])
     else:
-        if collapse != "mean":
-            raise ValueError("sample-per-run collapse requires an EstimateSet")
         p = source
         couplings = np.broadcast_to(p.couplings, (m_trajectories, p.n, p.n))
 

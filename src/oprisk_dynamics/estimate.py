@@ -426,27 +426,15 @@ def collapse_precision(estimates: EstimateSet) -> np.ndarray:
     return collapsed
 
 
-def collapse_estimates(
-    estimates: EstimateSet, strategy: str, m_trajectories: int, seed: int | None = None
-) -> np.ndarray:
-    """Collapse the candidates into the (M, N, N) couplings stack of an
-    M-trajectory forecast, one matrix per trajectory.
+def collapse_estimates(estimates: EstimateSet, m_trajectories: int, seed: int) -> np.ndarray:
+    """Draw the (M, N, N) couplings stack of an M-trajectory forecast, one
+    matrix per trajectory.
 
-    Args:
-        strategy: "mean" repeats the collapse_precision matrix (a read-only
-            view). "sample-per-run" draws trajectory m's matrix by picking,
-            independently and uniformly, one candidate per (i, j) pair; pairs
-            without candidates stay 0. Draws run matrix by matrix in
-            trajectory order, and in sorted pair order within a matrix.
-        seed: required for "sample-per-run".
+    Trajectory m's matrix picks, independently and uniformly, one candidate
+    per (i, j) pair; pairs without candidates stay 0. Draws run matrix by
+    matrix in trajectory order, and in sorted pair order within a matrix.
     """
     n = estimates.n_processes
-    if strategy == "mean":
-        return np.broadcast_to(collapse_precision(estimates), (m_trajectories, n, n))
-    if strategy != "sample-per-run":
-        raise ValueError(f"unknown collapse strategy {strategy!r}")
-    if seed is None:
-        raise ValueError("sample-per-run collapse requires a seed")
     pairs = list(estimates.candidates.items())
     stack = np.zeros((m_trajectories, n, n))
     if not pairs:

@@ -374,7 +374,7 @@ def _write_csv(path, header, n_rows: int, rows: int, block) -> None:
 
 def _cell_texts(column, end: str, prefix: str = "") -> np.ndarray:
     """The cell text ``prefix + repr(value) + end`` of each value of a float64
-    or nonnegative integer column, as an object array.
+    column or one of integers in [0, 2**63), as an object array.
 
     A float is spelt once per run of equal values, then repeated along the
     run. A run ends where the bit pattern changes, so -0.0 and 0.0 stay apart,
@@ -415,17 +415,19 @@ def _cell_texts(column, end: str, prefix: str = "") -> np.ndarray:
 def write_table(path, header, *columns) -> None:
     """Write equal-length columns under ``header``, one CSV row per index.
 
-    A column is float64 or nonnegative integers, and each cell is its value's
-    ``repr``. Every line ends in CR LF, as ``csv.writer`` ends it.
+    A column is float64 or integers in [0, 2**63), and each cell is its
+    value's ``repr``. Every line ends in CR LF, as ``csv.writer`` ends it.
     """
     columns = [np.asarray(c) for c in columns]
     if not columns or len(header) != len(columns) or not all(
         c.shape == columns[0].shape and c.ndim == 1
-        and (c.dtype == np.float64 or (c.dtype.kind in "iu" and c.min(initial=0) >= 0))
+        and (c.dtype == np.float64 or (
+            c.dtype.kind in "iu" and c.min(initial=0) >= 0 and int(c.max(initial=0)) <= _INT64_MAX
+        ))
         for c in columns
     ):
         raise ValueError("write_table takes one column per header field, all of one length, "
-                         "each float64 or nonnegative integers")
+                         "each float64 or integers in [0, 2**63)")
     ends = [","] * (len(columns) - 1) + ["\r\n"]
 
     def block(a: int, b: int) -> np.ndarray:

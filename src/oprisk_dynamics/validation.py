@@ -5,8 +5,8 @@ The protocol, given true parameters:
 1. simulate one database of T steps from a zero history;
 2. estimate thresholds and couplings from the first floor(fraction * T)
    steps, taking the true noise rates and memory horizons as known;
-3. run an M-trajectory forecast ensemble over the full T steps with
-   sample-per-run coupling collapse;
+3. run an M-trajectory forecast ensemble over the full T steps, each
+   trajectory's couplings drawn from the candidates;
 4. report relative parameter errors (couplings collapsed by inverse-variance
    weighting of their candidates), and the distance of the true cumulative
    loss from the forecast mean in units of the forecast standard deviation.
@@ -148,9 +148,7 @@ def run_validation(
         (int(i), int(j)): relative_error(p_true.couplings[i, j], collapsed[i, j])
         for i, j in np.argwhere(p_true.couplings != 0.0)
     }
-    ensemble = run_ensemble(
-        estimates, None, n_steps, m_trajectories, ensemble_master, collapse="sample-per-run"
-    )
+    ensemble = run_ensemble(estimates, None, n_steps, m_trajectories, ensemble_master)
 
     gap = np.abs(z_true[-1] - ensemble.mean_z[-1])
     std = ensemble.std_z[-1]

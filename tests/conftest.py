@@ -1,6 +1,6 @@
 """Shared fixtures: the bundled reference scenario and a small fast variant,
 the brute-force oracles of event classification and VaR, and the exact mean
-cumulative loss of a model's loss-window Markov chain."""
+cumulative loss and loss count of a model's loss-window Markov chain."""
 
 from fractions import Fraction
 
@@ -113,8 +113,9 @@ def brute_force_var(samples, confidence):
     return ordered[-1]
 
 
-def exact_mean_z(p: ModelParameters, n_steps: int) -> np.ndarray:
-    """Exact E z_i(n_steps) of every process i, from a start with no losses.
+def exact_law(p: ModelParameters, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact E z_i(n_steps) of every process i, and its expected number of
+    losses by step n_steps, from a start with no losses.
 
     Reads only the equation of motion. A source is a process that some
     process depends on (a nonzero coupling with a positive horizon). The
@@ -162,7 +163,7 @@ def exact_mean_z(p: ModelParameters, n_steps: int) -> np.ndarray:
     for _ in range(n_steps):
         occupation += law
         law = np.bincount(successors, weights=(chance * law).ravel(), minlength=states.size)
-    return occupation @ mean_loss
+    return occupation @ mean_loss, occupation @ rate
 
 
 @pytest.fixture(scope="session")

@@ -28,9 +28,9 @@ from oprisk_dynamics.ensemble import (
 )
 from oprisk_dynamics.estimate import EstimateSet, collapse_estimates, collapse_precision
 from oprisk_dynamics.model import LossMatrix, ModelParameters, NoiseSpec
-from oprisk_dynamics.simulate import _ROW_SCAN_WIDTH, _SCALAR_BATCH, simulate
+from oprisk_dynamics.simulate import _ROW_SCAN_WIDTH, _SCALAR_BATCH, _component_order, simulate
 
-from conftest import brute_force_var, build_reference_parameters, exact_mean_z, hand_estimates
+from conftest import brute_force_var, build_reference_parameters, exact_law, hand_estimates
 
 
 class TestDeriveSeed:
@@ -261,19 +261,18 @@ class TestRunEnsemble:
         monkeypatch.setattr(ens, "_running_sum", recorded)
         # one process, so the whole batch is one part and its calls are seen
         monkeypatch.setattr(ens, "_part_count", lambda width: 1)
-        kwargs = dict(collapse="sample-per-run")
-        wide = run_ensemble(est, None, n_steps, m_traj, master, **kwargs)
+        wide = run_ensemble(est, None, n_steps, m_traj, master)
         assert wide_calls == {"_evolve_part", "_sweep"}
-        narrow = run_ensemble(est, None, n_steps, m_traj, master, batch_size=7, **kwargs)
+        narrow = run_ensemble(est, None, n_steps, m_traj, master, batch_size=7)
         for name in ("mean_z", "std_z", "terminal_samples"):
             assert getattr(wide, name).tobytes() == getattr(narrow, name).tobytes()
         wide_cut = {}
         for s in (1, 150):
-            wide_cut[s] = run_ensemble(est, None, s, m_traj, master, **kwargs)
-            narrow_cut = run_ensemble(est, None, s, m_traj, master, batch_size=7, **kwargs)
+            wide_cut[s] = run_ensemble(est, None, s, m_traj, master)
+            narrow_cut = run_ensemble(est, None, s, m_traj, master, batch_size=7)
             assert wide_cut[s].terminal_samples.tobytes() == narrow_cut.terminal_samples.tobytes()
 
-        drawn = collapse_estimates(est, "sample-per-run", m_traj, derive_seed(master, 0))
+        drawn = collapse_estimates(est, m_traj, derive_seed(master, 0))
         for m in range(m_traj):
             p = ModelParameters(theta=theta, lam=ref.lam, couplings=drawn[m], horizons=ref.horizons)
             z = simulate(p, None, n_steps, NoiseSpec(rates=p.lam, seed=derive_seed(master, 1 + m)))
@@ -307,11 +306,10 @@ class TestRunEnsemble:
         # and 41 and between s = 79 and 81
         sim = importlib.import_module("oprisk_dynamics.simulate")
         monkeypatch.setattr(sim, "_CHUNK_BUDGET", 40 * width)
-        if source == "parameters":
-            src, collapse = build_reference_parameters(), "mean"
-        else:
-            src, collapse = reference_candidates(build_reference_parameters().theta), source
-        kwargs = dict(master_seed=31, batch_size=width, collapse=collapse)
+        src = build_reference_parameters()
+        if source == "sample-per-run":
+            src = reference_candidates(src.theta)
+        kwargs = dict(master_seed=31, batch_size=width)
         longer = run_ensemble(src, None, 120, width, **kwargs)
         for s in (1, 39, 40, 41, 79, 80, 81):
             cut = run_ensemble(src, None, s, width, **kwargs)
@@ -370,8 +368,6 @@ class TestRunEnsemble:
             run_ensemble(small_parameters, None, 0, 2, master_seed=0)
         with pytest.raises(ValueError):
             run_ensemble(small_parameters, None, 10, 2, master_seed=0, batch_size=0)
-        with pytest.raises(ValueError):
-            run_ensemble(small_parameters, None, 10, 2, master_seed=0, collapse="sample-per-run")
 
     @pytest.mark.parametrize(
         ("initial", "error"),
@@ -424,9 +420,9 @@ class TestWorkerProcesses:
         ens = importlib.import_module("oprisk_dynamics.ensemble")
         sim = importlib.import_module("oprisk_dynamics.simulate")
         ref = build_reference_parameters()
-        src, collapse, initial = ref, "mean", None
+        src, initial = ref, None
         if case == "sample-per-run":
-            src, collapse = reference_candidates(ref.theta), case
+            src = reference_candidates(ref.theta)
         elif case == "initial":
             history = np.zeros((6, 5))
             history[[0, 2, 3, 5], [2, 2, 0, 4]] = [0.7, 1.2, 0.4, 2.5]
@@ -438,8 +434,7 @@ class TestWorkerProcesses:
             for parts in (1, 2, 3):
                 monkeypatch.setattr(ens, "_part_count",
                                     lambda width, parts=parts: min(parts, width))
-                results.append(run_ensemble(src, initial, 90, m_traj, 29, collapse=collapse,
-                                            batch_size=batch_size))
+                results.append(run_ensemble(src, initial, 90, m_traj, 29, batch_size=batch_size))
             for other in results[1:]:
                 for name in ("mean_z", "std_z", "terminal_samples"):
                     assert getattr(other, name).tobytes() == getattr(results[0], name).tobytes()
@@ -563,7 +558,7 @@ def two_candidate_estimates(theta_hat=(-1.0, -0.8), **base):
 class TestEstimateSetSources:
     def test_parameters_from_estimates_mean_collapse(self):
         est = two_candidate_estimates()
-        p = parameters_from_estimates(est, collapse_estimates(est, "mean", 2)[0])
+        p = parameters_from_estimates(est, collapse_precision(est))
         assert np.array_equal(p.theta, est.theta_hat)
         assert np.array_equal(p.lam, est.lam)
         assert np.array_equal(p.horizons, est.horizons)
@@ -580,26 +575,14 @@ class TestEstimateSetSources:
         with pytest.raises(errors.EstimationDegenerate):
             run_ensemble(est, None, 10, 2, master_seed=0)
 
-    def test_mean_collapse_source_equals_explicit_parameters(self):
-        est = two_candidate_estimates()
-        from_est = run_ensemble(est, None, 80, 4, master_seed=21)
-        explicit = run_ensemble(
-            parameters_from_estimates(est, collapse_precision(est)), None, 80, 4, master_seed=21
-        )
-        assert np.array_equal(from_est.terminal_samples, explicit.terminal_samples)
-        assert np.array_equal(from_est.mean_z, explicit.mean_z)
-
     @pytest.mark.parametrize("batch_size", [1, 3, 8])
     def test_sample_per_run_draws_one_matrix_per_trajectory(self, batch_size):
         est = two_candidate_estimates()
         master = 42
         m_traj = 6
-        result = run_ensemble(
-            est, None, 120, m_traj, master_seed=master,
-            collapse="sample-per-run", batch_size=batch_size,
-        )
+        result = run_ensemble(est, None, 120, m_traj, master_seed=master, batch_size=batch_size)
 
-        drawn = collapse_estimates(est, "sample-per-run", m_traj, derive_seed(master, 0))
+        drawn = collapse_estimates(est, m_traj, derive_seed(master, 0))
         paths = []
         for m in range(m_traj):
             couplings = drawn[m]
@@ -624,7 +607,7 @@ class TestEstimateSetSources:
             {(0, 1, 1): (0.0, 40), (0, 1, 2): (0.3, 20), (1, 1, 1): (0.2, 30)},
         )
         master, m_traj = 17, 7
-        kwargs = dict(master_seed=master, collapse="sample-per-run")
+        kwargs = dict(master_seed=master)
         baseline = run_ensemble(est, None, 150, m_traj, batch_size=7, **kwargs)
         result = run_ensemble(est, None, 150, m_traj, batch_size=batch_size, **kwargs)
         assert np.array_equal(result.mean_z, baseline.mean_z)
@@ -634,7 +617,7 @@ class TestEstimateSetSources:
                for b in (7, batch_size)]
         assert np.array_equal(cut[1].terminal_samples, cut[0].terminal_samples)
 
-        stack = collapse_estimates(est, "sample-per-run", m_traj, derive_seed(master, 0))
+        stack = collapse_estimates(est, m_traj, derive_seed(master, 0))
         drawn = []
         for m in range(m_traj):
             couplings = stack[m]
@@ -647,48 +630,94 @@ class TestEstimateSetSources:
             assert np.array_equal(result.terminal_samples[m], traj.cumulative[-1])
         assert 0.0 in drawn and 0.3 in drawn
 
-    def test_unknown_collapse_rejected(self):
-        est = two_candidate_estimates()
-        with pytest.raises(ValueError):
-            run_ensemble(est, None, 10, 2, master_seed=0, collapse="median")
+
+def two_member_cycle_parameters() -> ModelParameters:
+    """Processes 1 and 2 drive each other over windows of 3 and 2 steps, and 1
+    drives 3: a cycle of two members, then a process on no cycle. The
+    reference model's only cycle is one self-coupled process."""
+    couplings = np.zeros((3, 3))
+    horizons = np.zeros((3, 3), dtype=int)
+    for i, j, value, h in [(0, 1, 0.3, 3), (1, 0, 0.25, 2), (2, 0, 0.2, 2)]:
+        couplings[i, j], horizons[i, j] = value, h
+    return ModelParameters(theta=np.array([-1.0, -1.2, -0.9]), lam=np.array([3.0, 2.5, 3.5]),
+                           couplings=couplings, horizons=horizons)
 
 
 @pytest.fixture(scope="module")
-def exact_reference_mean_z():
-    return exact_mean_z(build_reference_parameters(), 2000)
+def exact_reference_law():
+    return exact_law(build_reference_parameters(), 2000)
+
+
+@pytest.fixture(scope="module")
+def exact_cycle_law():
+    return exact_law(two_member_cycle_parameters(), 2000)
+
+
+def mean_z_scores(p, exact_mean_z, seed):
+    m = 4000
+    result = run_ensemble(p, None, 2000, m, seed)
+    return (result.mean_z[-1] - exact_mean_z) / (result.std_z[-1] / np.sqrt(m))
 
 
 class TestExactLaw:
-    """The ensemble's law against the exact mean of the loss-window Markov
+    """The engine's law against the exact means of the loss-window Markov
     chain, which reads the equation of motion and nothing of the engine: an
     engine whose windows are one step too long, or too short, fails. Every
     step loop gives the same bits at any batch width, so one width covers
-    them all."""
+    them all; E z is read from 4000-wide ensembles, the loss counts from
+    batch-1 simulate."""
 
-    def test_oracle_on_the_reference_model(self, exact_reference_mean_z):
-        np.testing.assert_allclose(
-            exact_reference_mean_z, [5.015, 33.381, 4.581, 15.741, 14.466], atol=5e-4
-        )
+    def test_oracle_on_the_reference_model(self, exact_reference_law):
+        mean_z, losses = exact_reference_law
+        np.testing.assert_allclose(mean_z, [5.015, 33.381, 4.581, 15.741, 14.466], atol=5e-4)
+        np.testing.assert_allclose(losses, [23.096, 100.000, 21.096, 58.067, 53.363], atol=5e-4)
+
+    def test_oracle_on_a_two_member_cycle(self, exact_cycle_law):
+        p = two_member_cycle_parameters()
+        live = (p.horizons > 0) & (p.couplings != 0.0)
+        assert _component_order(live) == [([0, 1], True), ([2], False)]
+        mean_z, losses = exact_cycle_law
+        np.testing.assert_allclose(mean_z, [41.939, 44.321, 27.728], atol=5e-4)
+        np.testing.assert_allclose(losses, [125.817, 110.801, 97.047], atol=5e-4)
 
     def test_oracle_without_couplings(self):
-        # every step is the same: e^{lam theta} / lam per step
+        # every step is the same: e^{lam theta} / lam per step, and a loss
+        # with probability min(1, e^{lam theta})
         p = ModelParameters(theta=np.array([-1.0, 0.5]), lam=np.array([2.0, 3.0]),
                             couplings=np.zeros((2, 2)), horizons=np.zeros((2, 2), dtype=int))
-        per_step = [np.exp(-2.0) / 2.0, 0.5 + 1.0 / 3.0]
-        np.testing.assert_allclose(exact_mean_z(p, 7), 7 * np.array(per_step))
+        mean_z, losses = exact_law(p, 7)
+        np.testing.assert_allclose(mean_z, 7 * np.array([np.exp(-2.0) / 2.0, 0.5 + 1.0 / 3.0]))
+        np.testing.assert_allclose(losses, 7 * np.array([np.exp(-2.0), 1.0]))
 
     def test_oracle_refuses_a_chain_over_2_16_states(self):
         p = ModelParameters(theta=-np.ones(2), lam=np.ones(2),
                             couplings=np.array([[0.0, 0.1], [0.1, 0.0]]),
                             horizons=np.array([[0, 9], [8, 0]]))
         with pytest.raises(ValueError, match="2\\*\\*17 states"):
-            exact_mean_z(p, 1)
+            exact_law(p, 1)
 
     # seeds fixed before any run of the engine against the oracle
     @pytest.mark.parametrize("seed", [31, 32])
-    def test_mean_z_within_4_standard_errors(self, reference_parameters, exact_reference_mean_z,
+    def test_mean_z_within_4_standard_errors(self, reference_parameters, exact_reference_law,
                                              seed):
-        m = 4000
-        result = run_ensemble(reference_parameters, None, 2000, m, seed)
-        z_scores = (result.mean_z[-1] - exact_reference_mean_z) / (result.std_z[-1] / np.sqrt(m))
+        z_scores = mean_z_scores(reference_parameters, exact_reference_law[0], seed)
+        assert np.all(np.abs(z_scores) < 4.0), z_scores
+
+    @pytest.mark.parametrize("seed", [41, 42])
+    def test_two_member_cycle_mean_z_within_4_standard_errors(self, exact_cycle_law, seed):
+        z_scores = mean_z_scores(two_member_cycle_parameters(), exact_cycle_law[0], seed)
+        assert np.all(np.abs(z_scores) < 4.0), z_scores
+
+    @pytest.mark.parametrize(("model", "first_seed"), [("reference", 2000), ("cycle", 1000)])
+    def test_loss_counts_within_4_standard_errors(self, request, model, first_seed):
+        p = {"reference": build_reference_parameters,
+             "cycle": two_member_cycle_parameters}[model]()
+        exact = request.getfixturevalue(f"exact_{model}_law")[1]
+        runs = 400
+        counts = np.array([
+            np.count_nonzero(simulate(p, None, 2000, NoiseSpec(rates=p.lam, seed=s)).losses.losses,
+                             axis=0)
+            for s in range(first_seed, first_seed + runs)
+        ])
+        z_scores = (counts.mean(axis=0) - exact) / (counts.std(axis=0, ddof=1) / np.sqrt(runs))
         assert np.all(np.abs(z_scores) < 4.0), z_scores

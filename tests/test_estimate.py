@@ -556,21 +556,11 @@ class TestCollapse:
         # theta_hat = -1 and lam = 1 for both processes
         return hand_estimates([-1.0, -1.0], [1.0, 1.0], [[0, 3], [0, 3]], candidates)
 
-    def test_mean_stack_repeats_the_precision_mean(self):
-        est = self._estimates({(0, 1): [0.10, 0.12]})
-        stack = collapse_estimates(est, "mean", 3)
-        assert stack.shape == (3, 2, 2)
-        for m in range(3):
-            assert np.array_equal(stack[m], collapse_precision(est))
-        assert 0.10 < stack[0, 0, 1] < 0.12
-        assert stack[0, 1, 0] == 0.0  # no candidates -> absent interaction
-
     def test_singleton_under_both_strategies(self):
         est = self._estimates({(0, 1): [0.15]})
         assert collapse_precision(est)[0, 1] == 0.15
-        for strategy in ("mean", "sample-per-run"):
-            stack = collapse_estimates(est, strategy, 4, seed=1)
-            assert (stack[:, 0, 1] == 0.15).all()
+        stack = collapse_estimates(est, 4, seed=1)
+        assert (stack[:, 0, 1] == 0.15).all()
 
     def test_precision_weights_match_hand_computation(self):
         est = self._with_candidates(
@@ -620,17 +610,17 @@ class TestCollapse:
 
     def test_sample_per_run_is_seeded_and_draws_from_candidates(self):
         est = self._estimates({(0, 1): [0.10, 0.12, 0.20]})
-        first = collapse_estimates(est, "sample-per-run", 20, seed=7)
-        assert np.array_equal(first, collapse_estimates(est, "sample-per-run", 20, seed=7))
+        first = collapse_estimates(est, 20, seed=7)
+        assert np.array_equal(first, collapse_estimates(est, 20, seed=7))
         # trajectory m's matrix does not depend on how many follow it
-        assert np.array_equal(first, collapse_estimates(est, "sample-per-run", 60, seed=7)[:20])
-        seen = set(collapse_estimates(est, "sample-per-run", 60, seed=8)[:, 0, 1])
+        assert np.array_equal(first, collapse_estimates(est, 60, seed=7)[:20])
+        seen = set(collapse_estimates(est, 60, seed=8)[:, 0, 1])
         assert seen == {0.10, 0.12, 0.20}
 
     def test_sample_per_run_draw_order(self):
         # one integers() call per pair, pairs in sorted order, matrix by matrix
         mapping = {(1, 0): [0.3, 0.2], (0, 1): [0.10, 0.12, 0.20]}
-        stack = collapse_estimates(self._estimates(mapping), "sample-per-run", 25, seed=5)
+        stack = collapse_estimates(self._estimates(mapping), 25, seed=5)
         gen = np.random.Generator(np.random.PCG64(5))
         for matrix in stack:
             for pair, values in sorted(mapping.items()):
@@ -652,7 +642,7 @@ class TestCollapse:
              for k, v in enumerate(values)},
         )
         m, seed = int(rng.integers(1, 301)), int(rng.integers(2**63))
-        stack = collapse_estimates(est, "sample-per-run", m, seed=seed)
+        stack = collapse_estimates(est, m, seed=seed)
         gen = np.random.Generator(np.random.PCG64(seed))
         expected = np.zeros((m, n, n))
         for matrix in expected:
@@ -660,13 +650,10 @@ class TestCollapse:
                 matrix[i, j] = values[gen.integers(len(values))]
         assert stack.tobytes() == expected.tobytes()
 
-    def test_dispatcher_validates_strategy(self):
-        est = self._estimates({})
-        with pytest.raises(ValueError):
-            collapse_estimates(est, "median", 2)
-        with pytest.raises(ValueError, match="seed"):
-            collapse_estimates(est, "sample-per-run", 2)
-        assert not collapse_estimates(est, "sample-per-run", 2, seed=3).any()
+    def test_no_candidates_draw_a_zero_stack(self):
+        stack = collapse_estimates(self._estimates({}), 2, seed=3)
+        assert stack.shape == (2, 2, 2)
+        assert not stack.any()
 
 
 class TestLambdaHelpers:
@@ -722,7 +709,7 @@ class TestRoundTrip:
         assert est.theta_available.all()
         assert np.allclose(est.theta_hat, p.theta, rtol=0.06)
         assert est.candidates == {}
-        assert not collapse_estimates(est, "mean", 2).any()
+        assert not collapse_precision(est).any()
 
     def test_interacting_recovery_within_sampling_noise(self, small_parameters):
         traj = simulate(
@@ -732,5 +719,5 @@ class TestRoundTrip:
             LossEvents.of(traj.losses), small_parameters.horizons, small_parameters.lam
         )
         assert np.allclose(est.theta_hat, small_parameters.theta, rtol=0.05)
-        collapsed = collapse_estimates(est, "mean", 2)[0]
+        collapsed = collapse_precision(est)
         assert collapsed[0, 1] == pytest.approx(0.5, rel=0.25)

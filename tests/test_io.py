@@ -1287,11 +1287,18 @@ class TestWritersMatchCsvOracle:
         (["a", "b"], [np.zeros((3, 1)), np.zeros((3, 1))]),
         (["a", "b"], [np.zeros(3)]),
         ([], []),
-    ], ids=["lengths", "float32", "negative", "2-d", "header", "none"])
+        # an int64 cast would wrap 2**63 round to -2**63
+        (["a"], [np.array([2**63, 5], dtype=np.uint64)]),
+    ], ids=["lengths", "float32", "negative", "2-d", "header", "none", "over-int64"])
     def test_table_rejects_what_it_cannot_spell(self, tmp_path, header, columns):
         with pytest.raises(ValueError):
             write_table(tmp_path / "table.csv", header, *columns)
         assert not (tmp_path / "table.csv").exists()
+
+    def test_table_spells_unsigned_integers_up_to_int64_max(self, tmp_path):
+        table = tmp_path / "table.csv"
+        write_table(table, ["a"], np.array([2**63 - 1, 5], dtype=np.uint64))
+        assert table.read_bytes() == oracle_csv(["a"], [(2**63 - 1,), (5,)])
 
     def test_empty_tables(self, tmp_path, block_rows):
         db = tmp_path / "db.csv"

@@ -53,9 +53,7 @@ class TestRunValidation:
         assert np.array_equal(report.estimates.theta_hat, estimates.theta_hat)
         assert np.array_equal(report.estimates.j_hat, estimates.j_hat)
 
-        ensemble = run_ensemble(
-            estimates, None, T, M, derive_seed(master, 1), collapse="sample-per-run"
-        )
+        ensemble = run_ensemble(estimates, None, T, M, derive_seed(master, 1))
         assert np.array_equal(report.ensemble.terminal_samples, ensemble.terminal_samples)
         assert np.array_equal(report.ensemble.mean_z, ensemble.mean_z)
         assert np.array_equal(report.ensemble.std_z, ensemble.std_z)
