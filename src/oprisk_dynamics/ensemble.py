@@ -54,7 +54,7 @@ _SUM_GROUP = 64
 # Trajectories per process at the least: a batch of B trajectories runs in
 # min(usable CPUs, B // _MIN_PART) processes. run_ensemble, T = 2000,
 # sample-per-run estimate of the reference model, one batch, 1 / 2
-# processes, ms (median of 15, two runs; 2 CPUs, x86-64, NumPy 2.4, no Numba):
+# processes, ms (median of 15, two runs; 2 CPUs, x86-64, NumPy 2.4):
 #
 #   B              64         128        256        512        1000
 #   1 process      20.4/20.7  31.0/31.3  48.0/48.1  80.8/80.8  112/114

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import errors
 from .errors import DegeneracyWarning
-from .model import LossMatrix, horizon_matrix, noise_rates, store_read_only
+from .model import LossMatrix, _require_shape, horizon_matrix, noise_rates, store_read_only
 
 logger = logging.getLogger(__name__)
 
@@ -58,7 +58,8 @@ class LossEvents:
     the database: all the estimator reads of a loss database.
 
     ``steps[i]`` holds process i's 0-based steps, as distinct int64 values in
-    increasing order, each in [0, n_steps).
+    increasing order, each in [0, n_steps); each is stored as a read-only
+    copy.
     """
 
     steps: tuple
@@ -72,6 +73,10 @@ class LossEvents:
                 raise ValueError(f"steps[{i}] must be a 1-D int64 array")
             if s.size and not (s[0] >= 0 and s[-1] < self.n_steps and (s[:-1] < s[1:]).all()):
                 raise ValueError(f"steps[{i}] must increase strictly within [0, {self.n_steps})")
+        copies = tuple(s.copy() for s in self.steps)
+        for s in copies:
+            s.setflags(write=False)
+        object.__setattr__(self, "steps", copies)
 
     @classmethod
     def of(cls, db) -> "LossEvents":
@@ -164,9 +169,10 @@ class EstimateSet:
 
     def __post_init__(self) -> None:
         store_read_only(self, np.float64, "theta_hat", "j_hat", "lam")
-        shape = self.counts.class_total.shape
-        if self.j_hat.shape != shape:
-            raise errors.DimensionMismatch("j_hat", shape, self.j_hat.shape)
+        n = self.counts.n_processes
+        _require_shape("theta_hat", self.theta_hat, (n,))
+        _require_shape("lambda", self.lam, (n,))
+        _require_shape("j_hat", self.j_hat, self.counts.class_total.shape)
         if (self.theta_available & (self.theta_hat > 0)).any():
             raise ValueError("available theta estimates must be <= 0")
 
@@ -354,10 +360,12 @@ def estimate_from_counts(counts: EventClassCounts, lam) -> EstimateSet:
 
     Raises:
         NonPositiveLambda: a rate that is not finite and positive.
+        DimensionMismatch: ``lam`` is not one rate per process.
         MissingTheta: a usable class needs theta_hat[i] but it is unavailable.
     """
     lam = noise_rates(lam)
     n = counts.n_processes
+    _require_shape("lambda", lam, (n,))
     theta_hat = np.zeros(n)
     unavailable = set()
     for i, (total, zero) in enumerate(zip(counts.base_total.tolist(), counts.base_zero.tolist())):

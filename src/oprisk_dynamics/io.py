@@ -27,7 +27,8 @@ on its line, after any fault on an earlier line:
   value's ``repr``; ``read_samples`` reads them back bit for bit, and skips
   blank lines and ``#`` comments.
 * JSON documents (estimates, validation report): ``write_json`` writes one
-  document, keys sorted, indented by 2, ending in LF.
+  document, keys sorted, indented by 2, ending in LF, and refuses NaN and
+  infinities, which JSON cannot spell.
 * configuration: one JSON document; see ``load_config``. A byte that is
   not UTF-8 is a ConfigError.
 """
@@ -483,10 +484,15 @@ def write_samples(path, samples) -> None:
 
 
 def write_json(path, doc: dict) -> None:
-    """Write a JSON document with sorted keys, indented by 2, and a final LF."""
+    """Write a JSON document with sorted keys, indented by 2, and a final LF.
+
+    Raises:
+        ValueError: the document holds NaN or an infinity, which JSON cannot
+            spell; no file is written then.
+    """
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 def read_samples(path) -> np.ndarray:

@@ -25,15 +25,15 @@ first. A process on no cycle needs only losses already known for the whole
 chunk: its window counts are differences of prefix counts of its upstream
 processes, and its losses come from one vectorised pass over the chunk. Only
 the processes of a cycle (in the reference model, the self-coupled process 3)
-step through the chunk, on (B,) rows. That step loop has two bodies: a scalar
-one, which Numba compiles when it imports and which otherwise runs as plain
-Python on narrow batches, and a NumPy one for wider batches without the
-compiled kernel. A cycle steps only while it is within reach of its own
-losses: when no member has lost anything, in any trajectory, over the last
-``reach`` steps (the largest lag of a term whose source is a member), the
-members' counts are held from there to the end of the chunk, every term whose
-source is a member then counts zero, and the members' losses come from the
-same vectorised pass with every term, up to the next step with a member loss.
+step through the chunk, on (B,) rows. That step loop has two bodies, chosen
+by the batch width: a scalar one, run as plain Python, for narrow batches,
+and a NumPy one for wider batches. A cycle steps only while it is within
+reach of its own losses: when no member has lost anything, in any
+trajectory, over the last ``reach`` steps (the largest lag of a term whose
+source is a member), the members' counts are held from there to the end of
+the chunk, every term whose source is a member then counts zero, and the
+members' losses come from the same vectorised pass with every term, up to
+the next step with a member loss.
 A narrow batch then settles more of the chunk by rounds of that pass before
 it steps again: each round takes the previous round's positive losses as the
 members' counts and sweeps again. A window count reads only earlier steps, so
@@ -61,13 +61,6 @@ import numpy as np
 from . import errors
 from .model import LossMatrix, ModelParameters, NoiseSpec
 
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without the extra
-    _HAVE_NUMBA = False
-
 __all__ = ["Trajectory", "simulate", "cumulative"]
 
 _CHUNK_STEPS = 16384
@@ -89,15 +82,15 @@ _SWEEP_TILE = 16384
 #   row adds       1.07/1.55  0.64/1.17  0.66/1.44  0.78/1.27 us
 _ROW_SCAN_WIDTH = 256
 
-# The scalar and pure-numpy step loops are arithmetically identical. This
-# switch selects the compiled kernel; with it off, a batch of at most
-# _SCALAR_BATCH trajectories steps with the scalar body as plain Python, which
-# costs fewer interpreter calls per step there than the NumPy loop's ufuncs on
-# tiny rows, and a wider batch steps with the NumPy loop. On the reference
-# model the scalar body is about 2x faster at one trajectory and slower from
-# four on.
-use_compiled_kernel: bool = _HAVE_NUMBA
+# The scalar and pure-numpy step loops are arithmetically identical. A batch
+# of at most _SCALAR_BATCH trajectories steps with the scalar loop as plain
+# Python, which costs fewer interpreter calls per step there than the NumPy
+# loop's ufuncs on tiny rows, and a wider batch steps with the NumPy loop. On
+# the reference model the scalar loop is about 2x faster at one trajectory and
+# slower from four on.
 _SCALAR_BATCH = 3
+# no compiled kernel exists; the name stays for benchmark reports that read it
+use_compiled_kernel = False
 
 # A batch of at most _SETTLE_WIDTH trajectories settles a cycle's quiet
 # stretches by up to _SETTLE_ROUNDS rounds of re-sweeping before its step
@@ -106,7 +99,7 @@ _SCALAR_BATCH = 3
 # steps they save. Batch-1 simulate of the 20k-step reference model (seed 1),
 # and run_ensemble of B trajectories, T = 2000, in one process, sample-per-run
 # / mean collapse of a 20k-step reference estimate, ms (median of 11; 2 CPUs,
-# x86-64, NumPy 2.4, no Numba; B = 96 from a second run):
+# x86-64, NumPy 2.4; B = 96 from a second run):
 #
 #   rounds  simulate  B = 4      16         32           64           96           128
 #   0       6.01      4.21/3.75  9.35/9.13  15.41/15.43  21.41/21.57  23.98/24.33  29.58/29.61
@@ -315,12 +308,7 @@ def _evolve(
         np.empty((tile, n_batch)),
         np.empty((tile, n_batch), dtype=bool),
     )
-    if use_compiled_kernel:
-        step_loop = _compiled_chunk
-    elif n_batch <= _SCALAR_BATCH:
-        step_loop = _scalar_chunk
-    else:
-        step_loop = _numpy_chunk
+    step_loop = _scalar_chunk if n_batch <= _SCALAR_BATCH else _numpy_chunk
 
     for start in range(0, n_steps, chunk):
         m = min(chunk, n_steps - start)
@@ -454,8 +442,7 @@ def _cycle(c, losses, prefix, w, theta, step_loop, work) -> None:
     rounds = _SETTLE_ROUNDS if losses.shape[2] <= _SETTLE_WIDTH else 0
     s, positive, swept = 0, None, None
     while True:
-        s = step_loop(losses, prefix, w, s, quiet, c.reach, members, own, c.ptr, c.rows, c.lags,
-                      c.coefs, theta)
+        s = step_loop(losses, prefix, w, s, quiet, c, theta)
         if s == m:
             return
         if swept is None:
@@ -503,13 +490,12 @@ def _sweep_members(c, losses, values, prefix, w, s, theta, work) -> None:
                theta[i], work)
 
 
-def _numpy_chunk(losses, prefix, w, start, quiet, reach, members, own_rows, ptr, rows, lags,
-                 coefs, theta) -> int:
-    """Step loop of one cyclic component in pure numpy; arithmetic order
-    matches the scalar body.
+def _numpy_chunk(losses, prefix, w, start, quiet, c, theta) -> int:
+    """Step loop of cyclic component ``c`` in pure numpy; arithmetic order
+    matches the scalar loop.
 
-    Steps from ``start`` while the component is within ``reach`` steps of a
-    member's loss; ``quiet`` is the number of steps since the last one.
+    Steps from ``start`` while the component is within ``c.reach`` steps of
+    a member's loss; ``quiet`` is the number of steps since the last one.
     Returns the step at which it has gone quiet, or the chunk's end.
 
     The loop is bound by NumPy calls on (B,) rows, so it reads its rows from
@@ -527,17 +513,18 @@ def _numpy_chunk(losses, prefix, w, start, quiet, reach, members, own_rows, ptr,
     counts = np.empty(n_batch, dtype=np.int32)
     ind = np.empty(n_batch, dtype=bool)
     procs = []
-    for k, i in enumerate(members.tolist()):
-        window = prefix[own_rows[k]]
+    for k, i in enumerate(c.members.tolist()):
+        window = prefix[c.own_rows[k]]
         # per term, its coupling and its source's prefix rows at the step and lag steps before
         terms = [
-            (coefs[t], zip(prefix[rows[t], w + start :], prefix[rows[t], w - lags[t] + start :]))
-            for t in range(ptr[k], ptr[k + 1])
+            (c.coefs[t], zip(prefix[c.rows[t], w + start :],
+                             prefix[c.rows[t], w - c.lags[t] + start :]))
+            for t in range(c.ptr[k], c.ptr[k + 1])
         ]
         steps = zip(losses[i, start:], window[w + start :], window[w + start + 1 :])
         procs.append((steps, theta[i], terms))
     for s in range(start, losses.shape[1]):
-        if quiet >= reach:
+        if quiet >= c.reach:
             return s
         quiet += 1
         for steps, theta_i, terms in procs:
@@ -559,11 +546,13 @@ def _numpy_chunk(losses, prefix, w, start, quiet, reach, members, own_rows, ptr,
     return losses.shape[1]
 
 
-def _scalar_chunk(losses, prefix, w, start, quiet, reach, members, own_rows, ptr, rows, lags,
-                  coefs, theta):
-    """Step loop of one cyclic component, one scalar at a time: the body of
-    ``_compiled_chunk``, run as plain Python. Same contract as ``_numpy_chunk``."""
+def _scalar_chunk(losses, prefix, w, start, quiet, c, theta) -> int:
+    """Step loop of cyclic component ``c``, one scalar at a time, as plain
+    Python. Same contract as ``_numpy_chunk``."""
     n_batch = losses.shape[2]
+    members, own_rows, ptr, rows, lags, coefs, reach = (
+        c.members, c.own_rows, c.ptr, c.rows, c.lags, c.coefs, c.reach
+    )
     for s in range(start, losses.shape[1]):
         if quiet >= reach:
             return s
@@ -583,7 +572,3 @@ def _scalar_chunk(losses, prefix, w, start, quiet, reach, members, own_rows, ptr
                 if positive:
                     quiet = 0
     return losses.shape[1]
-
-
-# the kernel use_compiled_kernel selects; without Numba, the Python body
-_compiled_chunk = numba.njit(cache=True)(_scalar_chunk) if _HAVE_NUMBA else _scalar_chunk

@@ -51,7 +51,8 @@ class ValidationReport:
         delta_j: (i, j) -> relative error of the precision-collapsed
             coupling (inverse-variance mean of its candidates), one entry
             per nonzero true coupling (0-based keys).
-        coverage: per process, |z_true(T) - mean_z(T)| / std_z(T).
+        coverage: per process, |z_true(T) - mean_z(T)| / std_z(T); 0 where
+            the gap and the std are both 0, inf where only the std is.
         fraction_used: share of the database the estimator saw.
         estimates: the full estimate set.
         z_true: (T, N) cumulative losses of the synthesized database.
@@ -91,7 +92,8 @@ class ValidationReport:
             "delta_j": {
                 f"{i + 1},{j + 1}": float(d) for (i, j), d in sorted(self.delta_j.items())
             },
-            "coverage": [float(c) for c in self.coverage],
+            # an infinite coverage (std 0, truth off the mean) has no JSON number
+            "coverage": [float(c) if np.isfinite(c) else None for c in self.coverage],
             "z_true_terminal": [float(z) for z in self.z_true[-1]],
             "mean_z_terminal": [float(z) for z in self.ensemble.mean_z[-1]],
             "std_z_terminal": [float(z) for z in self.ensemble.std_z[-1]],

@@ -113,38 +113,48 @@ def brute_force_var(samples, confidence):
     return ordered[-1]
 
 
-def exact_law(p: ModelParameters, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact E z_i(n_steps) of every process i, and its expected number of
-    losses by step n_steps, from a start with no losses.
+def exact_law(p: ModelParameters, n_steps: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Exact E z_i(n_steps) of every process i, its expected number of
+    losses by step n_steps, and the expected counts of
+    ``classify_events(events, p.horizons)`` on the database of those steps,
+    from a start with no losses.
 
     Reads only the equation of motion. A source is a process that some
-    process depends on (a nonzero coupling with a positive horizon). The
-    state is each source's loss indicators over its longest such horizon,
-    bit d of its field for step t - 1 - d: a Markov chain. Given the state,
-    the noises are independent, and process i has the drive
-    a = theta_i + sum_j J_ij C_ij. It loses with probability min(1, e^{lam a}),
-    and its expected loss is e^{lam a} / lam when a <= 0, a + 1 / lam
-    otherwise. The distribution over states moves one step with one
-    ``np.bincount`` over every state's successors.
+    process watches (a positive horizon). The state is each source's loss
+    indicators over its longest horizon, bit d of its field for step t - 1 - d:
+    a Markov chain. Given the state, the noises are independent, and process
+    i has the window counts C_ij and the drive a = theta_i + sum_j J_ij C_ij.
+    It loses with probability min(1, e^{lam a}), and its expected loss is
+    e^{lam a} / lam when a <= 0, a + 1 / lam otherwise. The distribution over
+    states moves one step with one ``np.bincount`` over every state's
+    successors.
+
+    The counts are the event classes of the steps from the largest horizon
+    on, each step's class read from the state's window counts of the
+    positive horizons, and its event lossless with the chance that i does
+    not lose. They come as a dict of float arrays named and shaped like the
+    fields of ``EventClassCounts``.
 
     Raises:
         ValueError: the chain has more than 2**16 states.
     """
-    live = (p.horizons > 0) & (p.couplings != 0.0)
-    sources = np.flatnonzero(live.any(axis=0))
-    widths = [int(p.horizons[live[:, j], j].max()) for j in sources]
+    watched = p.horizons > 0
+    sources = np.flatnonzero(watched.any(axis=0))
+    widths = [int(p.horizons[:, j].max()) for j in sources]
     offsets = np.cumsum([0] + widths)
     if offsets[-1] > 16:
         raise ValueError(f"the loss-window chain needs 2**{offsets[-1]} states, over 2**16")
     states = np.arange(2 ** int(offsets[-1]))
+    # counts[s, i, j]: C_ij in state s
+    counts = np.zeros((states.size, p.n, p.n), dtype=np.int64)
     drive = np.tile(p.theta, (states.size, 1))
     shifted = np.zeros_like(states)
     for j, width, offset in zip(sources, widths, offsets):
         window = (states >> offset) & ((1 << width) - 1)
         shifted |= ((window << 1) & ((1 << width) - 1)) << offset
-        for i in np.flatnonzero(live[:, j]):
-            count = sum((window >> d) & 1 for d in range(p.horizons[i, j]))
-            drive[:, i] += p.couplings[i, j] * count
+        for i in np.flatnonzero(watched[:, j]):
+            counts[:, i, j] = sum((window >> d) & 1 for d in range(p.horizons[i, j]))
+            drive[:, i] += p.couplings[i, j] * counts[:, i, j]
     rate = np.exp(p.lam * np.minimum(drive, 0.0))
     mean_loss = np.where(drive <= 0.0, rate / p.lam, drive + 1.0 / p.lam)
     # successors[o, s], and its probability, for outcome o: source k lost
@@ -157,13 +167,29 @@ def exact_law(p: ModelParameters, n_steps: int) -> tuple[np.ndarray, np.ndarray]
         successors |= np.where(lost, 1 << offset, 0)
         chance *= np.where(lost, rate[:, j], 1.0 - rate[:, j])
     successors = successors.ravel()
+    w = p.max_horizon
     occupation = np.zeros(states.size)
+    counted = np.zeros(states.size)  # occupation of the steps classify_events counts
     law = np.zeros(states.size)
     law[0] = 1.0
-    for _ in range(n_steps):
+    for step in range(n_steps):
         occupation += law
+        if step >= w:
+            counted += law
         law = np.bincount(successors, weights=(chance * law).ravel(), minlength=states.size)
-    return occupation @ mean_loss, occupation @ rate
+
+    n_active = (counts > 0).sum(axis=2)
+    lossless = counted[:, None] * (1.0 - rate)  # occupation of each process's lossless events
+    # cells[s, i, j, c - 1]: state s puts process i in class (i, j, c)
+    cells = (n_active == 1)[:, :, None, None] & (counts[..., None] == np.arange(1, w + 1))
+    expected = {
+        "base_total": counted @ (n_active == 0),
+        "base_zero": ((n_active == 0) * lossless).sum(axis=0),
+        "class_total": np.einsum("s,sijc->ijc", counted, cells),
+        "class_zero": np.einsum("si,sijc->ijc", lossless, cells),
+        "discarded": counted @ (n_active >= 2),
+    }
+    return occupation @ mean_loss, occupation @ rate, expected
 
 
 @pytest.fixture(scope="session")

@@ -487,6 +487,26 @@ class TestValidateCommand:
         assert "delta_theta" in stdout
         assert "coverage" in stdout
 
+    def test_an_infinite_coverage_is_written_as_null(self, tmp_path, capsys):
+        # the forecast's std of process 1 at T is 0 while the true database
+        # lost: coverage is inf, which a strict JSON parser rejects
+        doc = {"model": {"theta": [-1.0, -1.0], "noise": [{"p": 0.003}, {"p": 0.3}],
+                         "couplings": [], "horizons": 0},
+               "simulation": {"n_steps": 400, "seed": 23, "m_trajectories": 2}}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "val"
+        assert main(["validate", "--config", str(config), "--out-dir", str(out)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        text = (out / "validation_report.json").read_text()
+        coverage = json.loads(text, parse_constant=refuse)["coverage"]
+        assert coverage[0] is None
+        assert coverage[1] == pytest.approx(13.9445, abs=1e-4)
+        assert "process 1: delta_theta = 0.0314, coverage = inf" in capsys.readouterr().out
+
     def test_flag_overrides_reach_the_report(self, tmp_path):
         config = small_config(tmp_path, **{"simulation.n_steps": 2000})
         out = tmp_path / "val"

@@ -26,7 +26,13 @@ from oprisk_dynamics.ensemble import (
     run_ensemble,
     var,
 )
-from oprisk_dynamics.estimate import EstimateSet, collapse_estimates, collapse_precision
+from oprisk_dynamics.estimate import (
+    EstimateSet,
+    LossEvents,
+    classify_events,
+    collapse_estimates,
+    collapse_precision,
+)
 from oprisk_dynamics.model import LossMatrix, ModelParameters, NoiseSpec
 from oprisk_dynamics.simulate import _ROW_SCAN_WIDTH, _SCALAR_BATCH, _component_order, simulate
 
@@ -668,24 +674,35 @@ class TestExactLaw:
     batch-1 simulate."""
 
     def test_oracle_on_the_reference_model(self, exact_reference_law):
-        mean_z, losses = exact_reference_law
+        mean_z, losses, counts = exact_reference_law
         np.testing.assert_allclose(mean_z, [5.015, 33.381, 4.581, 15.741, 14.466], atol=5e-4)
         np.testing.assert_allclose(losses, [23.096, 100.000, 21.096, 58.067, 53.363], atol=5e-4)
+        np.testing.assert_allclose(counts["base_total"],
+                                   [1543.693, 1995.000, 1894.169, 1465.672, 1787.400], atol=5e-4)
+        np.testing.assert_allclose(counts["discarded"], [0, 0, 0, 22.810, 5.684], atol=5e-4)
 
     def test_oracle_on_a_two_member_cycle(self, exact_cycle_law):
         p = two_member_cycle_parameters()
         live = (p.horizons > 0) & (p.couplings != 0.0)
         assert _component_order(live) == [([0, 1], True), ([2], False)]
-        mean_z, losses = exact_cycle_law
+        mean_z, losses, counts = exact_cycle_law
         np.testing.assert_allclose(mean_z, [41.939, 44.321, 27.728], atol=5e-4)
         np.testing.assert_allclose(losses, [125.817, 110.801, 97.047], atol=5e-4)
+        np.testing.assert_allclose(counts["base_total"], [1684.015, 1755.240, 1755.240],
+                                   atol=5e-4)
+        np.testing.assert_allclose(counts["base_zero"], [1600.172, 1667.852, 1680.025], atol=5e-4)
+        # (i, j, c), 1-based, as the estimator reports its classes
+        classes = {(1, 2, 1): 294.446, (1, 2, 2): 18.144, (2, 1, 1): 232.226,
+                   (2, 1, 2): 9.533, (3, 1, 1): 232.226, (3, 1, 2): 9.533}
+        for (i, j, c), total in classes.items():
+            assert counts["class_total"][i - 1, j - 1, c - 1] == pytest.approx(total, abs=5e-4)
 
     def test_oracle_without_couplings(self):
         # every step is the same: e^{lam theta} / lam per step, and a loss
         # with probability min(1, e^{lam theta})
         p = ModelParameters(theta=np.array([-1.0, 0.5]), lam=np.array([2.0, 3.0]),
                             couplings=np.zeros((2, 2)), horizons=np.zeros((2, 2), dtype=int))
-        mean_z, losses = exact_law(p, 7)
+        mean_z, losses, _ = exact_law(p, 7)
         np.testing.assert_allclose(mean_z, 7 * np.array([np.exp(-2.0) / 2.0, 0.5 + 1.0 / 3.0]))
         np.testing.assert_allclose(losses, 7 * np.array([np.exp(-2.0), 1.0]))
 
@@ -707,6 +724,33 @@ class TestExactLaw:
     def test_two_member_cycle_mean_z_within_4_standard_errors(self, exact_cycle_law, seed):
         z_scores = mean_z_scores(two_member_cycle_parameters(), exact_cycle_law[0], seed)
         assert np.all(np.abs(z_scores) < 4.0), z_scores
+
+    # seeds fixed before any run of classify_events against the oracle
+    @pytest.mark.parametrize(("model", "first_seed"), [("reference", 4000), ("cycle", 3000)])
+    def test_count_classes_within_4_standard_errors(self, request, model, first_seed):
+        # classify_events on batch-1 databases against the classes the chain
+        # expects: an estimator whose windows are a step too long, or too
+        # short, fails
+        p = {"reference": build_reference_parameters,
+             "cycle": two_member_cycle_parameters}[model]()
+        exact = request.getfixturevalue(f"exact_{model}_law")[2]
+        runs = 400
+        seen = {name: [] for name in exact}
+        for s in range(first_seed, first_seed + runs):
+            losses = simulate(p, None, 2000, NoiseSpec(rates=p.lam, seed=s)).losses
+            counts = classify_events(LossEvents.of(losses), p.horizons)
+            for name, values in seen.items():
+                values.append(getattr(counts, name))
+        for name, expected in exact.items():
+            values = np.array(seen[name])
+            mean = values.mean(axis=0)
+            se = values.std(axis=0, ddof=1) / np.sqrt(runs)
+            spread = se > 0.0
+            z_scores = (mean[spread] - expected[spread]) / se[spread]
+            assert np.all(np.abs(z_scores) < 4.0), (name, z_scores)
+            # a cell that every database fills alike, or that none fills
+            np.testing.assert_allclose(mean[~spread], expected[~spread], atol=1e-3,
+                                       err_msg=name)
 
     @pytest.mark.parametrize(("model", "first_seed"), [("reference", 2000), ("cycle", 1000)])
     def test_loss_counts_within_4_standard_errors(self, request, model, first_seed):

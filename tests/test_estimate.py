@@ -214,6 +214,22 @@ class TestLossEvents:
         with pytest.raises(ValueError, match="n_steps must be >= 0"):
             LossEvents((np.array([], dtype=np.int64),), -3)
 
+    def test_steps_are_read_only_copies(self):
+        # a caller that reuses its arrays after the checks cannot reorder
+        # the events behind them, which would miscount every class
+        s0, s1 = np.array([1, 5, 9], dtype=np.int64), np.array([2, 3, 8], dtype=np.int64)
+        events = LossEvents((s0, s1), 12)
+        s0[:] = [9, 5, 1]
+        assert not any(s.flags.writeable for s in events.steps)
+        with pytest.raises(ValueError, match="read-only"):
+            events.steps[1][0] = 0
+        horizons = np.zeros((2, 2), dtype=np.int64)
+        horizons[0, 1] = 2
+        counts = classify_events(events, horizons)
+        fresh = classify_events(LossEvents((np.array([1, 5, 9], dtype=np.int64), s1), 12), horizons)
+        for name in ("base_total", "base_zero", "class_total", "class_zero", "discarded"):
+            assert np.array_equal(getattr(counts, name), getattr(fresh, name)), name
+
     @pytest.mark.parametrize(("n_steps", "fraction", "kept"), [
         (10, 1.0, 10),
         (10, 0.7, 7),  # the float cut: an exact floor of 0.7 * 10 would keep 6
@@ -329,6 +345,18 @@ class TestEstimateTypes:
             EstimateSet(theta_hat=-np.ones(2), j_hat=np.zeros((2, 2, 2)), lam=np.ones(2),
                         counts=hand_counts([[0, 3], [0, 0]]))
 
+    @pytest.mark.parametrize(("field", "value", "name"), [
+        ("theta_hat", -np.ones(1), "theta_hat"),
+        ("theta_hat", -np.ones(3), "theta_hat"),
+        ("lam", np.ones(4), "lambda"),
+        ("lam", 3.0, "lambda"),
+    ], ids=["theta_hat-short", "theta_hat-long", "lam-long", "lam-scalar"])
+    def test_theta_hat_and_lambda_hold_one_value_per_process(self, field, value, name):
+        fields = dict(theta_hat=-np.ones(2), j_hat=np.zeros((2, 2, 3)), lam=np.ones(2))
+        fields[field] = value
+        with pytest.raises(errors.DimensionMismatch, match=rf"{name}: expected shape \(2,\)"):
+            EstimateSet(counts=hand_counts([[0, 3], [0, 0]]), **fields)
+
     def test_records_are_read_only(self):
         counts = hand_counts([[0, 2], [0, 0]], {(0, 1, 1): (10, 5)})
         est = estimate_from_counts(counts, np.ones(2))
@@ -361,6 +389,17 @@ class TestEstimateTypes:
 
 
 class TestEstimateTheta:
+    @pytest.mark.parametrize("lam", [[3.0, 2.5, 7.0, 9.0], [3.0], 3.0],
+                             ids=["long", "short", "scalar"])
+    def test_one_rate_per_process_or_no_estimate(self, lam):
+        # process 2's base class is degenerate, so a warning would come next
+        counts = hand_counts(np.zeros((2, 2)), base_zero=[50, 0])
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(errors.DimensionMismatch, match=r"lambda: expected shape \(2,\)"):
+                estimate_from_counts(counts, lam)
+        assert seen == []
+
     def test_closed_form_half_ratio(self):
         est = estimate_from_counts(hand_counts([[1]]), np.array([1.0]))
         assert est.theta_hat[0] == pytest.approx(np.log(0.5), abs=1e-12)

@@ -28,6 +28,7 @@ from oprisk_dynamics.io import (
     read_samples,
     reference_config_path,
     write_histogram,
+    write_json,
     write_loss_database,
     write_samples,
     write_series,
@@ -1066,6 +1067,15 @@ class TestDatabaseFiles:
         assert len(records) == n_rows
         assert list(records)[-1] == (_ts(str(stamps[-1])), 5, (n_rows - 1) % 97 + 0.25)
         assert peak / n_rows < 64
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_number_json_cannot_spell_writes_no_file(self, tmp_path, value):
+        path = tmp_path / "doc.json"
+        with pytest.raises(ValueError):
+            write_json(path, {"x": [1.0, value]})
+        assert not path.exists()
 
 
 class TestSeriesAndHistograms:

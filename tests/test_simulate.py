@@ -202,7 +202,7 @@ def engine_losses(p, initial, n_steps, seeds):
 
 
 # the module names the engine selects its step loop from
-STEP_LOOPS = ("_compiled_chunk", "_scalar_chunk", "_numpy_chunk")
+STEP_LOOPS = ("_scalar_chunk", "_numpy_chunk")
 
 
 def count_steps(monkeypatch, sim):
@@ -254,12 +254,10 @@ def subcritical_steps(monkeypatch, sim):
 
 
 def force_step_loop(monkeypatch, sim, loop):
-    """Make the engine step every cycle with ``loop`` ("compiled", "scalar" or
-    "numpy") at any batch width; returns the name the engine calls it by.
-    Without Numba, "compiled" is the scalar body under the kernel's name."""
-    monkeypatch.setattr(sim, "use_compiled_kernel", loop == "compiled")
+    """Make the engine step every cycle with ``loop`` ("scalar" or "numpy") at
+    any batch width; returns the name the engine calls it by."""
     monkeypatch.setattr(sim, "_SCALAR_BATCH", 2**31 if loop == "scalar" else 0)
-    return {"compiled": "_compiled_chunk", "scalar": "_scalar_chunk", "numpy": "_numpy_chunk"}[loop]
+    return {"scalar": "_scalar_chunk", "numpy": "_numpy_chunk"}[loop]
 
 
 class TestSimulate:
@@ -385,7 +383,7 @@ class TestSimulate:
             simulate(small_parameters, None, 10, noise)
 
     @pytest.mark.parametrize("case_seed", [0, 1, 2, 3, 4, 5, "two_cycle"])
-    def test_compiled_and_numpy_paths_agree_exactly(self, monkeypatch, case_seed):
+    def test_scalar_and_numpy_paths_agree_exactly(self, monkeypatch, case_seed):
         # the package re-exports the simulate() function under the same name,
         # so fetch the submodule itself through the import system
         sim = importlib.import_module("oprisk_dynamics.simulate")
@@ -398,13 +396,13 @@ class TestSimulate:
             p, initial = random_model(rng)
             noise = NoiseSpec(rates=p.lam, seed=99 + case_seed)
         runs = {}
-        for loop in ("compiled", "scalar", "numpy"):
+        for loop in ("scalar", "numpy"):
             force_step_loop(monkeypatch, sim, loop)
             runs[loop] = simulate(p, LossMatrix(initial), 300, noise).losses.losses.tobytes()
-        assert runs["compiled"] == runs["scalar"] == runs["numpy"]
+        assert runs["scalar"] == runs["numpy"]
 
-    def test_compiled_and_numpy_paths_agree_on_a_batch(self, monkeypatch):
-        # batches of 3, of 5, wider than the scalar body's default width, and
+    def test_scalar_and_numpy_paths_agree_on_a_batch(self, monkeypatch):
+        # batches of 3, of 5, wider than the scalar loop's default width, and
         # of one more than the widest that settles quiet stretches by rounds,
         # which steps every busy stretch
         sim = importlib.import_module("oprisk_dynamics.simulate")
@@ -412,7 +410,7 @@ class TestSimulate:
         window = LossMatrix(initial)
         for batch in (3, 5, sim._SETTLE_WIDTH + 1):
             runs = {}
-            for loop in ("compiled", "scalar", "numpy"):
+            for loop in ("scalar", "numpy"):
                 force_step_loop(monkeypatch, sim, loop)
                 result, cut = (
                     run_ensemble(p, window, n_steps, 2 * batch, master_seed=5, batch_size=batch)
@@ -420,14 +418,12 @@ class TestSimulate:
                 )
                 runs[loop] = [result.mean_z.tobytes(), result.std_z.tobytes(),
                               result.terminal_samples.tobytes(), cut.terminal_samples.tobytes()]
-            assert runs["compiled"] == runs["scalar"] == runs["numpy"]
+            assert runs["scalar"] == runs["numpy"]
 
-    @pytest.mark.parametrize("compiled", [True, False])
-    def test_step_loop_is_chosen_by_batch_width(self, monkeypatch, compiled):
-        # without the compiled kernel, a narrow batch steps with the scalar
-        # body as plain Python and a wider one with the numpy loop
+    def test_step_loop_is_chosen_by_batch_width(self, monkeypatch):
+        # a narrow batch steps with the scalar loop as plain Python and a
+        # wider one with the numpy loop
         sim = importlib.import_module("oprisk_dynamics.simulate")
-        monkeypatch.setattr(sim, "use_compiled_kernel", compiled)
         stepped = count_steps(monkeypatch, sim)
         p = build_reference_parameters()
         initial = np.zeros((p.max_horizon, p.n))
@@ -436,7 +432,7 @@ class TestSimulate:
                                 (width + 1, "_numpy_chunk")):
             engine_losses(p, initial, 2000, range(batch))
             ran = [name for name in STEP_LOOPS if stepped[name]]
-            assert ran == ["_compiled_chunk" if compiled else expected]
+            assert ran == [expected]
             for calls in stepped.values():
                 calls.clear()
 
@@ -486,7 +482,7 @@ class TestSignedZeros:
         p, initial = signed_zero_model(np.random.default_rng(7700 + case_seed))
         n_steps, seeds = 40, [derive_seed(case_seed, m) for m in range(width)]
         expected = np.stack([naive_simulate(p, initial, n_steps, s) for s in seeds], axis=1)
-        for loop in ("compiled", "scalar", "numpy"):
+        for loop in ("scalar", "numpy"):
             force_step_loop(monkeypatch, sim, loop)
             got = engine_losses(p, initial, n_steps, seeds)
             assert got.tobytes() == expected.tobytes(), loop
@@ -555,7 +551,7 @@ class TestDependencyOrder:
             assert np.array_equal(result.terminal_samples, paths[:, s - 1])
 
     @pytest.mark.parametrize("budget", [None, 7])
-    @pytest.mark.parametrize("loop", ["compiled", "scalar", "numpy"])
+    @pytest.mark.parametrize("loop", ["scalar", "numpy"])
     @pytest.mark.parametrize("history", ["ends_in_member_loss", "quiet"])
     @pytest.mark.parametrize("name", sorted(QUIET_MODELS))
     def test_quiet_stretches_match_naive_reference(self, monkeypatch, name, history, loop,
