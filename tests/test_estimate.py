@@ -230,6 +230,12 @@ class TestLossEvents:
         for name in ("base_total", "base_zero", "class_total", "class_zero", "discarded"):
             assert np.array_equal(getattr(counts, name), getattr(fresh, name)), name
 
+    def test_events_of_a_database_are_read_only(self):
+        losses = np.array([[0.0, 1.5], [2.0, 0.0], [0.0, 0.0], [0.5, 3.0]])
+        events = LossEvents.of(LossMatrix(losses))
+        assert [s.tolist() for s in events.steps] == [[1, 3], [0, 3]]
+        assert not any(s.flags.writeable for s in events.steps)
+
     @pytest.mark.parametrize(("n_steps", "fraction", "kept"), [
         (10, 1.0, 10),
         (10, 0.7, 7),  # the float cut: an exact floor of 0.7 * 10 would keep 6
@@ -350,7 +356,11 @@ class TestEstimateTypes:
         ("theta_hat", -np.ones(3), "theta_hat"),
         ("lam", np.ones(4), "lambda"),
         ("lam", 3.0, "lambda"),
-    ], ids=["theta_hat-short", "theta_hat-long", "lam-long", "lam-scalar"])
+        # one value per process, in a shape that is no vector
+        ("theta_hat", -np.ones((1, 2)), "theta_hat"),
+        ("lam", np.ones((2, 1)), "lambda"),
+    ], ids=["theta_hat-short", "theta_hat-long", "lam-long", "lam-scalar", "theta_hat-row",
+            "lam-column"])
     def test_theta_hat_and_lambda_hold_one_value_per_process(self, field, value, name):
         fields = dict(theta_hat=-np.ones(2), j_hat=np.zeros((2, 2, 3)), lam=np.ones(2))
         fields[field] = value
@@ -389,8 +399,8 @@ class TestEstimateTypes:
 
 
 class TestEstimateTheta:
-    @pytest.mark.parametrize("lam", [[3.0, 2.5, 7.0, 9.0], [3.0], 3.0],
-                             ids=["long", "short", "scalar"])
+    @pytest.mark.parametrize("lam", [[3.0, 2.5, 7.0, 9.0], [3.0], 3.0, [[3.0], [2.5]]],
+                             ids=["long", "short", "scalar", "column"])
     def test_one_rate_per_process_or_no_estimate(self, lam):
         # process 2's base class is degenerate, so a warning would come next
         counts = hand_counts(np.zeros((2, 2)), base_zero=[50, 0])

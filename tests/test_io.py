@@ -1077,6 +1077,14 @@ class TestWriteJson:
             write_json(path, {"x": [1.0, value]})
         assert not path.exists()
 
+    def test_a_refused_document_leaves_the_old_file_as_it_was(self, tmp_path):
+        path = tmp_path / "doc.json"
+        write_json(path, {"x": [1.0, 2.0]})
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            write_json(path, {"x": [1.0, math.inf]})
+        assert path.read_bytes() == before
+
 
 class TestSeriesAndHistograms:
     def test_series_grid_round_trip(self, tmp_path):

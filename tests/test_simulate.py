@@ -423,9 +423,17 @@ class TestSimulate:
     def test_step_loop_is_chosen_by_batch_width(self, monkeypatch):
         # a narrow batch steps with the scalar loop as plain Python and a
         # wider one with the numpy loop
+        self.check_step_loop_by_width(monkeypatch, build_reference_parameters())
+
+    def test_a_two_member_cycle_steps_with_the_loop_its_width_picks(self, monkeypatch):
+        p = QUIET_MODELS["short_cycle_long_feed"]()
+        assert cycle_members(p) == [1, 2]
+        self.check_step_loop_by_width(monkeypatch, p)
+
+    @staticmethod
+    def check_step_loop_by_width(monkeypatch, p):
         sim = importlib.import_module("oprisk_dynamics.simulate")
         stepped = count_steps(monkeypatch, sim)
-        p = build_reference_parameters()
         initial = np.zeros((p.max_horizon, p.n))
         width = sim._SCALAR_BATCH
         for batch, expected in ((1, "_scalar_chunk"), (width, "_scalar_chunk"),

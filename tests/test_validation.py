@@ -156,6 +156,12 @@ class TestRunValidation:
 
 
 class TestReportSerialization:
+    def test_an_infinite_coverage_is_null_and_a_zero_one_stays_0(self, small_parameters):
+        # std 0 with the truth off the mean gives inf, std 0 on the mean 0
+        report = run_validation(small_parameters, 1500, 1.0, 4, 9)
+        report.coverage = np.array([np.inf, 0.0])
+        doc = json.loads(json.dumps(report.to_json_dict(), allow_nan=False))
+        assert doc["coverage"] == [None, 0.0]
     def test_json_round_trip_and_one_based_keys(self, small_parameters):
         report = run_validation(small_parameters, 3000, 0.75, 4, 21)
         doc = report.to_json_dict()
