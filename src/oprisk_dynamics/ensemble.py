@@ -471,11 +471,15 @@ def var(samples, confidence: float) -> float:
 
     Sorted ascending, returns the element at 1-based rank
     ceil(confidence * M), clamped to [1, M]. No interpolation: the result is
-    always an observed value.
+    always an observed value. A NaN or infinite sample is rejected with a
+    ValueError naming its index, since no rank of it is a value at risk.
     """
     s = np.asarray(samples, dtype=np.float64).ravel()
     if s.size == 0:
         raise errors.EmptySample("var requires at least one sample")
+    bad = np.flatnonzero(~np.isfinite(s))
+    if bad.size:
+        raise ValueError(f"samples contain a non-finite entry {s[bad[0]]} at index {bad[0]}")
     if not (np.isfinite(confidence) and 0.0 < confidence < 1.0):
         raise errors.InvalidOrder(f"confidence must lie in (0, 1), got {confidence!r}")
     rank = math.ceil(confidence * s.size)

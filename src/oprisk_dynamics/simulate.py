@@ -25,15 +25,13 @@ first. A process on no cycle needs only losses already known for the whole
 chunk: its window counts are differences of prefix counts of its upstream
 processes, and its losses come from one vectorised pass over the chunk. Only
 the processes of a cycle (in the reference model, the self-coupled process 3)
-step through the chunk, on (B,) rows. That step loop has two bodies, chosen
-by the batch width: a scalar one, run as plain Python, for narrow batches,
-and a NumPy one for wider batches. A cycle steps only while it is within
-reach of its own losses: when no member has lost anything, in any
-trajectory, over the last ``reach`` steps (the largest lag of a term whose
-source is a member), the members' counts are held from there to the end of
-the chunk, every term whose source is a member then counts zero, and the
-members' losses come from the same vectorised pass with every term, up to
-the next step with a member loss.
+step through the chunk, one step at a time on (B,) rows, whatever the batch
+width. A cycle steps only while it is within reach of its own losses: when
+no member has lost anything, in any trajectory, over the last ``reach``
+steps (the largest lag of a term whose source is a member), the members'
+counts are held from there to the end of the chunk, every term whose source
+is a member then counts zero, and the members' losses come from the same
+vectorised pass with every term, up to the next step with a member loss.
 A narrow batch then settles more of the chunk by rounds of that pass before
 it steps again: each round takes the previous round's positive losses as the
 members' counts and sweeps again. A window count reads only earlier steps, so
@@ -82,13 +80,6 @@ _SWEEP_TILE = 16384
 #   row adds       1.07/1.55  0.64/1.17  0.66/1.44  0.78/1.27 us
 _ROW_SCAN_WIDTH = 256
 
-# The scalar and pure-numpy step loops are arithmetically identical. A batch
-# of at most _SCALAR_BATCH trajectories steps with the scalar loop as plain
-# Python, which costs fewer interpreter calls per step there than the NumPy
-# loop's ufuncs on tiny rows, and a wider batch steps with the NumPy loop. On
-# the reference model the scalar loop is about 2x faster at one trajectory and
-# slower from four on.
-_SCALAR_BATCH = 3
 # no compiled kernel exists; the name stays for benchmark reports that read it
 use_compiled_kernel = False
 
@@ -99,13 +90,14 @@ use_compiled_kernel = False
 # steps they save. Batch-1 simulate of the 20k-step reference model (seed 1),
 # and run_ensemble of B trajectories, T = 2000, in one process, sample-per-run
 # / mean collapse of a 20k-step reference estimate, ms (median of 11; 2 CPUs,
-# x86-64, NumPy 2.4; B = 96 from a second run):
+# x86-64, NumPy 2.4; B = 96 from a second run; simulate from a later host
+# phase about 2x slower, the median of four runs):
 #
 #   rounds  simulate  B = 4      16         32           64           96           128
-#   0       6.01      4.21/3.75  9.35/9.13  15.41/15.43  21.41/21.57  23.98/24.33  29.58/29.61
-#   2       2.55      1.80/1.35  4.04/3.47  12.41/9.47   22.55/20.33               30.65/30.66
-#   4       2.52      1.75/1.34  3.25/3.07  10.02/8.22   20.55/15.06  26.07/19.59  31.08/27.20
-#   8       2.56      1.34/1.34  3.28/3.04  9.41/8.20    21.84/14.87               32.98/27.11
+#   0       17.4      4.21/3.75  9.35/9.13  15.41/15.43  21.41/21.57  23.98/24.33  29.58/29.61
+#   2       4.1       1.80/1.35  4.04/3.47  12.41/9.47   22.55/20.33               30.65/30.66
+#   4       4.1       1.75/1.34  3.25/3.07  10.02/8.22   20.55/15.06  26.07/19.59  31.08/27.20
+#   8       4.2       1.34/1.34  3.28/3.04  9.41/8.20    21.84/14.87               32.98/27.11
 _SETTLE_ROUNDS = 4
 _SETTLE_WIDTH = 64
 
@@ -308,7 +300,6 @@ def _evolve(
         np.empty((tile, n_batch)),
         np.empty((tile, n_batch), dtype=bool),
     )
-    step_loop = _scalar_chunk if n_batch <= _SCALAR_BATCH else _numpy_chunk
 
     for start in range(0, n_steps, chunk):
         m = min(chunk, n_steps - start)
@@ -316,7 +307,7 @@ def _evolve(
         _draw_noise(losses, draws, generators, p.lam)
         for c in plan:
             if c.cyclic:
-                _cycle(c, losses, prefix, w, theta, step_loop, sweep_work)
+                _cycle(c, losses, prefix, w, theta, sweep_work)
             else:
                 i = c.members[0]
                 _sweep(losses[i], prefix, w, c.own_rows[0], c.rows, c.lags, c.coefs, theta[i],
@@ -407,7 +398,7 @@ def _running_sum(values, out, base) -> None:
         np.cumsum(out, axis=0, dtype=out.dtype, out=out)
 
 
-def _cycle(c, losses, prefix, w, theta, step_loop, work) -> None:
+def _cycle(c, losses, prefix, w, theta, work) -> None:
     """Evolve one cyclic component over a chunk, in place.
 
     The step loop runs only while some member has lost something, in some
@@ -442,7 +433,7 @@ def _cycle(c, losses, prefix, w, theta, step_loop, work) -> None:
     rounds = _SETTLE_ROUNDS if losses.shape[2] <= _SETTLE_WIDTH else 0
     s, positive, swept = 0, None, None
     while True:
-        s = step_loop(losses, prefix, w, s, quiet, c, theta)
+        s = _numpy_chunk(losses, prefix, w, s, quiet, c, theta)
         if s == m:
             return
         if swept is None:
@@ -491,8 +482,7 @@ def _sweep_members(c, losses, values, prefix, w, s, theta, work) -> None:
 
 
 def _numpy_chunk(losses, prefix, w, start, quiet, c, theta) -> int:
-    """Step loop of cyclic component ``c`` in pure numpy; arithmetic order
-    matches the scalar loop.
+    """Step loop of cyclic component ``c``, one (B,) row per member per step.
 
     Steps from ``start`` while the component is within ``c.reach`` steps of
     a member's loss; ``quiet`` is the number of steps since the last one.
@@ -543,32 +533,4 @@ def _numpy_chunk(losses, prefix, w, start, quiet, c, theta) -> int:
             np.add(before, ind, out=after)
             if np.count_nonzero(ind):
                 quiet = 0
-    return losses.shape[1]
-
-
-def _scalar_chunk(losses, prefix, w, start, quiet, c, theta) -> int:
-    """Step loop of cyclic component ``c``, one scalar at a time, as plain
-    Python. Same contract as ``_numpy_chunk``."""
-    n_batch = losses.shape[2]
-    members, own_rows, ptr, rows, lags, coefs, reach = (
-        c.members, c.own_rows, c.ptr, c.rows, c.lags, c.coefs, c.reach
-    )
-    for s in range(start, losses.shape[1]):
-        if quiet >= reach:
-            return s
-        quiet += 1
-        for k in range(members.shape[0]):
-            i = members[k]
-            own = own_rows[k]
-            for b in range(n_batch):
-                acc = 0.0
-                for t in range(ptr[k], ptr[k + 1]):
-                    r = rows[t]
-                    acc += coefs[t, b] * (prefix[r, w + s, b] - prefix[r, w + s - lags[t], b])
-                v = (acc + theta[i]) + losses[i, s, b]
-                positive = v > 0.0
-                losses[i, s, b] = v if positive else 0.0
-                prefix[own, w + s + 1, b] = prefix[own, w + s, b] + (1 if positive else 0)
-                if positive:
-                    quiet = 0
     return losses.shape[1]

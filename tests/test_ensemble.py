@@ -34,7 +34,7 @@ from oprisk_dynamics.estimate import (
     collapse_precision,
 )
 from oprisk_dynamics.model import LossMatrix, ModelParameters, NoiseSpec
-from oprisk_dynamics.simulate import _ROW_SCAN_WIDTH, _SCALAR_BATCH, _component_order, simulate
+from oprisk_dynamics.simulate import _ROW_SCAN_WIDTH, _SETTLE_WIDTH, _component_order, simulate
 
 from conftest import brute_force_var, build_reference_parameters, exact_law, hand_estimates
 
@@ -121,6 +121,16 @@ class TestVar:
         for bad in (0.0, 1.0, -0.1, 1.5, np.nan):
             with pytest.raises(errors.InvalidOrder):
                 var([1.0, 2.0], bad)
+
+    @pytest.mark.parametrize("confidence", [0.5, 0.99])
+    @pytest.mark.parametrize("bad, index", [(np.nan, 0), (np.inf, 2), (-np.inf, 1)])
+    def test_non_finite_sample_rejected_with_its_index(self, bad, index, confidence):
+        # np.sort puts NaN last, so var([nan, 1.0, 2.0], c) would read 2.0
+        # at 0.5 and nan at 0.99
+        samples = [1.0, 2.0]
+        samples.insert(index, bad)
+        with pytest.raises(ValueError, match=f"non-finite entry {bad} at index {index}"):
+            var(samples, confidence)
 
     def test_single_sample_any_confidence(self):
         assert var([3.25], 0.001) == 3.25
@@ -303,7 +313,8 @@ class TestRunEnsemble:
 
     @pytest.mark.parametrize("source", ["parameters", "sample-per-run"])
     @pytest.mark.parametrize(
-        "width", [_SCALAR_BATCH, _SCALAR_BATCH + 1, _ROW_SCAN_WIDTH - 1, _ROW_SCAN_WIDTH]
+        "width",
+        [2, _SETTLE_WIDTH, _SETTLE_WIDTH + 1, _ROW_SCAN_WIDTH - 1, _ROW_SCAN_WIDTH],
     )
     def test_a_cut_run_reproduces_the_longer_runs_statistics(self, monkeypatch, source, width):
         # a run of s steps has the bits of a longer run's first s steps, so
@@ -668,10 +679,10 @@ def mean_z_scores(p, exact_mean_z, seed):
 class TestExactLaw:
     """The engine's law against the exact means of the loss-window Markov
     chain, which reads the equation of motion and nothing of the engine: an
-    engine whose windows are one step too long, or too short, fails. Every
-    step loop gives the same bits at any batch width, so one width covers
-    them all; E z is read from 4000-wide ensembles, the loss counts from
-    batch-1 simulate."""
+    engine whose windows are one step too long, or too short, fails. The
+    engine gives the same bits at any batch width, so one width covers them
+    all; E z is read from 4000-wide ensembles, the loss counts from batch-1
+    simulate."""
 
     def test_oracle_on_the_reference_model(self, exact_reference_law):
         mean_z, losses, counts = exact_reference_law

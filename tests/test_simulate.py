@@ -18,7 +18,7 @@ from oprisk_dynamics.model import LossMatrix, ModelParameters, NoiseSpec
 from oprisk_dynamics.ensemble import derive_seed, run_ensemble
 from oprisk_dynamics.simulate import (
     _ROW_SCAN_WIDTH,
-    _SCALAR_BATCH,
+    _SETTLE_WIDTH,
     _component_order,
     _evolve,
     _running_sum,
@@ -201,63 +201,47 @@ def engine_losses(p, initial, n_steps, seeds):
     return out
 
 
-# the module names the engine selects its step loop from
-STEP_LOOPS = ("_scalar_chunk", "_numpy_chunk")
-
-
 def count_steps(monkeypatch, sim):
-    """Wrap every step loop the engine may select; returns, per loop name,
-    the list of steps each call of it stepped."""
-    stepped = {}
-    for name in STEP_LOOPS:
-        loop, calls = getattr(sim, name), []
+    """Wrap the step loop; returns the list of steps each call of it stepped."""
+    loop, calls = sim._numpy_chunk, []
 
-        def counted(losses, prefix, w, start, *rest, loop=loop, calls=calls):
-            stop = loop(losses, prefix, w, start, *rest)
-            calls.append(stop - start)
-            return stop
+    def counted(losses, prefix, w, start, *rest):
+        stop = loop(losses, prefix, w, start, *rest)
+        calls.append(stop - start)
+        return stop
 
-        monkeypatch.setattr(sim, name, counted)
-        stepped[name] = calls
-    return stepped
+    monkeypatch.setattr(sim, "_numpy_chunk", counted)
+    return calls
 
 
 def record_sweeps(monkeypatch, sim):
-    """Wrap the sweep and every step loop; returns the list of events in the
+    """Wrap the sweep and the step loop; returns the list of events in the
     order they ran: "sweep" for a ``_sweep`` call, "quiet" for a step loop
     call that stopped before the end of its chunk."""
     events = []
-    sweep = sim._sweep
+    sweep, loop = sim._sweep, sim._numpy_chunk
 
     def swept(*args):
         events.append("sweep")
         sweep(*args)
 
-    monkeypatch.setattr(sim, "_sweep", swept)
-    for name in STEP_LOOPS:
-        def counted(losses, *rest, loop=getattr(sim, name)):
-            stop = loop(losses, *rest)
-            if stop < losses.shape[1]:
-                events.append("quiet")
-            return stop
+    def counted(losses, *rest):
+        stop = loop(losses, *rest)
+        if stop < losses.shape[1]:
+            events.append("quiet")
+        return stop
 
-        monkeypatch.setattr(sim, name, counted)
+    monkeypatch.setattr(sim, "_sweep", swept)
+    monkeypatch.setattr(sim, "_numpy_chunk", counted)
     return events
 
 
 def subcritical_steps(monkeypatch, sim):
-    """Steps the step loops take in a 20k-step reference simulate, seed 1."""
+    """Steps the step loop takes in a 20k-step reference simulate, seed 1."""
     stepped = count_steps(monkeypatch, sim)
     p = build_reference_parameters()
     simulate(p, None, 20_000, NoiseSpec(rates=p.lam, seed=1))
-    return sum(map(sum, stepped.values()))
-
-
-def force_step_loop(monkeypatch, sim, loop):
-    """Make the engine step every cycle with ``loop`` ("scalar" or "numpy") at
-    any batch width; returns the name the engine calls it by."""
-    monkeypatch.setattr(sim, "_SCALAR_BATCH", 2**31 if loop == "scalar" else 0)
-    return {"scalar": "_scalar_chunk", "numpy": "_numpy_chunk"}[loop]
+    return sum(stepped)
 
 
 class TestSimulate:
@@ -383,66 +367,51 @@ class TestSimulate:
             simulate(small_parameters, None, 10, noise)
 
     @pytest.mark.parametrize("case_seed", [0, 1, 2, 3, 4, 5, "two_cycle"])
-    def test_scalar_and_numpy_paths_agree_exactly(self, monkeypatch, case_seed):
-        # the package re-exports the simulate() function under the same name,
-        # so fetch the submodule itself through the import system
-        sim = importlib.import_module("oprisk_dynamics.simulate")
-        if case_seed == "two_cycle":
-            p = ENGINE_MODELS["two_cycle_fed_upstream"]()
-            initial = history_for(p, 7)
-            noise = NoiseSpec(rates=p.lam, seed=105)
-        else:
-            rng = np.random.default_rng(31 + case_seed)
-            p, initial = random_model(rng)
-            noise = NoiseSpec(rates=p.lam, seed=99 + case_seed)
-        runs = {}
-        for loop in ("scalar", "numpy"):
-            force_step_loop(monkeypatch, sim, loop)
-            runs[loop] = simulate(p, LossMatrix(initial), 300, noise).losses.losses.tobytes()
-        assert runs["scalar"] == runs["numpy"]
+    def test_long_runs_match_naive_reference(self, case_seed):
+        p, initial, seed = self.long_run_case(case_seed)
+        traj = simulate(p, LossMatrix(initial), 300, NoiseSpec(rates=p.lam, seed=seed))
+        assert traj.losses.losses.tobytes() == naive_simulate(p, initial, 300, seed).tobytes()
 
-    def test_scalar_and_numpy_paths_agree_on_a_batch(self, monkeypatch):
-        # batches of 3, of 5, wider than the scalar loop's default width, and
-        # of one more than the widest that settles quiet stretches by rounds,
-        # which steps every busy stretch
-        sim = importlib.import_module("oprisk_dynamics.simulate")
-        p, initial = random_model(np.random.default_rng(45))
-        window = LossMatrix(initial)
-        for batch in (3, 5, sim._SETTLE_WIDTH + 1):
-            runs = {}
-            for loop in ("scalar", "numpy"):
-                force_step_loop(monkeypatch, sim, loop)
-                result, cut = (
-                    run_ensemble(p, window, n_steps, 2 * batch, master_seed=5, batch_size=batch)
-                    for n_steps in (200, 50)
-                )
-                runs[loop] = [result.mean_z.tobytes(), result.std_z.tobytes(),
-                              result.terminal_samples.tobytes(), cut.terminal_samples.tobytes()]
-            assert runs["scalar"] == runs["numpy"]
-
-    def test_step_loop_is_chosen_by_batch_width(self, monkeypatch):
-        # a narrow batch steps with the scalar loop as plain Python and a
-        # wider one with the numpy loop
-        self.check_step_loop_by_width(monkeypatch, build_reference_parameters())
-
-    def test_a_two_member_cycle_steps_with_the_loop_its_width_picks(self, monkeypatch):
-        p = QUIET_MODELS["short_cycle_long_feed"]()
-        assert cycle_members(p) == [1, 2]
-        self.check_step_loop_by_width(monkeypatch, p)
+    @pytest.mark.parametrize("case_seed", [0, 1, 2, 3, 4, 5, "two_cycle"])
+    def test_a_batch_too_wide_to_settle_matches_naive_reference(self, case_seed):
+        # one more than the widest batch that settles quiet stretches by
+        # rounds: its step loop takes every busy stretch of every model
+        p, initial, seed = self.long_run_case(case_seed)
+        seeds = [seed + k for k in range(_SETTLE_WIDTH + 1)]
+        expected = np.stack([naive_simulate(p, initial, 300, s) for s in seeds], axis=1)
+        assert engine_losses(p, initial, 300, seeds).tobytes() == expected.tobytes()
 
     @staticmethod
-    def check_step_loop_by_width(monkeypatch, p):
-        sim = importlib.import_module("oprisk_dynamics.simulate")
-        stepped = count_steps(monkeypatch, sim)
-        initial = np.zeros((p.max_horizon, p.n))
-        width = sim._SCALAR_BATCH
-        for batch, expected in ((1, "_scalar_chunk"), (width, "_scalar_chunk"),
-                                (width + 1, "_numpy_chunk")):
-            engine_losses(p, initial, 2000, range(batch))
-            ran = [name for name in STEP_LOOPS if stepped[name]]
-            assert ran == [expected]
-            for calls in stepped.values():
-                calls.clear()
+    def long_run_case(case_seed):
+        """A model, its start history and the seed of its long runs."""
+        if case_seed == "two_cycle":
+            p = ENGINE_MODELS["two_cycle_fed_upstream"]()
+            return p, history_for(p, 7), 105
+        p, initial = random_model(np.random.default_rng(31 + case_seed))
+        return p, initial, 99 + case_seed
+
+    @pytest.mark.parametrize("batch", [3, 5, _SETTLE_WIDTH + 1])
+    def test_a_batch_matches_one_trajectory_at_a_time(self, batch):
+        # batches of 3, of 5, and of one more than the widest that settles
+        # quiet stretches by rounds, which steps every busy stretch, against
+        # runs of one trajectory at a time, whose terminal samples are the
+        # naive reference's
+        p, initial = random_model(np.random.default_rng(45))
+        window = LossMatrix(initial)
+        m, runs = 2 * batch, {}
+        for width in (1, batch):
+            result, cut = (
+                run_ensemble(p, window, n_steps, m, master_seed=5, batch_size=width)
+                for n_steps in (200, 50)
+            )
+            runs[width] = [result.mean_z.tobytes(), result.std_z.tobytes(),
+                           result.terminal_samples.tobytes(), cut.terminal_samples.tobytes()]
+        assert runs[batch] == runs[1]
+        terminal = np.stack([
+            np.cumsum(naive_simulate(p, initial, 200, derive_seed(5, 1 + k)), axis=0)[-1]
+            for k in range(m)
+        ])
+        assert runs[1][2] == terminal.tobytes()
 
     def test_noninteracting_marginal_law(self):
         # frequency of nonzero losses ~ exp(lambda * theta); nonzero sizes ~ Exp(lambda)
@@ -472,28 +441,24 @@ def negative_zero_noise(monkeypatch):
     return sim
 
 
-# a single trajectory, the narrowest batch the NumPy step loop takes, and the
-# narrowest whose running sums add one row at a time
-SIGNED_ZERO_WIDTHS = (1, _SCALAR_BATCH + 1, _ROW_SCAN_WIDTH)
+# a single trajectory, the narrowest batch that settles no quiet stretch by
+# rounds, and the narrowest whose running sums add one row at a time
+SIGNED_ZERO_WIDTHS = (1, _SETTLE_WIDTH + 1, _ROW_SCAN_WIDTH)
 
 
 class TestSignedZeros:
     """Thresholds of +0.0 and -0.0 and couplings that are negative or +-0.0
     give the oracle's losses bit for bit, with noise of -0.0 on many steps,
-    whatever the step loop or the batch."""
+    whatever the batch."""
 
     @pytest.mark.parametrize("width", SIGNED_ZERO_WIDTHS)
     @pytest.mark.parametrize("case_seed", range(5))
-    def test_every_step_loop_matches_naive_reference(self, monkeypatch, negative_zero_noise,
-                                                     case_seed, width):
-        sim = negative_zero_noise
+    def test_each_width_matches_naive_reference(self, negative_zero_noise, case_seed, width):
         p, initial = signed_zero_model(np.random.default_rng(7700 + case_seed))
         n_steps, seeds = 40, [derive_seed(case_seed, m) for m in range(width)]
         expected = np.stack([naive_simulate(p, initial, n_steps, s) for s in seeds], axis=1)
-        for loop in ("scalar", "numpy"):
-            force_step_loop(monkeypatch, sim, loop)
-            got = engine_losses(p, initial, n_steps, seeds)
-            assert got.tobytes() == expected.tobytes(), loop
+        got = engine_losses(p, initial, n_steps, seeds)
+        assert got.tobytes() == expected.tobytes()
         traj = simulate(p, LossMatrix(initial), n_steps, NoiseSpec(rates=p.lam, seed=seeds[0]))
         assert traj.losses.losses.tobytes() == expected[:, 0].tobytes()
 
@@ -559,16 +524,12 @@ class TestDependencyOrder:
             assert np.array_equal(result.terminal_samples, paths[:, s - 1])
 
     @pytest.mark.parametrize("budget", [None, 7])
-    @pytest.mark.parametrize("loop", ["scalar", "numpy"])
     @pytest.mark.parametrize("history", ["ends_in_member_loss", "quiet"])
     @pytest.mark.parametrize("name", sorted(QUIET_MODELS))
-    def test_quiet_stretches_match_naive_reference(self, monkeypatch, name, history, loop,
-                                                   budget):
+    def test_quiet_stretches_match_naive_reference(self, monkeypatch, name, history, budget):
         # a budget of 7 with 5-step tiles makes the quiet stretches cross
-        # chunk and tile boundaries at every batch size; the step loop forced
-        # here runs at every batch size
+        # chunk and tile boundaries at every batch size
         sim = importlib.import_module("oprisk_dynamics.simulate")
-        selected = force_step_loop(monkeypatch, sim, loop)
         if budget is not None:
             monkeypatch.setattr(sim, "_CHUNK_BUDGET", budget)
             monkeypatch.setattr(sim, "_SWEEP_TILE", 5)
@@ -583,8 +544,7 @@ class TestDependencyOrder:
                 got = engine_losses(p, initial, n_steps, seeds[first : first + batch])
                 assert np.array_equal(got, expected[:, first : first + batch])
             if batch == 1:
-                single_steps, single_sweeps = sum(stepped[selected]), events.count("sweep")
-        assert [name for name in STEP_LOOPS if stepped[name]] == [selected]
+                single_steps, single_sweeps = sum(stepped), events.count("sweep")
         # one trajectory at a time, the rounds ran: the same runs without
         # them sweep only for the held sweeps
         monkeypatch.setattr(sim, "_SETTLE_ROUNDS", 0)
@@ -632,6 +592,28 @@ class TestDependencyOrder:
             runs[rounds] = [engine_losses(p, initial, 150, seeds[:batch]).tobytes()
                             for batch in (1, 3, width, width + 1)]
         assert runs[default] == runs[0]
+
+    @pytest.mark.parametrize("batch", [1, _SETTLE_WIDTH, _SETTLE_WIDTH + 1])
+    @pytest.mark.parametrize("name", ["reference", "short_cycle_long_feed"])
+    def test_batch_width_picks_whether_rounds_run(self, monkeypatch, name, batch):
+        # a batch of at most _SETTLE_WIDTH trajectories re-sweeps its quiet
+        # stretches by rounds, and a wider one sweeps each only once, on the
+        # reference model's self-coupled process 3 and on a two-member cycle
+        sim = importlib.import_module("oprisk_dynamics.simulate")
+        events = record_sweeps(monkeypatch, sim)
+        p = QUIET_MODELS[name]()
+        initial = start_history(p, "quiet")
+        default, sweeps = sim._SETTLE_ROUNDS, {}
+        for rounds in (default, 0):
+            monkeypatch.setattr(sim, "_SETTLE_ROUNDS", rounds)
+            events.clear()
+            engine_losses(p, initial, 2000, range(batch))
+            assert "quiet" in events
+            sweeps[rounds] = events.count("sweep")
+        if batch <= sim._SETTLE_WIDTH:
+            assert sweeps[default] > sweeps[0]
+        else:
+            assert sweeps[default] == sweeps[0]
 
     @pytest.mark.parametrize("batch", [1, 7])
     def test_rounds_per_quiet_entry_are_capped(self, monkeypatch, batch):
